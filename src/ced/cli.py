@@ -80,13 +80,13 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
     not silently misrepresent inputs like 1/3.
     """
     text = text.strip()
-    if _RATIONAL_RE.match(text):
+    if _RATIONAL_RE.match(text) or (allow_decimal and _DECIMAL_RE.match(text)):
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise UsageError(f"{flag}: zero denominator in {text!r}") from None
-    if allow_decimal and _DECIMAL_RE.match(text):
-        return Fraction(text)
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            raise UsageError(f"{flag}: more than {sys.get_int_max_str_digits()} digits") from None
     hint = " (decimals need --allow-decimal)" if _DECIMAL_RE.match(text) else ""
     raise UsageError(f"{flag}: expected an exact rational like 3/7, got {text!r}{hint}")
 
@@ -101,16 +101,12 @@ def _rational_arg(flag: str):
     return convert
 
 
-def fmt(q) -> str:
-    return str(Fraction(q))
-
-
 @dataclass
 class RunManifest:
     """Echo of everything needed to replay a run byte-identically."""
 
     subcommand: str
-    params: dict[str, str]
+    params: dict  # raw values, written with str()
     seed: Optional[int] = None
     version: str = ced.__version__
 
@@ -119,7 +115,7 @@ class RunManifest:
             "tool": "ced",
             "version": self.version,
             "subcommand": self.subcommand,
-            "params": self.params,
+            "params": {k: str(v) for k, v in self.params.items()},
             "seed": self.seed,
         }
 
@@ -132,24 +128,73 @@ class RunManifest:
         return lines
 
 
-def _emit_json(manifest: RunManifest, body: dict) -> None:
-    payload = {"manifest": manifest.as_dict()}
-    payload.update(body)
-    print(json.dumps(payload, sort_keys=True))
+#: A missing certificate.  JSON writes it as null and CSV and text spell it
+#: `null`, where a bare None cell (the `z` of the k = 0 row) prints empty.
+_NO_CERTIFICATE = object()
 
 
-def _emit_csv(manifest: RunManifest, header: list[str], rows: list[list[str]]) -> None:
-    for line in manifest.comment_lines():
-        print(line)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _json_cell(value):
+    if value is _NO_CERTIFICATE:
+        return None
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _text_cell(value) -> str:
+    if value is None:
+        return ""
+    if value is _NO_CERTIFICATE:
+        return "null"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return str(value)  # Fraction -> p/q, float -> its repr
+
+
+def _emit(manifest: RunManifest, format: str, header=(), rows=(), scalars=None, text=None) -> None:
+    """Write one result to stdout; nothing else in the CLI does.
+
+    json: one object with the manifest, `rows` (one object per row, keyed by
+    the header) when there is a header, and the named scalars.
+    csv: the manifest as # comments, the header and rows, then one
+    `# name value` trailer per scalar.
+    text: the manifest as # comments, then `text`, or else one
+    `name: value` line per scalar.
+
+    Cells are raw values and are rendered here alone.  Python's
+    int-to-str digit limit is lifted while writing, so exact values print
+    at any length; inputs are still parsed under the limit.
+    """
+    scalars = scalars or {}
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if format == "json":
+            payload = {"manifest": manifest.as_dict()}
+            if header:
+                payload["rows"] = [{h: _json_cell(v) for h, v in zip(header, row)} for row in rows]
+            payload.update((name, _json_cell(v)) for name, v in scalars.items())
+            print(json.dumps(payload, sort_keys=True))
+            return
+        for line in manifest.comment_lines():
+            print(line)
+        if format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_text_cell(v) for v in row] for row in rows)
+            for name, value in scalars.items():
+                print(f"# {name} {_text_cell(value)}")
+        elif text is not None:
+            print(_text_cell(text))
+        else:
+            for name, value in scalars.items():
+                print(f"{name}: {_text_cell(value)}")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _certificate_json(outcome: DecisionOutcome):
     cert = outcome.certificate
     if cert is None:
-        return None
+        return _NO_CERTIFICATE
     if isinstance(cert, KernelBelow):
         return {"type": "kernel-below", "m": cert.m, "level": cert.level}
     if isinstance(cert, KernelAbove):
@@ -172,28 +217,23 @@ def _threads(args) -> int:
 # subcommand handlers
 
 
+def _model_params(p: ModelParams) -> dict:
+    return {"d": p.d, "lambda": p.lam, "rho": p.rho}
+
+
 def _cmd_decide(args) -> int:
     p = ModelParams(args.d, args.lam, args.rho)
-    manifest = RunManifest(
-        "decide",
-        {"d": str(args.d), "lambda": fmt(p.lam), "rho": fmt(p.rho), "max_m": str(args.max_m)},
-    )
+    manifest = RunManifest("decide", {**_model_params(p), "max_m": args.max_m})
     outcome = decide(p, args.max_m)
-    if args.json:
-        _emit_json(
-            manifest,
-            {
-                "verdict": outcome.verdict.value,
-                "certificate": _certificate_json(outcome),
-                "m_reached": outcome.m_reached,
-            },
-        )
-    else:
-        for line in manifest.comment_lines():
-            print(line)
-        print(f"verdict: {outcome.verdict.value}")
-        print(f"certificate: {json.dumps(_certificate_json(outcome), sort_keys=True)}")
-        print(f"m_reached: {outcome.m_reached}")
+    _emit(
+        manifest,
+        "json" if args.json else "text",
+        scalars={
+            "verdict": outcome.verdict.value,
+            "certificate": _certificate_json(outcome),
+            "m_reached": outcome.m_reached,
+        },
+    )
     return {Verdict.BELOW: 0, Verdict.ABOVE: 1, Verdict.UNDECIDED: 2}[outcome.verdict]
 
 
@@ -215,71 +255,37 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(n)]
 
 
+def _cert_cells(bracket) -> list:
+    if bracket is None:
+        return [_NO_CERTIFICATE, _NO_CERTIFICATE]
+    return [_certificate_json(bracket.lo_outcome), _certificate_json(bracket.hi_outcome)]
+
+
 def _cmd_rho_c(args) -> int:
     if (args.lam is None) == (args.lambda_grid is None):
         raise UsageError("rho-c: give exactly one of --lambda or --lambda-grid")
-    tol = args.tol
     if args.lam is not None:
-        manifest = RunManifest(
-            "rho-c",
-            {
-                "d": str(args.d),
-                "lambda": fmt(args.lam),
-                "tol": fmt(tol),
-                "max_m": str(args.max_m),
-            },
-        )
+        params = {"lambda": args.lam}
         try:
-            bracket = critical_rho(args.d, args.lam, tol, args.max_m)
+            bracket = critical_rho(args.d, args.lam, args.tol, args.max_m)
         except OutsideWindowError as exc:
             raise UsageError(f"--lambda: {exc}") from None
-        points = [(args.lam, bracket.lo, bracket.hi,
-                   "unresolved" if bracket.unresolved_midpoint is not None else "bracket",
-                   bracket)]
+        status = "unresolved" if bracket.unresolved_midpoint is not None else "bracket"
+        points = [(args.lam, bracket.lo, bracket.hi, status, bracket)]
     else:
+        params = {"lambda_grid": args.lambda_grid}
         grid = _parse_grid(args.lambda_grid)
-        manifest = RunManifest(
-            "rho-c",
-            {
-                "d": str(args.d),
-                "lambda_grid": args.lambda_grid,
-                "tol": fmt(tol),
-                "max_m": str(args.max_m),
-            },
-        )
-        curve = rho_c_curve(args.d, grid, tol, args.max_m, threads=_threads(args))
+        curve = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=_threads(args))
         points = [(pt.lam, pt.lo, pt.hi, pt.status, pt.bracket) for pt in curve]
-
-    def cert_pair(bracket):
-        if bracket is None:
-            return None, None
-        return (
-            _certificate_json(bracket.lo_outcome),
-            _certificate_json(bracket.hi_outcome),
-        )
-
-    if args.format == "json":
-        rows = []
-        for lam, lo, hi, status, bracket in points:
-            row = {"lambda": fmt(lam), "lo": fmt(lo), "hi": fmt(hi), "status": status}
-            if args.certs:
-                lo_cert, hi_cert = cert_pair(bracket)
-                row["lo_certificate"] = lo_cert
-                row["hi_certificate"] = hi_cert
-            rows.append(row)
-        _emit_json(manifest, {"rows": rows})
-    else:
-        header = ["lambda", "lo", "hi", "status"]
-        if args.certs:
-            header += ["lo_certificate", "hi_certificate"]
-        rows = []
-        for lam, lo, hi, status, bracket in points:
-            row = [fmt(lam), fmt(lo), fmt(hi), status]
-            if args.certs:
-                lo_cert, hi_cert = cert_pair(bracket)
-                row += [json.dumps(lo_cert, sort_keys=True), json.dumps(hi_cert, sort_keys=True)]
-            rows.append(row)
-        _emit_csv(manifest, header, rows)
+    params.update({"d": args.d, "tol": args.tol, "max_m": args.max_m})
+    header = ["lambda", "lo", "hi", "status"]
+    if args.certs:
+        header += ["lo_certificate", "hi_certificate"]
+    rows = [
+        [lam, lo, hi, status] + (_cert_cells(bracket) if args.certs else [])
+        for lam, lo, hi, status, bracket in points
+    ]
+    _emit(RunManifest("rho-c", params), args.format, header, rows)
     return 0
 
 
@@ -288,49 +294,28 @@ def _cmd_catalan(args) -> int:
     mode = args.mode
     if mode != MODE_EXACT and args.m is None:
         raise UsageError(f"--mode {mode} needs --m")
-    params = {
-        "d": str(args.d),
-        "lambda": fmt(p.lam),
-        "rho": fmt(p.rho),
-        "mode": mode,
-    }
+    params = {**_model_params(p), "mode": mode}
     if args.m is not None:
-        params["m"] = str(args.m)
+        params["m"] = args.m
+    single = "json" if args.format == "json" else "text"  # one value is never a CSV table
     if args.z is not None:
         # partial sum of the generating function up to k_max
         k_hi = args.k_max if args.k_max is not None else args.k
         if k_hi is None:
             raise UsageError("--z needs --k or --k-max for the truncation order")
-        params.update({"z": fmt(args.z), "K": str(k_hi)})
-        manifest = RunManifest("catalan", params)
+        params.update({"z": args.z, "K": k_hi})
         value = partial_series(p, args.z, k_hi, mode, args.m)
-        if args.format == "json":
-            _emit_json(manifest, {"partial_series": fmt(value)})
-        else:
-            for line in manifest.comment_lines():
-                print(line)
-            print(fmt(value))
-        return 0
-    if args.k_max is not None:
-        params["k_max"] = str(args.k_max)
-        manifest = RunManifest("catalan", params)
+        _emit(RunManifest("catalan", params), single, scalars={"partial_series": value}, text=value)
+    elif args.k_max is not None:
+        params["k_max"] = args.k_max
         seq = weighted_catalan_sequence(p, args.k_max, mode, args.m)
-        if args.format == "json":
-            _emit_json(manifest, {"rows": [{"k": k, "value": fmt(v)} for k, v in enumerate(seq)]})
-        else:
-            _emit_csv(manifest, ["k", "value"], [[str(k), fmt(v)] for k, v in enumerate(seq)])
-        return 0
-    if args.k is None:
+        _emit(RunManifest("catalan", params), args.format, ["k", "value"], list(enumerate(seq)))
+    elif args.k is None:
         raise UsageError("catalan: give --k or --k-max")
-    params["k"] = str(args.k)
-    manifest = RunManifest("catalan", params)
-    value = weighted_catalan(p, args.k, mode, args.m).value
-    if args.format == "json":
-        _emit_json(manifest, {"k": args.k, "value": fmt(value)})
     else:
-        for line in manifest.comment_lines():
-            print(line)
-        print(fmt(value))
+        params["k"] = args.k
+        value = weighted_catalan(p, args.k, mode, args.m).value
+        _emit(RunManifest("catalan", params), single, scalars={"k": args.k, "value": value}, text=value)
     return 0
 
 
@@ -339,118 +324,45 @@ def _cmd_simulate(args) -> int:
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
     p = ModelParams(args.d, lam, rho)
     threads = _threads(args)
+    size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
+    manifest = RunManifest(
+        f"simulate {args.engine}", {**_model_params(p), **size, "trials": args.trials}, seed=args.seed
+    )
     if args.engine == "line":
-        manifest = RunManifest(
-            "simulate line",
-            {
-                "d": str(args.d),
-                "lambda": fmt(lam),
-                "rho": fmt(rho),
-                "k_max": str(args.k_max),
-                "trials": str(args.trials),
-            },
-            seed=args.seed,
-        )
         summary = simulate_line(p, args.trials, args.k_max, args.seed, threads=threads)
         rows = compare_renewals(p, summary)
-        if args.format == "json":
-            _emit_json(
-                manifest,
-                {
-                    "rows": [
-                        {
-                            "k": r.k,
-                            "count": summary.renewal_counts[r.k],
-                            "frequency": r.observed,
-                            "stderr": r.stderr,
-                            "exact": r.expected,
-                            "z": r.z,
-                        }
-                        for r in rows
-                    ],
-                    "max_abs_z": max_abs_z(rows),
-                    "absorption": dict(summary.absorption_counts),
-                },
-            )
-        else:
-            header = ["k", "count", "frequency", "stderr", "exact", "z"]
-            table = [
-                [
-                    str(r.k),
-                    str(summary.renewal_counts[r.k]),
-                    repr(r.observed),
-                    repr(r.stderr),
-                    repr(r.expected),
-                    "" if r.z is None else repr(r.z),
-                ]
-                for r in rows
-            ]
-            _emit_csv(manifest, header, table)
-            print(f"# max_abs_z {max_abs_z(rows)!r}")
-            print(f"# absorption {json.dumps(dict(summary.absorption_counts), sort_keys=True)}")
+        _emit(
+            manifest,
+            args.format,
+            ["k", "count", "frequency", "stderr", "exact", "z"],
+            [(r.k, summary.renewal_counts[r.k], r.observed, r.stderr, r.expected, r.z) for r in rows],
+            {"max_abs_z": max_abs_z(rows), "absorption": dict(summary.absorption_counts)},
+        )
         return 0
 
-    manifest = RunManifest(
-        "simulate tree",
-        {
-            "d": str(args.d),
-            "lambda": fmt(lam),
-            "rho": fmt(rho),
-            "depth": str(args.depth),
-            "trials": str(args.trials),
-        },
-        seed=args.seed,
-    )
     summary = simulate_tree(p, args.depth, args.trials, args.seed, threads=threads)
     exact = weighted_catalan_sequence(p, args.depth)
-    levels = list(range(args.depth + 1))
-    if args.format == "json":
-        _emit_json(
-            manifest,
-            {
-                "rows": [
-                    {
-                        "level": k,
-                        "mean": summary.level_renewal_mean(k),
-                        "stderr": summary.level_renewal_stderr(k),
-                        "exact": float(args.d**k * exact[k]),
-                    }
-                    for k in levels
-                ],
-                "blue_reach_cap_frequency": summary.blue_reach_cap_frequency(),
-                "red_reach_cap_frequency": summary.red_reach_cap_frequency(),
-            },
-        )
-    else:
-        header = ["level", "mean", "stderr", "exact"]
-        table = [
-            [
-                str(k),
-                repr(summary.level_renewal_mean(k)),
-                repr(summary.level_renewal_stderr(k)),
-                repr(float(args.d**k * exact[k])),
-            ]
-            for k in levels
-        ]
-        _emit_csv(manifest, header, table)
-        print(f"# blue_reach_cap_frequency {summary.blue_reach_cap_frequency()!r}")
-        print(f"# red_reach_cap_frequency {summary.red_reach_cap_frequency()!r}")
+    _emit(
+        manifest,
+        args.format,
+        ["level", "mean", "stderr", "exact"],
+        [
+            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), float(args.d**k * exact[k]))
+            for k in range(args.depth + 1)
+        ],
+        {
+            "blue_reach_cap_frequency": summary.blue_reach_cap_frequency(),
+            "red_reach_cap_frequency": summary.red_reach_cap_frequency(),
+        },
+    )
     return 0
 
 
 def _cmd_phase(args) -> int:
     p = ModelParams(args.d, args.lam, args.rho)
-    manifest = RunManifest(
-        "phase",
-        {"d": str(args.d), "lambda": fmt(p.lam), "rho": fmt(p.rho), "max_m": str(args.max_m)},
-    )
-    label = classify_phase(p, args.max_m)
-    if args.json:
-        _emit_json(manifest, {"phase": label.value})
-    else:
-        for line in manifest.comment_lines():
-            print(line)
-        print(label.value)
+    manifest = RunManifest("phase", {**_model_params(p), "max_m": args.max_m})
+    label = classify_phase(p, args.max_m).value
+    _emit(manifest, "json" if args.json else "text", scalars={"phase": label}, text=label)
     return 0
 
 
@@ -534,6 +446,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OutsideWindowError, BracketError, ResourceBudgetError, ValueError) as exc:
         print(f"ced: error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print("ced: error: out of memory (is a size such as --k-max or --depth too large?)", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"ced {args.subcommand}: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

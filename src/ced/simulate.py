@@ -30,6 +30,7 @@ trial order; identical seeds give bit-identical summaries.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ DEFAULT_MAX_VERTICES = 2_000_000
 ABSORB_DEATH = "death"
 ABSORB_CAUGHT = "caught"
 ABSORB_TRUNCATED = "truncated"
+_ABSORPTIONS = tuple(sorted((ABSORB_DEATH, ABSORB_CAUGHT, ABSORB_TRUNCATED)))  # tally order
 
 _WHITE, _RED, _BLUE, _DEAD = 0, 1, 2, 3
 
@@ -178,18 +180,36 @@ def line_trial(p: ModelParams, k_max: int, rng: np.random.Generator) -> LineTria
             return LineTrialRecord(tuple(renewals), b, ABSORB_DEATH)
 
 
-def _line_chunk(args) -> tuple[list[int], list[int], dict[str, int]]:
-    p, k_max, seed, start, stop = args
+def _run_chunks(chunk, args: tuple, n: int, threads: int) -> list[list[int]]:
+    """Run chunk(*args, start, stop) over trials [0, n) and sum its tallies.
+
+    A chunk returns a tuple of integer lists; the result sums them element
+    by element.  Every trial owns its stream and the sums are exact, so the
+    result does not depend on threads or on how [0, n) is split.
+    """
+    bounds = [(0, n)]
+    if threads > 1:
+        per = math.ceil(n / (threads * 4))  # a few chunks per worker smooths stragglers
+        bounds = [(i, min(i + per, n)) for i in range(0, n, per)]
+    if len(bounds) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(functools.partial(chunk, *args), *zip(*bounds)))
+    else:
+        parts = [chunk(*args, 0, n)]
+    return [[sum(column) for column in zip(*tallies)] for tallies in zip(*parts)]
+
+
+def _line_chunk(p, k_max, seed, start, stop) -> tuple[list[int], ...]:
     renewal_counts = [0] * (k_max + 1)
     y_counts = [0] * (k_max + 1)
-    absorb = {ABSORB_DEATH: 0, ABSORB_CAUGHT: 0, ABSORB_TRUNCATED: 0}
+    absorb = dict.fromkeys(_ABSORPTIONS, 0)
     for idx in range(start, stop):
         rec = line_trial(p, k_max, trial_rng(seed, idx))
         for k in rec.renewals_hit:
             renewal_counts[k] += 1
         y_counts[min(rec.y_value, k_max)] += 1
         absorb[rec.absorption] += 1
-    return renewal_counts, y_counts, absorb
+    return renewal_counts, y_counts, [absorb[a] for a in _ABSORPTIONS]
 
 
 def simulate_line(
@@ -208,23 +228,7 @@ def simulate_line(
         raise ValueError("n_trials must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    chunks = _chunk_ranges(n_trials, threads)
-    jobs = [(p, k_max, seed, start, stop) for start, stop in chunks]
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_line_chunk, jobs))
-    else:
-        parts = [_line_chunk(job) for job in jobs]
-
-    renewal_counts = [0] * (k_max + 1)
-    y_counts = [0] * (k_max + 1)
-    absorb = {ABSORB_DEATH: 0, ABSORB_CAUGHT: 0, ABSORB_TRUNCATED: 0}
-    for rc, yc, ac in parts:
-        for k in range(k_max + 1):
-            renewal_counts[k] += rc[k]
-            y_counts[k] += yc[k]
-        for key, val in ac.items():
-            absorb[key] += val
+    renewal_counts, y_counts, absorb = _run_chunks(_line_chunk, (p, k_max, seed), n_trials, threads)
     return SimSummary(
         kind="line",
         d=p.d,
@@ -235,7 +239,7 @@ def simulate_line(
         k_max=k_max,
         renewal_counts=tuple(renewal_counts),
         y_counts=tuple(y_counts),
-        absorption_counts=tuple(sorted(absorb.items())),
+        absorption_counts=tuple(zip(_ABSORPTIONS, absorb)),
     )
 
 
@@ -342,8 +346,7 @@ def tree_trial(
     return TreeTrialRecord(blue_max, red_max, tuple(renewals), blue_n)
 
 
-def _tree_chunk(args):
-    p, depth_cap, seed, start, stop, max_vertices = args
+def _tree_chunk(p, depth_cap, seed, max_vertices, start, stop):
     levels = depth_cap + 1
     ren_sum = [0] * levels
     ren_sumsq = [0] * levels
@@ -358,7 +361,7 @@ def _tree_chunk(args):
         blue_depth[rec.blue_reached_depth + 1] += 1
         red_depth[rec.red_reached_depth] += 1
         blue_total += rec.blue_count
-    return ren_sum, ren_sumsq, blue_depth, red_depth, blue_total
+    return ren_sum, ren_sumsq, blue_depth, red_depth, [blue_total]
 
 
 def simulate_tree(
@@ -379,28 +382,9 @@ def simulate_tree(
         raise ValueError("depth_cap must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    chunks = _chunk_ranges(n_trials, threads)
-    jobs = [(p, depth_cap, seed, start, stop, max_vertices) for start, stop in chunks]
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_tree_chunk, jobs))
-    else:
-        parts = [_tree_chunk(job) for job in jobs]
-
-    levels = depth_cap + 1
-    ren_sum = [0] * levels
-    ren_sumsq = [0] * levels
-    blue_depth = [0] * (depth_cap + 2)
-    red_depth = [0] * levels
-    blue_total = 0
-    for rs, rq, bd, rd, bt in parts:
-        for i in range(levels):
-            ren_sum[i] += rs[i]
-            ren_sumsq[i] += rq[i]
-            red_depth[i] += rd[i]
-        for i in range(depth_cap + 2):
-            blue_depth[i] += bd[i]
-        blue_total += bt
+    ren_sum, ren_sumsq, blue_depth, red_depth, (blue_total,) = _run_chunks(
+        _tree_chunk, (p, depth_cap, seed, max_vertices), n_trials, threads
+    )
     return SimSummary(
         kind="tree",
         d=p.d,
@@ -463,11 +447,3 @@ def compare_renewals(p: ModelParams, summary: SimSummary, k_max: Optional[int] =
 
 def max_abs_z(rows: list[RenewalZ]) -> float:
     return max((abs(r.z) for r in rows if r.z is not None), default=0.0)
-
-
-def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
-    workers = max(1, threads)
-    if workers == 1:
-        return [(0, n)]
-    per = math.ceil(n / (workers * 4))  # a few chunks per worker smooths stragglers
-    return [(i, min(i + per, n)) for i in range(0, n, per)]

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from ced.catalan import partial_series
 from ced.cli import main, parse_rational, UsageError
+from ced.params import ModelParams
 
 
 def run(capsys, *argv):
@@ -26,6 +30,10 @@ class TestParseRational:
     def test_error_names_flag(self):
         with pytest.raises(UsageError, match="--rho"):
             parse_rational("1/0", "--rho")
+
+    def test_past_digit_limit_is_usage_error(self):
+        with pytest.raises(UsageError, match="--rho"):
+            parse_rational("7" * 5000, "--rho")
 
 
 class TestDecideCommand:
@@ -145,7 +153,43 @@ class TestCatalanCommand:
         assert code == 64 and "--m" in err
 
 
+class TestExactOutputLength:
+    def test_value_past_4300_digits_prints_in_full(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "catalan", "--lambda", "3/2", "--rho", "300000001/1073741824",
+            "--z", "2", "--k-max", "110", "--format", "json",
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            value = F(json.loads(out)["partial_series"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == partial_series(ModelParams(2, F(3, 2), F(300000001, 1073741824)), 2, 110)
+        assert value.denominator > 10**4300  # past the default int-to-str limit
+
+
 class TestSimulateCommand:
+    def test_overlong_rate_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "line", "--lambda", "7" * 5000, "--rho", "1",
+            "--trials", "1", "--seed", "1",
+        )
+        assert code == 64 and "--lambda" in err
+
+    # 2^61 + 1 list slots exceed PY_SSIZE_T_MAX bytes, so the tally list is
+    # refused before any memory is allocated.
+    @pytest.mark.parametrize("size_flag", ["--k-max", "--depth"])
+    def test_tally_too_large_for_memory_is_runtime_error(self, capsys, size_flag):
+        engine = "line" if size_flag == "--k-max" else "tree"
+        code, out, err = run(
+            capsys, "simulate", engine, "--lambda", "1", "--rho", "1",
+            "--trials", "1", "--seed", "1", size_flag, str(2**61),
+        )
+        assert code == 70 and "out of memory" in err and out == ""
+
     def test_line_table_and_replay(self, capsys):
         args = (
             "simulate", "line", "--lambda", "1", "--rho", "1",
@@ -214,3 +258,43 @@ class TestPhaseCommand:
             capsys, "phase", "--d", "2", "--lambda", "1", "--rho", "0", "--json"
         )
         assert json.loads(out)["phase"] == "coexistence"
+
+
+#: argv -> (exit code, sha256 of stdout), recorded before the output code was
+#: folded into one emitter; every subcommand and output format is covered.
+GOLDEN = [
+    ("decide --d 2 --lambda 1 --rho 1", 1, "12af5f7c46b91101036c2b4869c5a958e8d15031229d4f34a348e584cf66c66d"),
+    ("decide --d 2 --lambda 1 --rho 1 --json", 1, "955b47d7b19cb9331a046db485e090022d63649486916422ac9d22b2a4043aaa"),
+    ("decide --d 2 --lambda 1 --rho 0 --json", 0, "9f11a106020d760a7a30f9ecba1d12a7c35e5358a2537be88dae42edf109b564"),
+    ("decide --d 2 --lambda 1 --rho 1475/8192 --max-m 2", 2, "5fb601d27b195d98b3e914fed547619f89b3e1a6fe1086e95d6bbea8ad4fc368"),
+    ("decide --d 2 --lambda 1 --rho 1475/8192 --max-m 2 --json", 2, "8ebc2480fa6d0411f6ff56f46430ba0f44ed65ad40e4b51fa4974ac5688213af"),
+    ("phase --d 2 --lambda 1 --rho 2", 0, "12dea9e57a4dd411aca6129c9025021b04d4b8c2a760fd78437579297657ae11"),
+    ("phase --d 2 --lambda 1 --rho 0 --json", 0, "ff177459546047300b14e1924965ca523ae3aed9b97c83fa440f357ff456fc59"),
+    ("rho-c --d 2 --lambda 1 --tol 1/32 --certs", 0, "0e9c9da6fe82d237dfb4ae472e1b3f73c98b78abcca841064ed64203f8f5317d"),
+    ("rho-c --d 2 --lambda 1 --tol 1/32 --certs --format json", 0, "33218f2099181e39842fb42f043c279227605a30e297932b15203142b5dba42f"),
+    ("rho-c --d 2 --lambda-grid 1/10:6:5 --tol 1/32 --certs", 0, "f65967f39d44891ee86be97441f5180f14409ec6875b7b2ab7962baefe14d361"),
+    ("rho-c --d 2 --lambda-grid 1/10:6:5 --tol 1/32 --certs --format json", 0, "92eb0e7551fbed891adba5c8e9659c505447326cc89915befd020f8f6fcdb838"),
+    ("rho-c --d 3 --lambda-grid 1/2:2:3 --tol 1/16", 0, "70d8f20b4ad52eedcbcd2adef409a5bfddec16c741726e129481e44c30edad4b"),
+    ("catalan --lambda 1 --rho 1 --k 2", 0, "2d4c5b157d53b098dd1f701c1deeb4b5c67013096f1da1f83f0d8735711a684a"),
+    ("catalan --lambda 1 --rho 1 --k 2 --format json", 0, "86d4c84aa143ef855325fe98532c3aaed4faceb30e28e8467492ad75b907afc4"),
+    ("catalan --lambda 3/2 --rho 1/3 --k-max 6", 0, "cb8d5958b991116ed770eb19cd653e732878eab0fe01998ab2b9c47dbd0e5dd5"),
+    ("catalan --lambda 3/2 --rho 1/3 --k-max 6 --format json", 0, "bf5e6c0dd28e8e052ce9ac0e26eb358670e379ec6facee68cac4df7f038d0a46"),
+    ("catalan --lambda 1 --rho 1 --k 2 --z 2", 0, "aa5f627d286f1f0c2e89b2df4694c4932f8fe25d7cafbb84d354146eacfab14c"),
+    ("catalan --lambda 1 --rho 1 --z 3/2 --k-max 6 --format json", 0, "7fccb20e0fc5d24297f8822af684c532ea0dc91ba329a145e23b398408bbb649"),
+    ("catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 0, "2ca4c7cd9b5f5183c734759d4f702a1e082b085860eec9fc1affd48fb42d85dc"),
+    ("catalan --lambda 1 --rho 1/2 --mode flattened --m 3 --k 4 --format json", 0, "562297ce79036ec0be4bac262c113aa7e3af4f99ce6178cd2412aec7362094a3"),
+    ("catalan --lambda 1 --rho 1/2 --mode flattened --m 2 --z 2 --k-max 5", 0, "34ef882f3d3934c3dc183555e40d746534b8ce995f7ae5c4a666604a13cc0bea"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "169c6aeb17a06e1bd05bfaf933340686ba8fda6710c54eeb46c848c8bae1c7d8"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "a6cc21519b4ce672c8941582e7bdff5398049238e32eefafa3b5c2b1074f0b00"),
+    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "e9ae44cf55c68da754abafeb7489f4bfde56b54de7a444e00ffe6a75dfdc8bd9"),
+    ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "270f9e1f4a3d0a285678218df0939b47d3ddc01ed1e8899992cc1ab8dfdd9fd9"),
+    ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "23cec6a562aba64c872f310309e1d982a8094cfc5f4626788ab8f501619aaffc"),
+    ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "48dd02487d5029ab102027b5b6a536a17aad146c763cd55cf49cdf264bda297d"),
+    ("decide --d 2 --lambda 1 --rho 1/0", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_replay(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
