@@ -91,12 +91,30 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
     raise UsageError(f"{flag}: expected an exact rational like 3/7, got {text!r}{hint}")
 
 
-def _rational_arg(flag: str):
+def _rational_arg(flag: str, positive: bool = False):
     def convert(text: str) -> Fraction:
         try:
-            return parse_rational(text, flag)
+            value = parse_rational(text, flag)
         except UsageError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        if positive and value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        return value
+
+    return convert
+
+
+def _int_arg(minimum: int):
+    """An integer flag checked at parse time, so a bad value is a usage error."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
 
     return convert
 
@@ -237,6 +255,10 @@ def _cmd_decide(args) -> int:
     return {Verdict.BELOW: 0, Verdict.ABOVE: 1, Verdict.UNDECIDED: 2}[outcome.verdict]
 
 
+#: Largest N accepted by --lambda-grid; each point is a full bisection.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -247,8 +269,8 @@ def _parse_grid(text: str) -> list[Fraction]:
         n = int(parts[2])
     except ValueError:
         raise UsageError("--lambda-grid: N must be an integer") from None
-    if n < 1 or hi < lo:
-        raise UsageError("--lambda-grid: need N >= 1 and HI >= LO")
+    if not 1 <= n <= MAX_GRID_POINTS or hi < lo:
+        raise UsageError(f"--lambda-grid: need 1 <= N <= {MAX_GRID_POINTS} and HI >= LO")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -375,45 +397,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     pd = sub.add_parser("decide", help="decide rho below/above the critical death rate")
-    pd.add_argument("--d", type=int, required=True)
+    pd.add_argument("--d", type=_int_arg(2), required=True)
     pd.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     pd.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pd.add_argument("--max-m", dest="max_m", type=int, default=DEFAULT_M_MAX)
+    pd.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
     pd.add_argument("--json", action="store_true")
     pd.set_defaults(func=_cmd_decide)
 
     pr = sub.add_parser("rho-c", help="bracket the critical death rate by bisection")
-    pr.add_argument("--d", type=int, required=True)
+    pr.add_argument("--d", type=_int_arg(2), required=True)
     pr.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"))
     pr.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:N evenly spaced")
-    pr.add_argument("--tol", type=_rational_arg("--tol"), required=True)
-    pr.add_argument("--max-m", dest="max_m", type=int, default=DEFAULT_M_MAX)
+    pr.add_argument("--tol", type=_rational_arg("--tol", positive=True), required=True)
+    pr.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
     pr.add_argument("--certs", action="store_true", help="embed endpoint certificates")
     pr.add_argument("--format", choices=("csv", "json"), default="csv")
     pr.add_argument("--threads", type=int)
     pr.set_defaults(func=_cmd_rho_c)
 
     pc = sub.add_parser("catalan", help="exact weighted Catalan numbers and partial series")
-    pc.add_argument("--d", type=int, default=2)
+    pc.add_argument("--d", type=_int_arg(2), default=2)
     pc.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     pc.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--k-max", dest="k_max", type=int)
+    pc.add_argument("--k", type=_int_arg(0))
+    pc.add_argument("--k-max", dest="k_max", type=_int_arg(0))
     pc.add_argument("--z", type=_rational_arg("--z"), help="evaluate the partial series at z")
     pc.add_argument("--mode", choices=(MODE_EXACT, MODE_CAPPED, MODE_FLATTENED), default=MODE_EXACT)
-    pc.add_argument("--m", type=int, help="cutoff height for capped/flattened modes")
+    pc.add_argument("--m", type=_int_arg(1), help="cutoff height for capped/flattened modes")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.set_defaults(func=_cmd_catalan)
 
     ps = sub.add_parser("simulate", help="Monte Carlo engines")
     ps.add_argument("engine", choices=("line", "tree"))
-    ps.add_argument("--d", type=int, default=2)
+    ps.add_argument("--d", type=_int_arg(2), default=2)
     ps.add_argument("--lambda", dest="lam", required=True)
     ps.add_argument("--rho", required=True)
-    ps.add_argument("--trials", type=int, required=True)
+    ps.add_argument("--trials", type=_int_arg(1), required=True)
     ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
-    ps.add_argument("--k-max", dest="k_max", type=int, default=8, help="line: stop at this blue position")
-    ps.add_argument("--depth", type=int, default=6, help="tree: depth cap")
+    ps.add_argument("--k-max", dest="k_max", type=_int_arg(1), default=8, help="line: stop at this blue position")
+    ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")
     ps.add_argument("--threads", type=int)
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
@@ -421,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_simulate)
 
     pp = sub.add_parser("phase", help="classify coexistence / escape / extinction")
-    pp.add_argument("--d", type=int, required=True)
+    pp.add_argument("--d", type=_int_arg(2), required=True)
     pp.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     pp.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pp.add_argument("--max-m", dest="max_m", type=int, default=DEFAULT_M_MAX)
+    pp.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
     pp.add_argument("--json", action="store_true")
     pp.set_defaults(func=_cmd_phase)
 

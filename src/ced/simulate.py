@@ -21,10 +21,14 @@ enabling pair forms, and checked for staleness when popped; by
 memorylessness this reproduces the continuous-time law exactly.  Vertices
 materialize lazily, so memory tracks activity rather than d^depth.
 
-Reproducibility: every trial owns a counter-based Philox stream keyed by
-(seed, trial index), so results are independent of how trials are
-scheduled across processes.  Aggregates are integer tallies reduced in
-trial order; identical seeds give bit-identical summaries.
+Reproducibility: every trial owns a counter-based Philox4x64-10 stream
+keyed by (seed, trial index), `trial_rng`.  The tree engine draws from it
+one trial at a time and may spread trials over processes; the line engine
+computes the same stream in numpy for thousands of trials at once
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+every line trial takes exactly the draws `line_trial` would take.  Neither
+result depends on scheduling: aggregates are exact integer tallies, and
+identical seeds give bit-identical summaries.
 """
 
 from __future__ import annotations
@@ -183,9 +187,10 @@ def line_trial(p: ModelParams, k_max: int, rng: np.random.Generator) -> LineTria
 def _run_chunks(chunk, args: tuple, n: int, threads: int) -> list[list[int]]:
     """Run chunk(*args, start, stop) over trials [0, n) and sum its tallies.
 
-    A chunk returns a tuple of integer lists; the result sums them element
-    by element.  Every trial owns its stream and the sums are exact, so the
-    result does not depend on threads or on how [0, n) is split.
+    Used by the tree engine.  A chunk returns a tuple of integer lists; the
+    result sums them element by element.  Every trial owns its stream and
+    the sums are exact, so the result does not depend on threads or on how
+    [0, n) is split.
     """
     bounds = [(0, n)]
     if threads > 1:
@@ -199,17 +204,97 @@ def _run_chunks(chunk, args: tuple, n: int, threads: int) -> list[list[int]]:
     return [[sum(column) for column in zip(*tallies)] for tallies in zip(*parts)]
 
 
-def _line_chunk(p, k_max, seed, start, stop) -> tuple[list[int], ...]:
-    renewal_counts = [0] * (k_max + 1)
-    y_counts = [0] * (k_max + 1)
+# Philox4x64-10, the bit generator behind `trial_rng`, over uint64 arrays.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m, from 32-bit limbs."""
+    a_lo, a_hi = a & _LO32, a >> 32
+    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
+    lh = a_lo * m_hi
+    hl = a_hi * m_lo
+    mid = ((a_lo * m_lo) >> 32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
+
+
+def _philox_block(block: int, trials: np.ndarray, seed: int) -> np.ndarray:
+    """Raw words 4*block .. 4*block+3 of trial_rng(seed, t) for each t in trials.
+
+    Block n is Philox4x64-10 of the counter (n+1, 0, 0, 0) under the key
+    (trial, seed), both taken mod 2^64.  Returns a (4, len(trials)) array.
+    """
+    zeros = np.zeros(trials.size, np.uint64)
+    c0, c1, c2, c3 = np.full(trials.size, block + 1, np.uint64), zeros, zeros, zeros
+    for r in range(10):
+        k0 = trials + np.uint64(r * _PHILOX_W[0] & _MASK64)
+        k1 = np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3))
+
+
+#: Line trials stepped together.  A fixed constant, not a knob: it bounds
+#: the engine's arrays and has no effect on the result.
+_LINE_SLAB = 4096
+
+
+def _gap_tables(lam: float, rho: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`line_trial`'s adv and adv_ret for gaps 0 .. size-1, by the same float expressions."""
+    total = 1.0 + lam + np.arange(size, dtype=np.float64) * rho
+    return lam / total, (lam + 1.0) / total
+
+
+def _add_counts(total: np.ndarray, values: np.ndarray) -> np.ndarray:
+    counts = np.bincount(values, minlength=total.size)
+    counts[: total.size] += total
+    return counts
+
+
+def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
+    """Step line trials [start, stop) in lockstep until every one has stopped.
+
+    Step s of every live trial uses word s of its Philox stream, exactly as
+    `line_trial` would.  Returns the blue positions of all renewals after
+    the start, the final blue position of every trial, and the number of
+    trials per absorption.
+    """
+    trials = np.arange(start, stop, dtype=np.uint64)
+    j = np.ones(trials.size, np.int64)
+    b = np.zeros(trials.size, np.int64)
+    adv, adv_ret = _gap_tables(lam, rho, 64)
+    renewals, ends = [], []
     absorb = dict.fromkeys(_ABSORPTIONS, 0)
-    for idx in range(start, stop):
-        rec = line_trial(p, k_max, trial_rng(seed, idx))
-        for k in rec.renewals_hit:
-            renewal_counts[k] += 1
-        y_counts[min(rec.y_value, k_max)] += 1
-        absorb[rec.absorption] += 1
-    return renewal_counts, y_counts, [absorb[a] for a in _ABSORPTIONS]
+    step = 0
+    while trials.size:
+        if step % 4 == 0:
+            words = _philox_block(step // 4, trials, seed)
+            if adv.size < step + 6:  # the gap is at most step + 1 before step `step`
+                adv, adv_ret = _gap_tables(lam, rho, 2 * (step + 6))
+        x = (words[step % 4] >> 11) * 2.0**-53
+        advance = x < adv[j]
+        moved = x < adv_ret[j]
+        retreat = moved & ~advance
+        j += advance
+        j -= retreat
+        b += retreat
+        renewals.append(b[retreat & (j == 1)])
+        is_caught = retreat & (j == 0)
+        is_truncated = retreat & (j > 0) & (b >= k_max)
+        stopped = ~moved | is_caught | is_truncated
+        step += 1
+        if not stopped.any():
+            continue
+        absorb[ABSORB_DEATH] += int(np.count_nonzero(~moved))
+        absorb[ABSORB_CAUGHT] += int(np.count_nonzero(is_caught))
+        absorb[ABSORB_TRUNCATED] += int(np.count_nonzero(is_truncated))
+        ends.append(b[stopped])
+        live = ~stopped
+        trials, j, b, words = trials[live], j[live], b[live], words[:, live]
+    return np.concatenate(renewals), np.concatenate(ends), absorb
 
 
 def simulate_line(
@@ -222,13 +307,32 @@ def simulate_line(
     """Estimate renewal probabilities on the line by n_trials jump chains.
 
     The branching factor of `p` is irrelevant here and ignored.
-    Deterministic given (seed, n_trials, k_max), regardless of threads.
+    Deterministic given (seed, n_trials, k_max).  The summary equals the one
+    reduced from `line_trial(p, k_max, trial_rng(seed, i))` over i < n_trials,
+    but the trials are stepped together in numpy, in one process; `threads`
+    is accepted for a uniform signature and has no effect.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    renewal_counts, y_counts, absorb = _run_chunks(_line_chunk, (p, k_max, seed), n_trials, threads)
+    # The output tallies come first, so an impossible k_max fails at once.
+    renewal_counts = [0] * (k_max + 1)
+    y_counts = [0] * (k_max + 1)
+    renewals = ends = np.zeros(1, np.int64)
+    absorb = dict.fromkeys(_ABSORPTIONS, 0)
+    for start in range(0, n_trials, _LINE_SLAB):
+        stop = min(start + _LINE_SLAB, n_trials)
+        slab_renewals, slab_ends, slab_absorb = _line_slab(
+            float(p.lam), float(p.rho), k_max, seed, start, stop
+        )
+        renewals = _add_counts(renewals, slab_renewals)
+        ends = _add_counts(ends, slab_ends)
+        for a, count in slab_absorb.items():
+            absorb[a] += count
+    renewals[0] = n_trials  # every trial starts with a renewal at 0
+    renewal_counts[: renewals.size] = renewals.tolist()
+    y_counts[: ends.size] = ends.tolist()
     return SimSummary(
         kind="line",
         d=p.d,
@@ -239,7 +343,7 @@ def simulate_line(
         k_max=k_max,
         renewal_counts=tuple(renewal_counts),
         y_counts=tuple(y_counts),
-        absorption_counts=tuple(zip(_ABSORPTIONS, absorb)),
+        absorption_counts=tuple(absorb.items()),
     )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -110,6 +111,14 @@ class TestRhoCCommand:
         assert rows[0][3] == "outside" and rows[0][1] == rows[0][2] == "0"
         assert rows[-1][3] == "outside"
 
+    def test_oversized_grid_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(
+            capsys, "rho-c", "--d", "2", "--lambda-grid", "1:2:100000000", "--tol", "1/4"
+        )
+        assert code == 64 and "--lambda-grid" in err
+        assert time.monotonic() - start < 1.0
+
     def test_certs_embedded(self, capsys):
         code, out, _ = run(
             capsys, "rho-c", "--d", "2", "--lambda", "1", "--tol", "1/32",
@@ -123,6 +132,21 @@ class TestRhoCCommand:
     def test_requires_exactly_one_lambda_mode(self, capsys):
         code, _, err = run(capsys, "rho-c", "--d", "2", "--tol", "1/64")
         assert code == 64
+
+
+class TestArgumentRanges:
+    # values the library rejects with ValueError; the CLI refuses them first
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            ("rho-c --d 2 --lambda 1 --tol 0", "--tol"),
+            ("catalan --lambda 1 --rho 1 --k-max -1", "--k-max"),
+            ("decide --d 2 --lambda 1 --rho 1 --max-m -1", "--max-m"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 64 and flag in err and out == ""
 
 
 class TestCatalanCommand:

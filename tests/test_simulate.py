@@ -1,14 +1,17 @@
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ced.simulate
 from ced.catalan import weighted_catalan_sequence
 from ced.params import ModelParams
 from ced.simulate import (
     ResourceBudgetError,
+    SimSummary,
     compare_renewals,
     jump_probabilities,
     line_trial,
@@ -20,6 +23,23 @@ from ced.simulate import (
 )
 
 P211 = ModelParams(2, F(1), F(1))
+
+
+def scalar_line_summary(p, n_trials, k_max, seed):
+    """The line summary reduced trial by trial from line_trial and trial_rng."""
+    renewals = [0] * (k_max + 1)
+    ys = [0] * (k_max + 1)
+    absorb = {"caught": 0, "death": 0, "truncated": 0}
+    for i in range(n_trials):
+        rec = line_trial(p, k_max, trial_rng(seed, i))
+        for k in rec.renewals_hit:
+            renewals[k] += 1
+        ys[rec.y_value] += 1
+        absorb[rec.absorption] += 1
+    return SimSummary(
+        kind="line", d=p.d, lam=p.lam, rho=p.rho, n_trials=n_trials, seed=seed, k_max=k_max,
+        renewal_counts=tuple(renewals), y_counts=tuple(ys), absorption_counts=tuple(absorb.items()),
+    )
 
 
 class TestJumpChain:
@@ -57,7 +77,40 @@ class TestLineTrials:
         assert a == b
 
 
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+    @pytest.mark.parametrize("first", [0, 2**32 - 2])  # 2^32 - 2 .. 2^32 + 1 cross a 32-bit limb
+    def test_matches_numpy_philox(self, seed, first):
+        trials = np.arange(first, first + 4, dtype=np.uint64)
+        for block in range(3):
+            words = ced.simulate._philox_block(block, trials, seed)
+            for col, t in enumerate(trials.tolist()):
+                raw = np.random.Philox(key=((seed & (2**64 - 1)) << 64) | t).random_raw(4 * block + 4)
+                assert words[:, col].tolist() == raw[4 * block:].tolist()
+
+
 class TestSimulateLine:
+    @pytest.mark.parametrize(
+        "lam,rho,k_max,n_trials,seed",
+        [
+            (F(1), F(0), 6, 600, 4),              # no deaths: only caught or truncated
+            (F(1), F(10), 4, 600, 4),             # deaths dominate
+            (F(1), F(1), 1, 4096 + 37, 1),        # k_max = 1; a slab and a remainder
+            (F(3, 2), F(1, 10), 8, 1000, 2**63 + 5),
+            (F(3), F(0), 20, 300, -1),            # drifts to truncation
+        ],
+    )
+    def test_equals_scalar_reference(self, lam, rho, k_max, n_trials, seed):
+        p = ModelParams(2, lam, rho)
+        assert simulate_line(p, n_trials, k_max, seed) == scalar_line_summary(p, n_trials, k_max, seed)
+
+    def test_builds_no_per_trial_generator(self, monkeypatch):
+        def refuse(seed, index):
+            raise AssertionError("simulate_line built a per-trial Generator")
+
+        monkeypatch.setattr(ced.simulate, "trial_rng", refuse)
+        assert simulate_line(P211, 5_000, 5, seed=9).n_trials == 5_000
+
     def test_summary_determinism_and_thread_invariance(self):
         s1 = simulate_line(P211, 30_000, 5, seed=9)
         s2 = simulate_line(P211, 30_000, 5, seed=9)
