@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 import time
@@ -93,10 +92,7 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
 
 def _rational_arg(flag: str, positive: bool = False):
     def convert(text: str) -> Fraction:
-        try:
-            value = parse_rational(text, flag)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        value = parse_rational(text, flag)  # its UsageError names the flag and reaches main as is
         if positive and value <= 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {value}")
         return value
@@ -224,13 +220,6 @@ def _certificate_json(outcome: DecisionOutcome):
     return {"type": "unknown"}
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CEL_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and int(env) > 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -297,7 +286,7 @@ def _cmd_rho_c(args) -> int:
     else:
         params = {"lambda_grid": args.lambda_grid}
         grid = _parse_grid(args.lambda_grid)
-        curve = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=_threads(args))
+        curve = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=args.threads)
         points = [(pt.lam, pt.lo, pt.hi, pt.status, pt.bracket) for pt in curve]
     params.update({"d": args.d, "tol": args.tol, "max_m": args.max_m})
     header = ["lambda", "lo", "hi", "status"]
@@ -345,13 +334,12 @@ def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
     p = ModelParams(args.d, lam, rho)
-    threads = _threads(args)
     size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
     manifest = RunManifest(
         f"simulate {args.engine}", {**_model_params(p), **size, "trials": args.trials}, seed=args.seed
     )
     if args.engine == "line":
-        summary = simulate_line(p, args.trials, args.k_max, args.seed, threads=threads)
+        summary = simulate_line(p, args.trials, args.k_max, args.seed)
         rows = compare_renewals(p, summary)
         _emit(
             manifest,
@@ -362,7 +350,7 @@ def _cmd_simulate(args) -> int:
         )
         return 0
 
-    summary = simulate_tree(p, args.depth, args.trials, args.seed, threads=threads)
+    summary = simulate_tree(p, args.depth, args.trials, args.seed, threads=args.threads)
     exact = weighted_catalan_sequence(p, args.depth)
     _emit(
         manifest,
@@ -412,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
     pr.add_argument("--certs", action="store_true", help="embed endpoint certificates")
     pr.add_argument("--format", choices=("csv", "json"), default="csv")
-    pr.add_argument("--threads", type=int)
+    pr.add_argument("--threads", type=_int_arg(1), default=1)
     pr.set_defaults(func=_cmd_rho_c)
 
     pc = sub.add_parser("catalan", help="exact weighted Catalan numbers and partial series")
@@ -436,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1), default=8, help="line: stop at this blue position")
     ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")
-    ps.add_argument("--threads", type=int)
+    ps.add_argument("--threads", type=_int_arg(1), default=1)
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -25,13 +25,13 @@ endpoints of the final bracket.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ced._workers import map_jobs
 from ced.contfrac import below_witness, eval_finite, km_good
 from ced.params import (
     Enclosure,
@@ -51,7 +51,6 @@ DEFAULT_M_MAX = 4096
 _DYADIC_GRID = 1 << 30
 
 _ZERO = Fraction(0)
-_QUARTER = Fraction(1, 4)
 
 
 class Verdict(enum.Enum):
@@ -148,7 +147,7 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
         witness = below_witness(p, m)
         if witness is not None:
             return DecisionOutcome(Verdict.BELOW, KernelBelow(m, witness), m)
-        if weight_b(p, m) < _QUARTER and km_good(p, m):
+        if km_good(p, m):  # False whenever b_m >= 1/4
             return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
     return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
@@ -170,7 +169,7 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
         ev = eval_finite([weight_b(p, j) for j in range(cert.level, cert.m + 1)])
         return ev.is_pole or (ev.value is not None and ev.value > 1)
     if isinstance(cert, KernelAbove):
-        return weight_b(p, cert.m) < _QUARTER and km_good(p, cert.m)
+        return km_good(p, cert.m)
     if isinstance(cert, OutsideWindowAbove):
         pos = window_position(p.d, p.lam)
         expected = (
@@ -285,20 +284,14 @@ def classify_phase(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> Phase:
     """
     if p.rho >= rho_extinction(p.d, p.lam):
         return Phase.EXTINCTION
-    pos = window_position(p.d, p.lam)
-    if pos is WindowPosition.BOUNDARY:
-        return Phase.BOUNDARY_UNRESOLVED
-    if p.rho == 0:
-        if pos in (WindowPosition.INSIDE, WindowPosition.OUTSIDE_RIGHT):
-            return Phase.COEXISTENCE
-        return Phase.ESCAPE
-    if pos.is_outside:
-        return Phase.ESCAPE  # zero threshold, 0 < rho < extinction rate
     out = decide(p, m_max)
     if out.verdict is Verdict.BELOW:
         return Phase.COEXISTENCE
     if out.verdict is Verdict.ABOVE:
         return Phase.ESCAPE
+    pos = window_position(p.d, p.lam)
+    if p.rho == 0 and pos.is_outside:  # rho sits on the zero threshold
+        return Phase.COEXISTENCE if pos is WindowPosition.OUTSIDE_RIGHT else Phase.ESCAPE
     return Phase.BOUNDARY_UNRESOLVED
 
 
@@ -342,10 +335,8 @@ def rho_c_curve(
 
     Grid points outside the window produce (lambda, 0, 0) rows.  Rows come
     back in grid order and are deterministic given the inputs; grid points
-    are independent, so threads > 1 fans them out across processes.
+    are independent, so threads > 1 fans them out across processes, at
+    most one per grid point and per CPU.
     """
     jobs = [(d, Fraction(lam), Fraction(tol), m_max) for lam in lambdas]
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_curve_point, jobs))
-    return [_curve_point(job) for job in jobs]
+    return map_jobs(_curve_point, jobs, threads)

