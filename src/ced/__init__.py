@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from ced.params import (
     Enclosure,
-    ExactScalar,
     LambdaInterval,
     ModelParams,
     WindowPosition,
@@ -73,7 +72,6 @@ __all__ = [
     "CurvePoint",
     "DecisionOutcome",
     "Enclosure",
-    "ExactScalar",
     "GoodCheck",
     "LambdaInterval",
     "ModelParams",

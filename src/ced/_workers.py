@@ -1,4 +1,4 @@
-"""The one process pool: independent jobs spread over at most one worker per CPU."""
+"""The one process pool, used by `rho_c_curve` alone: independent jobs spread over at most one worker per CPU."""
 
 from __future__ import annotations
 

@@ -350,7 +350,7 @@ def _cmd_simulate(args) -> int:
         )
         return 0
 
-    summary = simulate_tree(p, args.depth, args.trials, args.seed, threads=args.threads)
+    summary = simulate_tree(p, args.depth, args.trials, args.seed)
     exact = weighted_catalan_sequence(p, args.depth)
     _emit(
         manifest,
@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1), default=8, help="line: stop at this blue position")
     ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")
-    ps.add_argument("--threads", type=_int_arg(1), default=1)
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -28,9 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact scalars throughout the package are stdlib Fractions.
-ExactScalar = Fraction
-
 #: Default width of directed enclosures for irrational quantities.
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**30)
 

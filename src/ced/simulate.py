@@ -13,27 +13,41 @@ reproduces their law with no discretization error.  A renewal with blue
 at position k has probability exactly the weighted Catalan number C_k,
 which is what `compare_renewals` checks.
 
-Tree: event-driven continuous time.  Each red vertex carries an
-exponential death clock (rate rho) and one exponential spread clock per
-child (rate lambda); each blue vertex arms an exponential overtake clock
-(rate 1) per red child.  Clocks are scheduled once, when their
-enabling pair forms, and checked for staleness when popped; by
-memorylessness this reproduces the continuous-time law exactly.  Vertices
-materialize lazily, so memory tracks activity rather than d^depth.
+Tree: continuous time, one level at a time.  The root is red at time 0
+and is chased by a blue seed that is blue at time 0.  A vertex's red,
+death and blue times R, D, B (B infinite if it never turns blue) follow
+from its parent's alone, so no event queue is needed: the
+branching-random-walk view of Kortchemski (J. Theor. Probab. 2016) and
+Bordenave (EJP 2014).  With spread delays X ~ Exp(lambda), one per slot,
+and overtake delays Y ~ Exp(1), the child c of v in slot s
 
-Reproducibility: every trial owns a counter-based Philox4x64-10 stream
-keyed by (seed, trial index), `trial_rng`.  The tree engine draws from it
-one trial at a time and may spread trials over processes; the line engine
-computes the same stream in numpy for thousands of trials at once
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-every line trial takes exactly the draws `line_trial` would take.  Neither
-result depends on scheduling: aggregates are exact integer tallies, and
-identical seeds give bit-identical summaries.
+    exists        iff  R_c = R_v + X_{v,s} < min(D_v, B_v) and v is above the cap,
+    dies at            D_c = R_c + Exp(rho),
+    turns blue at      B_c = B_v + Y_c   iff  B_v < D_c and B_v + Y_c < D_c,
+    renews        iff  B_v < D_c, and c sits at the cap or R_c + X_{c,0} > B_v,
+
+which by memorylessness is the law of the process with one exponential
+clock per spread, death and overtake.  Slot 0 is the tracked descent
+line: along it the process is the line process, so the chance that a
+level-k vertex renews (red when its parent turns blue, tracked child
+still white) is C_k.  Requiring all d children white would race the wait
+against rate d*lambda and break that identity.  The root renews by
+construction; cap vertices never spread, so the cap level's renewal
+counts are biased up, and only the levels below it are exact.
+
+Reproducibility: every draw is a word of Philox4x64-10 keyed by (trial,
+seed) (Salmon et al., SC'11), computed in numpy for a slab of trials at
+once.  Line step s takes word s mod 4 of the counter (s // 4 + 1, 0, 0, 0),
+the stream of np.random.Philox(key=(seed, trial)).  The vertex with index
+i in its trial's level l (children numbered by parent, then slot) takes
+the counters (l + 1, i, b, 0), b = 0, 1, ..., whose words are its death,
+overtake and slot 0 .. d-1 spread delays.  So a trial's result depends on
+(seed, trial) alone, never on its slab, and equal seeds give equal
+summaries.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,39 +55,33 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ced._workers import map_jobs, pool_size
 from ced.catalan import weighted_catalan_sequence
 from ced.params import ModelParams
 
 _MASK64 = (1 << 64) - 1
 
-#: Lazy materialization keeps the explored frontier small, but a hostile
-#: depth cap could still exhaust memory; trials stop with an error first.
+#: Vertices one tree trial may materialize.  A hostile depth cap would
+#: otherwise exhaust memory and time; the trial stops with an error first.
+#: Read at call time.
 DEFAULT_MAX_VERTICES = 2_000_000
+
+#: Trials stepped together by either engine.  A fixed constant, not a knob:
+#: it bounds the engines' arrays and has no effect on the result.
+_SLAB = 4096
+
+#: Live vertices a tree slab of several trials may carry to its next level.
+#: A slab that would pass it is split in two and each half re-run, which
+#: bounds memory and has no effect on the result.
+_LIVE_VERTICES = 1 << 13
 
 ABSORB_DEATH = "death"
 ABSORB_CAUGHT = "caught"
 ABSORB_TRUNCATED = "truncated"
 _ABSORPTIONS = tuple(sorted((ABSORB_DEATH, ABSORB_CAUGHT, ABSORB_TRUNCATED)))  # tally order
 
-_WHITE, _RED, _BLUE, _DEAD = 0, 1, 2, 3
-
 
 class ResourceBudgetError(RuntimeError):
-    """A tree trial materialized more vertices than the configured budget."""
-
-
-class LineTrialRecord(NamedTuple):
-    renewals_hit: tuple[int, ...]  # positions k with a renewal; always starts with 0
-    y_value: int                   # furthest blue position reached
-    absorption: str                # death | caught | truncated
-
-
-class TreeTrialRecord(NamedTuple):
-    blue_reached_depth: int        # deepest level any tree vertex turned blue; -1 if none
-    red_reached_depth: int         # deepest level any vertex turned red
-    renewal_vertices_per_level: tuple[int, ...]
-    blue_count: int                # tree vertices ever blue (the seed blue is not a tree vertex)
+    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices."""
 
 
 @dataclass(frozen=True)
@@ -100,15 +108,6 @@ class SimSummary:
     level_renewal_sumsq: Optional[tuple[int, ...]] = None
     blue_depth_counts: Optional[tuple[int, ...]] = None   # tree: histogram over -1..cap
     red_depth_counts: Optional[tuple[int, ...]] = None    # tree: histogram over 0..cap
-    blue_count_sum: Optional[int] = None
-
-    def renewal_frequency(self, k: int) -> float:
-        assert self.renewal_counts is not None
-        return self.renewal_counts[k] / self.n_trials
-
-    def renewal_stderr(self, k: int) -> float:
-        phat = self.renewal_frequency(k)
-        return math.sqrt(phat * (1.0 - phat) / self.n_trials)
 
     def y_at_least(self, k: int) -> int:
         """Number of trials whose furthest blue position reached k."""
@@ -135,55 +134,7 @@ class SimSummary:
         return self.red_depth_counts[self.depth_cap] / self.n_trials
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one trial: Philox keyed by (seed, trial)."""
-    key = ((seed & _MASK64) << 64) | (index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def jump_probabilities(p: ModelParams, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (advance, retreat, die) probabilities of the gap chain at state j."""
-    if j < 1:
-        raise ValueError("gap state must be >= 1")
-    total = 1 + p.lam + j * p.rho
-    return p.lam / total, Fraction(1) / total, j * p.rho / total
-
-
-def line_trial(p: ModelParams, k_max: int, rng: np.random.Generator) -> LineTrialRecord:
-    """One embedded-jump-chain trial from gap 1, blue at 0.
-
-    The initial state is already a renewal at position 0.  Stops at death
-    absorption, at blue consuming the last red, or at blue position k_max.
-    """
-    lam = float(p.lam)
-    rho = float(p.rho)
-    adv: list[float] = [0.0]       # adv[j] = P(advance from j)
-    adv_ret: list[float] = [0.0]   # adv[j] + P(retreat from j)
-    j = 1
-    b = 0
-    renewals = [0]
-    while True:
-        while j >= len(adv):
-            total = 1.0 + lam + len(adv) * rho
-            adv.append(lam / total)
-            adv_ret.append((lam + 1.0) / total)
-        x = rng.random()
-        if x < adv[j]:
-            j += 1
-        elif x < adv_ret[j]:
-            b += 1
-            j -= 1
-            if j == 0:
-                return LineTrialRecord(tuple(renewals), b, ABSORB_CAUGHT)
-            if j == 1:
-                renewals.append(b)
-            if b >= k_max:
-                return LineTrialRecord(tuple(renewals), b, ABSORB_TRUNCATED)
-        else:
-            return LineTrialRecord(tuple(renewals), b, ABSORB_DEATH)
-
-
-# Philox4x64-10, the bit generator behind `trial_rng`, over uint64 arrays.
+# Philox4x64-10 over uint64 arrays.
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -199,14 +150,15 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
 
 
-def _philox_block(block: int, trials: np.ndarray, seed: int) -> np.ndarray:
-    """Raw words 4*block .. 4*block+3 of trial_rng(seed, t) for each t in trials.
+def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
+    """Philox4x64-10 of the counter under the key (t, seed) for each t in trials.
 
-    Block n is Philox4x64-10 of the counter (n+1, 0, 0, 0) under the key
-    (trial, seed), both taken mod 2^64.  Returns a (4, len(trials)) array.
+    `counter` holds the four counter words, low word first, each a
+    nonnegative int or a uint64 array aligned with `trials`; the key is
+    taken mod 2^64.  Block n of np.random.Philox(key=(seed << 64) | t) is
+    the counter (n+1, 0, 0, 0).  Returns a (4, len(trials)) array.
     """
-    zeros = np.zeros(trials.size, np.uint64)
-    c0, c1, c2, c3 = np.full(trials.size, block + 1, np.uint64), zeros, zeros, zeros
+    c0, c1, c2, c3 = (np.broadcast_to(np.asarray(c, np.uint64), trials.shape) for c in counter)
     for r in range(10):
         k0 = trials + np.uint64(r * _PHILOX_W[0] & _MASK64)
         k1 = np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
@@ -216,30 +168,31 @@ def _philox_block(block: int, trials: np.ndarray, seed: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3))
 
 
-#: Line trials stepped together.  A fixed constant, not a knob: it bounds
-#: the engine's arrays and has no effect on the result.
-_LINE_SLAB = 4096
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms (w >> 11) 2^-53 in [0, 1) of raw words, the doubles numpy's Generator.random makes."""
+    return (words >> 11) * 2.0**-53
 
 
 def _gap_tables(lam: float, rho: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`line_trial`'s adv and adv_ret for gaps 0 .. size-1, by the same float expressions."""
+    """The advance and advance-or-retreat probabilities for gaps 0 .. size-1."""
     total = 1.0 + lam + np.arange(size, dtype=np.float64) * rho
     return lam / total, (lam + 1.0) / total
 
 
-def _add_counts(total: np.ndarray, values: np.ndarray) -> np.ndarray:
-    counts = np.bincount(values, minlength=total.size)
-    counts[: total.size] += total
-    return counts
+def _accumulate(tallies: tuple[list[int], ...], part) -> None:
+    """Add each sequence of a slab's `part` into the tally list in its place, entry by entry."""
+    for total, values in zip(tallies, part):
+        for i, value in enumerate(values):
+            total[i] += value
 
 
 def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
     """Step line trials [start, stop) in lockstep until every one has stopped.
 
-    Step s of every live trial uses word s of its Philox stream, exactly as
-    `line_trial` would.  Returns the blue positions of all renewals after
-    the start, the final blue position of every trial, and the number of
-    trials per absorption.
+    Step s of every live trial compares the uniform of word s of its
+    Philox stream against the gap tables.  Returns the histograms of the
+    blue positions of the renewals after the start and of the final blue
+    positions, and the number of trials per absorption in _ABSORPTIONS order.
     """
     trials = np.arange(start, stop, dtype=np.uint64)
     j = np.ones(trials.size, np.int64)
@@ -250,10 +203,10 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
     step = 0
     while trials.size:
         if step % 4 == 0:
-            words = _philox_block(step // 4, trials, seed)
+            words = _philox_block((step // 4 + 1, 0, 0, 0), trials, seed)
             if adv.size < step + 6:  # the gap is at most step + 1 before step `step`
                 adv, adv_ret = _gap_tables(lam, rho, 2 * (step + 6))
-        x = (words[step % 4] >> 11) * 2.0**-53
+        x = _uniforms(words[step % 4])
         advance = x < adv[j]
         moved = x < adv_ret[j]
         retreat = moved & ~advance
@@ -273,219 +226,123 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
         ends.append(b[stopped])
         live = ~stopped
         trials, j, b, words = trials[live], j[live], b[live], words[:, live]
-    return np.concatenate(renewals), np.concatenate(ends), absorb
+    return (np.bincount(np.concatenate(renewals)).tolist(), np.bincount(np.concatenate(ends)).tolist(),
+            list(absorb.values()))
 
 
-def simulate_line(
-    p: ModelParams,
-    n_trials: int,
-    k_max: int,
-    seed: int,
-) -> SimSummary:
+def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> SimSummary:
     """Estimate renewal probabilities on the line by n_trials jump chains.
 
     The branching factor of `p` is irrelevant here and ignored.
-    Deterministic given (seed, n_trials, k_max).  The summary equals the one
-    reduced from `line_trial(p, k_max, trial_rng(seed, i))` over i < n_trials,
-    but the trials are stepped together in numpy, in one process.
+    Deterministic given (seed, n_trials, k_max); the trials are stepped
+    together in numpy, in one process.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     # The output tallies come first, so an impossible k_max fails at once.
-    renewal_counts = [0] * (k_max + 1)
-    y_counts = [0] * (k_max + 1)
-    renewals = ends = np.zeros(1, np.int64)
-    absorb = dict.fromkeys(_ABSORPTIONS, 0)
-    for start in range(0, n_trials, _LINE_SLAB):
-        stop = min(start + _LINE_SLAB, n_trials)
-        slab_renewals, slab_ends, slab_absorb = _line_slab(
-            float(p.lam), float(p.rho), k_max, seed, start, stop
-        )
-        renewals = _add_counts(renewals, slab_renewals)
-        ends = _add_counts(ends, slab_ends)
-        for a, count in slab_absorb.items():
-            absorb[a] += count
-    renewals[0] = n_trials  # every trial starts with a renewal at 0
-    renewal_counts[: renewals.size] = renewals.tolist()
-    y_counts[: ends.size] = ends.tolist()
+    tallies = ([0] * (k_max + 1), [0] * (k_max + 1), [0] * len(_ABSORPTIONS))
+    for start in range(0, n_trials, _SLAB):
+        _accumulate(tallies, _line_slab(float(p.lam), float(p.rho), k_max, seed, start, min(start + _SLAB, n_trials)))
+    renewal_counts, y_counts, absorb = tallies
+    renewal_counts[0] = n_trials  # every trial starts with a renewal at 0
     return SimSummary(
-        kind="line",
-        d=p.d,
-        lam=p.lam,
-        rho=p.rho,
-        n_trials=n_trials,
-        seed=seed,
-        k_max=k_max,
-        renewal_counts=tuple(renewal_counts),
-        y_counts=tuple(y_counts),
-        absorption_counts=tuple(absorb.items()),
+        "line", p.d, p.lam, p.rho, n_trials, seed, k_max=k_max, renewal_counts=tuple(renewal_counts),
+        y_counts=tuple(y_counts), absorption_counts=tuple(zip(_ABSORPTIONS, absorb)),
     )
 
 
-def _exp_delay(rng: np.random.Generator, rate: float) -> float:
-    # inverse CDF on an open-interval uniform
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    return -math.log(u) / rate
+def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
+    """Exp(rate) delays -log(1 - u) / rate, with the line engine's uniforms u."""
+    return -np.log(1.0 - _uniforms(words)) / rate
 
 
-def tree_trial(
-    p: ModelParams,
-    depth_cap: int,
-    rng: np.random.Generator,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> TreeTrialRecord:
-    """One continuous-time trial on the depth-capped d-ary tree.
+def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, stop: int):
+    """Tally tree trials [start, stop) level by level, by the rules in the module docstring.
 
-    Starts with the root red and a blue seed attached above it.
-
-    Renewal convention: every vertex designates one child slot as its
-    tracked descent line.  A vertex is counted as a renewal vertex if, at
-    the instant its parent turns blue, it is still red and its tracked
-    continuation is still white.  Restricted to the branch through the
-    tracked slots, the process is exactly the line process, so the
-    per-vertex renewal probability at level k equals the weighted Catalan
-    number C_k.  (Demanding that *all* d continuations be unspread would
-    deflate the probability: the final wait then races against spread
-    rate d*lambda instead of lambda, and the line identity breaks.)
-    The root renews by construction.  Cap-level vertices never spread, so
-    renewal counts at the cap itself are biased up by truncation; levels
-    strictly below are exact.
+    Returns the per-level renewal sums and sums of squares over the trials,
+    and the histograms of the deepest blue level plus one and of the deepest
+    red level, each up to the last level reached; or None when the slab has
+    several trials and its next level would hold more than _LIVE_VERTICES
+    vertices.
     """
-    d = p.d
-    lam = float(p.lam)
-    rho = float(p.rho)
-
-    state = [_RED]
-    depth = [0]
-    children: list[list[int]] = [[]]
-    tracked_fired = [False]  # tracked-slot spread has happened
-
-    renewals = [0] * (depth_cap + 1)
-    renewals[0] = 1  # root: red, parent blue, everything below white at time zero
-    red_max = 0
-    blue_max = -1
-    blue_n = 0
-
-    heap: list[tuple[float, int, int, int, bool]] = []
-    seq = 0
-
-    def push(time: float, kind: int, vertex: int, tracked: bool = False) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, vertex, tracked))
-        seq += 1
-
-    SPREAD, DEATH, OVERTAKE = 0, 1, 2
-
-    def arm_red(vertex: int, now: float) -> None:
-        if rho > 0.0:
-            push(now + _exp_delay(rng, rho), DEATH, vertex)
-        if depth[vertex] < depth_cap:
-            for slot in range(d):
-                push(now + _exp_delay(rng, lam), SPREAD, vertex, tracked=(slot == 0))
-
-    arm_red(0, 0.0)
-    push(_exp_delay(rng, 1.0), OVERTAKE, 0)  # blue seed chases the root
-
-    while heap:
-        now, _, kind, vertex, tracked = heapq.heappop(heap)
-        if state[vertex] != _RED:
-            continue  # stale clock
-        if kind == SPREAD:
-            child = len(state)
-            if child >= max_vertices:
-                raise ResourceBudgetError(
-                    f"tree trial exceeded the vertex budget ({max_vertices}); "
-                    "lower depth_cap or raise max_vertices"
-                )
-            state.append(_RED)
-            depth.append(depth[vertex] + 1)
-            children.append([])
-            tracked_fired.append(False)
-            children[vertex].append(child)
-            if tracked:
-                tracked_fired[vertex] = True
-            if depth[child] > red_max:
-                red_max = depth[child]
-            arm_red(child, now)
-        elif kind == DEATH:
-            state[vertex] = _DEAD
-        else:  # OVERTAKE: parent is blue and this vertex is still red
-            state[vertex] = _BLUE
-            blue_n += 1
-            if depth[vertex] > blue_max:
-                blue_max = depth[vertex]
-            for child in children[vertex]:
-                if state[child] == _RED:
-                    if not tracked_fired[child]:
-                        renewals[depth[child]] += 1
-                    push(now + _exp_delay(rng, 1.0), OVERTAKE, child)
-
-    return TreeTrialRecord(blue_max, red_max, tuple(renewals), blue_n)
+    n = stop - start
+    blocks = -(-(d + 2) // 4)
+    # The live level: each vertex's slab-local trial, index in its trial's
+    # level, red time, and its parent's blue time (the seed's is 0).
+    trial = np.arange(n)
+    index = np.zeros(n, np.uint64)
+    red = np.zeros(n)
+    parent_blue = np.zeros(n)
+    vertices = np.ones(n, np.int64)
+    ren_sum, ren_sumsq = [], []
+    blue_depth = np.full(n, -1)
+    red_depth = np.zeros(n, np.int64)
+    for level in range(cap + 1):
+        keys = trial.astype(np.uint64) + np.uint64(start)
+        words = np.concatenate([_philox_block((level + 1, index, b, 0), keys, seed) for b in range(blocks)])
+        death = red + _exp_delays(words[0], rho) if rho > 0.0 else np.full(red.size, np.inf)
+        overtake = parent_blue + _exp_delays(words[1], 1.0)
+        red_at_blue = parent_blue < death  # still red when its parent turns blue
+        blue = np.where(red_at_blue & (overtake < death), overtake, np.inf)
+        spread = red + _exp_delays(words[2 : d + 2], lam)  # (slot, vertex)
+        renews = red_at_blue if level == cap else red_at_blue & (spread[0] > parent_blue)
+        per_trial = np.bincount(trial[renews], minlength=n)
+        ren_sum.append(int(per_trial.sum()))
+        ren_sumsq.append(int(per_trial @ per_trial))
+        red_depth[trial] = level
+        blue_depth[trial[blue < np.inf]] = level
+        if level == cap:
+            break
+        parent, slot = np.nonzero((spread < np.minimum(death, blue)).T)  # by parent, then slot
+        born = np.bincount(trial[parent], minlength=n)
+        vertices += born
+        if vertices.max() > DEFAULT_MAX_VERTICES:
+            raise ResourceBudgetError(
+                f"tree trial {start + int(np.argmax(vertices))} materialized more than "
+                f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
+            )
+        if not parent.size:
+            break
+        if n > 1 and parent.size > _LIVE_VERTICES:
+            return None
+        trial = trial[parent]
+        index = (np.arange(parent.size) - (np.cumsum(born) - born)[trial]).astype(np.uint64)
+        red = spread[slot, parent]
+        parent_blue = blue[parent]
+    return ren_sum, ren_sumsq, np.bincount(blue_depth + 1).tolist(), np.bincount(red_depth).tolist()
 
 
-def _tree_chunk(job: tuple) -> tuple[list[int], ...]:
-    """Integer tallies of tree trials [start, stop), the last two fields of job."""
-    p, depth_cap, seed, max_vertices, start, stop = job
-    levels = depth_cap + 1
-    ren_sum = [0] * levels
-    ren_sumsq = [0] * levels
-    blue_depth = [0] * (depth_cap + 2)  # index depth+1, so -1 lands at 0
-    red_depth = [0] * levels
-    blue_total = 0
-    for idx in range(start, stop):
-        rec = tree_trial(p, depth_cap, trial_rng(seed, idx), max_vertices)
-        for lvl, c in enumerate(rec.renewal_vertices_per_level):
-            ren_sum[lvl] += c
-            ren_sumsq[lvl] += c * c
-        blue_depth[rec.blue_reached_depth + 1] += 1
-        red_depth[rec.red_reached_depth] += 1
-        blue_total += rec.blue_count
-    return ren_sum, ren_sumsq, blue_depth, red_depth, [blue_total]
-
-
-def simulate_tree(
-    p: ModelParams,
-    depth_cap: int,
-    n_trials: int,
-    seed: int,
-    threads: int = 1,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> SimSummary:
+def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> SimSummary:
     """Aggregate n_trials depth-capped tree trials.
 
-    Deterministic given (seed, n_trials, depth_cap), regardless of threads.
-    Blue reaching the cap is a truncated proxy for blue escaping; it is
-    reported as a frequency at the cap, never as an infinite-tree estimate.
+    Deterministic given (seed, n_trials, depth_cap).  Raises
+    ResourceBudgetError if a trial materializes more than
+    DEFAULT_MAX_VERTICES vertices.  Blue reaching the cap is a truncated
+    proxy for blue escaping; it is reported as a frequency at the cap,
+    never as an infinite-tree estimate.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    # A few chunks per worker smooths stragglers.  Every trial owns its
-    # stream and the tallies are exact sums, so the split changes nothing.
-    per = math.ceil(n_trials / (4 * pool_size(threads, n_trials)))
-    jobs = [(p, depth_cap, seed, max_vertices, i, min(i + per, n_trials)) for i in range(0, n_trials, per)]
-    parts = map_jobs(_tree_chunk, jobs, threads)
-    ren_sum, ren_sumsq, blue_depth, red_depth, (blue_total,) = (
-        [sum(column) for column in zip(*tallies)] for tallies in zip(*parts)
-    )
+    # The output tallies come first, so an impossible depth_cap fails at once.
+    tallies = ([0] * (depth_cap + 1), [0] * (depth_cap + 1), [0] * (depth_cap + 2), [0] * (depth_cap + 1))
+    for first in range(0, n_trials, _SLAB):
+        slabs = [(first, min(first + _SLAB, n_trials))]
+        while slabs:
+            start, stop = slabs.pop()
+            part = _tree_slab(p.d, float(p.lam), float(p.rho), depth_cap, seed, start, stop)
+            if part is None:  # too wide: re-run each half
+                mid = (start + stop) // 2
+                slabs += [(start, mid), (mid, stop)]
+                continue
+            _accumulate(tallies, part)
+    ren_sum, ren_sumsq, blue_depth, red_depth = map(tuple, tallies)
     return SimSummary(
-        kind="tree",
-        d=p.d,
-        lam=p.lam,
-        rho=p.rho,
-        n_trials=n_trials,
-        seed=seed,
-        depth_cap=depth_cap,
-        level_renewal_sum=tuple(ren_sum),
-        level_renewal_sumsq=tuple(ren_sumsq),
-        blue_depth_counts=tuple(blue_depth),
-        red_depth_counts=tuple(red_depth),
-        blue_count_sum=blue_total,
+        "tree", p.d, p.lam, p.rho, n_trials, seed, depth_cap=depth_cap, level_renewal_sum=ren_sum,
+        level_renewal_sumsq=ren_sumsq, blue_depth_counts=blue_depth, red_depth_counts=red_depth,
     )
 
 

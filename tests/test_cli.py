@@ -135,7 +135,8 @@ class TestRhoCCommand:
 
 
 class TestArgumentRanges:
-    # values the library rejects with ValueError; the CLI refuses them first
+    # values the library rejects with ValueError, which the CLI refuses
+    # first, and --threads, which simulate does not take
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -144,8 +145,8 @@ class TestArgumentRanges:
             ("decide --d 2 --lambda 1 --rho 1 --max-m -1", "--max-m"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads -5", "--threads"),
-            ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 0", "--threads"),
-            ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --threads -5", "--threads"),
+            ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
+            ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):
@@ -218,6 +219,15 @@ class TestSimulateCommand:
         )
         assert code == 70 and "out of memory" in err and out == ""
 
+    def test_vertex_budget_stops_deep_tree_quickly(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "simulate", "tree", "--lambda", "1", "--rho", "0", "--depth", "30",
+            "--trials", "1", "--seed", "1",
+        )
+        assert time.monotonic() - start < 10
+        assert code == 70 and "vertices" in err and "--depth" in err and out == ""
+
     def test_line_table_and_replay(self, capsys):
         args = (
             "simulate", "line", "--lambda", "1", "--rho", "1",
@@ -276,6 +286,8 @@ class TestPhaseCommand:
 
 #: argv -> (exit code, sha256 of stdout), recorded before the output code was
 #: folded into one emitter; every subcommand and output format is covered.
+#: The two `simulate tree` rows were re-recorded when the tree engine moved
+#: to level-synchronous Philox streams.
 GOLDEN = [
     ("decide --d 2 --lambda 1 --rho 1", 1, "12af5f7c46b91101036c2b4869c5a958e8d15031229d4f34a348e584cf66c66d"),
     ("decide --d 2 --lambda 1 --rho 1 --json", 1, "955b47d7b19cb9331a046db485e090022d63649486916422ac9d22b2a4043aaa"),
@@ -302,8 +314,8 @@ GOLDEN = [
     ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "a6cc21519b4ce672c8941582e7bdff5398049238e32eefafa3b5c2b1074f0b00"),
     ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "e9ae44cf55c68da754abafeb7489f4bfde56b54de7a444e00ffe6a75dfdc8bd9"),
     ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "270f9e1f4a3d0a285678218df0939b47d3ddc01ed1e8899992cc1ab8dfdd9fd9"),
-    ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "23cec6a562aba64c872f310309e1d982a8094cfc5f4626788ab8f501619aaffc"),
-    ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "48dd02487d5029ab102027b5b6a536a17aad146c763cd55cf49cdf264bda297d"),
+    ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "2db4d6eff3df65fb2aad1a5459187018d33697636ca39eade1873b87a310f87d"),
+    ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "1cf95ebb9d95569c5b57d607be8971b4d4c924d81e07f787734b50a439f7b614"),
     ("decide --d 2 --lambda 1 --rho 1/0", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

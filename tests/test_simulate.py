@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -8,19 +9,17 @@ from hypothesis import strategies as st
 
 import ced.simulate
 from ced.catalan import weighted_catalan_sequence
+from ced.decision import Verdict, critical_rho, decide
 from ced.params import ModelParams
 from ced.simulate import (
     ResourceBudgetError,
     SimSummary,
     compare_renewals,
-    jump_probabilities,
-    line_trial,
     max_abs_z,
     simulate_line,
     simulate_tree,
-    tree_trial,
-    trial_rng,
 )
+from scalar_reference import jump_probabilities, line_trial, tree_trial, trial_rng
 
 P211 = ModelParams(2, F(1), F(1))
 
@@ -40,6 +39,32 @@ def scalar_line_summary(p, n_trials, k_max, seed):
         kind="line", d=p.d, lam=p.lam, rho=p.rho, n_trials=n_trials, seed=seed, k_max=k_max,
         renewal_counts=tuple(renewals), y_counts=tuple(ys), absorption_counts=tuple(absorb.items()),
     )
+
+
+def scalar_tree_summary(p, depth_cap, n_trials, seed):
+    """The tree summary reduced trial by trial from the scalar tree_trial."""
+    ren_sum = [0] * (depth_cap + 1)
+    ren_sumsq = [0] * (depth_cap + 1)
+    blue = [0] * (depth_cap + 2)
+    red = [0] * (depth_cap + 1)
+    for i in range(n_trials):
+        rec = tree_trial(p, depth_cap, seed, i)
+        for level, c in enumerate(rec.renewal_vertices_per_level):
+            ren_sum[level] += c
+            ren_sumsq[level] += c * c
+        blue[rec.blue_reached_depth + 1] += 1
+        red[rec.red_reached_depth] += 1
+    return SimSummary(
+        kind="tree", d=p.d, lam=p.lam, rho=p.rho, n_trials=n_trials, seed=seed, depth_cap=depth_cap,
+        level_renewal_sum=tuple(ren_sum), level_renewal_sumsq=tuple(ren_sumsq),
+        blue_depth_counts=tuple(blue), red_depth_counts=tuple(red),
+    )
+
+
+def half_binomial_tail(n, x, upper):
+    """P(X >= x) if upper, else P(X <= x), for X ~ Binomial(n, 1/2), exactly."""
+    ks = range(x, n + 1) if upper else range(x + 1)
+    return F(sum(math.comb(n, k) for k in ks), 2**n)
 
 
 class TestJumpChain:
@@ -83,10 +108,19 @@ class TestPhiloxKernel:
     def test_matches_numpy_philox(self, seed, first):
         trials = np.arange(first, first + 4, dtype=np.uint64)
         for block in range(3):
-            words = ced.simulate._philox_block(block, trials, seed)
+            words = ced.simulate._philox_block((block + 1, 0, 0, 0), trials, seed)
             for col, t in enumerate(trials.tolist()):
                 raw = np.random.Philox(key=((seed & (2**64 - 1)) << 64) | t).random_raw(4 * block + 4)
                 assert words[:, col].tolist() == raw[4 * block:].tolist()
+
+    def test_counter_words_match_numpy_philox(self):
+        trials = np.array([0, 1, 2**32 - 1, 2**64 - 1], dtype=np.uint64)
+        index = np.array([0, 5, 2**33 + 7, 2**64 - 1], dtype=np.uint64)
+        words = ced.simulate._philox_block((9, index, 3, 2**63), trials, 17)
+        for col in range(trials.size):
+            counter = 8 | int(index[col]) << 64 | 3 << 128 | 2**63 << 192  # Philox emits counter + 1 first
+            raw = np.random.Philox(key=17 << 64 | int(trials[col]), counter=counter).random_raw(4)
+            assert words[:, col].tolist() == raw.tolist()
 
 
 class TestSimulateLine:
@@ -105,11 +139,13 @@ class TestSimulateLine:
         assert simulate_line(p, n_trials, k_max, seed) == scalar_line_summary(p, n_trials, k_max, seed)
 
     def test_builds_no_per_trial_generator(self, monkeypatch):
-        def refuse(seed, index):
-            raise AssertionError("simulate_line built a per-trial Generator")
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine built a numpy bit generator")
 
-        monkeypatch.setattr(ced.simulate, "trial_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        monkeypatch.setattr(np.random, "Philox", refuse)
         assert simulate_line(P211, 5_000, 5, seed=9).n_trials == 5_000
+        assert simulate_tree(P211, 5, 5_000, seed=9).n_trials == 5_000
 
     def test_summary_determinism_and_thread_invariance(self):
         s1 = simulate_line(P211, 30_000, 5, seed=9)
@@ -172,24 +208,56 @@ class TestCompareRenewals:
 class TestTreeTrials:
     def test_blue_needs_red_first(self):
         for idx in range(60):
-            rec = tree_trial(P211, 4, trial_rng(21, idx))
+            rec = tree_trial(P211, 4, 21, idx)
             assert rec.blue_reached_depth <= rec.red_reached_depth
             assert rec.renewal_vertices_per_level[0] == 1
             assert all(c >= 0 for c in rec.renewal_vertices_per_level)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         # no deaths and a hot spread rate overrun a tiny vertex budget
-        p = ModelParams(2, F(5), F(0))
-        with pytest.raises(ResourceBudgetError):
-            tree_trial(p, 12, trial_rng(1, 0), max_vertices=50)
+        monkeypatch.setattr(ced.simulate, "DEFAULT_MAX_VERTICES", 50)
+        with pytest.raises(ResourceBudgetError, match="--depth"):
+            simulate_tree(ModelParams(2, F(5), F(0)), 12, 1, seed=1)
+        with pytest.raises(ResourceBudgetError):  # one trial of a slab is enough
+            simulate_tree(ModelParams(2, F(5), F(0)), 12, 100, seed=1)
 
 
 class TestSimulateTree:
+    @pytest.mark.parametrize(
+        "p,depth_cap,n_trials,seed",
+        [
+            (P211, 5, 300, 7),
+            (ModelParams(3, F(1), F(1, 2)), 4, 200, 2),   # d + 2 = 5 words: a second Philox block
+            (ModelParams(2, F(1), F(0)), 5, 200, 5),      # no deaths
+            (ModelParams(2, F(2), F(1, 2)), 5, 100, -1),  # supercritical: red survives to the cap
+            (P211, 1, 500, 2**63 + 5),                    # cap 1
+            (P211, 2, 4096 + 37, 11),                     # a slab and a remainder
+        ],
+    )
+    def test_equals_scalar_reference(self, p, depth_cap, n_trials, seed):
+        assert simulate_tree(p, depth_cap, n_trials, seed) == scalar_tree_summary(p, depth_cap, n_trials, seed)
+
+    def test_split_and_rerun_changes_nothing(self, monkeypatch):
+        p = ModelParams(2, F(2), F(1, 2))
+        whole = simulate_tree(p, 5, 100, seed=4)
+        slabs = []
+        tree_slab = ced.simulate._tree_slab
+
+        def recording(*args):
+            slabs.append(tree_slab(*args))
+            return slabs[-1]
+
+        monkeypatch.setattr(ced.simulate, "_tree_slab", recording)
+        monkeypatch.setattr(ced.simulate, "_SLAB", 32)
+        monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
+        assert simulate_tree(p, 5, 100, seed=4) == whole
+        assert None in slabs  # some slabs were split and re-run
+
     def test_determinism_and_thread_invariance(self):
         s1 = simulate_tree(P211, 5, 4_000, seed=9)
         s2 = simulate_tree(P211, 5, 4_000, seed=9)
-        s4 = simulate_tree(P211, 5, 4_000, seed=9, threads=3)
-        assert s1 == s2 == s4
+        assert s1 == s2
+        assert s1 != simulate_tree(P211, 5, 4_000, seed=10)
 
     def test_level_means_match_weighted_catalan(self):
         s = simulate_tree(P211, 6, 40_000, seed=2)
@@ -213,3 +281,27 @@ class TestSimulateTree:
             simulate_tree(P211, 0, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_tree(P211, 3, 0, seed=1)
+
+
+@pytest.mark.parametrize("d,cap,n_trials", [(2, 10, 3_000), (3, 6, 2_000)])
+def test_decide_verdict_by_simulation(d, cap, n_trials):
+    """Blue reach at the depth cap plateaus below rho_c and decays above it.
+
+    The cap frequency is a truncated proxy, never an estimate of the
+    infinite tree's survival probability.  Runs at caps cap/2 and cap with
+    one seed are coupled: levels up to cap/2 take the same draws, so the
+    trials whose blue reaches cap are among those whose blue reaches
+    cap/2.  Below rho_c more than half of those go on to reach cap; above
+    it fewer than half do, each by an exact binomial test at level 1e-6.
+    """
+    bracket = critical_rho(d, F(1), F(1, 1024))
+    below, above = ModelParams(d, F(1), bracket.lo / 2), ModelParams(d, F(1), 2 * bracket.hi)
+    assert decide(below).verdict is Verdict.BELOW
+    assert decide(above).verdict is Verdict.ABOVE
+    for p, plateau in ((below, True), (above, False)):
+        half = simulate_tree(p, cap // 2, n_trials, seed=1)  # seed pinned once
+        full = simulate_tree(p, cap, n_trials, seed=1)
+        reach_half = half.blue_depth_counts[cap // 2 + 1]
+        assert reach_half == sum(full.blue_depth_counts[cap // 2 + 1:])
+        reach_full = full.blue_depth_counts[cap + 1]
+        assert half_binomial_tail(reach_half, reach_full, upper=plateau) < F(1, 10**6), (reach_half, reach_full)

@@ -7,8 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from ced.decision import rho_c_curve
-from ced.params import ModelParams
-from ced.simulate import simulate_tree
 
 
 @pytest.fixture
@@ -33,20 +31,15 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-# (cpu_count, pool for 5 tree trials, pool for 3 grid points); None is no pool
+# (cpu_count, pool for 5 grid points, pool for 3 grid points); None is no pool
 CAPS = [(None, None, None), (1, None, None), (2, 2, 2), (64, 5, 3)]
 
 
-@pytest.mark.parametrize("cpus,tree_pool,curve_pool", CAPS)
-def test_huge_thread_count_is_capped(pool_sizes, monkeypatch, cpus, tree_pool, curve_pool):
+@pytest.mark.parametrize("cpus,five_pool,three_pool", CAPS)
+def test_huge_thread_count_is_capped(pool_sizes, monkeypatch, cpus, five_pool, three_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    p = ModelParams(2, F(1), F(1))
-    serial = simulate_tree(p, 3, 5, seed=1)
-    assert simulate_tree(p, 3, 5, seed=1, threads=10**6) == serial
-    assert pool_sizes == ([] if tree_pool is None else [tree_pool])
-
-    pool_sizes.clear()
-    grid = [F(1, 2), F(1), F(2)]
-    serial = rho_c_curve(2, grid, F(1, 8))
-    assert rho_c_curve(2, grid, F(1, 8), threads=10**6) == serial
-    assert pool_sizes == ([] if curve_pool is None else [curve_pool])
+    for grid, pool in (([F(1, 2), F(3, 4), F(1), F(3, 2), F(2)], five_pool), ([F(1, 2), F(1), F(2)], three_pool)):
+        pool_sizes.clear()
+        serial = rho_c_curve(2, grid, F(1, 8))
+        assert rho_c_curve(2, grid, F(1, 8), threads=10**6) == serial
+        assert pool_sizes == ([] if pool is None else [pool])
