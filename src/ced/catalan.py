@@ -1,14 +1,69 @@
-"""Weighted Catalan numbers via height-indexed dynamic programming.
+"""Weighted Catalan numbers: an integer recurrence for the exact weights,
+a height-indexed dynamic program for the modified ones.
 
 A Dyck path of half-length k earns weight u(j) per rise from height j and
-v(j) per fall ending at height j; C_k sums these products over all C(2k,k)/(k+1)
-paths.  Besides the exact weights, two modified tables sandwich C_k:
-zeroing weights above a cutoff height m gives a lower bound, freezing them
-at their height-m values gives an upper bound.
+v(j) per fall ending at height j; C_k sums these products over all
+C(2k,k)/(k+1) paths.  Besides the exact weights, two modified tables
+sandwich C_k: zeroing weights above a cutoff height m gives a lower bound,
+freezing them at their height-m values gives an upper bound.
+
+Which mode takes which path:
+
+* exact, rho = 0: the closed form C_k = Cat_k (ab)^k / (a+b)^(2k) with
+  lambda = a/b and Cat_k the plain Catalan number.
+* exact, rho > 0: the integer recurrence below.
+* capped and flattened: the height DP over a `WeightTable`, O(k_max^2)
+  Fraction operations.  These weights are not in arithmetic progression,
+  so the recurrence does not apply.  The DP is also the tests' oracle for
+  the recurrence.
+
+The exact weights give a ratio of two 0F1 series.  Write lambda = a/b and
+rho = c/e in lowest terms and G_i = be + ae + i bc.  Then u(j) = ae/G_{j+1}
+and v(j) = be/G_{j+2}, and the G_i form an arithmetic progression.  So the
+continued fraction
+
+    sum_k C_k z^k = 1/(1 - u(0)v(0) z/(1 - u(1)v(1) z/(1 - ...)))
+
+is Gauss's continued fraction for (Flajolet, "Combinatorial aspects of
+continued fractions", 1980)
+
+    sum_k C_k z^k = 0F1(; s+2; w) / 0F1(; s+1; w),
+    s = (1 + lambda)/rho,  w = -lambda z / rho^2.
+
+In integers: with T_n = n! G_1 ... G_n, r = -ae^2/c and x = r z, the two
+series are A(x) = sum_n x^n / T_n and B(x) = sum_n (G_1/G_{n+1}) x^n / T_n.
+So C_k = r^k gamma_k, where gamma = B/A has gamma_0 = 1 and
+
+    T_k gamma_k = G_1/G_{k+1} - sum_{i=1..k} (T_k/T_i) gamma_{k-i}.      (R)
+
+Lemma.  With D_k = k! prod_{l=1..k+1} G_l^floor((k+1)/l), D_k gamma_j is an
+integer for every j <= k.  Proof by induction on k; D_0 gamma_0 = G_1.
+Multiply (R) by D_k/T_k.  The first term becomes D_k G_1/(G_{k+1} T_k) =
+G_1 prod_{l<=k+1} G_l^(floor((k+1)/l) - 1), an integer.  The i-th term of
+the sum becomes (D_{k-i} gamma_{k-i}) D_k/(D_{k-i} T_i).  Its first factor
+is an integer by induction.  D_{k-i} T_i divides D_k: (k-i)! i! divides k!,
+and the exponent of G_l goes from floor((k-i+1)/l) to at most
+floor((k+1)/l), with one more for l <= i, where floor((k-i+1)/l) + 1 =
+floor((k-i+1+l)/l) <= floor((k+1)/l).  Finally D_k divides D_K for k <= K.
+
+So W_k = gamma_k D_K is an integer for every k <= K, and (R) times D_K is a
+recurrence on integers.  Horner's rule builds its sum as
+acc = acc (l G_l) + W_{k-l}, each step a big integer times a small one,
+and one exact division by T_k gives W_k.  A nonzero remainder would mean
+the lemma failed; it raises ArithmeticError instead of rounding.  A run
+whose divisions all leave no remainder is exact whatever D_K it used,
+since the recurrence is linear.
+
+Nothing is reduced to lowest terms until the end: the sequence divides W_k
+by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once,
+`weighted_catalan` reduces its one C_k, and `partial_series` folds z into
+one integer Horner sum and reduces that once.  The height DP instead
+reduces about K^2 sums of numbers tens of thousands of bits long.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +87,16 @@ _ONE = Fraction(1)
 class CatalanValue(NamedTuple):
     k: int
     value: Fraction
+
+
+def _check_mode(mode: str, m: int | None) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown weight mode {mode!r}")
+    if mode == MODE_EXACT:
+        if m is not None:
+            raise ValueError("exact mode takes no cutoff height")
+    elif m is None or m < 1:
+        raise ValueError(f"{mode} mode needs a cutoff height m >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,14 +124,7 @@ class WeightTable:
         mode: str = MODE_EXACT,
         m: int | None = None,
     ) -> "WeightTable":
-        if mode not in _MODES:
-            raise ValueError(f"unknown weight mode {mode!r}")
-        if mode == MODE_EXACT:
-            if m is not None:
-                raise ValueError("exact mode takes no cutoff height")
-        else:
-            if m is None or m < 1:
-                raise ValueError(f"{mode} mode needs a cutoff height m >= 1")
+        _check_mode(mode, m)
         if height < 0:
             raise ValueError("height must be nonnegative")
 
@@ -85,23 +143,13 @@ class WeightTable:
         return cls(u=tuple(u), v=tuple(v), mode=mode, m=m)
 
 
-def weighted_catalan_sequence(
-    p: ModelParams,
-    k_max: int,
-    mode: str = MODE_EXACT,
-    m: int | None = None,
-) -> list[Fraction]:
-    """Exact values C_0, ..., C_{k_max} in one DP sweep.
+def _height_dp(table: WeightTable, k_max: int) -> list[Fraction]:
+    """C_0, ..., C_{k_max} over `table`'s weights in one sweep over (step, height).
 
-    State is (step, height); a path of half-length k never exceeds height
-    k, so the table of weights up to k_max covers everything and no
-    artificial truncation error exists.  O(k_max^2) rational operations.
+    A path of half-length k never exceeds height k, so a table of height
+    k_max covers everything and no truncation error exists.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    table = WeightTable.build(p, k_max, mode, m)
     u, v = table.u, table.v
-
     state = [_ONE]  # state[h] = total weight of length-t prefixes ending at height h
     out = [_ONE]
     for t in range(1, 2 * k_max + 1):
@@ -121,6 +169,89 @@ def weighted_catalan_sequence(
     return out
 
 
+def _progression(p: ModelParams, n: int) -> list[int]:
+    """G_0, ..., G_n with G_i = be + ae + i bc, so u(j) = ae/G_{j+1}, v(j) = be/G_{j+2}."""
+    a, b = p.lam.numerator, p.lam.denominator
+    c, e = p.rho.numerator, p.rho.denominator
+    return [b * e + a * e + i * b * c for i in range(n + 1)]
+
+
+def _exact_div(n: int, d: int) -> int:
+    """n / d for a d that must divide n; a remainder raises ArithmeticError."""
+    q, rem = divmod(n, d)
+    if rem:
+        raise ArithmeticError("exact division left a remainder: D_K is not a common denominator")
+    return q
+
+
+def _denominator_steps(g: list[int], k_max: int) -> list[int]:
+    """D_0 = G_1 and the ratios D_k / D_{k-1} = k prod_{l | k+1} G_l for k = 1..k_max."""
+    steps = [max(k, 1) for k in range(k_max + 1)]
+    for l in range(1, k_max + 2):
+        for n in range(l, k_max + 2, l):
+            steps[n - 1] *= g[l]
+    return steps
+
+
+class _ExactTerms(NamedTuple):
+    """C_k = w[k] r_num^k / (D_K r_den^k) for k <= K, where D_k = steps[0] ... steps[k].
+
+    w[0] = gamma_0 D_K = D_K.
+    """
+
+    w: list[int]
+    steps: list[int]
+    r_num: int
+    r_den: int
+
+
+def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
+    """The integers W_0, ..., W_{k_max} of recurrence (R), exact weights."""
+    a, b = p.lam.numerator, p.lam.denominator
+    c, e = p.rho.numerator, p.rho.denominator
+    if c == 0:
+        cat = [math.comb(2 * k, k) // (k + 1) for k in range(k_max + 1)]
+        return _ExactTerms(cat, [1] * (k_max + 1), a * b, (a + b) ** 2)
+    g = _progression(p, k_max + 1)
+    steps = _denominator_steps(g, k_max)
+    d_top = math.prod(steps)
+    w = [d_top]
+    t = 1
+    for k in range(1, k_max + 1):
+        t *= k * g[k]  # T_k
+        acc = w[k - 1]
+        for l in range(2, k + 1):
+            acc = acc * (l * g[l]) + w[k - l]
+        w.append(_exact_div(_exact_div(d_top, g[k + 1]) * g[1] - acc, t))
+    return _ExactTerms(w, steps, -a * e * e, c)
+
+
+def weighted_catalan_sequence(
+    p: ModelParams,
+    k_max: int,
+    mode: str = MODE_EXACT,
+    m: int | None = None,
+) -> list[Fraction]:
+    """Exact values C_0, ..., C_{k_max} under the requested weight mode."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    _check_mode(mode, m)
+    if mode != MODE_EXACT:
+        return _height_dp(WeightTable.build(p, k_max, mode, m), k_max)
+    t = _exact_terms(p, k_max)
+    scale = [1] * (k_max + 1)  # scale[k] = D_K / D_k
+    for k in range(k_max, 0, -1):
+        scale[k - 1] = scale[k] * t.steps[k]
+    out = []
+    d_k = num_pow = den_pow = 1
+    for w_k, step, s in zip(t.w, t.steps, scale):
+        d_k *= step
+        out.append(Fraction(_exact_div(w_k, s) * num_pow, d_k * den_pow))
+        num_pow *= t.r_num
+        den_pow *= t.r_den
+    return out
+
+
 def weighted_catalan(
     p: ModelParams,
     k: int,
@@ -128,8 +259,13 @@ def weighted_catalan(
     m: int | None = None,
 ) -> CatalanValue:
     """Exact weighted Catalan number C_k under the requested weight mode."""
-    seq = weighted_catalan_sequence(p, k, mode, m)
-    return CatalanValue(k, seq[k])
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    _check_mode(mode, m)
+    if mode != MODE_EXACT:
+        return CatalanValue(k, weighted_catalan_sequence(p, k, mode, m)[k])
+    t = _exact_terms(p, k)
+    return CatalanValue(k, Fraction(t.w[k] * t.r_num**k, t.w[0] * t.r_den**k))
 
 
 @lru_cache(maxsize=None)
@@ -228,10 +364,19 @@ def partial_series(
         raise ValueError("z must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    seq = weighted_catalan_sequence(p, K, mode, m)
-    total = _ZERO
-    power = _ONE
-    for c in seq:
-        total += c * power
-        power *= z
-    return total
+    _check_mode(mode, m)
+    if mode != MODE_EXACT:
+        total = _ZERO
+        power = _ONE
+        for c in weighted_catalan_sequence(p, K, mode, m):
+            total += c * power
+            power *= z
+        return total
+    t = _exact_terms(p, K)
+    # C_k z^k = w[k] n^k / (D_K q^k); Horner from the top gives sum_k w[k] n^k q^(K-k)
+    n, q = t.r_num * z.numerator, t.r_den * z.denominator
+    acc, q_pow = t.w[K], 1
+    for w_k in reversed(t.w[:-1]):
+        q_pow *= q
+        acc = acc * n + w_k * q_pow
+    return Fraction(acc, t.w[0] * q_pow)

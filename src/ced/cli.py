@@ -100,7 +100,7 @@ def _rational_arg(flag: str, positive: bool = False):
     return convert
 
 
-def _int_arg(minimum: int):
+def _int_arg(minimum: int, maximum: int | None = None):
     """An integer flag checked at parse time, so a bad value is a usage error."""
 
     def convert(text: str) -> int:
@@ -110,6 +110,8 @@ def _int_arg(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return convert
@@ -246,6 +248,11 @@ def _cmd_decide(args) -> int:
 
 #: Largest N accepted by --lambda-grid; each point is a full bisection.
 MAX_GRID_POINTS = 10_000
+
+#: Largest `simulate line --k-max`.  Every run prints the exact C_k for
+#: k <= k_max, whose cost grows about as k_max^3: at lambda = 1, rho = 1/3
+#: the whole command takes about 3 s at 800 and 7 s at 1000.
+MAX_LINE_K = 800
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -422,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--rho", required=True)
     ps.add_argument("--trials", type=_int_arg(1), required=True)
     ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
-    ps.add_argument("--k-max", dest="k_max", type=_int_arg(1), default=8, help="line: stop at this blue position")
+    ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
+                    help=f"line: stop at this blue position (at most {MAX_LINE_K})")
     ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")

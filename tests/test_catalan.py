@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ced.catalan
 from ced.catalan import (
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
     WeightTable,
+    _height_dp,
+    _progression,
     partial_series,
     weighted_catalan,
     weighted_catalan_bruteforce,
@@ -180,3 +183,61 @@ class TestPartialSeries:
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
             partial_series(P211, F(-1), 3)
+
+
+# rho = 0 (closed form), small rho, dyadic rho as in the bisection brackets,
+# and large odd denominators, whose G_i share few factors
+recurrence_rhos = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=F(1, 10**6), max_value=F(1, 100), max_denominator=10**6),
+    st.integers(1, 2**31).map(lambda n: F(n, 2**30)),
+    st.integers(1, 2**37).map(lambda n: F(n, 2**36)),
+    st.tuples(st.integers(1, 10**12), st.integers(10**9, 10**12)).map(lambda t: F(t[0], 2 * t[1] + 1)),
+)
+
+
+class TestExactRecurrence:
+    @given(
+        lam=st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64),
+        rho=recurrence_rhos,
+        K=st.integers(0, 40),
+        k=st.integers(0, 40),
+        z=st.fractions(min_value=0, max_value=16, max_denominator=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_height_dp(self, lam, rho, K, k, z):
+        p = ModelParams(2, lam, rho)
+        seq = weighted_catalan_sequence(p, K)
+        assert seq == _height_dp(WeightTable.build(p, K), K)
+        assert partial_series(p, z, K) == sum(c * z**i for i, c in enumerate(seq))
+        k = min(k, K)
+        assert weighted_catalan(p, k).value == seq[k]
+
+    @pytest.mark.parametrize(
+        "lam,rho",
+        [(F(1), F(1)), (F(3, 2), F(2, 3)), (F(5, 7), F(0)), (F(1), F(12360736211, 2**36)), (F(7), F(9, 1000001))],
+    )
+    def test_progression_reproduces_weights(self, lam, rho):
+        # u(j) = ae/G_{j+1} and v(j) = be/G_{j+2} with lambda = a/b, rho = c/e
+        p = ModelParams(2, lam, rho)
+        a, b, e = lam.numerator, lam.denominator, rho.denominator
+        g = _progression(p, 22)
+        for j in range(21):
+            assert F(a * e, g[j + 1]) == weight_u(p, j)
+            assert F(b * e, g[j + 2]) == weight_v(p, j)
+
+    def test_wrong_denominator_raises(self, monkeypatch):
+        # drop the one factor G_{K+1} from D_K: the first term of the
+        # recurrence at k = K is no longer an integer (G_11 = 17 is prime)
+        real = ced.catalan._denominator_steps
+
+        def short(g, k_max):
+            steps = real(g, k_max)
+            steps[-1] //= g[k_max + 1]
+            return steps
+
+        monkeypatch.setattr(ced.catalan, "_denominator_steps", short)
+        p = ModelParams(2, F(1), F(1, 3))
+        for call in (weighted_catalan_sequence, weighted_catalan, lambda p, K: partial_series(p, 2, K)):
+            with pytest.raises(ArithmeticError, match="remainder"):
+                call(p, 10)

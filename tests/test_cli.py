@@ -147,10 +147,14 @@ class TestArgumentRanges:
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads -5", "--threads"),
             ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
             ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
+            # the exact C_k column would run for minutes and the tallies take 1.6 GB
+            ("simulate line --lambda 1 --rho 0 --k-max 100000000 --trials 1 --seed 1", "--k-max: must be <= 800"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):
+        start = time.monotonic()
         code, out, err = run(capsys, *argv.split())
+        assert time.monotonic() - start < 1
         assert code == 64 and flag in err and out == ""
 
 
@@ -209,12 +213,12 @@ class TestSimulateCommand:
         assert code == 64 and "--lambda" in err
 
     # 2^61 + 1 list slots exceed PY_SSIZE_T_MAX bytes, so the tally list is
-    # refused before any memory is allocated.
-    @pytest.mark.parametrize("size_flag", ["--k-max", "--depth"])
+    # refused before any memory is allocated.  (The line engine's --k-max is
+    # capped at parse time; see TestArgumentRanges.)
+    @pytest.mark.parametrize("size_flag", ["--depth"])
     def test_tally_too_large_for_memory_is_runtime_error(self, capsys, size_flag):
-        engine = "line" if size_flag == "--k-max" else "tree"
         code, out, err = run(
-            capsys, "simulate", engine, "--lambda", "1", "--rho", "1",
+            capsys, "simulate", "tree", "--lambda", "1", "--rho", "1",
             "--trials", "1", "--seed", "1", size_flag, str(2**61),
         )
         assert code == 70 and "out of memory" in err and out == ""
