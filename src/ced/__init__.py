@@ -58,7 +58,8 @@ from ced.decision import (
     verify_certificate,
 )
 from ced.simulate import (
-    SimSummary,
+    LineSummary,
+    TreeSummary,
     compare_renewals,
     max_abs_z,
     simulate_line,
@@ -74,10 +75,11 @@ __all__ = [
     "Enclosure",
     "GoodCheck",
     "LambdaInterval",
+    "LineSummary",
     "ModelParams",
     "Phase",
     "PsiBound",
-    "SimSummary",
+    "TreeSummary",
     "Verdict",
     "WeightTable",
     "WindowPosition",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -40,7 +41,6 @@ from ced.decision import (
     OutsideWindowAbove,
     OutsideWindowError,
     Verdict,
-    ZeroRhoBelow,
     classify_phase,
     critical_rho,
     decide,
@@ -217,9 +217,7 @@ def _certificate_json(outcome: DecisionOutcome):
         return {"type": "kernel-above", "m": cert.m}
     if isinstance(cert, OutsideWindowAbove):
         return {"type": "outside-window", "side": cert.side}
-    if isinstance(cert, ZeroRhoBelow):
-        return {"type": "zero-rho"}
-    return {"type": "unknown"}
+    return {"type": "zero-rho"}  # ZeroRhoBelow, the last kind of Certificate
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +335,14 @@ def _cmd_catalan(args) -> int:
     return 0
 
 
+def _float(value: Fraction) -> float:
+    """A nonnegative value as a float, inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
@@ -347,7 +353,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.engine == "line":
         summary = simulate_line(p, args.trials, args.k_max, args.seed)
-        rows = compare_renewals(p, summary)
+        rows = compare_renewals(summary)
         _emit(
             manifest,
             args.format,
@@ -364,7 +370,7 @@ def _cmd_simulate(args) -> int:
         args.format,
         ["level", "mean", "stderr", "exact"],
         [
-            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), float(args.d**k * exact[k]))
+            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), _float(args.d**k * exact[k]))
             for k in range(args.depth + 1)
         ],
         {

@@ -42,15 +42,15 @@ the stream of np.random.Philox(key=(seed, trial)).  The vertex with index
 i in its trial's level l (children numbered by parent, then slot) takes
 the counters (l + 1, i, b, 0), b = 0, 1, ..., whose words are its death,
 overtake and slot 0 .. d-1 spread delays.  So a trial's result depends on
-(seed, trial) alone, never on its slab, and equal seeds give equal
-summaries.
+(seed, trial) alone, never on its slab or on how a slab's live level is
+split, and equal seeds give equal summaries: a `LineSummary` from the
+line, a `TreeSummary` from the tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,9 +69,9 @@ DEFAULT_MAX_VERTICES = 2_000_000
 #: it bounds the engines' arrays and has no effect on the result.
 _SLAB = 4096
 
-#: Live vertices a tree slab of several trials may carry to its next level.
-#: A slab that would pass it is split in two and each half re-run, which
-#: bounds memory and has no effect on the result.
+#: Live vertices a tree level of several trials may hold.  A wider level is
+#: split by trial range and each half continues from it, which bounds memory
+#: and has no effect on the result.
 _LIVE_VERTICES = 1 << 13
 
 ABSORB_DEATH = "death"
@@ -84,54 +84,48 @@ class ResourceBudgetError(RuntimeError):
     """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices."""
 
 
+# Each summary stores integer tallies only; frequencies and standard errors
+# are derived on demand.  Equal runs give summaries equal field for field,
+# which is the reproducibility contract for a fixed seed.
+
+
 @dataclass(frozen=True)
-class SimSummary:
-    """Aggregated tallies from one simulation run.
+class LineSummary:
+    """Tallies of `simulate_line`."""
 
-    Only integer tallies are stored; frequencies and standard errors are
-    derived on demand.  Equal summaries compare equal field-for-field,
-    which is the reproducibility contract for a fixed seed.
-    """
-
-    kind: str                      # "line" | "tree"
-    d: int
-    lam: Fraction
-    rho: Fraction
+    params: ModelParams
     n_trials: int
     seed: int
-    k_max: Optional[int] = None
-    depth_cap: Optional[int] = None
-    renewal_counts: Optional[tuple[int, ...]] = None      # line: trials renewing at k
-    y_counts: Optional[tuple[int, ...]] = None            # line: histogram of Y
-    absorption_counts: Optional[tuple[tuple[str, int], ...]] = None
-    level_renewal_sum: Optional[tuple[int, ...]] = None   # tree: sum of per-level counts
-    level_renewal_sumsq: Optional[tuple[int, ...]] = None
-    blue_depth_counts: Optional[tuple[int, ...]] = None   # tree: histogram over -1..cap
-    red_depth_counts: Optional[tuple[int, ...]] = None    # tree: histogram over 0..cap
+    renewal_counts: tuple[int, ...]                 # trials renewing with blue at k, k = 0 .. k_max
+    absorption_counts: tuple[tuple[str, int], ...]  # trials per absorption, in _ABSORPTIONS order
 
-    def y_at_least(self, k: int) -> int:
-        """Number of trials whose furthest blue position reached k."""
-        assert self.y_counts is not None
-        return sum(self.y_counts[k:])
+
+@dataclass(frozen=True)
+class TreeSummary:
+    """Tallies of `simulate_tree`, for levels 0 .. depth_cap."""
+
+    params: ModelParams
+    n_trials: int
+    seed: int
+    level_renewal_sum: tuple[int, ...]    # per level, the sum over trials of its renewals
+    level_renewal_sumsq: tuple[int, ...]  # ... and of their squares
+    blue_depth_counts: tuple[int, ...]    # trials by deepest blue level + 1 (0: no blue vertex)
+    red_depth_counts: tuple[int, ...]     # trials by deepest red level
 
     def level_renewal_mean(self, level: int) -> float:
-        assert self.level_renewal_sum is not None
         return self.level_renewal_sum[level] / self.n_trials
 
     def level_renewal_stderr(self, level: int) -> float:
-        assert self.level_renewal_sum is not None and self.level_renewal_sumsq is not None
         n = self.n_trials
         mean = self.level_renewal_sum[level] / n
         var = self.level_renewal_sumsq[level] / n - mean * mean
         return math.sqrt(max(var, 0.0) / n)
 
     def blue_reach_cap_frequency(self) -> float:
-        assert self.blue_depth_counts is not None and self.depth_cap is not None
-        return self.blue_depth_counts[self.depth_cap + 1] / self.n_trials
+        return self.blue_depth_counts[-1] / self.n_trials
 
     def red_reach_cap_frequency(self) -> float:
-        assert self.red_depth_counts is not None and self.depth_cap is not None
-        return self.red_depth_counts[self.depth_cap] / self.n_trials
+        return self.red_depth_counts[-1] / self.n_trials
 
 
 # Philox4x64-10 over uint64 arrays.
@@ -190,15 +184,15 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
     """Step line trials [start, stop) in lockstep until every one has stopped.
 
     Step s of every live trial compares the uniform of word s of its
-    Philox stream against the gap tables.  Returns the histograms of the
-    blue positions of the renewals after the start and of the final blue
-    positions, and the number of trials per absorption in _ABSORPTIONS order.
+    Philox stream against the gap tables.  Returns the histogram of the
+    blue positions of the renewals after the start and the number of
+    trials per absorption in _ABSORPTIONS order.
     """
     trials = np.arange(start, stop, dtype=np.uint64)
     j = np.ones(trials.size, np.int64)
     b = np.zeros(trials.size, np.int64)
     adv, adv_ret = _gap_tables(lam, rho, 64)
-    renewals, ends = [], []
+    renewals = []
     absorb = dict.fromkeys(_ABSORPTIONS, 0)
     step = 0
     while trials.size:
@@ -223,14 +217,12 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
         absorb[ABSORB_DEATH] += int(np.count_nonzero(~moved))
         absorb[ABSORB_CAUGHT] += int(np.count_nonzero(is_caught))
         absorb[ABSORB_TRUNCATED] += int(np.count_nonzero(is_truncated))
-        ends.append(b[stopped])
         live = ~stopped
         trials, j, b, words = trials[live], j[live], b[live], words[:, live]
-    return (np.bincount(np.concatenate(renewals)).tolist(), np.bincount(np.concatenate(ends)).tolist(),
-            list(absorb.values()))
+    return np.bincount(np.concatenate(renewals)).tolist(), list(absorb.values())
 
 
-def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> SimSummary:
+def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> LineSummary:
     """Estimate renewal probabilities on the line by n_trials jump chains.
 
     The branching factor of `p` is irrelevant here and ignored.
@@ -242,15 +234,12 @@ def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> SimSu
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     # The output tallies come first, so an impossible k_max fails at once.
-    tallies = ([0] * (k_max + 1), [0] * (k_max + 1), [0] * len(_ABSORPTIONS))
+    tallies = ([0] * (k_max + 1), [0] * len(_ABSORPTIONS))
     for start in range(0, n_trials, _SLAB):
         _accumulate(tallies, _line_slab(float(p.lam), float(p.rho), k_max, seed, start, min(start + _SLAB, n_trials)))
-    renewal_counts, y_counts, absorb = tallies
+    renewal_counts, absorb = tallies
     renewal_counts[0] = n_trials  # every trial starts with a renewal at 0
-    return SimSummary(
-        "line", p.d, p.lam, p.rho, n_trials, seed, k_max=k_max, renewal_counts=tuple(renewal_counts),
-        y_counts=tuple(y_counts), absorption_counts=tuple(zip(_ABSORPTIONS, absorb)),
-    )
+    return LineSummary(p, n_trials, seed, tuple(renewal_counts), tuple(zip(_ABSORPTIONS, absorb)))
 
 
 def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
@@ -263,58 +252,69 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
 
     Returns the per-level renewal sums and sums of squares over the trials,
     and the histograms of the deepest blue level plus one and of the deepest
-    red level, each up to the last level reached; or None when the slab has
-    several trials and its next level would hold more than _LIVE_VERTICES
-    vertices.
+    red level, each up to the last level reached.
     """
     n = stop - start
-    blocks = -(-(d + 2) // 4)
-    # The live level: each vertex's slab-local trial, index in its trial's
-    # level, red time, and its parent's blue time (the seed's is 0).
-    trial = np.arange(n)
-    index = np.zeros(n, np.uint64)
-    red = np.zeros(n)
-    parent_blue = np.zeros(n)
     vertices = np.ones(n, np.int64)
-    ren_sum, ren_sumsq = [], []
     blue_depth = np.full(n, -1)
     red_depth = np.zeros(n, np.int64)
-    for level in range(cap + 1):
+    ren_sum, ren_sumsq = [], []
+    # Pending levels, deepest last: a level and, for each of its live
+    # vertices in trial order, the slab-local trial, index in its trial's
+    # level, red time and parent's blue time (the seed's is 0).
+    pending = [(0, (np.arange(n), np.zeros(n, np.uint64), np.zeros(n), np.zeros(n)))]
+    while pending:
+        level, (trial, index, red, parent_blue) = pending.pop()
         keys = trial.astype(np.uint64) + np.uint64(start)
-        words = np.concatenate([_philox_block((level + 1, index, b, 0), keys, seed) for b in range(blocks)])
+        words = _philox_block((level + 1, index, 0, 0), keys, seed)
         death = red + _exp_delays(words[0], rho) if rho > 0.0 else np.full(red.size, np.inf)
         overtake = parent_blue + _exp_delays(words[1], 1.0)
         red_at_blue = parent_blue < death  # still red when its parent turns blue
         blue = np.where(red_at_blue & (overtake < death), overtake, np.inf)
-        spread = red + _exp_delays(words[2 : d + 2], lam)  # (slot, vertex)
-        renews = red_at_blue if level == cap else red_at_blue & (spread[0] > parent_blue)
-        per_trial = np.bincount(trial[renews], minlength=n)
-        ren_sum.append(int(per_trial.sum()))
-        ren_sumsq.append(int(per_trial @ per_trial))
         red_depth[trial] = level
         blue_depth[trial[blue < np.inf]] = level
-        if level == cap:
-            break
-        parent, slot = np.nonzero((spread < np.minimum(death, blue)).T)  # by parent, then slot
-        born = np.bincount(trial[parent], minlength=n)
-        vertices += born
-        if vertices.max() > DEFAULT_MAX_VERTICES:
-            raise ResourceBudgetError(
-                f"tree trial {start + int(np.argmax(vertices))} materialized more than "
-                f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
-            )
+        renews = red_at_blue
+        lives_until = np.minimum(death, blue)  # no spread from a dead or blue vertex
+        parents, reds = [], []  # each slot's children, one slot at a time
+        for slot in range(d if level < cap else 0):  # cap vertices never spread
+            if slot % 4 == 2:
+                words = _philox_block((level + 1, index, (slot + 2) // 4, 0), keys, seed)
+            spread = red + _exp_delays(words[(slot + 2) % 4], lam)
+            if slot == 0:
+                renews = red_at_blue & (spread > parent_blue)
+            born = np.flatnonzero(spread < lives_until)
+            vertices += np.bincount(trial[born], minlength=n)
+            if vertices.max() > DEFAULT_MAX_VERTICES:
+                raise ResourceBudgetError(
+                    f"tree trial {start + int(np.argmax(vertices))} materialized more than "
+                    f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
+                )
+            parents.append(born)
+            reds.append(spread[born])
+        if level == len(ren_sum):  # first reached: every shallower level was
+            ren_sum.append(0)
+            ren_sumsq.append(0)
+        per_trial = np.bincount(trial[renews])
+        ren_sum[level] += int(per_trial.sum())
+        ren_sumsq[level] += int(per_trial @ per_trial)
+        parent = np.concatenate(parents) if parents else np.zeros(0, np.int64)
         if not parent.size:
-            break
-        if n > 1 and parent.size > _LIVE_VERTICES:
-            return None
+            continue
+        order = np.argsort(parent, kind="stable")  # by parent, then slot
+        parent = parent[order]
         trial = trial[parent]
-        index = (np.arange(parent.size) - (np.cumsum(born) - born)[trial]).astype(np.uint64)
-        red = spread[slot, parent]
-        parent_blue = blue[parent]
+        index = (np.arange(trial.size) - np.searchsorted(trial, trial)).astype(np.uint64)
+        live = (trial, index, np.concatenate(reds)[order], blue[parent])
+        if trial[0] != trial[-1] and trial.size > _LIVE_VERTICES:
+            # Too wide for several trials: split by trial range; both halves continue.
+            cut = np.searchsorted(trial, (trial[0] + trial[-1] + 1) // 2)
+            pending.append((level + 1, tuple(a[cut:] for a in live)))
+            live = tuple(a[:cut] for a in live)
+        pending.append((level + 1, live))
     return ren_sum, ren_sumsq, np.bincount(blue_depth + 1).tolist(), np.bincount(red_depth).tolist()
 
 
-def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> SimSummary:
+def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> TreeSummary:
     """Aggregate n_trials depth-capped tree trials.
 
     Deterministic given (seed, n_trials, depth_cap).  Raises
@@ -329,21 +329,10 @@ def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> S
         raise ValueError("n_trials must be >= 1")
     # The output tallies come first, so an impossible depth_cap fails at once.
     tallies = ([0] * (depth_cap + 1), [0] * (depth_cap + 1), [0] * (depth_cap + 2), [0] * (depth_cap + 1))
-    for first in range(0, n_trials, _SLAB):
-        slabs = [(first, min(first + _SLAB, n_trials))]
-        while slabs:
-            start, stop = slabs.pop()
-            part = _tree_slab(p.d, float(p.lam), float(p.rho), depth_cap, seed, start, stop)
-            if part is None:  # too wide: re-run each half
-                mid = (start + stop) // 2
-                slabs += [(start, mid), (mid, stop)]
-                continue
-            _accumulate(tallies, part)
-    ren_sum, ren_sumsq, blue_depth, red_depth = map(tuple, tallies)
-    return SimSummary(
-        "tree", p.d, p.lam, p.rho, n_trials, seed, depth_cap=depth_cap, level_renewal_sum=ren_sum,
-        level_renewal_sumsq=ren_sumsq, blue_depth_counts=blue_depth, red_depth_counts=red_depth,
-    )
+    for start in range(0, n_trials, _SLAB):
+        part = _tree_slab(p.d, float(p.lam), float(p.rho), depth_cap, seed, start, min(start + _SLAB, n_trials))
+        _accumulate(tallies, part)
+    return TreeSummary(p, n_trials, seed, *map(tuple, tallies))
 
 
 class RenewalZ(NamedTuple):
@@ -354,29 +343,17 @@ class RenewalZ(NamedTuple):
     z: Optional[float]  # None for the k = 0 row, which matches exactly
 
 
-def compare_renewals(p: ModelParams, summary: SimSummary, k_max: Optional[int] = None) -> list[RenewalZ]:
+def compare_renewals(summary: LineSummary) -> list[RenewalZ]:
     """Per-k z-scores of observed renewal frequencies against exact values.
 
     z_k = (phat_k - C_k) / sqrt(phat_k (1 - phat_k) / n).  The k = 0 row is
     a renewal by construction and is reported as an exact match.
     """
-    if summary.kind != "line" or summary.renewal_counts is None or summary.k_max is None:
-        raise ValueError("summary must come from simulate_line")
-    if (summary.lam, summary.rho) != (p.lam, p.rho):
-        raise ValueError(
-            f"parameter mismatch: summary has (lambda, rho) = ({summary.lam}, {summary.rho}), "
-            f"got ({p.lam}, {p.rho})"
-        )
-    if k_max is None:
-        k_max = summary.k_max
-    if k_max > summary.k_max:
-        raise ValueError(f"summary only tracked renewals up to k = {summary.k_max}")
-
-    exact = weighted_catalan_sequence(p, k_max)
+    exact = weighted_catalan_sequence(summary.params, len(summary.renewal_counts) - 1)
     n = summary.n_trials
     rows: list[RenewalZ] = []
-    for k in range(k_max + 1):
-        phat = summary.renewal_counts[k] / n
+    for k, count in enumerate(summary.renewal_counts):
+        phat = count / n
         expected = float(exact[k])
         if k == 0:
             rows.append(RenewalZ(0, phat, expected, 0.0, None))

@@ -178,7 +178,7 @@ def test_acceptance_06_sqrt_d_scaling():
 def test_acceptance_07_line_simulation_vs_analytics():
     start = time.monotonic()
     summary = simulate_line(P211, 1_000_000, 6, seed=1)  # seed pinned once
-    rows = compare_renewals(P211, summary)
+    rows = compare_renewals(summary)
     worst = max_abs_z(rows)
     assert worst <= 4.0, [(r.k, r.z) for r in rows]
     elapsed = time.monotonic() - start

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction as F
@@ -224,13 +225,19 @@ class TestSimulateCommand:
         assert code == 70 and "out of memory" in err and out == ""
 
     def test_vertex_budget_stops_deep_tree_quickly(self, capsys):
-        start = time.monotonic()
-        code, out, err = run(
-            capsys, "simulate", "tree", "--lambda", "1", "--rho", "0", "--depth", "30",
-            "--trials", "1", "--seed", "1",
-        )
-        assert time.monotonic() - start < 10
-        assert code == 70 and "vertices" in err and "--depth" in err and out == ""
+        for wide in (("--depth", "30", "--seed", "1"), ("--d", "64", "--depth", "300", "--seed", "11")):
+            start = time.monotonic()
+            code, out, err = run(capsys, "simulate", "tree", "--lambda", "1", "--rho", "0", "--trials", "1", *wide)
+            assert time.monotonic() - start < 10, wide
+            assert code == 70 and "vertices" in err and "--depth" in err and out == ""
+
+    def test_exact_column_past_float_range_is_inf(self, capsys):
+        args = ("simulate", "tree", "--d", "64", "--lambda", "1/4", "--rho", "0", "--depth", "400",
+                "--trials", "1", "--seed", "28")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out.splitlines()[-3] == "400,0.0,0.0,inf"
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0 and json.loads(out)["rows"][-1]["exact"] == math.inf
 
     def test_line_table_and_replay(self, capsys):
         args = (

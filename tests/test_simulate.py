@@ -12,8 +12,9 @@ from ced.catalan import weighted_catalan_sequence
 from ced.decision import Verdict, critical_rho, decide
 from ced.params import ModelParams
 from ced.simulate import (
+    LineSummary,
     ResourceBudgetError,
-    SimSummary,
+    TreeSummary,
     compare_renewals,
     max_abs_z,
     simulate_line,
@@ -27,18 +28,13 @@ P211 = ModelParams(2, F(1), F(1))
 def scalar_line_summary(p, n_trials, k_max, seed):
     """The line summary reduced trial by trial from line_trial and trial_rng."""
     renewals = [0] * (k_max + 1)
-    ys = [0] * (k_max + 1)
     absorb = {"caught": 0, "death": 0, "truncated": 0}
     for i in range(n_trials):
         rec = line_trial(p, k_max, trial_rng(seed, i))
         for k in rec.renewals_hit:
             renewals[k] += 1
-        ys[rec.y_value] += 1
         absorb[rec.absorption] += 1
-    return SimSummary(
-        kind="line", d=p.d, lam=p.lam, rho=p.rho, n_trials=n_trials, seed=seed, k_max=k_max,
-        renewal_counts=tuple(renewals), y_counts=tuple(ys), absorption_counts=tuple(absorb.items()),
-    )
+    return LineSummary(p, n_trials, seed, tuple(renewals), tuple(absorb.items()))
 
 
 def scalar_tree_summary(p, depth_cap, n_trials, seed):
@@ -54,11 +50,7 @@ def scalar_tree_summary(p, depth_cap, n_trials, seed):
             ren_sumsq[level] += c * c
         blue[rec.blue_reached_depth + 1] += 1
         red[rec.red_reached_depth] += 1
-    return SimSummary(
-        kind="tree", d=p.d, lam=p.lam, rho=p.rho, n_trials=n_trials, seed=seed, depth_cap=depth_cap,
-        level_renewal_sum=tuple(ren_sum), level_renewal_sumsq=tuple(ren_sumsq),
-        blue_depth_counts=tuple(blue), red_depth_counts=tuple(red),
-    )
+    return TreeSummary(p, n_trials, seed, tuple(ren_sum), tuple(ren_sumsq), tuple(blue), tuple(red))
 
 
 def half_binomial_tail(n, x, upper):
@@ -156,23 +148,17 @@ class TestSimulateLine:
     def test_tallies_consistent(self):
         s = simulate_line(P211, 20_000, 5, seed=3)
         assert s.renewal_counts[0] == s.n_trials  # the start is a renewal
-        assert sum(s.y_counts) == s.n_trials
         assert sum(dict(s.absorption_counts).values()) == s.n_trials
-
-    def test_renewal_implies_y_reached(self):
-        s = simulate_line(P211, 20_000, 5, seed=3)
-        for k in range(6):
-            assert s.y_at_least(k) >= s.renewal_counts[k]
 
     def test_frequencies_match_exact_values(self):
         s = simulate_line(P211, 200_000, 4, seed=1)
-        rows = compare_renewals(P211, s)
+        rows = compare_renewals(s)
         assert max_abs_z(rows) <= 4.0
 
     def test_no_death_reduction_to_classic_values(self):
         p = ModelParams(2, F(1), F(0))
         s = simulate_line(p, 200_000, 4, seed=1)
-        rows = compare_renewals(p, s)
+        rows = compare_renewals(s)
         # exact values collapse to C_k / 4^k here
         assert [r.expected for r in rows] == [1.0, 0.25, 0.125, 5 / 64, 14 / 256]
         assert max_abs_z(rows) <= 4.0
@@ -187,21 +173,14 @@ class TestSimulateLine:
 class TestCompareRenewals:
     def test_k0_exact_row(self):
         s = simulate_line(P211, 5_000, 3, seed=2)
-        rows = compare_renewals(P211, s)
+        rows = compare_renewals(s)
         assert rows[0].z is None and rows[0].observed == 1.0
-
-    def test_parameter_mismatch_rejected(self):
-        s = simulate_line(P211, 5_000, 3, seed=2)
-        with pytest.raises(ValueError):
-            compare_renewals(ModelParams(2, F(1), F(1, 2)), s)
-        with pytest.raises(ValueError):
-            compare_renewals(P211, s, k_max=10)
 
     def test_miswired_rates_detected(self):
         # pretend a rho=1 run came from rho=1/2: the z-scores blow up
         s = simulate_line(P211, 200_000, 3, seed=1)
-        forged = replace(s, rho=F(1, 2))
-        rows = compare_renewals(ModelParams(2, F(1), F(1, 2)), forged)
+        forged = replace(s, params=ModelParams(2, F(1), F(1, 2)))
+        rows = compare_renewals(forged)
         assert max_abs_z(rows) > 6.0
 
 
@@ -237,21 +216,31 @@ class TestSimulateTree:
     def test_equals_scalar_reference(self, p, depth_cap, n_trials, seed):
         assert simulate_tree(p, depth_cap, n_trials, seed) == scalar_tree_summary(p, depth_cap, n_trials, seed)
 
-    def test_split_and_rerun_changes_nothing(self, monkeypatch):
+    def test_split_and_continue_changes_nothing(self, monkeypatch):
         p = ModelParams(2, F(2), F(1, 2))
         whole = simulate_tree(p, 5, 100, seed=4)
-        slabs = []
-        tree_slab = ced.simulate._tree_slab
+        draws = []  # (level, trials) of each Philox call
+        philox_block = ced.simulate._philox_block
 
-        def recording(*args):
-            slabs.append(tree_slab(*args))
-            return slabs[-1]
+        def recording(counter, trials, seed):
+            draws.append((counter[0] - 1, trials.tolist()))
+            return philox_block(counter, trials, seed)
 
-        monkeypatch.setattr(ced.simulate, "_tree_slab", recording)
+        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
         monkeypatch.setattr(ced.simulate, "_SLAB", 32)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
         assert simulate_tree(p, 5, 100, seed=4) == whole
-        assert None in slabs  # some slabs were split and re-run
+        # No re-run: each trial draws its level-0 counter once, in one call per slab.
+        level0 = [trials for level, trials in draws if level == 0]
+        assert len(level0) == 4 and sorted(sum(level0, [])) == list(range(100))
+        # A split: some level of the four slabs was drawn in more than four calls.
+        assert max(sum(level == l for level, _ in draws) for l in range(1, 6)) > 4
+
+    def test_split_path_equals_scalar_reference(self, monkeypatch):
+        p = ModelParams(3, F(2), F(1, 2))  # supercritical: red survives to the cap
+        monkeypatch.setattr(ced.simulate, "_SLAB", 16)
+        monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
+        assert simulate_tree(p, 5, 40, seed=6) == scalar_tree_summary(p, 5, 40, seed=6)
 
     def test_determinism_and_thread_invariance(self):
         s1 = simulate_tree(P211, 5, 4_000, seed=9)
