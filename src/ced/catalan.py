@@ -70,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ced.params import ModelParams, weight_u, weight_v
+from ced.params import ModelParams, progression, weight_u, weight_v
 
 MODE_EXACT = "exact"
 MODE_CAPPED = "capped"
@@ -169,13 +169,6 @@ def _height_dp(table: WeightTable, k_max: int) -> list[Fraction]:
     return out
 
 
-def _progression(p: ModelParams, n: int) -> list[int]:
-    """G_0, ..., G_n with G_i = be + ae + i bc, so u(j) = ae/G_{j+1}, v(j) = be/G_{j+2}."""
-    a, b = p.lam.numerator, p.lam.denominator
-    c, e = p.rho.numerator, p.rho.denominator
-    return [b * e + a * e + i * b * c for i in range(n + 1)]
-
-
 def _exact_div(n: int, d: int) -> int:
     """n / d for a d that must divide n; a remainder raises ArithmeticError."""
     q, rem = divmod(n, d)
@@ -212,7 +205,7 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
     if c == 0:
         cat = [math.comb(2 * k, k) // (k + 1) for k in range(k_max + 1)]
         return _ExactTerms(cat, [1] * (k_max + 1), a * b, (a + b) ** 2)
-    g = _progression(p, k_max + 1)
+    g = progression(p, k_max + 1)
     steps = _denominator_steps(g, k_max)
     d_top = math.prod(steps)
     w = [d_top]

@@ -19,15 +19,54 @@ The two kernels consumed by the decision module:
   plain Catalan numbers, closing off the flattened tail in one stroke.
   A good sweep certifies convergence strictly beyond d, i.e. the death
   rate is above critical.
+
+`eval_finite` and `is_good` work on any Fraction entries.  The kernels
+instead run a three-term recurrence of continuants on integers (Flajolet,
+"Combinatorial aspects of continued fractions", 1980), with no Fraction
+and no gcd per level.
+
+Continuants.  For entries c_0, ..., c_n and a closing factor r > 0 (r = 1
+for the plain fraction), set R_{n+1} = r, R_n = 1 and
+
+    R_i = R_{i+1} - c_{i+1} R_{i+2}        for i = n-1, ..., -1.
+
+Then 1 - t_{i+1} = R_i / R_{i+1} and t_i = c_i R_{i+1} / R_i for the tails
+of K[c_0, ..., c_{n-1}, c_n r], by induction down from t_n = c_n r: while
+R_{i+1} != 0, 1 - t_{i+1} = 1 - c_{i+1} R_{i+2} / R_{i+1} = R_i / R_{i+1}.
+
+Scaling.  With lambda = a/b, rho = c/e, G_i = be + ae + i bc and
+alpha = d a b e^2 (see `params.progression`), b_j = alpha / (G_{j+1}
+G_{j+2}).  Write r = Y/Z with Z > 0 and
+
+    R_i = S_i / (Z prod_{l=i+2..n+2} G_l).
+
+Then S_{n+1} = Y, S_n = Z G_{n+2} and, multiplying the recurrence for
+c_{i+1} = b_{i+1} by Z prod_{l=i+2..n+2} G_l,
+
+    S_i = G_{i+2} S_{i+1} - alpha S_{i+2},
+
+one big-by-small product per level.  Every G_l is positive, so S_i and R_i
+have the same sign.  While S_{i+1}, ..., S_n > 0 the sweep has reached
+level i+1 without a pole, and three sign rules follow:
+
+* the denominator at level i is 1 - t_{i+1} = R_i / R_{i+1}, so there is
+  a pole at level i (0 <= i < n) exactly when S_i <= 0;
+* t_{i+1} > 1 exactly when S_i < 0, and t_{i+1} = 1 exactly when S_i = 0;
+* t_0 > 1 exactly when S_{-1} < 0 (and t_0 < 1 exactly when S_{-1} > 0).
+
+`below_witness` is the sign scan for K[b_0, ..., b_m] with r = 1 (Y = Z
+= 1); `km_good` is the same sweep for K[b_0, ..., b_{m-1}] closed by
+r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
+i = -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from ced.params import ModelParams, sqrt_enclosure, weight_b
+from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
 
 #: psi enclosures this tight are far below the margins at which the good
 #: test flips for any m >= 1 seen in practice, and cheap to produce.
@@ -125,29 +164,41 @@ def psi_bounds(x: Fraction | int, width: Fraction = DEFAULT_PSI_WIDTH) -> PsiBou
         raise ValueError("width must be positive")
     if x == 0:
         return PsiBound(x, _ONE, _ONE)
-    root = sqrt_enclosure(1 - 4 * x, Fraction(width, 2))
-    lower = max(_ONE, 2 / (1 + root.hi))
-    upper = min(Fraction(2), 2 / (1 + root.lo))
+    root = sqrt_enclosure(Fraction(x.denominator - 4 * x.numerator, x.denominator), Fraction(width, 2))
+    # 2 / (1 + r) = 2 r_den / (r_den + r_num); root.lo >= 0 keeps upper <= 2
+    lower = max(_ONE, Fraction(2 * root.hi.denominator, root.hi.denominator + root.hi.numerator))
+    upper = Fraction(2 * root.lo.denominator, root.lo.denominator + root.lo.numerator)
     return PsiBound(x, lower, upper)
+
+
+def _continuants(p: ModelParams, n: int, y: int, z: int) -> Iterator[tuple[int, int]]:
+    """(i, S_i) for i = n-1, ..., -1 of K[b_0, ..., b_{n-1}, b_n y/z] (module docstring)."""
+    alpha = p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2
+    g = progression(p, n + 2)
+    s_next, s = y, z * g[n + 2]
+    for i in range(n - 1, -2, -1):
+        s_next, s = s, g[i + 2] * s - alpha * s_next
+        yield i, s
 
 
 def below_witness(p: ModelParams, m: int) -> Optional[int]:
     """Largest i with K[b_i, ..., b_m] > 1 (or infinite), else None.
 
-    One bottom-up sweep produces every tail value simultaneously.  A tail
-    value of exactly 1 makes the level above it +infinity, which counts as
-    a witness at that level: the singularity it creates sits at or before
-    d, and the caller treats the boundary case as below critical.
+    One bottom-up sweep of continuants settles every tail value at once.
+    A tail value of exactly 1 makes the level above it +infinity, which
+    counts as a witness at that level: the singularity it creates sits at
+    or before d, and the caller treats the boundary case as below
+    critical.  So the scan returns i+1 at the first S_i < 0, i at the
+    first S_i = 0 with i >= 0, and None when S_{-1} >= 0.
     """
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
-    ev = eval_finite([weight_b(p, j) for j in range(m + 1)])
-    if ev.is_pole:
-        blocked = ev.partials[ev.pole_level + 1]
-        assert blocked is not None
-        return ev.pole_level + 1 if blocked > 1 else ev.pole_level
-    assert ev.value is not None
-    return 0 if ev.value > 1 else None
+    for i, s in _continuants(p, m, 1, 1):
+        if s < 0:
+            return i + 1
+        if s == 0 and i >= 0:
+            return i
+    return None
 
 
 def km_good(p: ModelParams, m: int, psi_width: Fraction = DEFAULT_PSI_WIDTH) -> bool:
@@ -156,7 +207,8 @@ def km_good(p: ModelParams, m: int, psi_width: Fraction = DEFAULT_PSI_WIDTH) -> 
     Requires b_m < 1/4 (checked; returns False immediately otherwise).
     The tail is closed off by psi evaluated at b_m, taken at its upper
     bound: goodness is monotone decreasing in every entry, so good with
-    the inflated last entry implies good with the true value.
+    the inflated last entry implies good with the true value.  Good
+    exactly when every continuant S_i of the sweep is positive.
     """
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
@@ -164,6 +216,4 @@ def km_good(p: ModelParams, m: int, psi_width: Fraction = DEFAULT_PSI_WIDTH) -> 
     if not b_m < _QUARTER:
         return False
     tail = psi_bounds(b_m, psi_width).upper
-    entries = [weight_b(p, j) for j in range(m - 1)]
-    entries.append(weight_b(p, m - 1) * tail)
-    return is_good(entries).good
+    return all(s > 0 for _, s in _continuants(p, m - 1, tail.numerator, tail.denominator))

@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Union
 from ced._workers import map_jobs
 from ced.contfrac import below_witness, eval_finite, km_good
 from ced.params import (
-    Enclosure,
     ModelParams,
     WindowPosition,
     growth_bounds,
@@ -46,8 +45,9 @@ from ced.params import (
 DEFAULT_M_MAX = 4096
 
 #: Bisection endpoints are snapped outward to multiples of 1/_DYADIC_GRID;
-#: plain midpoint averaging then keeps every kernel input's denominator a
-#: small power of two, which is what keeps the exact sweeps fast.
+#: plain midpoint averaging then keeps rho's denominator e a power of two no
+#: larger than the tolerance needs.  That bounds the integers G_i and alpha
+#: of the continuant sweeps, so each level stays one big-by-small product.
 _DYADIC_GRID = 1 << 30
 
 _ZERO = Fraction(0)
@@ -159,6 +159,11 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     certificates re-run the b_m < 1/4 check and the good sweep;
     short-circuit certificates re-derive the window position.  Undecided
     outcomes carry no certificate and verify vacuously.
+
+    The `KernelBelow` re-check evaluates the slice with the Fraction
+    `eval_finite`, a different algorithm from the integer continuant
+    sweep in `below_witness` that produced the witness.  The `KernelAbove`
+    re-check calls `km_good` itself, so it is not independent.
     """
     cert = outcome.certificate
     if outcome.verdict is Verdict.UNDECIDED:

@@ -24,6 +24,7 @@ without symbolic algebra.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,7 +84,7 @@ def sqrt_enclosure(x: Fraction | int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH)
         return Enclosure(_ZERO, _ZERO)
     p, q = x.numerator, x.denominator
     n = p * q
-    scale = max(1, math.ceil(1 / (width * q)))
+    scale = max(1, -(-width.denominator // (width.numerator * q)))  # ceil(1 / (width q))
     s = math.isqrt(n * scale * scale)
     if s * s == n * scale * scale:
         root = Fraction(s, scale * q)
@@ -140,11 +141,14 @@ class WindowPosition(enum.Enum):
         return self in (WindowPosition.OUTSIDE_LEFT, WindowPosition.OUTSIDE_RIGHT)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def lambda_interval(d: int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> LambdaInterval:
     """Enclose both endpoints of the coexistence window for branching factor d.
 
     Each endpoint enclosure has width <= `width`.  d(d-1) is never a
     perfect square for d >= 2, so the bounds are strict on both sides.
+    A pure function of (d, width) returning a frozen object, so it is
+    cached: every `decide` of a bisection asks for the same window.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
@@ -239,6 +243,13 @@ def m_at_zero(lam: Fraction | int) -> Fraction:
     return (1 + lam) ** 2 / (4 * lam)
 
 
+def _progression_origin(p: ModelParams) -> tuple[int, int]:
+    """G_0 = be + ae and the step bc of the progression G_i = G_0 + i bc."""
+    a, b = p.lam.numerator, p.lam.denominator
+    c, e = p.rho.numerator, p.rho.denominator
+    return b * e + a * e, b * c
+
+
 def weight_u(p: ModelParams, j: int) -> Fraction:
     """Rise weight at height j."""
     if j < 0:
@@ -254,12 +265,32 @@ def weight_v(p: ModelParams, j: int) -> Fraction:
 
 
 def weight_a(p: ModelParams, j: int) -> Fraction:
-    """Excursion weight a_j = u(j) v(j); strictly decreasing in j when rho > 0."""
+    """Excursion weight a_j = u(j) v(j) = a b e^2 / (G_{j+1} G_{j+2}) (see `progression`).
+
+    Strictly decreasing in j when rho > 0.
+    """
     if j < 0:
         raise ValueError("height index must be nonnegative")
-    return p.lam / ((1 + p.lam + (j + 1) * p.rho) * (1 + p.lam + (j + 2) * p.rho))
+    g0, step = _progression_origin(p)
+    g = g0 + (j + 1) * step
+    return Fraction(p.lam.numerator * p.lam.denominator * p.rho.denominator**2, g * (g + step))
 
 
 def weight_b(p: ModelParams, j: int) -> Fraction:
     """Tree-weighted excursion weight b_j = d a_j."""
     return p.d * weight_a(p, j)
+
+
+def progression(p: ModelParams, n: int) -> list[int]:
+    """G_0, ..., G_n with G_i = be + ae + i bc, where lambda = a/b and rho = c/e.
+
+    1 + lambda + i rho = G_i / (be), so the weights in integers are
+
+        u(j) = ae / G_{j+1},   v(j) = be / G_{j+2},
+        b_j = alpha / (G_{j+1} G_{j+2}),   alpha = d a b e^2.
+
+    The exact Catalan recurrence and the continued-fraction kernels both
+    run on these integers instead of on Fractions.
+    """
+    g0, step = _progression_origin(p)
+    return [g0 + i * step for i in range(n + 1)]

@@ -13,13 +13,12 @@ from ced.catalan import (
     MODE_FLATTENED,
     WeightTable,
     _height_dp,
-    _progression,
     partial_series,
     weighted_catalan,
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
-from ced.params import ModelParams, sqrt_enclosure, weight_a, weight_u, weight_v
+from ced.params import ModelParams, progression, sqrt_enclosure, weight_a, weight_b, weight_u, weight_v
 
 P211 = ModelParams(2, F(1), F(1))
 
@@ -218,13 +217,15 @@ class TestExactRecurrence:
         [(F(1), F(1)), (F(3, 2), F(2, 3)), (F(5, 7), F(0)), (F(1), F(12360736211, 2**36)), (F(7), F(9, 1000001))],
     )
     def test_progression_reproduces_weights(self, lam, rho):
-        # u(j) = ae/G_{j+1} and v(j) = be/G_{j+2} with lambda = a/b, rho = c/e
+        # u(j) = ae/G_{j+1}, v(j) = be/G_{j+2} and b_j = d a b e^2 / (G_{j+1} G_{j+2})
+        # with lambda = a/b, rho = c/e
         p = ModelParams(2, lam, rho)
         a, b, e = lam.numerator, lam.denominator, rho.denominator
-        g = _progression(p, 22)
+        g = progression(p, 22)
         for j in range(21):
             assert F(a * e, g[j + 1]) == weight_u(p, j)
             assert F(b * e, g[j + 2]) == weight_v(p, j)
+            assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j)
 
     def test_wrong_denominator_raises(self, monkeypatch):
         # drop the one factor G_{K+1} from D_K: the first term of the

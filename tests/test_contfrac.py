@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced.contfrac import below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.decision import critical_rho
 from ced.params import ModelParams, sqrt_enclosure, weight_b
 
 P211 = ModelParams(2, F(1), F(1))
@@ -180,3 +181,86 @@ class TestTailMonotonicity:
         assert not ev.is_pole
         for i in range(m):
             assert ev.partials[i] >= ev.partials[i + 1]
+
+
+def reference_below_witness(p, m):
+    # the Fraction sweep the integer kernel replaced
+    ev = eval_finite([weight_b(p, j) for j in range(m + 1)])
+    if ev.is_pole:
+        return ev.pole_level + 1 if ev.partials[ev.pole_level + 1] > 1 else ev.pole_level
+    return 0 if ev.value > 1 else None
+
+
+def reference_km_good(p, m):
+    b_m = weight_b(p, m)
+    if not b_m < F(1, 4):
+        return False
+    entries = [weight_b(p, j) for j in range(m - 1)]
+    entries.append(weight_b(p, m - 1) * psi_bounds(b_m).upper)
+    return is_good(entries).good
+
+
+def dyadic(bits):
+    return st.integers(1, 1 << (bits + 1)).map(lambda n: F(n, 1 << bits))
+
+
+kernel_ds = st.one_of(st.sampled_from([2, 3, 4, 8, 64]), st.integers(2, 1000))
+kernel_lams = st.fractions(min_value=F(1, 300), max_value=30, max_denominator=300)
+kernel_rhos = st.one_of(
+    dyadic(30),
+    dyadic(60),
+    dyadic(100),
+    st.fractions(min_value=F(1, 1000), max_value=F(1, 4), max_denominator=1000),
+    st.just(F(0)),
+)
+
+
+class TestIntegerKernels:
+    """The continuant kernels against the Fraction sweeps over weight_b."""
+
+    @given(kernel_ds, kernel_lams, kernel_rhos, st.integers(1, 64))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_match_fraction_reference(self, d, lam, rho, m):
+        p = ModelParams(d, lam, rho)
+        assert below_witness(p, m) == reference_below_witness(p, m)
+        assert km_good(p, m) == reference_km_good(p, m)
+
+    @pytest.mark.parametrize(
+        "d,lam", [(2, F(1)), (3, F(5, 2)), (4, F(1, 10)), (8, F(3)), (64, F(1, 191)), (64, F(45, 4))]
+    )
+    def test_match_at_every_depth_near_the_threshold(self, d, lam):
+        # both ends of a 2^-60 bracket sit next to the threshold, where the
+        # kernels need their deepest sweeps and the tails come closest to 1
+        bracket = critical_rho(d, lam, F(1, 1 << 60))
+        for rho in (bracket.lo, bracket.hi, bracket.midpoint):
+            p = ModelParams(d, lam, rho)
+            for m in range(1, 65):
+                assert below_witness(p, m) == reference_below_witness(p, m)
+                assert km_good(p, m) == reference_km_good(p, m)
+
+    def test_exact_tie_b1_is_one(self):
+        # (d, lambda, rho) = (20, 1, 1): b_1 = 20/(4*5) = 1, a pole at level 0
+        p = ModelParams(20, F(1), F(1))
+        assert weight_b(p, 1) == 1
+        assert below_witness(p, 1) == 0 == reference_below_witness(p, 1)
+
+    def test_exact_tie_top_value_is_one(self):
+        # (6, 2, 1): t_1 = b_1 = 2/5 and t_0 = (3/5)/(3/5) = 1, not above 1
+        p = ModelParams(6, F(2), F(1))
+        assert eval_finite([weight_b(p, 0), weight_b(p, 1)]).value == 1
+        assert below_witness(p, 1) is None
+        assert reference_below_witness(p, 1) is None
+
+    def test_exact_tie_in_the_flattened_fraction(self):
+        # (26, 4/5, 3): 1 - 4 b_1 = (2 b_0 - 1)^2, so psi(b_1) is exact and
+        # b_0 psi(b_1) = 1 exactly, which is not good
+        p = ModelParams(26, F(4, 5), F(3))
+        psi = psi_bounds(weight_b(p, 1))
+        assert psi.lower == psi.upper and weight_b(p, 0) * psi.upper == 1
+        assert km_good(p, 1) is reference_km_good(p, 1) is False
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_exact_ties_without_death(self, m):
+        # rho = 0, d = 2, lambda = 1: every b_j = 1/2, so tails hit exactly 1
+        p = ModelParams(2, F(1), F(0))
+        assert below_witness(p, m) == reference_below_witness(p, m)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ced.contfrac
 from ced.contfrac import below_witness, km_good
 from ced.decision import (
     BracketError,
@@ -56,6 +57,17 @@ class TestDecide:
         out = decide(ModelParams(2, F(1), F(1475, 8192)), m_max=2)
         assert out.verdict is Verdict.UNDECIDED
         assert out.m_reached == 2
+
+    def test_sweeps_evaluate_no_fraction_continued_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decision sweep fell back to the Fraction eval_finite")
+
+        monkeypatch.setattr(ced.contfrac, "eval_finite", refuse)
+        # the two ends of the d = 2, lambda = 1 bracket at tol 2^-100, both at m = 32
+        lo = F(122508967356535403325824145659176155565, 1 << 129)
+        hi = F(15313620919566925415728018207434704617, 1 << 126)
+        assert decide(ModelParams(2, F(1), lo)).certificate == KernelBelow(m=32, level=0)
+        assert decide(ModelParams(2, F(1), hi)).certificate == KernelAbove(m=32)
 
     def test_certificates_reverify(self):
         cases = [
