@@ -57,22 +57,44 @@ level i+1 without a pole, and three sign rules follow:
 `below_witness` is the sign scan for K[b_0, ..., b_m] with r = 1 (Y = Z
 = 1); `km_good` is the same sweep for K[b_0, ..., b_{m-1}] closed by
 r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
-i = -1.
+i = -1.  Its precondition b_m < 1/4 reads 4 alpha < G_{m+1} G_{m+2}.
+
+Closing factor.  Y/Z is psi_bounds(b_m).upper, formed from integers.
+Write b_m = P/Q in lowest terms (one gcd of alpha and G_{m+1} G_{m+2}).
+Since gcd(P, Q) = 1, gcd(Q - 4P, Q) = gcd(4P, Q) = gcd(4, Q), so
+1 - 4 b_m = p/q in lowest terms with p = (Q - 4P)/k, q = Q/k, k =
+gcd(4, Q).  `sqrt_enclosure` of p/q at half psi's width w takes
+N = max(1, ceil(2 / (w q))) and s = isqrt(p q N^2), and its lower root
+is s / (N q), exact or not; `psi_bounds` turns that into the upper bound
+2 / (1 + s/(N q)).  So Y = 2 N q and Z = N q + s are that same rational,
+and the kernel's verdict is the one the Fraction path would give.  Y/Z
+is left unreduced: the recurrence is linear in its starting values
+S_{n+1} = Y and S_n = Z G_{n+2}, so every S_i is linear in (Y, Z), and a
+common factor k > 0 of Y and Z multiplies every S_i by k and changes no
+sign.
+
+Kernel context.  The integers above depend on (d, lambda, rho) alone, so
+one `KernelContext` holds alpha, the step bc and a G_i table that grows
+as the depth does.  `decide` builds one and passes it to both kernels at
+every depth of its schedule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
+from ced.params import ModelParams, progression, sqrt_enclosure
 
 #: psi enclosures this tight are far below the margins at which the good
 #: test flips for any m >= 1 seen in practice, and cheap to produce.
 DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
 
-_ZERO = Fraction(0)
+#: The square-root enclosure width that `psi_bounds` asks for at the default width.
+_ROOT_WIDTH = DEFAULT_PSI_WIDTH / 2
+
 _ONE = Fraction(1)
 _QUARTER = Fraction(1, 4)
 
@@ -171,17 +193,46 @@ def psi_bounds(x: Fraction | int, width: Fraction = DEFAULT_PSI_WIDTH) -> PsiBou
     return PsiBound(x, lower, upper)
 
 
-def _continuants(p: ModelParams, n: int, y: int, z: int) -> Iterator[tuple[int, int]]:
-    """(i, S_i) for i = n-1, ..., -1 of K[b_0, ..., b_{n-1}, b_n y/z] (module docstring)."""
-    alpha = p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2
-    g = progression(p, n + 2)
-    s_next, s = y, z * g[n + 2]
-    for i in range(n - 1, -2, -1):
-        s_next, s = s, g[i + 2] * s - alpha * s_next
-        yield i, s
+def _psi_upper(num: int, den: int) -> tuple[int, int]:
+    """(Y, Z), Z > 0, with Y/Z = psi_bounds(num/den).upper as a rational (module docstring)."""
+    k = math.gcd(num, den)
+    x_num, x_den = num // k, den // k
+    k = math.gcd(4, x_den)
+    r_num, r_den = (x_den - 4 * x_num) // k, x_den // k
+    scale = max(1, -(-_ROOT_WIDTH.denominator // (_ROOT_WIDTH.numerator * r_den)))
+    s = math.isqrt(r_num * r_den * scale * scale)
+    return 2 * scale * r_den, scale * r_den + s
 
 
-def below_witness(p: ModelParams, m: int) -> Optional[int]:
+class KernelContext:
+    """alpha, the step bc and the G_i of `params.progression` at one (d, lambda, rho).
+
+    The G_i table grows by one addition per entry when a sweep reaches
+    past it, so a schedule of ever deeper sweeps builds it once.
+    """
+
+    __slots__ = ("alpha", "step", "g")
+
+    def __init__(self, p: ModelParams):
+        self.alpha = p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2
+        self.g = progression(p, 1)
+        self.step = self.g[1] - self.g[0]
+
+    def table(self, n: int) -> list[int]:
+        """G_0, ..., G_n at least."""
+        g, step = self.g, self.step
+        while len(g) <= n:
+            g.append(g[-1] + step)
+        return g
+
+
+def _context(p: ModelParams | KernelContext, m: int) -> KernelContext:
+    if m < 1:
+        raise ValueError("truncation depth m must be >= 1")
+    return p if isinstance(p, KernelContext) else KernelContext(p)
+
+
+def below_witness(p: ModelParams | KernelContext, m: int) -> Optional[int]:
     """Largest i with K[b_i, ..., b_m] > 1 (or infinite), else None.
 
     One bottom-up sweep of continuants settles every tail value at once.
@@ -190,30 +241,42 @@ def below_witness(p: ModelParams, m: int) -> Optional[int]:
     or before d, and the caller treats the boundary case as below
     critical.  So the scan returns i+1 at the first S_i < 0, i at the
     first S_i = 0 with i >= 0, and None when S_{-1} >= 0.
+
+    p may be the KernelContext of the parameters instead, which a caller
+    sweeping several depths builds once and passes to every call.
     """
-    if m < 1:
-        raise ValueError("truncation depth m must be >= 1")
-    for i, s in _continuants(p, m, 1, 1):
-        if s < 0:
-            return i + 1
-        if s == 0 and i >= 0:
-            return i
+    ctx = _context(p, m)
+    g, alpha = ctx.table(m + 2), ctx.alpha
+    s_next, s = 1, g[m + 2]
+    for i in range(m - 1, -2, -1):
+        s_next, s = s, g[i + 2] * s - alpha * s_next
+        if s <= 0:
+            if s < 0:
+                return i + 1
+            if i >= 0:
+                return i
     return None
 
 
-def km_good(p: ModelParams, m: int, psi_width: Fraction = DEFAULT_PSI_WIDTH) -> bool:
+def km_good(p: ModelParams | KernelContext, m: int) -> bool:
     """Goodness of the flattened upper-bound fraction at depth m.
 
     Requires b_m < 1/4 (checked; returns False immediately otherwise).
     The tail is closed off by psi evaluated at b_m, taken at its upper
     bound: goodness is monotone decreasing in every entry, so good with
     the inflated last entry implies good with the true value.  Good
-    exactly when every continuant S_i of the sweep is positive.
+    exactly when every continuant S_i of the sweep is positive.  p may be
+    a KernelContext, as for `below_witness`.
     """
-    if m < 1:
-        raise ValueError("truncation depth m must be >= 1")
-    b_m = weight_b(p, m)
-    if not b_m < _QUARTER:
+    ctx = _context(p, m)
+    g, alpha = ctx.table(m + 2), ctx.alpha
+    den = g[m + 1] * g[m + 2]
+    if not 4 * alpha < den:  # b_m = alpha / den is not below 1/4
         return False
-    tail = psi_bounds(b_m, psi_width).upper
-    return all(s > 0 for _, s in _continuants(p, m - 1, tail.numerator, tail.denominator))
+    y, z = _psi_upper(alpha, den)
+    s_next, s = y, z * g[m + 1]
+    for i in range(m - 2, -2, -1):
+        s_next, s = s, g[i + 2] * s - alpha * s_next
+        if s <= 0:
+            return False
+    return True

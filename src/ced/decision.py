@@ -20,7 +20,8 @@ and bisection callers stop gracefully instead of looping.
 
 Bisection starts from the closed-form growth bounds, snapped outward to a
 dyadic grid so midpoint denominators stay small, and certifies both
-endpoints of the final bracket.
+endpoints of the final bracket, whose certificates are then re-checked on
+Fractions by `verify_certificate`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ced._workers import map_jobs
-from ced.contfrac import below_witness, eval_finite, km_good
+from ced.contfrac import KernelContext, below_witness, eval_finite, is_good, km_good, psi_bounds
 from ced.params import (
     ModelParams,
     WindowPosition,
@@ -51,6 +52,7 @@ DEFAULT_M_MAX = 4096
 _DYADIC_GRID = 1 << 30
 
 _ZERO = Fraction(0)
+_QUARTER = Fraction(1, 4)
 
 
 class Verdict(enum.Enum):
@@ -108,7 +110,7 @@ class OutsideWindowError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """Raised when bisection cannot certify its initial endpoints."""
+    """Raised when bisection cannot certify its initial endpoints or re-check its final ones."""
 
 
 def _m_schedule(m_max: int) -> list[int]:
@@ -143,11 +145,12 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     if p.rho == 0:
         return DecisionOutcome(Verdict.BELOW, ZeroRhoBelow(), 0)
 
+    kernel = KernelContext(p)
     for m in _m_schedule(m_max):
-        witness = below_witness(p, m)
+        witness = below_witness(kernel, m)
         if witness is not None:
             return DecisionOutcome(Verdict.BELOW, KernelBelow(m, witness), m)
-        if km_good(p, m):  # False whenever b_m >= 1/4
+        if km_good(kernel, m):  # False whenever b_m >= 1/4
             return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
     return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
@@ -156,14 +159,16 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     """Independently re-check the certificate attached to an outcome.
 
     Below witnesses are re-evaluated on the tail slice they name; above
-    certificates re-run the b_m < 1/4 check and the good sweep;
-    short-circuit certificates re-derive the window position.  Undecided
-    outcomes carry no certificate and verify vacuously.
+    certificates re-run the b_m < 1/4 check and the good test of the
+    flattened fraction; short-circuit certificates re-derive the window
+    position.  Undecided outcomes carry no certificate and verify
+    vacuously.
 
-    The `KernelBelow` re-check evaluates the slice with the Fraction
-    `eval_finite`, a different algorithm from the integer continuant
-    sweep in `below_witness` that produced the witness.  The `KernelAbove`
-    re-check calls `km_good` itself, so it is not independent.
+    Both kernel re-checks run on Fractions from `weight_b`: `eval_finite`
+    on the witness slice, and `psi_bounds` plus `is_good` on
+    K[b_0, ..., b_{m-2}, b_{m-1} psi(b_m)].  Neither shares code with the
+    integer continuant sweeps of `below_witness` and `km_good` that
+    produced the certificates.
     """
     cert = outcome.certificate
     if outcome.verdict is Verdict.UNDECIDED:
@@ -174,7 +179,12 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
         ev = eval_finite([weight_b(p, j) for j in range(cert.level, cert.m + 1)])
         return ev.is_pole or (ev.value is not None and ev.value > 1)
     if isinstance(cert, KernelAbove):
-        return km_good(p, cert.m)
+        if cert.m < 1:
+            return False
+        b = [weight_b(p, j) for j in range(cert.m + 1)]
+        if not b[-1] < _QUARTER:
+            return False
+        return is_good(b[:-2] + [b[-2] * psi_bounds(b[-1]).upper]).good
     if isinstance(cert, OutsideWindowAbove):
         pos = window_position(p.d, p.lam)
         expected = (
@@ -231,7 +241,11 @@ def critical_rho(
     clamped lower bound rounded down to the dyadic grid (still at or below
     the threshold) and the upper bound's enclosure rounded up (still
     strictly above).  Every midpoint is resolved by `decide`; an Undecided
-    midpoint stops the loop and is flagged on the returned bracket.
+    midpoint stops the loop and is flagged on the returned bracket.  Both
+    endpoint certificates of the result are re-checked by
+    `verify_certificate`, whose Fraction path shares no code with the
+    integer kernels that found them; a failed re-check raises BracketError
+    instead of returning an unproven bracket.
     """
     lam = Fraction(lam)
     tol = Fraction(tol)
@@ -274,6 +288,9 @@ def critical_rho(
         else:
             unresolved = mid
             break
+    for rho, out in ((lo, lo_out), (hi, hi_out)):
+        if not verify_certificate(ModelParams(d, lam, rho), out):
+            raise BracketError(f"the certificate of endpoint {rho} failed its re-check: {out.certificate}")
     return CriticalBracket(lam, lo, hi, lo_out, hi_out, unresolved)
 
 

@@ -160,6 +160,7 @@ def lambda_interval(d: int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> Lambda
     )
 
 
+@functools.lru_cache(maxsize=256)
 def window_position(
     d: int,
     lam: Fraction | int,
@@ -172,7 +173,8 @@ def window_position(
     rational lam separates from both endpoints.  Both endpoints are
     irrational, so for rational lam this terminates; BOUNDARY survives only
     if `max_refinements` rounds still cannot separate, and is reported
-    rather than guessed.
+    rather than guessed.  Cached like `lambda_interval`: a bisection asks
+    at every midpoint about the same (d, lam).
     """
     lam = Fraction(lam)
     if lam <= 0:

@@ -150,6 +150,8 @@ class TestArgumentRanges:
             ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
             # the exact C_k column would run for minutes and the tallies take 1.6 GB
             ("simulate line --lambda 1 --rho 0 --k-max 100000000 --trials 1 --seed 1", "--k-max: must be <= 800"),
+            # one Python iteration per child slot: this ran 17.7 s before the vertex budget
+            ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):
@@ -337,6 +339,10 @@ GOLDEN = [
     ("decide --d 2 --lambda 2 --rho 25/256 --json", 0, "cb5ff8d44b10588ed08fddd892e64afa89114b4c304dcf62b723b4c0c7897cbc"),
     ("decide --d 20 --lambda 1 --rho 1 --json", 0, "facbeea5883178097dcf4c54005da05d7e5d1718ef41bf65e777794cc53c7c8c"),
     ("decide --d 6 --lambda 2 --rho 1 --json", 0, "99dfdea74a28be09ef8b3c6634cb6be0605d0e061200d9dde12f27767c9eb71f"),
+    # Two more m = 64 brackets, near the window edge and at an interior
+    # lambda, recorded before the kernels moved onto one integer context.
+    ("rho-c --d 8 --lambda 1/21 --tol 1/1267650600228229401496703205376 --certs --format json", 0, "4301ccff4cf4581b5f45ef06a21fce5cdea24d171455887522b64d710c6a89e1"),
+    ("rho-c --d 4 --lambda 37/4 --tol 1/1267650600228229401496703205376 --certs --format json", 0, "2e137a26e2e0a0deb04af4927182ad55fa4ea4163b6deea18bb05486018f9561"),
 ]
 
 

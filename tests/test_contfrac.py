@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.contfrac import below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.contfrac import KernelContext, _psi_upper, below_witness, eval_finite, is_good, km_good, psi_bounds
 from ced.decision import critical_rho
-from ced.params import ModelParams, sqrt_enclosure, weight_b
+from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
 
 P211 = ModelParams(2, F(1), F(1))
 
@@ -264,3 +264,33 @@ class TestIntegerKernels:
         # rho = 0, d = 2, lambda = 1: every b_j = 1/2, so tails hit exactly 1
         p = ModelParams(2, F(1), F(0))
         assert below_witness(p, m) == reference_below_witness(p, m)
+
+    @given(kernel_ds, kernel_lams, kernel_rhos, st.integers(1, 64))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_integer_closing_factor_is_psi_bounds_upper(self, d, lam, rho, m):
+        # the precondition 4 alpha < G_{m+1} G_{m+2} is b_m < 1/4, and past it
+        # the unreduced Y/Z is the very rational psi_bounds returns
+        p = ModelParams(d, lam, rho)
+        alpha = KernelContext(p).alpha
+        g = progression(p, m + 2)
+        b_m = weight_b(p, m)
+        assert F(alpha, g[m + 1] * g[m + 2]) == b_m
+        assert (4 * alpha < g[m + 1] * g[m + 2]) == (b_m < F(1, 4))
+        if b_m < F(1, 4):
+            y, z = _psi_upper(alpha, g[m + 1] * g[m + 2])
+            assert z > 0 and F(y, z) == psi_bounds(b_m).upper
+
+    def test_exact_tie_b_m_is_a_quarter(self):
+        # (2, 1, 1/3): b_1 = 18/(8*9) = 1/4 exactly, which fails b_m < 1/4
+        p = ModelParams(2, F(1), F(1, 3))
+        assert weight_b(p, 1) == F(1, 4)
+        assert km_good(p, 1) is reference_km_good(p, 1) is False
+
+    def test_context_grows_its_table_and_matches_fresh_sweeps(self):
+        # one context walked up a schedule gives what fresh contexts give
+        p = ModelParams(3, F(5, 2), F(3, 7))
+        shared = KernelContext(p)
+        for m in (1, 2, 4, 8, 16, 32, 64, 3):
+            assert below_witness(shared, m) == below_witness(p, m)
+            assert km_good(shared, m) == km_good(p, m)
+        assert shared.g == progression(p, 66)

@@ -4,10 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 import ced.contfrac
-from ced.contfrac import below_witness, km_good
+import ced.decision
+import ced.params
+from ced.contfrac import PsiBound, below_witness, km_good
 from ced.decision import (
     BracketError,
     CriticalBracket,
+    DecisionOutcome,
     KernelAbove,
     KernelBelow,
     OutsideWindowAbove,
@@ -60,9 +63,13 @@ class TestDecide:
 
     def test_sweeps_evaluate_no_fraction_continued_fraction(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a decision sweep fell back to the Fraction eval_finite")
+            raise AssertionError("a decision sweep fell back to the Fraction path")
 
-        monkeypatch.setattr(ced.contfrac, "eval_finite", refuse)
+        window_position(2, F(1))  # the window enclosure needs sqrt_enclosure; settle it first
+        for module in (ced.params, ced.contfrac, ced.decision):
+            for name in ("eval_finite", "psi_bounds", "weight_b", "sqrt_enclosure"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         # the two ends of the d = 2, lambda = 1 bracket at tol 2^-100, both at m = 32
         lo = F(122508967356535403325824145659176155565, 1 << 129)
         hi = F(15313620919566925415728018207434704617, 1 << 126)
@@ -79,6 +86,34 @@ class TestDecide:
         for p in cases:
             out = decide(p)
             assert verify_certificate(p, out)
+
+    def test_above_recheck_does_not_call_km_good(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the KernelAbove re-check called the kernel that found it")
+
+        p = ModelParams(2, F(1), F(15313620919566925415728018207434704617, 1 << 126))
+        out = decide(p)
+        assert out.certificate == KernelAbove(m=32)
+        monkeypatch.setattr(ced.contfrac, "km_good", refuse)
+        monkeypatch.setattr(ced.decision, "km_good", refuse)
+        assert verify_certificate(p, out)
+
+    def test_above_certificate_whose_fraction_is_not_good_fails(self):
+        # rho = 1/8 is below rho_c(2, 1) ~ 0.18, yet b_8 = 64/325 < 1/4, so the
+        # re-check gets past the precondition and must reject on goodness
+        p = ModelParams(2, F(1), F(1, 8))
+        assert weight_b(p, 8) < F(1, 4) and not km_good(p, 8)
+        out = DecisionOutcome(Verdict.ABOVE, KernelAbove(m=8), 8)
+        assert not verify_certificate(p, out)
+
+    def test_above_recheck_closes_with_psi_upper_bound(self, monkeypatch):
+        # (500, 1, 20): b_0 = 125/231 and b_1 = 125/651 < 1/4, so K[b_0 psi(b_1)]
+        # is good (about 0.70); widened to [1, 2], only psi's upper end reaches 1
+        p = ModelParams(500, F(1), F(20))
+        out = DecisionOutcome(Verdict.ABOVE, KernelAbove(m=1), 1)
+        assert verify_certificate(p, out)
+        monkeypatch.setattr(ced.decision, "psi_bounds", lambda x: PsiBound(x, F(1), F(2)))
+        assert not verify_certificate(p, out)
 
     def test_tampered_certificate_fails(self):
         p = ModelParams(2, F(1), F(1, 1000))
@@ -154,6 +189,11 @@ class TestCriticalRho:
     def test_pinch_near_upper_window_edge(self):
         b = critical_rho(2, F(291, 50), F(1, 256))
         assert b.hi <= F(1, 10)
+
+    def test_endpoint_certificate_failing_its_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(ced.decision, "verify_certificate", lambda p, out: False)
+        with pytest.raises(BracketError, match="re-check"):
+            critical_rho(2, F(1), TOL10)
 
     def test_outside_window_raises(self):
         with pytest.raises(OutsideWindowError):
