@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 
 
@@ -22,5 +21,7 @@ def map_jobs(fn, jobs: list, threads: int) -> list:
     workers = pool_size(threads, len(jobs))
     if workers == 1:
         return [fn(job) for job in jobs]
+    import concurrent.futures  # about 8 ms of start-up that a serial run never needs
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

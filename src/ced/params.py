@@ -32,6 +32,9 @@ from fractions import Fraction
 #: Default width of directed enclosures for irrational quantities.
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**30)
 
+#: Rounds of `window_position`, each 10^30 times narrower than the last.
+WINDOW_REFINEMENTS = 4
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -59,9 +62,6 @@ class Enclosure:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def __contains__(self, x: object) -> bool:
-        return self.lo <= x <= self.hi  # type: ignore[operator]
 
 
 def sqrt_enclosure(x: Fraction | int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> Enclosure:
@@ -161,26 +161,22 @@ def lambda_interval(d: int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> Lambda
 
 
 @functools.lru_cache(maxsize=256)
-def window_position(
-    d: int,
-    lam: Fraction | int,
-    width: Fraction = DEFAULT_ENCLOSURE_WIDTH,
-    max_refinements: int = 4,
-) -> WindowPosition:
+def window_position(d: int, lam: Fraction | int) -> WindowPosition:
     """Certified trichotomy: is lam inside, outside, or unresolvably near the window?
 
-    Enclosures are refined (width -> width/10^30, repeatedly) until the
-    rational lam separates from both endpoints.  Both endpoints are
-    irrational, so for rational lam this terminates; BOUNDARY survives only
-    if `max_refinements` rounds still cannot separate, and is reported
-    rather than guessed.  Cached like `lambda_interval`: a bisection asks
-    at every midpoint about the same (d, lam).
+    Enclosures start at DEFAULT_ENCLOSURE_WIDTH and are refined (width ->
+    width/10^30, repeatedly) until the rational lam separates from both
+    endpoints.  Both endpoints are irrational, so for rational lam this
+    terminates; BOUNDARY survives only if WINDOW_REFINEMENTS rounds still
+    cannot separate, and is reported rather than guessed.  Cached like
+    `lambda_interval`: a bisection asks at every midpoint about the same
+    (d, lam).
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("spread rate lambda must be positive")
-    w = width
-    for _ in range(max_refinements):
+    w = DEFAULT_ENCLOSURE_WIDTH
+    for _ in range(WINDOW_REFINEMENTS):
         iv = lambda_interval(d, w)
         if lam <= iv.lower.lo:
             return WindowPosition.OUTSIDE_LEFT
@@ -202,11 +198,7 @@ def rho_extinction(d: int, lam: Fraction | int) -> Fraction:
     return lam * (d - 1)
 
 
-def growth_bounds(
-    d: int,
-    lam: Fraction | int,
-    width: Fraction = DEFAULT_ENCLOSURE_WIDTH,
-) -> tuple[Enclosure, Enclosure]:
+def growth_bounds(d: int, lam: Fraction | int) -> tuple[Enclosure, Enclosure]:
     """Enclose the closed-form bounds that bracket the critical death rate.
 
     Both bounds have the shape ( sqrt(c lambda + lambda^2 + 1) - 3 lambda - 3 ) / 4
@@ -215,7 +207,7 @@ def growth_bounds(
     below and strictly above.  The lower bound is clamped at zero (a
     negative bound says nothing for rho >= 0); the upper is left
     unclamped so a certified-negative value signals lam outside the
-    window.
+    window.  Each enclosure is DEFAULT_ENCLOSURE_WIDTH wide at most.
     """
     lam = Fraction(lam)
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
@@ -225,7 +217,7 @@ def growth_bounds(
 
     def radical_bound(coeff: int) -> Enclosure:
         radicand = coeff * lam + lam * lam + 1
-        root = sqrt_enclosure(radicand, 4 * width)
+        root = sqrt_enclosure(radicand, 4 * DEFAULT_ENCLOSURE_WIDTH)
         return Enclosure((root.lo - 3 * lam - 3) / 4, (root.hi - 3 * lam - 3) / 4)
 
     lower = radical_bound(8 * d + 2)

@@ -51,12 +51,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ced.catalan import weighted_catalan_sequence
 from ced.params import ModelParams
+
+# numpy is imported by the functions that compute with it, not by this
+# module: the command line imports this module for every subcommand, and
+# only `simulate` needs numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -129,18 +133,19 @@ class TreeSummary:
 
 
 # Philox4x64-10 over uint64 arrays.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
-_LO32 = np.uint64(0xFFFFFFFF)
 
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products a * m, from 32-bit limbs."""
-    a_lo, a_hi = a & _LO32, a >> 32
-    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
+    import numpy as np
+    lo32 = np.uint64(0xFFFFFFFF)
+    a_lo, a_hi = a & lo32, a >> 32
+    m_lo, m_hi = m & lo32, m >> np.uint64(32)
     lh = a_lo * m_hi
     hl = a_hi * m_lo
-    mid = ((a_lo * m_lo) >> 32) + (lh & _LO32) + (hl & _LO32)
+    mid = ((a_lo * m_lo) >> 32) + (lh & lo32) + (hl & lo32)
     return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
 
 
@@ -152,12 +157,14 @@ def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
     taken mod 2^64.  Block n of np.random.Philox(key=(seed << 64) | t) is
     the counter (n+1, 0, 0, 0).  Returns a (4, len(trials)) array.
     """
+    import numpy as np
+    m0, m1 = (np.uint64(m) for m in _PHILOX_M)
     c0, c1, c2, c3 = (np.broadcast_to(np.asarray(c, np.uint64), trials.shape) for c in counter)
     for r in range(10):
         k0 = trials + np.uint64(r * _PHILOX_W[0] & _MASK64)
         k1 = np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        hi0, lo0 = _mulhilo(c0, m0)
+        hi1, lo1 = _mulhilo(c2, m1)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return np.stack((c0, c1, c2, c3))
 
@@ -169,6 +176,7 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 
 def _gap_tables(lam: float, rho: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The advance and advance-or-retreat probabilities for gaps 0 .. size-1."""
+    import numpy as np
     total = 1.0 + lam + np.arange(size, dtype=np.float64) * rho
     return lam / total, (lam + 1.0) / total
 
@@ -188,6 +196,7 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
     blue positions of the renewals after the start and the number of
     trials per absorption in _ABSORPTIONS order.
     """
+    import numpy as np
     trials = np.arange(start, stop, dtype=np.uint64)
     j = np.ones(trials.size, np.int64)
     b = np.zeros(trials.size, np.int64)
@@ -244,6 +253,7 @@ def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> LineS
 
 def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
     """Exp(rate) delays -log(1 - u) / rate, with the line engine's uniforms u."""
+    import numpy as np
     return -np.log(1.0 - _uniforms(words)) / rate
 
 
@@ -254,6 +264,7 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
     and the histograms of the deepest blue level plus one and of the deepest
     red level, each up to the last level reached.
     """
+    import numpy as np
     n = stop - start
     vertices = np.ones(n, np.int64)
     blue_depth = np.full(n, -1)

@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ced.cli
 from ced.catalan import partial_series
 from ced.cli import main, parse_rational, UsageError
+from ced.decision import BracketError, OutsideWindowError
 from ced.params import ModelParams
+from ced.simulate import ResourceBudgetError
 
 
 def run(capsys, *argv):
@@ -100,6 +106,13 @@ class TestRhoCCommand:
         code, _, err = run(capsys, "rho-c", "--d", "2", "--lambda", "6", "--tol", "1/64")
         assert code == 64
         assert "coexistence window" in err
+
+    def test_window_boundary_lambda_is_error(self, capsys):
+        # within 10^-200 of 3 - 2 sqrt(2): no refinement of the window separates it
+        n = 10**200
+        lam = F(3 * n - math.isqrt(8 * n * n), n)
+        code, out, err = run(capsys, "rho-c", "--d", "2", "--lambda", str(lam), "--tol", "1/64")
+        assert code == 64 and out == "" and "boundary" in err
 
     def test_grid_rows_monotone_and_outside_zero(self, capsys):
         code, out, _ = run(
@@ -350,3 +363,52 @@ GOLDEN = [
 def test_golden_replay(capsys, argv, code, digest):
     got, out, _ = run(capsys, *argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize(
+    "callee,exc,argv",
+    [
+        ("rho_c_curve", BracketError("endpoint failed"), "rho-c --d 2 --lambda 1 --tol 1/64"),
+        ("simulate_line", ResourceBudgetError("too many vertices"), "simulate line --lambda 1 --rho 1 --trials 1 --seed 1"),
+        ("decide", OutsideWindowError("outside"), "decide --d 2 --lambda 1 --rho 1"),
+    ],
+    ids=["BracketError", "ResourceBudgetError", "OutsideWindowError"],
+)
+def test_library_errors_exit_70(capsys, monkeypatch, callee, exc, argv):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ced.cli, callee, raiser)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (70, "") and str(exc) in err
+
+
+#: Runs each argv through `ced.cli.main` in a fresh interpreter, then says
+#: whether numpy got imported.
+_IMPORT_PROBE = """
+import sys
+from ced.cli import main
+for argv in sys.argv[1:]:
+    main(argv.split())
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _numpy_loaded_by(*argvs):
+    src = str(Path(ced.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argvs], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+def test_only_simulate_imports_numpy():
+    exact = _numpy_loaded_by(
+        "decide --d 2 --lambda 1 --rho 1",
+        "phase --d 2 --lambda 1 --rho 1/2",
+        "catalan --lambda 1 --rho 1 --k-max 4",
+        "rho-c --d 2 --lambda 1 --tol 1/16",
+    )
+    assert exact == "numpy loaded: False"
+    assert _numpy_loaded_by("simulate line --lambda 1 --rho 1 --trials 10 --seed 1") == "numpy loaded: True"
