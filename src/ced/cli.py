@@ -120,12 +120,11 @@ class RunManifest:
     subcommand: str
     params: dict  # raw values, written with str()
     seed: Optional[int] = None
-    version: str = ced.__version__
 
     def as_dict(self) -> dict:
         return {
             "tool": "ced",
-            "version": self.version,
+            "version": ced.__version__,
             "subcommand": self.subcommand,
             "params": {k: str(v) for k, v in self.params.items()},
             "seed": self.seed,
@@ -133,7 +132,7 @@ class RunManifest:
 
     def comment_lines(self) -> list[str]:
         pieces = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        lines = [f"# tool=ced version={self.version} subcommand={self.subcommand}"]
+        lines = [f"# tool=ced version={ced.__version__} subcommand={self.subcommand}"]
         lines.append(f"# params {pieces}" if pieces else "# params")
         if self.seed is not None:
             lines.append(f"# seed {self.seed}")
@@ -288,10 +287,10 @@ def _cmd_rho_c(args) -> int:
         params = {"lambda_grid": args.lambda_grid}
         grid = _parse_grid(args.lambda_grid)
     curve = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=args.threads)
-    if args.lam is not None and curve[0].status in ("outside", "boundary"):
+    if args.lam is not None and curve[0].status == "outside":
         raise UsageError(
-            f"--lambda: lambda = {args.lam} is not certified inside the coexistence window "
-            f"for d = {args.d} ({curve[0].status}); the critical death rate is 0 outside it"
+            f"--lambda: lambda = {args.lam} lies outside the coexistence window "
+            f"for d = {args.d}; the critical death rate is 0 there"
         )
     params.update({"d": args.d, "tol": args.tol, "max_m": args.max_m})
     header = ["lambda", "lo", "hi", "status"]
@@ -399,12 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ced", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    pd = sub.add_parser("decide", help="decide rho below/above the critical death rate")
-    pd.add_argument("--d", type=_int_arg(2), required=True)
-    pd.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
-    pd.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pd.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
-    pd.add_argument("--json", action="store_true")
+    # decide and phase take the same parameter triple, depth cap and --json
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--d", type=_int_arg(2), required=True)
+    point.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
+    point.add_argument("--rho", type=_rational_arg("--rho"), required=True)
+    point.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
+    point.add_argument("--json", action="store_true")
+
+    pd = sub.add_parser("decide", parents=[point], help="decide rho below/above the critical death rate")
     pd.set_defaults(func=_cmd_decide)
 
     pr = sub.add_parser("rho-c", help="bracket the critical death rate by bisection")
@@ -446,12 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.set_defaults(func=_cmd_simulate)
 
-    pp = sub.add_parser("phase", help="classify coexistence / escape / extinction")
-    pp.add_argument("--d", type=_int_arg(2), required=True)
-    pp.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
-    pp.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pp.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
-    pp.add_argument("--json", action="store_true")
+    pp = sub.add_parser("phase", parents=[point], help="classify coexistence / escape / extinction")
     pp.set_defaults(func=_cmd_phase)
 
     return parser

@@ -135,8 +135,6 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     anything the kernels cannot separate by depth m_max.
     """
     pos = window_position(p.d, p.lam)
-    if pos is WindowPosition.BOUNDARY:
-        return DecisionOutcome(Verdict.UNDECIDED, None, 0)
     if pos.is_outside:
         if p.rho > 0:
             side = "left" if pos is WindowPosition.OUTSIDE_LEFT else "right"
@@ -251,11 +249,10 @@ def critical_rho(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    pos = window_position(d, lam)
-    if pos is not WindowPosition.INSIDE:
+    if window_position(d, lam).is_outside:
         raise OutsideWindowError(
-            f"lambda = {lam} is not certified inside the coexistence window for d = {d}; "
-            "the critical death rate is 0 outside it"
+            f"lambda = {lam} lies outside the coexistence window for d = {d}; "
+            "the critical death rate is 0 there"
         )
 
     bound_lo, bound_hi = growth_bounds(d, lam)
@@ -301,8 +298,9 @@ def classify_phase(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> Phase:
     With rho = 0 nothing dies, and blue coexists exactly when lambda clears
     the lower window edge (the upper edge only matters for rho > 0, where
     a large gap behind a mortal front kills coexistence).  Otherwise the
-    decision kernel settles which side of the threshold rho is on.
-    Anything unresolved at the stated depth is reported, not guessed.
+    decision kernel settles which side of the threshold rho is on.  The
+    window test is exact, so only rho too close to the threshold for the
+    stated depth comes back BOUNDARY_UNRESOLVED; it is reported, not guessed.
     """
     if p.rho >= rho_extinction(p.d, p.lam):
         return Phase.EXTINCTION
@@ -322,9 +320,8 @@ class CurvePoint:
     """One row of the critical-rate curve: lambda and its certified bracket.
 
     status is "bracket" for a full-width-certified row, "outside" for
-    lambda certified outside the window (threshold exactly 0),
-    "boundary" for lambda unresolvably close to a window endpoint, and
-    "unresolved" when bisection stopped early on an Undecided midpoint.
+    lambda outside the window (threshold exactly 0), and "unresolved"
+    when bisection stopped early on an Undecided midpoint.
     """
 
     lam: Fraction
@@ -336,11 +333,8 @@ class CurvePoint:
 
 def _curve_point(args: tuple[int, Fraction, Fraction, int]) -> CurvePoint:
     d, lam, tol, m_max = args
-    pos = window_position(d, lam)
-    if pos.is_outside:
+    if window_position(d, lam).is_outside:
         return CurvePoint(lam, _ZERO, _ZERO, "outside")
-    if pos is WindowPosition.BOUNDARY:
-        return CurvePoint(lam, _ZERO, _ZERO, "boundary")
     bracket = critical_rho(d, lam, tol, m_max)
     status = "unresolved" if bracket.unresolved_midpoint is not None else "bracket"
     return CurvePoint(lam, bracket.lo, bracket.hi, status, bracket)

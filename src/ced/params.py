@@ -11,29 +11,26 @@ downstream consumes the height-indexed step weights defined here:
 
 All certified computation happens in exact rational arithmetic
 (`fractions.Fraction`: lowest terms, positive denominator, exact ops,
-division by zero raises).  Irrational quantities, such as the endpoints of
-the coexistence window
+division by zero raises).  The endpoints of the coexistence window
 
-    lambda_c^-/+ = 2d - 1 -/+ 2 sqrt(d^2 - d),
+    lambda_c^-/+ = 2d - 1 -/+ 2 sqrt(d^2 - d)
 
-are returned as directed enclosures: intervals with rational endpoints,
-outward rounded, so strict inequality tests against them stay sound
-without symbolic algebra.
+are irrational, yet no rational lambda needs them: one integer sign test
+places it (`window_position`).  Other irrational quantities, such as the
+closed-form growth bounds, are returned as directed enclosures: intervals
+with rational endpoints, outward rounded, so strict inequality tests
+against them stay sound without symbolic algebra.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 #: Default width of directed enclosures for irrational quantities.
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**30)
-
-#: Rounds of `window_position`, each 10^30 times narrower than the last.
-WINDOW_REFINEMENTS = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,6 +89,16 @@ def sqrt_enclosure(x: Fraction | int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH)
     return Enclosure(Fraction(s, scale * q), Fraction(s + 1, scale * q))
 
 
+def _validated(d: int | None, lam: Fraction | int) -> Fraction:
+    """Check d (unless None) and lambda > 0; return lambda as a Fraction."""
+    if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 2):
+        raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"spread rate lambda must be positive, got {lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The triple (d, lambda, rho): branching factor, spread rate, death rate.
@@ -105,97 +112,48 @@ class ModelParams:
     rho: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 2:
-            raise ValueError(f"branching factor d must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", _validated(self.d, self.lam))
         object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.lam <= 0:
-            raise ValueError(f"spread rate lambda must be positive, got {self.lam}")
         if self.rho < 0:
             raise ValueError(f"death rate rho must be nonnegative, got {self.rho}")
 
 
-@dataclass(frozen=True)
-class LambdaInterval:
-    """Enclosures of the coexistence-window endpoints.
-
-    `lower` and `upper` enclose the two roots of x^2 - (4d-2)x + 1 = 0,
-    i.e. 2d - 1 -/+ 2 sqrt(d^2 - d).  Spread rates strictly between the
-    roots admit a positive critical death rate; outside, it is zero.
-    """
-
-    lower: Enclosure
-    upper: Enclosure
-
-
 class WindowPosition(enum.Enum):
-    """Certified location of a rational spread rate relative to the window."""
+    """Exact location of a rational spread rate relative to the open window.
+
+    Both window endpoints are irrational, so no rational lies on one: every
+    lambda is strictly inside or strictly to one side.
+    """
 
     INSIDE = "inside"
     OUTSIDE_LEFT = "outside-left"
     OUTSIDE_RIGHT = "outside-right"
-    BOUNDARY = "boundary"
 
     @property
     def is_outside(self) -> bool:
         return self in (WindowPosition.OUTSIDE_LEFT, WindowPosition.OUTSIDE_RIGHT)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def lambda_interval(d: int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> LambdaInterval:
-    """Enclose both endpoints of the coexistence window for branching factor d.
-
-    Each endpoint enclosure has width <= `width`.  d(d-1) is never a
-    perfect square for d >= 2, so the bounds are strict on both sides.
-    A pure function of (d, width) returning a frozen object, so it is
-    cached: every `decide` of a bisection asks for the same window.
-    """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
-    root = sqrt_enclosure(Fraction(d * d - d), Fraction(width, 4))
-    center = Fraction(2 * d - 1)
-    return LambdaInterval(
-        lower=Enclosure(center - 2 * root.hi, center - 2 * root.lo),
-        upper=Enclosure(center + 2 * root.lo, center + 2 * root.hi),
-    )
-
-
-@functools.lru_cache(maxsize=256)
 def window_position(d: int, lam: Fraction | int) -> WindowPosition:
-    """Certified trichotomy: is lam inside, outside, or unresolvably near the window?
+    """Place lam inside, left of, or right of the coexistence window, exactly.
 
-    Enclosures start at DEFAULT_ENCLOSURE_WIDTH and are refined (width ->
-    width/10^30, repeatedly) until the rational lam separates from both
-    endpoints.  Both endpoints are irrational, so for rational lam this
-    terminates; BOUNDARY survives only if WINDOW_REFINEMENTS rounds still
-    cannot separate, and is reported rather than guessed.  Cached like
-    `lambda_interval`: a bisection asks at every midpoint about the same
-    (d, lam).
+    The window endpoints are the roots 2d - 1 -/+ 2 sqrt(d^2 - d) of
+    x^2 - (4d-2)x + 1.  Since (d-1)^2 < d^2 - d < d^2, they are irrational,
+    so for lam = a/b the integer a^2 - (4d-2)ab + b^2, which is b^2 times
+    the quadratic at lam, is never zero.  Its sign alone decides: negative
+    strictly inside the window, positive outside, where comparing lam with
+    the roots' midpoint 2d - 1 tells left from right.
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("spread rate lambda must be positive")
-    w = DEFAULT_ENCLOSURE_WIDTH
-    for _ in range(WINDOW_REFINEMENTS):
-        iv = lambda_interval(d, w)
-        if lam <= iv.lower.lo:
-            return WindowPosition.OUTSIDE_LEFT
-        if lam >= iv.upper.hi:
-            return WindowPosition.OUTSIDE_RIGHT
-        if lam >= iv.lower.hi and lam <= iv.upper.lo:
-            return WindowPosition.INSIDE
-        w = w * Fraction(1, 10**30)
-    return WindowPosition.BOUNDARY
+    lam = _validated(d, lam)
+    a, b = lam.numerator, lam.denominator
+    if a * a - (4 * d - 2) * a * b + b * b < 0:
+        return WindowPosition.INSIDE
+    return WindowPosition.OUTSIDE_LEFT if a < (2 * d - 1) * b else WindowPosition.OUTSIDE_RIGHT
 
 
 def rho_extinction(d: int, lam: Fraction | int) -> Fraction:
     """Death rate at which red itself dies out: lambda (d - 1), exactly."""
-    lam = Fraction(lam)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
-    if lam <= 0:
-        raise ValueError(f"spread rate lambda must be positive, got {lam}")
-    return lam * (d - 1)
+    return _validated(d, lam) * (d - 1)
 
 
 def growth_bounds(d: int, lam: Fraction | int) -> tuple[Enclosure, Enclosure]:
@@ -209,11 +167,7 @@ def growth_bounds(d: int, lam: Fraction | int) -> tuple[Enclosure, Enclosure]:
     unclamped so a certified-negative value signals lam outside the
     window.  Each enclosure is DEFAULT_ENCLOSURE_WIDTH wide at most.
     """
-    lam = Fraction(lam)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
-    if lam <= 0:
-        raise ValueError(f"spread rate lambda must be positive, got {lam}")
+    lam = _validated(d, lam)
 
     def radical_bound(coeff: int) -> Enclosure:
         radicand = coeff * lam + lam * lam + 1
@@ -231,9 +185,7 @@ def m_at_zero(lam: Fraction | int) -> Fraction:
 
     Exactly (1 + lambda)^2 / (4 lambda); symmetric under lambda <-> 1/lambda.
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError(f"spread rate lambda must be positive, got {lam}")
+    lam = _validated(None, lam)
     return (1 + lam) ** 2 / (4 * lam)
 
 

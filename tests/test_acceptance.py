@@ -21,7 +21,7 @@ from ced.catalan import (
 )
 from ced.contfrac import eval_finite, km_good, psi_bounds
 from ced.decision import KernelAbove, Verdict, critical_rho, decide, rho_c_curve, verify_certificate
-from ced.params import ModelParams, growth_bounds, lambda_interval, weight_b
+from ced.params import ModelParams, growth_bounds, sqrt_enclosure, weight_b
 from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tree
 
 P211 = ModelParams(2, F(1), F(1))
@@ -205,7 +205,7 @@ def test_acceptance_08_tree_level_renewal_means():
 def test_acceptance_09_phase_diagram_curve():
     start = time.monotonic()
     tol = F(1, 64)
-    iv = lambda_interval(2)
+    root2 = sqrt_enclosure(2, F(1, 10**30))  # the window ends are 3 -/+ 2 sqrt2
     inside_lo = F(9, 50)    # just past the lower window edge (~0.1716)
     inside_hi = F(29, 5)    # just short of the upper edge (~5.8284)
     step = (inside_hi - inside_lo) / 30
@@ -226,7 +226,7 @@ def test_acceptance_09_phase_diagram_curve():
     # and is visibly positive in the interior
     assert max(float(r.lo) for r in inner) > 0.1
     # sanity against the jump-chain endpoints: lambdas outside produced zeros only
-    assert iv.lower.hi < inner[0].lam and inner[-1].lam < iv.upper.lo
+    assert 3 - 2 * root2.lo < inner[0].lam and inner[-1].lam < 3 + 2 * root2.lo
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     print(f"ACCEPTANCE 9 33-point threshold curve (0 outside, pinched ends): PASS ({elapsed:.2f}s)")

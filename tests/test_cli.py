@@ -18,6 +18,10 @@ from ced.params import ModelParams
 from ced.simulate import ResourceBudgetError
 
 
+#: Within 10^-200 of the lower window end 3 - 2 sqrt(2) for d = 2, on the inside.
+NEAR_EDGE_LAMBDA = F(3 * 10**200 - math.isqrt(8 * 10**400), 10**200)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -107,12 +111,24 @@ class TestRhoCCommand:
         assert code == 64
         assert "coexistence window" in err
 
-    def test_window_boundary_lambda_is_error(self, capsys):
-        # within 10^-200 of 3 - 2 sqrt(2): no refinement of the window separates it
-        n = 10**200
-        lam = F(3 * n - math.isqrt(8 * n * n), n)
-        code, out, err = run(capsys, "rho-c", "--d", "2", "--lambda", str(lam), "--tol", "1/64")
-        assert code == 64 and out == "" and "boundary" in err
+    def test_window_near_edge_lambda_is_bracketed(self, capsys):
+        # within 10^-200 and 10^-2000 of 3 - 2 sqrt(2), inside: the window test is
+        # exact, and the threshold is below one grid step of the initial bracket
+        for digits in (200, 2000):
+            n = 10**digits
+            lam = F(3 * n - math.isqrt(8 * n * n), n)
+            start = time.monotonic()
+            code, out, _ = run(
+                capsys, "rho-c", "--d", "2", "--lambda", str(lam), "--tol", "1/64",
+                "--certs", "--format", "json",
+            )
+            assert time.monotonic() - start < 5
+            assert code == 0
+            assert json.loads(out)["rows"] == [{
+                "lambda": str(lam), "lo": "0", "hi": "1/1073741824", "status": "bracket",
+                "lo_certificate": {"type": "zero-rho"},
+                "hi_certificate": {"type": "kernel-above", "m": 1},
+            }]
 
     def test_grid_rows_monotone_and_outside_zero(self, capsys):
         code, out, _ = run(
@@ -356,6 +372,9 @@ GOLDEN = [
     # lambda, recorded before the kernels moved onto one integer context.
     ("rho-c --d 8 --lambda 1/21 --tol 1/1267650600228229401496703205376 --certs --format json", 0, "4301ccff4cf4581b5f45ef06a21fce5cdea24d171455887522b64d710c6a89e1"),
     ("rho-c --d 4 --lambda 37/4 --tol 1/1267650600228229401496703205376 --certs --format json", 0, "2e137a26e2e0a0deb04af4927182ad55fa4ea4163b6deea18bb05486018f9561"),
+    # A lambda too close to the window end for the earlier enclosure test,
+    # which refused it; recorded once the window test became exact.
+    (f"rho-c --d 2 --lambda {NEAR_EDGE_LAMBDA} --tol 1/64 --certs", 0, "1a67ca42931b95c78034a4fafcb5bb4572f535388309bdece20948635d58b80b"),
 ]
 
 

@@ -65,7 +65,6 @@ class TestDecide:
         def refuse(*args, **kwargs):
             raise AssertionError("a decision sweep fell back to the Fraction path")
 
-        window_position(2, F(1))  # the window enclosure needs sqrt_enclosure; settle it first
         for module in (ced.params, ced.contfrac, ced.decision):
             for name in ("eval_finite", "psi_bounds", "weight_b", "sqrt_enclosure"):
                 if hasattr(module, name):

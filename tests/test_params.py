@@ -9,7 +9,6 @@ from ced.params import (
     ModelParams,
     WindowPosition,
     growth_bounds,
-    lambda_interval,
     m_at_zero,
     rho_extinction,
     sqrt_enclosure,
@@ -28,6 +27,31 @@ rationals_pos = st.fractions(min_value=F(1, 32), max_value=50, max_denominator=3
 def quadratic(d, x):
     # both window endpoints are roots of x^2 - (4d-2)x + 1
     return x * x - (4 * d - 2) * x + 1
+
+
+def window_ends(d, width=WIDTH):
+    """Enclosures of the window ends 2d - 1 -/+ 2 sqrt(d^2 - d), each at most `width` wide.
+
+    A reference for `window_position` that shares nothing with its sign test.
+    """
+    root = sqrt_enclosure(F(d * d - d), width / 2)
+    center = 2 * d - 1
+    return (
+        Enclosure(center - 2 * root.hi, center - 2 * root.lo),
+        Enclosure(center + 2 * root.lo, center + 2 * root.hi),
+    )
+
+
+def reference_position(d, lam, width):
+    """The window position the enclosures certify, or None where they cannot separate lam."""
+    lower, upper = window_ends(d, width)
+    if lam < lower.lo:
+        return WindowPosition.OUTSIDE_LEFT
+    if lam > upper.hi:
+        return WindowPosition.OUTSIDE_RIGHT
+    if lower.hi < lam < upper.lo:
+        return WindowPosition.INSIDE
+    return None
 
 
 class TestSqrtEnclosure:
@@ -67,33 +91,48 @@ class TestModelParams:
 
 
 class TestLambdaInterval:
+    """The coexistence window as an interval of lambda, checked at its two ends."""
+
     def test_d2_values(self):
-        iv = lambda_interval(2)
+        lower, upper = window_ends(2)
         # 3 - 2 sqrt2 ~ 0.171573, 3 + 2 sqrt2 ~ 5.828427
-        assert abs(float(iv.lower.midpoint) - 0.17157287525381) < 1e-12
-        assert abs(float(iv.upper.midpoint) - 5.82842712474619) < 1e-12
-        assert iv.lower.width <= WIDTH and iv.upper.width <= WIDTH
+        assert abs(float(lower.midpoint) - 0.17157287525381) < 1e-12
+        assert abs(float(upper.midpoint) - 5.82842712474619) < 1e-12
+        assert window_position(2, lower.lo) is WindowPosition.OUTSIDE_LEFT
+        assert window_position(2, lower.hi) is WindowPosition.INSIDE
+        assert window_position(2, upper.lo) is WindowPosition.INSIDE
+        assert window_position(2, upper.hi) is WindowPosition.OUTSIDE_RIGHT
 
     def test_d2_conjugate_product_is_one(self):
-        iv = lambda_interval(2)
-        assert iv.lower.lo * iv.upper.lo <= 1 <= iv.lower.hi * iv.upper.hi
+        lower, upper = window_ends(2)
+        assert lower.lo * upper.lo <= 1 <= lower.hi * upper.hi
+        # so lambda -> 1/lambda maps the window onto itself, swapping the sides
+        mirror = {
+            WindowPosition.INSIDE: WindowPosition.INSIDE,
+            WindowPosition.OUTSIDE_LEFT: WindowPosition.OUTSIDE_RIGHT,
+            WindowPosition.OUTSIDE_RIGHT: WindowPosition.OUTSIDE_LEFT,
+        }
+        for lam in (lower.lo, lower.hi, upper.lo, upper.hi, F(1, 10), F(1), F(7, 3), F(6)):
+            assert window_position(2, 1 / lam) is mirror[window_position(2, lam)]
 
     def test_d5_lower_endpoint(self):
-        # 9 - 2 sqrt20, cross-checked with a finer square-root oracle
-        iv = lambda_interval(5)
+        # 9 - 2 sqrt20, from a finer square-root oracle than window_ends uses
         fine = sqrt_enclosure(F(20), F(1, 10**40))
-        assert iv.lower.lo <= 9 - 2 * fine.midpoint <= iv.lower.hi
+        assert window_position(5, 9 - 2 * fine.hi) is WindowPosition.OUTSIDE_LEFT
+        assert window_position(5, 9 - 2 * fine.lo) is WindowPosition.INSIDE
 
     @pytest.mark.parametrize("d", [2, 3, 5, 17])
     def test_endpoints_satisfy_quadratic(self, d):
-        iv = lambda_interval(d)
-        for enc in (iv.lower, iv.upper):
-            # the quadratic changes sign across the enclosure
+        lower, upper = window_ends(d)
+        for enc in (lower, upper):
+            # the quadratic changes sign across the enclosure, and so does the position
             assert quadratic(d, enc.lo) * quadratic(d, enc.hi) <= 0
+            assert window_position(d, enc.lo) is not window_position(d, enc.hi)
 
     def test_invalid_d(self):
-        with pytest.raises(ValueError):
-            lambda_interval(1)
+        for d in (1, 0, -3, True, "2", 2.0):
+            with pytest.raises(ValueError, match="branching factor d"):
+                window_position(d, F(1))
 
 
 class TestWindowPosition:
@@ -103,11 +142,43 @@ class TestWindowPosition:
         assert window_position(2, F(6)) is WindowPosition.OUTSIDE_RIGHT
 
     def test_very_close_rational_resolves(self):
-        # a rational within 1e-35 of the lower endpoint still separates
-        iv = lambda_interval(2, F(1, 10**40))
-        lam = iv.lower.lo - F(1, 10**35)
-        assert window_position(2, lam) is WindowPosition.OUTSIDE_LEFT
+        # rationals within 1e-35 and 1e-200 of the lower endpoint still separate
+        for k in (35, 200):
+            lower, _ = window_ends(2, F(1, 10 ** (k + 5)))
+            assert window_position(2, lower.lo - F(1, 10**k)) is WindowPosition.OUTSIDE_LEFT
+            assert window_position(2, lower.hi + F(1, 10**k)) is WindowPosition.INSIDE
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 17, 1024])
+    def test_within_ten_to_minus_k_of_both_ends(self, d):
+        # window_ends(d, 10^-k) brackets each end between two rationals at most
+        # 10^-k apart, so each lies within 10^-k of the end, one on either side;
+        # k starts where 10^-k is below the lower end, about 1/(4d), so all are positive
+        for k in [*range(len(str(4 * d)), 131), 200, 500, 1000, 2000]:
+            lower, upper = window_ends(d, F(1, 10**k))
+            assert window_position(d, lower.lo) is WindowPosition.OUTSIDE_LEFT
+            assert window_position(d, lower.hi) is WindowPosition.INSIDE
+            assert window_position(d, upper.lo) is WindowPosition.INSIDE
+            assert window_position(d, upper.hi) is WindowPosition.OUTSIDE_RIGHT
+
+    @given(
+        d=st.sampled_from([2, 3, 4, 5, 8, 17, 64, 1000, 1024]) | st.integers(2, 10**6),
+        lam=rationals_pos | st.fractions(min_value=F(1, 10**9), max_value=10**7, max_denominator=10**12),
+        edge=st.integers(0, 3),
+        k=st.integers(1, 55),
+        offset=st.integers(1, 10**6),
+    )
+    @settings(max_examples=400, derandomize=True)
+    def test_agrees_with_enclosure_and_m_at_zero_references(self, d, lam, edge, k, offset):
+        # one lambda from anywhere, and one moved from an end's enclosure
+        # up to 10^-k toward and past that end
+        lower, upper = window_ends(d, F(1, 10**60))
+        near = (lower.lo, lower.hi, upper.lo, upper.hi)[edge] + (-1) ** edge * F(offset, 10**k * 10**6)
+        for x in (lam, near) if near > 0 else (lam,):
+            pos = window_position(d, x)
+            expected = reference_position(d, x, F(1, 10**60))
+            assert expected is None or pos is expected, (d, x)
+            # m(0) = (1 + lambda)^2 / (4 lambda) exceeds d exactly outside the window
+            assert (m_at_zero(x) > d) == pos.is_outside, (d, x)
 
 class TestRhoExtinction:
     def test_examples(self):
@@ -129,8 +200,8 @@ class TestGrowthBounds:
         assert upper.width <= 4 * WIDTH
 
     def test_pinches_to_zero_at_upper_window_edge(self):
-        iv = lambda_interval(2)
-        _, upper = growth_bounds(2, iv.upper.hi)
+        root = sqrt_enclosure(F(2), WIDTH / 4)
+        _, upper = growth_bounds(2, 3 + 2 * root.hi)  # just past 3 + 2 sqrt2
         assert abs(upper.lo) < F(1, 10**20) and abs(upper.hi) < F(1, 10**20)
 
     def test_negative_beyond_window_signals_outside(self):
