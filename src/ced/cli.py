@@ -345,6 +345,9 @@ def _float(value: Fraction) -> float:
 def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
+    for flag, rate in (("--lambda", lam), ("--rho", rho)):
+        if _float(rate) == math.inf:  # the engines draw their delays in floats
+            raise UsageError(f"{flag}: past the float range")
     p = ModelParams(args.d, lam, rho)
     size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
     manifest = RunManifest(

@@ -73,10 +73,8 @@ S_{n+1} = Y and S_n = Z G_{n+2}, so every S_i is linear in (Y, Z), and a
 common factor k > 0 of Y and Z multiplies every S_i by k and changes no
 sign.
 
-Kernel context.  The integers above depend on (d, lambda, rho) alone, so
-one `KernelContext` holds alpha, the step bc and a G_i table that grows
-as the depth does.  `decide` builds one and passes it to both kernels at
-every depth of its schedule.
+Each sweep reads alpha, the step bc and G_{m+1} from the parameters and
+steps G down the progression, so nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -86,13 +84,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from ced.params import ModelParams, progression, sqrt_enclosure
+from ced.params import ModelParams, _progression_origin, sqrt_enclosure
 
 #: psi enclosures this tight are far below the margins at which the good
 #: test flips for any m >= 1 seen in practice, and cheap to produce.
 DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
 
-#: The square-root enclosure width that `psi_bounds` asks for at the default width.
+#: The square-root enclosure width that `psi_bounds` asks for.
 _ROOT_WIDTH = DEFAULT_PSI_WIDTH / 2
 
 _ONE = Fraction(1)
@@ -171,22 +169,20 @@ def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
     return GoodCheck(True, None)
 
 
-def psi_bounds(x: Fraction | int, width: Fraction = DEFAULT_PSI_WIDTH) -> PsiBound:
+def psi_bounds(x: Fraction | int) -> PsiBound:
     """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
 
     Computed through the cancellation-free form psi(x) = 2 / (1 + sqrt(1 - 4x))
     with a directed square-root enclosure, so lower <= psi(x) <= upper with
-    upper - lower <= width.  psi(0) = 1 and psi(1/4) = 2 exactly; all
-    values lie in [1, 2].
+    upper - lower <= DEFAULT_PSI_WIDTH.  psi(0) = 1 and psi(1/4) = 2 exactly;
+    all values lie in [1, 2].
     """
     x = Fraction(x)
     if x < 0 or x > _QUARTER:
         raise ValueError(f"psi is defined on [0, 1/4], got {x}")
-    if width <= 0:
-        raise ValueError("width must be positive")
     if x == 0:
         return PsiBound(x, _ONE, _ONE)
-    root = sqrt_enclosure(Fraction(x.denominator - 4 * x.numerator, x.denominator), Fraction(width, 2))
+    root = sqrt_enclosure(Fraction(x.denominator - 4 * x.numerator, x.denominator), _ROOT_WIDTH)
     # 2 / (1 + r) = 2 r_den / (r_den + r_num); root.lo >= 0 keeps upper <= 2
     lower = max(_ONE, Fraction(2 * root.hi.denominator, root.hi.denominator + root.hi.numerator))
     upper = Fraction(2 * root.lo.denominator, root.lo.denominator + root.lo.numerator)
@@ -204,35 +200,28 @@ def _psi_upper(num: int, den: int) -> tuple[int, int]:
     return 2 * scale * r_den, scale * r_den + s
 
 
-class KernelContext:
-    """alpha, the step bc and the G_i of `params.progression` at one (d, lambda, rho).
-
-    The G_i table grows by one addition per entry when a sweep reaches
-    past it, so a schedule of ever deeper sweeps builds it once.
-    """
-
-    __slots__ = ("alpha", "step", "g")
-
-    def __init__(self, p: ModelParams):
-        self.alpha = p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2
-        self.g = progression(p, 1)
-        self.step = self.g[1] - self.g[0]
-
-    def table(self, n: int) -> list[int]:
-        """G_0, ..., G_n at least."""
-        g, step = self.g, self.step
-        while len(g) <= n:
-            g.append(g[-1] + step)
-        return g
-
-
-def _context(p: ModelParams | KernelContext, m: int) -> KernelContext:
+def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:
+    """alpha = d a b e^2, the step bc and G_{m+1} of `params.progression`."""
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
-    return p if isinstance(p, KernelContext) else KernelContext(p)
+    g0, step = _progression_origin(p)
+    return p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2, step, g0 + (m + 1) * step
 
 
-def below_witness(p: ModelParams | KernelContext, m: int) -> Optional[int]:
+def _sweep(alpha: int, step: int, g: int, i: int, s_next: int, s: int) -> Optional[tuple[int, int]]:
+    """First (j, S_j) with S_j <= 0 for j = i, i-1, ..., -1, else None.
+
+    Starts from S_{i+2} = s_next, S_{i+1} = s and g = G_{i+2}.
+    """
+    for j in range(i, -2, -1):
+        s_next, s = s, g * s - alpha * s_next
+        if s <= 0:
+            return j, s
+        g -= step
+    return None
+
+
+def below_witness(p: ModelParams, m: int) -> Optional[int]:
     """Largest i with K[b_i, ..., b_m] > 1 (or infinite), else None.
 
     One bottom-up sweep of continuants settles every tail value at once.
@@ -241,42 +230,27 @@ def below_witness(p: ModelParams | KernelContext, m: int) -> Optional[int]:
     or before d, and the caller treats the boundary case as below
     critical.  So the scan returns i+1 at the first S_i < 0, i at the
     first S_i = 0 with i >= 0, and None when S_{-1} >= 0.
-
-    p may be the KernelContext of the parameters instead, which a caller
-    sweeping several depths builds once and passes to every call.
     """
-    ctx = _context(p, m)
-    g, alpha = ctx.table(m + 2), ctx.alpha
-    s_next, s = 1, g[m + 2]
-    for i in range(m - 1, -2, -1):
-        s_next, s = s, g[i + 2] * s - alpha * s_next
-        if s <= 0:
-            if s < 0:
-                return i + 1
-            if i >= 0:
-                return i
-    return None
+    alpha, step, g = _integers(p, m)
+    hit = _sweep(alpha, step, g, m - 1, 1, g + step)
+    if hit is None:
+        return None
+    i, s = hit
+    return i + 1 if s < 0 else (i if i >= 0 else None)
 
 
-def km_good(p: ModelParams | KernelContext, m: int) -> bool:
+def km_good(p: ModelParams, m: int) -> bool:
     """Goodness of the flattened upper-bound fraction at depth m.
 
     Requires b_m < 1/4 (checked; returns False immediately otherwise).
     The tail is closed off by psi evaluated at b_m, taken at its upper
     bound: goodness is monotone decreasing in every entry, so good with
     the inflated last entry implies good with the true value.  Good
-    exactly when every continuant S_i of the sweep is positive.  p may be
-    a KernelContext, as for `below_witness`.
+    exactly when every continuant S_i of the sweep is positive.
     """
-    ctx = _context(p, m)
-    g, alpha = ctx.table(m + 2), ctx.alpha
-    den = g[m + 1] * g[m + 2]
+    alpha, step, g = _integers(p, m)
+    den = g * (g + step)
     if not 4 * alpha < den:  # b_m = alpha / den is not below 1/4
         return False
     y, z = _psi_upper(alpha, den)
-    s_next, s = y, z * g[m + 1]
-    for i in range(m - 2, -2, -1):
-        s_next, s = s, g[i + 2] * s - alpha * s_next
-        if s <= 0:
-            return False
-    return True
+    return _sweep(alpha, step, g - step, m - 2, y, z * g) is None

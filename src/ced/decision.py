@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ced._workers import map_jobs
-from ced.contfrac import KernelContext, below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.contfrac import below_witness, eval_finite, is_good, km_good, psi_bounds
 from ced.params import (
     ModelParams,
     WindowPosition,
@@ -143,12 +143,11 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     if p.rho == 0:
         return DecisionOutcome(Verdict.BELOW, ZeroRhoBelow(), 0)
 
-    kernel = KernelContext(p)
     for m in _m_schedule(m_max):
-        witness = below_witness(kernel, m)
+        witness = below_witness(p, m)
         if witness is not None:
             return DecisionOutcome(Verdict.BELOW, KernelBelow(m, witness), m)
-        if km_good(kernel, m):  # False whenever b_m >= 1/4
+        if km_good(p, m):  # False whenever b_m >= 1/4
             return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
     return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
@@ -160,7 +159,7 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     certificates re-run the b_m < 1/4 check and the good test of the
     flattened fraction; short-circuit certificates re-derive the window
     position.  Undecided outcomes carry no certificate and verify
-    vacuously.
+    vacuously; a certificate of the other side's kind never verifies.
 
     Both kernel re-checks run on Fractions from `weight_b`: `eval_finite`
     on the witness slice, and `psi_bounds` plus `is_good` on
@@ -171,6 +170,8 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     cert = outcome.certificate
     if outcome.verdict is Verdict.UNDECIDED:
         return cert is None
+    if isinstance(cert, (KernelBelow, ZeroRhoBelow)) != (outcome.verdict is Verdict.BELOW):
+        return False
     if isinstance(cert, KernelBelow):
         if not (0 <= cert.level <= cert.m):
             return False

@@ -181,6 +181,9 @@ class TestArgumentRanges:
             ("simulate line --lambda 1 --rho 0 --k-max 100000000 --trials 1 --seed 1", "--k-max: must be <= 800"),
             # one Python iteration per child slot: this ran 17.7 s before the vertex budget
             ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
+            # the engines draw their delays in floats, and these rates lie past the float range
+            (f"simulate line --lambda 1 --rho 1{'0' * 400} --trials 10 --seed 1", "--rho"),
+            (f"simulate tree --lambda 1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.contfrac import KernelContext, _psi_upper, below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.contfrac import _psi_upper, below_witness, eval_finite, is_good, km_good, psi_bounds
 from ced.decision import critical_rho
 from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
 
@@ -97,7 +97,7 @@ class TestPsiBounds:
 
     def test_eighth(self):
         # psi(1/8) = 4 (1 - sqrt(1/2)) ~ 1.171573
-        b = psi_bounds(F(1, 8), F(1, 10**20))
+        b = psi_bounds(F(1, 8))
         fine = 4 * (1 - sqrt_enclosure(F(1, 2), F(1, 10**30)).midpoint)
         assert b.lower <= fine <= b.upper
         assert b.upper - b.lower <= F(1, 10**20)
@@ -117,7 +117,7 @@ class TestPsiBounds:
 
     @pytest.mark.parametrize("x", [F(1, 8), F(1, 5), F(6, 25)])
     def test_own_continued_fraction_converges_into_bounds(self, x):
-        b = psi_bounds(x, F(1, 10**20))
+        b = psi_bounds(x)
         prev = None
         value = None
         for n in (10, 50, 200):
@@ -271,7 +271,7 @@ class TestIntegerKernels:
         # the precondition 4 alpha < G_{m+1} G_{m+2} is b_m < 1/4, and past it
         # the unreduced Y/Z is the very rational psi_bounds returns
         p = ModelParams(d, lam, rho)
-        alpha = KernelContext(p).alpha
+        alpha = p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2  # d a b e^2
         g = progression(p, m + 2)
         b_m = weight_b(p, m)
         assert F(alpha, g[m + 1] * g[m + 2]) == b_m
@@ -286,11 +286,3 @@ class TestIntegerKernels:
         assert weight_b(p, 1) == F(1, 4)
         assert km_good(p, 1) is reference_km_good(p, 1) is False
 
-    def test_context_grows_its_table_and_matches_fresh_sweeps(self):
-        # one context walked up a schedule gives what fresh contexts give
-        p = ModelParams(3, F(5, 2), F(3, 7))
-        shared = KernelContext(p)
-        for m in (1, 2, 4, 8, 16, 32, 64, 3):
-            assert below_witness(shared, m) == below_witness(p, m)
-            assert km_good(shared, m) == km_good(p, m)
-        assert shared.g == progression(p, 66)

@@ -123,6 +123,25 @@ class TestDecide:
         bad = replace(out, certificate=KernelAbove(m=out.certificate.m))
         assert not verify_certificate(p, bad)
 
+    @pytest.mark.parametrize(
+        "lam,rho,kind",
+        [
+            (F(1), F(1, 1000), KernelBelow),
+            (F(1), F(1), KernelAbove),
+            (F(1, 10), F(1, 100), OutsideWindowAbove),
+            (F(1), F(0), ZeroRhoBelow),
+        ],
+        ids=["KernelBelow", "KernelAbove", "OutsideWindowAbove", "ZeroRhoBelow"],
+    )
+    def test_certificate_under_the_other_verdict_fails(self, lam, rho, kind):
+        from dataclasses import replace
+
+        p = ModelParams(2, lam, rho)
+        out = decide(p)
+        assert isinstance(out.certificate, kind) and verify_certificate(p, out)
+        other = Verdict.ABOVE if out.verdict is Verdict.BELOW else Verdict.BELOW
+        assert not verify_certificate(p, replace(out, verdict=other))
+
     def test_kernels_mutually_exclusive_at_certificate_depth(self):
         grid = [
             ModelParams(2, F(1), F(1)),
