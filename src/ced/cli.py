@@ -346,8 +346,11 @@ def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
     for flag, rate in (("--lambda", lam), ("--rho", rho)):
-        if _float(rate) == math.inf:  # the engines draw their delays in floats
+        # the engines draw their delays -log(1 - u) / rate in floats, and -log(1 - u) <= 53 ln 2
+        if _float(rate) == math.inf:
             raise UsageError(f"{flag}: past the float range")
+        if rate and _float(rate) * sys.float_info.max < 53 * math.log(2):
+            raise UsageError(f"{flag}: so close to 0 that a delay would overflow the float range")
     p = ModelParams(args.d, lam, rho)
     size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
     manifest = RunManifest(

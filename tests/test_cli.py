@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -184,6 +185,12 @@ class TestArgumentRanges:
             # the engines draw their delays in floats, and these rates lie past the float range
             (f"simulate line --lambda 1 --rho 1{'0' * 400} --trials 10 --seed 1", "--rho"),
             (f"simulate tree --lambda 1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
+            # ... or so close to 0 that a delay would overflow: 1/10^400 is 0.0 as a float,
+            # and 3/10^308, above the smallest normal float, still overflowed in numpy
+            (f"simulate tree --lambda 1/1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
+            (f"simulate tree --lambda 1 --rho 3/1{'0' * 308} --trials 10 --seed 1", "--rho"),
+            (f"simulate line --lambda 3/1{'0' * 308} --rho 1 --trials 10 --seed 1", "--lambda"),
+            (f"simulate line --lambda 1 --rho 1/1{'0' * 400} --trials 10 --seed 1", "--rho"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):
@@ -264,6 +271,16 @@ class TestSimulateCommand:
             code, out, err = run(capsys, "simulate", "tree", "--lambda", "1", "--rho", "0", "--trials", "1", *wide)
             assert time.monotonic() - start < 10, wide
             assert code == 70 and "vertices" in err and "--depth" in err and out == ""
+
+    def test_smallest_accepted_rates_run_without_warnings(self, capsys):
+        # 2.1e-307 lies just above 53 ln 2 / max float: the largest delay stays finite
+        tiny = f"21/1{'0' * 308}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, rho in ((tiny, "1"), ("1", tiny)):
+                code, out, _ = run(capsys, "simulate", "tree", "--lambda", lam, "--rho", rho,
+                                   "--depth", "2", "--trials", "2000", "--seed", "1")
+                assert code == 0 and out
 
     def test_exact_column_past_float_range_is_inf(self, capsys):
         args = ("simulate", "tree", "--d", "64", "--lambda", "1/4", "--rho", "0", "--depth", "400",

@@ -114,6 +114,32 @@ class TestPhiloxKernel:
             raw = np.random.Philox(key=17 << 64 | int(trials[col]), counter=counter).random_raw(4)
             assert words[:, col].tolist() == raw.tolist()
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+    @pytest.mark.parametrize("position", range(4))
+    def test_array_counter_word_matches_numpy_philox(self, seed, position):
+        rng = np.random.default_rng([seed & (2**64 - 1), position])
+        trials = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
+        counter = [7, 2**64 - 1, 0, 2**63]
+        counter[position] = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
+        words = ced.simulate._philox_block(tuple(counter), trials, seed)
+        for col, t in enumerate(trials.tolist()):
+            value = sum(int(c[col] if isinstance(c, np.ndarray) else c) << 64 * i for i, c in enumerate(counter))
+            key = (seed & (2**64 - 1)) << 64 | t
+            raw = np.random.Philox(key=key, counter=(value - 1) % 2**256).random_raw(4)  # emits counter + 1 first
+            assert words[:, col].tolist() == raw.tolist()
+
+    def test_writes_to_no_argument_and_allows_aliasing(self):
+        # The tree engine passes its index array as a counter word and reuses it for later blocks.
+        trials = np.arange(2**32 - 150, 2**32 + 150, dtype=np.uint64)
+        index = trials[::-1].copy()
+        kept = trials.copy(), index.copy()
+        for position in range(4):
+            counter = [3, index, 1, 0]
+            counter[position] = trials
+            expected = ced.simulate._philox_block(tuple(counter), trials.copy(), 5)
+            assert np.array_equal(ced.simulate._philox_block(tuple(counter), trials, 5), expected)
+            assert np.array_equal(trials, kept[0]) and np.array_equal(index, kept[1])
+
 
 class TestSimulateLine:
     @pytest.mark.parametrize(
@@ -121,12 +147,14 @@ class TestSimulateLine:
         [
             (F(1), F(0), 6, 600, 4),              # no deaths: only caught or truncated
             (F(1), F(10), 4, 600, 4),             # deaths dominate
-            (F(1), F(1), 1, 4096 + 37, 1),        # k_max = 1; a slab and a remainder
+            (F(1), F(1), 1, 64 * 64 + 37, 1),     # k_max = 1; at _SLAB = 64, 64 slabs and a remainder
             (F(3, 2), F(1, 10), 8, 1000, 2**63 + 5),
             (F(3), F(0), 20, 300, -1),            # drifts to truncation
         ],
     )
-    def test_equals_scalar_reference(self, lam, rho, k_max, n_trials, seed):
+    def test_equals_scalar_reference(self, monkeypatch, lam, rho, k_max, n_trials, seed):
+        if n_trials == 64 * 64 + 37:
+            monkeypatch.setattr(ced.simulate, "_SLAB", 64)
         p = ModelParams(2, lam, rho)
         assert simulate_line(p, n_trials, k_max, seed) == scalar_line_summary(p, n_trials, k_max, seed)
 
@@ -210,10 +238,12 @@ class TestSimulateTree:
             (ModelParams(2, F(1), F(0)), 5, 200, 5),      # no deaths
             (ModelParams(2, F(2), F(1, 2)), 5, 100, -1),  # supercritical: red survives to the cap
             (P211, 1, 500, 2**63 + 5),                    # cap 1
-            (P211, 2, 4096 + 37, 11),                     # a slab and a remainder
+            (P211, 2, 64 * 64 + 37, 11),                  # at _SLAB = 64, 64 slabs and a remainder
         ],
     )
-    def test_equals_scalar_reference(self, p, depth_cap, n_trials, seed):
+    def test_equals_scalar_reference(self, monkeypatch, p, depth_cap, n_trials, seed):
+        if n_trials == 64 * 64 + 37:
+            monkeypatch.setattr(ced.simulate, "_SLAB", 64)
         assert simulate_tree(p, depth_cap, n_trials, seed) == scalar_tree_summary(p, depth_cap, n_trials, seed)
 
     def test_split_and_continue_changes_nothing(self, monkeypatch):
@@ -270,6 +300,15 @@ class TestSimulateTree:
             simulate_tree(P211, 0, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_tree(P211, 3, 0, seed=1)
+
+
+@pytest.mark.parametrize("engine", ["line", "tree"])
+def test_slab_size_changes_nothing(monkeypatch, engine):
+    n = ced.simulate._SLAB + 37  # a full slab and a remainder
+    run = {"line": lambda: simulate_line(P211, n, 6, seed=3), "tree": lambda: simulate_tree(P211, 4, n, seed=3)}[engine]
+    whole = run()
+    monkeypatch.setattr(ced.simulate, "_SLAB", 64)
+    assert run() == whole
 
 
 @pytest.mark.parametrize("d,cap,n_trials", [(2, 10, 3_000), (3, 6, 2_000)])
