@@ -1,5 +1,5 @@
 """Weighted Catalan numbers: an integer recurrence for the exact weights,
-a height-indexed dynamic program for the modified ones.
+an integer height DP over matched step pairs for the modified ones.
 
 A Dyck path of half-length k earns weight u(j) per rise from height j and
 v(j) per fall ending at height j; C_k sums these products over all
@@ -7,15 +7,15 @@ C(2k,k)/(k+1) paths.  Besides the exact weights, two modified tables
 sandwich C_k: zeroing weights above a cutoff height m gives a lower bound,
 freezing them at their height-m values gives an upper bound.
 
-Which mode takes which path:
+Which mode takes which path (each returns `_ExactTerms`):
 
 * exact, rho = 0: the closed form C_k = Cat_k (ab)^k / (a+b)^(2k) with
   lambda = a/b and Cat_k the plain Catalan number.
 * exact, rho > 0: the integer recurrence below.
-* capped and flattened: the height DP over a `WeightTable`, O(k_max^2)
-  Fraction operations.  These weights are not in arithmetic progression,
-  so the recurrence does not apply.  The DP is also the tests' oracle for
-  the recurrence.
+* capped(m) and flattened(m) with m >= K - 1: the exact path, since no
+  path of half-length k <= m + 1 has a step pair above height m.
+* capped and flattened otherwise, whose weights are not in arithmetic
+  progression: the integer pair-weight DP of the last paragraph.
 
 The exact weights give a ratio of two 0F1 series.  Write lambda = a/b and
 rho = c/e in lowest terms and G_i = be + ae + i bc.  Then u(j) = ae/G_{j+1}
@@ -57,8 +57,16 @@ since the recurrence is linear.
 Nothing is reduced to lowest terms until the end: the sequence divides W_k
 by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once,
 `weighted_catalan` reduces its one C_k, and `partial_series` folds z into
-one integer Horner sum and reduces that once.  The height DP instead
-reduces about K^2 sums of numbers tens of thousands of bits long.
+one integer Horner sum and reduces that once.
+
+A path's weight depends only on its matched pairs (Flajolet, 1980): the
+rise from height j and the fall back to j weigh u(j) v(j) = alpha / beta_j
+with alpha = ab e^2 and beta_j = G_{j+1} G_{j+2}.  So the modified modes
+run a height DP where a rise weighs 1 and a fall to height j 1/beta_j: 0
+above m when capped, 1/beta_m above m when flattened.  The cells share one
+integer denominator, and a step multiplies it only by the lcm of the parts
+of the beta_j that the new numerators do not cancel.  So each product has a
+small factor, and D_k stays near the size of C_k = alpha^k S_{2k}[0] / D_k.
 """
 
 from __future__ import annotations
@@ -81,7 +89,6 @@ _MODES = (MODE_EXACT, MODE_CAPPED, MODE_FLATTENED)
 BRUTE_FORCE_MAX_K = 12
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CatalanValue(NamedTuple):
@@ -104,11 +111,11 @@ class WeightTable:
     """Step weights u(0..height), v(0..height) under one of three modes.
 
     exact:         u(j), v(j) as defined by the model parameters.
-    capped(m):     weights vanish for j > m (lower bound on every C_k,
-                   with equality for k <= m since those paths never
-                   climb past their half-length).
+    capped(m):     weights vanish for j > m (lower bound on every C_k).
     flattened(m):  weights freeze at u(m), v(m) for j >= m (upper bound;
                    u, v are nonincreasing in j).
+
+    Both modified modes equal exact for k <= m + 1.  Only the brute-force oracle uses it.
     """
 
     u: tuple[Fraction, ...]
@@ -128,8 +135,7 @@ class WeightTable:
         if height < 0:
             raise ValueError("height must be nonnegative")
 
-        u = []
-        v = []
+        u, v = [], []
         for j in range(height + 1):
             if mode == MODE_CAPPED and j > m:
                 u.append(_ZERO)
@@ -141,32 +147,6 @@ class WeightTable:
                 u.append(weight_u(p, j))
                 v.append(weight_v(p, j))
         return cls(u=tuple(u), v=tuple(v), mode=mode, m=m)
-
-
-def _height_dp(table: WeightTable, k_max: int) -> list[Fraction]:
-    """C_0, ..., C_{k_max} over `table`'s weights in one sweep over (step, height).
-
-    A path of half-length k never exceeds height k, so a table of height
-    k_max covers everything and no truncation error exists.
-    """
-    u, v = table.u, table.v
-    state = [_ONE]  # state[h] = total weight of length-t prefixes ending at height h
-    out = [_ONE]
-    for t in range(1, 2 * k_max + 1):
-        cap = min(t, 2 * k_max - t)  # higher prefixes cannot return to zero in time
-        new = [_ZERO] * min(len(state) + 1, cap + 1)
-        top = len(new)
-        for h, w in enumerate(state):
-            if not w:
-                continue
-            if h + 1 < top:
-                new[h + 1] += w * u[h]
-            if 0 <= h - 1 < top:
-                new[h - 1] += w * v[h - 1]
-        state = new
-        if t % 2 == 0:
-            out.append(state[0])
-    return out
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -189,7 +169,7 @@ def _denominator_steps(g: list[int], k_max: int) -> list[int]:
 class _ExactTerms(NamedTuple):
     """C_k = w[k] r_num^k / (D_K r_den^k) for k <= K, where D_k = steps[0] ... steps[k].
 
-    w[0] = gamma_0 D_K = D_K.
+    w[0] = gamma_0 D_K = D_K.  The pair-weight DP has r_den = 1.
     """
 
     w: list[int]
@@ -219,6 +199,40 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
     return _ExactTerms(w, steps, -a * e * e, c)
 
 
+def _pair_step(up: list[int], down: list[int], beta: list[int]) -> tuple[list[int], int]:
+    """Cells up[h] + down[h] / beta[h] over the old denominator times the returned factor."""
+    x = [c * u + d for u, d, c in zip(up, down, beta)]
+    cancel = [math.gcd(c, v) for v, c in zip(x, beta)]
+    grow = math.lcm(*(c // g for c, g in zip(beta, cancel)))
+    return [v // g * (grow * g // c) for v, g, c in zip(x, cancel, beta)], grow
+
+
+def _pair_terms(p: ModelParams, k_max: int, capped: bool, m: int) -> _ExactTerms:
+    """W_0, ..., W_{k_max} of the pair-weight DP (module docstring), capped or flattened at m."""
+    g = progression(p, m + 2)
+    beta = [g[j + 1] * g[j + 2] for j in range(m + 1)]
+    beta += [1] if capped else [beta[m]] * (k_max - m)  # top: m + 1 (nothing falls to it) or K
+    w, steps, even = [1], [1], [1]  # even[i] / D_k: length-2k prefixes ending at height 2i
+    for k in range(1, k_max + 1):
+        cut = beta[: 2 * (k_max - k) + 2]  # the heights at step 2k - 1 that return to 0 by step 2K
+        odd, grow = _pair_step(even, even[1:] + [0], cut[1::2])
+        even, grow_even = _pair_step([0] + odd, odd + [0], cut[::2])
+        steps.append(grow * grow_even)
+        w.append(even[0])
+    d_top = 1  # D_K / D_k, then D_K
+    for k in range(k_max, -1, -1):
+        w[k], d_top = w[k] * d_top, d_top * steps[k]
+    return _ExactTerms(w, steps, p.lam.numerator * p.lam.denominator * p.rho.denominator**2, 1)
+
+
+def _terms(p: ModelParams, k_max: int, mode: str, m: int | None) -> _ExactTerms:
+    """The integers behind C_0, ..., C_{k_max} under `mode`."""
+    _check_mode(mode, m)
+    if mode == MODE_EXACT or m >= k_max - 1:
+        return _exact_terms(p, k_max)
+    return _pair_terms(p, k_max, mode == MODE_CAPPED, m)
+
+
 def weighted_catalan_sequence(
     p: ModelParams,
     k_max: int,
@@ -228,10 +242,7 @@ def weighted_catalan_sequence(
     """Exact values C_0, ..., C_{k_max} under the requested weight mode."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    _check_mode(mode, m)
-    if mode != MODE_EXACT:
-        return _height_dp(WeightTable.build(p, k_max, mode, m), k_max)
-    t = _exact_terms(p, k_max)
+    t = _terms(p, k_max, mode, m)
     scale = [1] * (k_max + 1)  # scale[k] = D_K / D_k
     for k in range(k_max, 0, -1):
         scale[k - 1] = scale[k] * t.steps[k]
@@ -254,10 +265,7 @@ def weighted_catalan(
     """Exact weighted Catalan number C_k under the requested weight mode."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_mode(mode, m)
-    if mode != MODE_EXACT:
-        return CatalanValue(k, weighted_catalan_sequence(p, k, mode, m)[k])
-    t = _exact_terms(p, k)
+    t = _terms(p, k, mode, m)
     return CatalanValue(k, Fraction(t.w[k] * t.r_num**k, t.w[0] * t.r_den**k))
 
 
@@ -357,15 +365,7 @@ def partial_series(
         raise ValueError("z must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    _check_mode(mode, m)
-    if mode != MODE_EXACT:
-        total = _ZERO
-        power = _ONE
-        for c in weighted_catalan_sequence(p, K, mode, m):
-            total += c * power
-            power *= z
-        return total
-    t = _exact_terms(p, K)
+    t = _terms(p, K, mode, m)
     # C_k z^k = w[k] n^k / (D_K q^k); Horner from the top gives sum_k w[k] n^k q^(K-k)
     n, q = t.r_num * z.numerator, t.r_den * z.denominator
     acc, q_pow = t.w[K], 1

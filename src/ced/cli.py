@@ -309,6 +309,12 @@ def _cmd_catalan(args) -> int:
     mode = args.mode
     if mode != MODE_EXACT and args.m is None:
         raise UsageError(f"--mode {mode} needs --m")
+    if mode == MODE_EXACT and args.m is not None:
+        raise UsageError("--m: exact mode takes no cutoff height")
+    if args.z is not None and args.z < 0:
+        raise UsageError(f"--z: must be nonnegative, got {args.z}")
+    if args.k is not None and args.k_max is not None:
+        raise UsageError("catalan: give --k or --k-max, not both")
     params = {**_model_params(p), "mode": mode}
     if args.m is not None:
         params["m"] = args.m

@@ -12,13 +12,15 @@ from ced.catalan import (
     MODE_EXACT,
     MODE_FLATTENED,
     WeightTable,
-    _height_dp,
+    _pair_terms,
     partial_series,
     weighted_catalan,
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
 from ced.params import ModelParams, progression, sqrt_enclosure, weight_a, weight_b, weight_u, weight_v
+
+from catalan_reference import height_dp
 
 P211 = ModelParams(2, F(1), F(1))
 
@@ -207,7 +209,7 @@ class TestExactRecurrence:
     def test_equals_height_dp(self, lam, rho, K, k, z):
         p = ModelParams(2, lam, rho)
         seq = weighted_catalan_sequence(p, K)
-        assert seq == _height_dp(WeightTable.build(p, K), K)
+        assert seq == height_dp(WeightTable.build(p, K), K)
         assert partial_series(p, z, K) == sum(c * z**i for i, c in enumerate(seq))
         k = min(k, K)
         assert weighted_catalan(p, k).value == seq[k]
@@ -242,3 +244,52 @@ class TestExactRecurrence:
         for call in (weighted_catalan_sequence, weighted_catalan, lambda p, K: partial_series(p, 2, K)):
             with pytest.raises(ArithmeticError, match="remainder"):
                 call(p, 10)
+
+
+class TestModifiedModes:
+    # m >= K - 1 takes the exact recurrence, smaller m the pair-weight DP
+    @given(
+        lam=st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64),
+        rho=recurrence_rhos,
+        K=st.integers(0, 40),
+        mode=st.sampled_from([MODE_CAPPED, MODE_FLATTENED]),
+        z=st.fractions(min_value=0, max_value=16, max_denominator=1000),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_height_dp(self, lam, rho, K, mode, z, data):
+        m = data.draw(st.integers(1, K + 3))
+        p = ModelParams(2, lam, rho)
+        ref = height_dp(WeightTable.build(p, K, mode, m), K)
+        assert weighted_catalan_sequence(p, K, mode, m) == ref
+        assert partial_series(p, z, K, mode, m) == sum(c * z**i for i, c in enumerate(ref))
+        k = data.draw(st.integers(0, K))
+        assert weighted_catalan(p, k, mode, m).value == ref[k]
+
+    @pytest.mark.parametrize("mode", [MODE_CAPPED, MODE_FLATTENED])
+    def test_either_side_of_the_exact_identity(self, mode):
+        # m = K - 1 is the least cutoff equal to exact up to K; at m = K - 2 C_K differs
+        p = ModelParams(2, F(3, 2), F(2, 3))
+        for K in range(3, 12):
+            exact = weighted_catalan_sequence(p, K)
+            for m in (K - 2, K - 1):
+                seq = weighted_catalan_sequence(p, K, mode, m)
+                assert seq == height_dp(WeightTable.build(p, K, mode, m), K)
+                assert (seq == exact) == (m == K - 1)
+
+    @pytest.mark.parametrize("rho", [F(7, 5), F(12360736211, 2**36)])
+    @pytest.mark.parametrize("m", [8, 45])
+    def test_common_denominator_stays_near_the_reduced_size(self, rho, m):
+        # growing D by lcm(beta_0..beta_m) each step would give 4 to 18 times the reduced size here
+        p = ModelParams(2, F(1), rho)
+        for capped, mode in ((True, MODE_CAPPED), (False, MODE_FLATTENED)):
+            d_top = _pair_terms(p, 60, capped, m).w[0]
+            reduced = max(c.denominator.bit_length() for c in weighted_catalan_sequence(p, 60, mode, m))
+            assert d_top.bit_length() < 1.25 * reduced
+
+    def test_huge_cutoff_is_the_exact_path(self):
+        # capped(m) = flattened(m) = exact for k <= m + 1, and nothing is built per height
+        p = ModelParams(2, F(1), F(1, 3))
+        exact = weighted_catalan_sequence(p, 30)
+        for mode in (MODE_CAPPED, MODE_FLATTENED):
+            assert weighted_catalan_sequence(p, 30, mode, 10**18) == exact
