@@ -67,13 +67,17 @@ above m when capped, 1/beta_m above m when flattened.  The cells share one
 integer denominator, and a step multiplies it only by the lcm of the parts
 of the beta_j that the new numerators do not cancel.  So each product has a
 small factor, and D_k stays near the size of C_k = alpha^k S_{2k}[0] / D_k.
+
+`weighted_catalan_bruteforce` checks both engines against the definition:
+for k <= 12 it walks every Dyck path once, groups the paths by their
+multiset of steps, and multiplies the `step_weights` u(j) and v(j) of each
+group.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -106,8 +110,12 @@ def _check_mode(mode: str, m: int | None) -> None:
         raise ValueError(f"{mode} mode needs a cutoff height m >= 1")
 
 
-@dataclass(frozen=True)
-class WeightTable:
+def step_weights(
+    p: ModelParams,
+    height: int,
+    mode: str = MODE_EXACT,
+    m: int | None = None,
+) -> tuple[list[Fraction], list[Fraction]]:
     """Step weights u(0..height), v(0..height) under one of three modes.
 
     exact:         u(j), v(j) as defined by the model parameters.
@@ -115,38 +123,19 @@ class WeightTable:
     flattened(m):  weights freeze at u(m), v(m) for j >= m (upper bound;
                    u, v are nonincreasing in j).
 
-    Both modified modes equal exact for k <= m + 1.  Only the brute-force oracle uses it.
+    Both modified modes equal exact for k <= m + 1.  In this package only the
+    brute-force oracle uses it.
     """
-
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
-    mode: str
-    m: int | None
-
-    @classmethod
-    def build(
-        cls,
-        p: ModelParams,
-        height: int,
-        mode: str = MODE_EXACT,
-        m: int | None = None,
-    ) -> "WeightTable":
-        _check_mode(mode, m)
-        if height < 0:
-            raise ValueError("height must be nonnegative")
-
-        u, v = [], []
-        for j in range(height + 1):
-            if mode == MODE_CAPPED and j > m:
-                u.append(_ZERO)
-                v.append(_ZERO)
-            elif mode == MODE_FLATTENED and j >= m:
-                u.append(weight_u(p, m))
-                v.append(weight_v(p, m))
-            else:
-                u.append(weight_u(p, j))
-                v.append(weight_v(p, j))
-        return cls(u=tuple(u), v=tuple(v), mode=mode, m=m)
+    _check_mode(mode, m)
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    kept = height if mode == MODE_EXACT else min(height, m)
+    u = [weight_u(p, j) for j in range(kept + 1)]
+    v = [weight_v(p, j) for j in range(kept + 1)]
+    tail = height - kept
+    if mode == MODE_CAPPED:
+        return u + [_ZERO] * tail, v + [_ZERO] * tail
+    return u + u[-1:] * tail, v + v[-1:] * tail
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -270,47 +259,33 @@ def weighted_catalan(
 
 
 @lru_cache(maxsize=None)
-def _dyck_step_indices(k: int) -> tuple[tuple[int, ...], ...]:
-    """Every Dyck path of half-length k, encoded as step-weight indices.
-
-    Index 2j   = rise from height j    -> weight u(j)
-    Index 2j+1 = fall ending at height j -> weight v(j)
-    """
-    paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def rec(h: int, rises: int, falls: int) -> None:
-        if rises == k and falls == k:
-            paths.append(tuple(path))
-            return
-        if rises < k:
-            path.append(2 * h)
-            rec(h + 1, rises + 1, falls)
-            path.pop()
-        if h > 0:
-            path.append(2 * (h - 1) + 1)
-            rec(h - 1, rises, falls + 1)
-            path.pop()
-
-    rec(0, 0, 0)
-    return tuple(paths)
-
-
-@lru_cache(maxsize=None)
 def _dyck_step_profiles(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every Dyck path of half-length k, grouped by its multiset of steps.
 
-    Each entry is (e, n): n paths use step-weight index i exactly e[i]
-    times.  A path's weight product depends only on that multiset, so the
-    oracle needs one product per group instead of one per path (2^(k-1)
-    groups against C(2k,k)/(k+1) paths).
+    Step index 2j is a rise from height j (weight u(j)), 2j+1 a fall
+    ending at height j (weight v(j)).  Each entry is (e, n): n paths use
+    step i exactly e[i] times.  A path's weight product depends only on
+    that multiset, so the oracle needs one product per group instead of
+    one per path (2^(k-1) groups against C(2k,k)/(k+1) paths).  The walk
+    keeps one exponent list and counts it at each leaf; no path is stored.
     """
     groups: Counter[tuple[int, ...]] = Counter()
-    for path in _dyck_step_indices(k):
-        e = [0] * (2 * k)
-        for i in path:
-            e[i] += 1
-        groups[tuple(e)] += 1
+    e = [0] * (2 * k)
+
+    def walk(h: int, rises: int, falls: int) -> None:
+        if falls == k:
+            groups[tuple(e)] += 1
+            return
+        if rises < k:
+            e[2 * h] += 1
+            walk(h + 1, rises + 1, falls)
+            e[2 * h] -= 1
+        if h:
+            e[2 * h - 1] += 1
+            walk(h - 1, rises, falls + 1)
+            e[2 * h - 1] -= 1
+
+    walk(0, 0, 0)
     return tuple(groups.items())
 
 
@@ -320,9 +295,11 @@ def weighted_catalan_bruteforce(
     mode: str = MODE_EXACT,
     m: int | None = None,
 ) -> CatalanValue:
-    """Oracle: enumerate every Dyck path explicitly and sum step-weight products.
+    """Oracle: walk every Dyck path and sum its products of u(j) and v(j).
 
-    Independent of the DP; used to cross-check it.  Paths with the same
+    Independent of the integer engines; used to cross-check them.  It
+    multiplies rise and fall weights separately, so it does not rest on
+    the matched-pair weights of the pair DP either.  Paths with the same
     multiset of steps share one product (see `_dyck_step_profiles`).
     Refuses k > 12 (208012 paths) to prevent accidental exponential blowups.
     """
@@ -332,11 +309,8 @@ def weighted_catalan_bruteforce(
         raise ValueError(
             f"brute force is capped at k <= {BRUTE_FORCE_MAX_K}; use weighted_catalan"
         )
-    table = WeightTable.build(p, max(k - 1, 0), mode, m)
-    weights: list[Fraction] = []
-    for j in range(k):
-        weights.append(table.u[j])
-        weights.append(table.v[j])
+    u, v = step_weights(p, max(k - 1, 0), mode, m)
+    weights = [w for j in range(k) for w in (u[j], v[j])]
 
     total = _ZERO
     for exponents, count in _dyck_step_profiles(k):

@@ -242,9 +242,11 @@ def _cmd_decide(args) -> int:
 #: Largest N accepted by --lambda-grid; each point is a full bisection.
 MAX_GRID_POINTS = 10_000
 
-#: Largest `simulate line --k-max`.  Every run prints the exact C_k for
-#: k <= k_max, whose cost grows about as k_max^3: at lambda = 1, rho = 1/3
-#: the whole command takes about 3 s at 800 and 7 s at 1000.
+#: Largest K of any exact C_k table: `simulate line --k-max` and `catalan
+#: --k`/`--k-max`.  The cost grows about as K^3: at lambda = 1, rho = 1/3,
+#: K = 800 takes 2.5 s exact (7 s at K = 1000), 0.3 s capped and 1.3 s
+#: flattened at m = 8, 3.7 s flattened at m = 400.  Long rho denominators
+#: cost more: 93 s exact at rho = 12360736211/2^36.
 MAX_LINE_K = 800
 
 #: Largest `simulate --d`.  The tree engine spends one Python iteration per
@@ -436,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--d", type=_int_arg(2), default=2)
     pc.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     pc.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pc.add_argument("--k", type=_int_arg(0))
-    pc.add_argument("--k-max", dest="k_max", type=_int_arg(0))
+    pc.add_argument("--k", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
+    pc.add_argument("--k-max", dest="k_max", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
     pc.add_argument("--z", type=_rational_arg("--z"), help="evaluate the partial series at z")
     pc.add_argument("--mode", choices=(MODE_EXACT, MODE_CAPPED, MODE_FLATTENED), default=MODE_EXACT)
     pc.add_argument("--m", type=_int_arg(1), help="cutoff height for capped/flattened modes")

@@ -89,9 +89,9 @@ def sqrt_enclosure(x: Fraction | int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH)
     return Enclosure(Fraction(s, scale * q), Fraction(s + 1, scale * q))
 
 
-def _validated(d: int | None, lam: Fraction | int) -> Fraction:
-    """Check d (unless None) and lambda > 0; return lambda as a Fraction."""
-    if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 2):
+def _validated(d: int, lam: Fraction | int) -> Fraction:
+    """Check d and lambda > 0; return lambda as a Fraction."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError(f"branching factor d must be an integer >= 2, got {d!r}")
     lam = Fraction(lam)
     if lam <= 0:
@@ -178,15 +178,6 @@ def growth_bounds(d: int, lam: Fraction | int) -> tuple[Enclosure, Enclosure]:
     upper = radical_bound(32 * d + 2)
     clamped = Enclosure(max(_ZERO, lower.lo), max(_ZERO, lower.hi))
     return clamped, upper
-
-
-def m_at_zero(lam: Fraction | int) -> Fraction:
-    """Radius of convergence of the weighted Catalan series at rho = 0.
-
-    Exactly (1 + lambda)^2 / (4 lambda); symmetric under lambda <-> 1/lambda.
-    """
-    lam = _validated(None, lam)
-    return (1 + lam) ** 2 / (4 * lam)
 
 
 def _progression_origin(p: ModelParams) -> tuple[int, int]:

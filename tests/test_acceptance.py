@@ -14,8 +14,8 @@ from ced.catalan import (
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
-    WeightTable,
     partial_series,
+    step_weights,
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
@@ -51,10 +51,10 @@ def series_lower_bound(p, z, K, m):
     the returned Fraction is <= the exact partial sum.
     """
     bits = 128
-    table = WeightTable.build(p, m, MODE_CAPPED, m)
+    u, v = step_weights(p, m, MODE_CAPPED, m)
     one = 1 << bits
-    u = [math.floor(z * w * one) for w in table.u]
-    v = [math.floor(w * one) for w in table.v]
+    u = [math.floor(z * w * one) for w in u]
+    v = [math.floor(w * one) for w in v]
     state = [one]  # state[h] = floored scaled weight of prefixes ending at height h
     acc = one
     for t in range(1, 2 * K + 1):

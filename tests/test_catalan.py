@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,10 @@ from ced.catalan import (
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
-    WeightTable,
+    _dyck_step_profiles,
     _pair_terms,
     partial_series,
+    step_weights,
     weighted_catalan,
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
@@ -33,30 +35,30 @@ def plain_catalan(k):
 
 class TestWeightTable:
     def test_exact_uv_product(self):
-        t = WeightTable.build(P211, 5)
+        u, v = step_weights(P211, 5)
         for j in range(6):
-            assert t.u[j] * t.v[j] == weight_a(P211, j)
+            assert u[j] * v[j] == weight_a(P211, j)
 
     def test_capped_zeroes_above_m(self):
-        t = WeightTable.build(P211, 6, MODE_CAPPED, m=2)
-        assert t.u[2] == weight_u(P211, 2) and t.v[2] == weight_v(P211, 2)
-        assert t.u[3] == 0 and t.v[3] == 0 and t.u[6] == 0
+        u, v = step_weights(P211, 6, MODE_CAPPED, m=2)
+        assert u[2] == weight_u(P211, 2) and v[2] == weight_v(P211, 2)
+        assert u[3] == 0 and v[3] == 0 and u[6] == 0
 
     def test_flattened_freezes_at_m(self):
-        t = WeightTable.build(P211, 6, MODE_FLATTENED, m=2)
-        assert t.u[1] == weight_u(P211, 1)
-        assert t.u[2] == t.u[5] == weight_u(P211, 2)
-        assert t.v[3] == weight_v(P211, 2)
+        u, v = step_weights(P211, 6, MODE_FLATTENED, m=2)
+        assert u[1] == weight_u(P211, 1)
+        assert u[2] == u[5] == weight_u(P211, 2)
+        assert v[3] == weight_v(P211, 2)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            WeightTable.build(P211, 4, "nope")
+            step_weights(P211, 4, "nope")
         with pytest.raises(ValueError):
-            WeightTable.build(P211, 4, MODE_CAPPED)  # missing m
+            step_weights(P211, 4, MODE_CAPPED)  # missing m
         with pytest.raises(ValueError):
-            WeightTable.build(P211, 4, MODE_CAPPED, m=0)
+            step_weights(P211, 4, MODE_CAPPED, m=0)
         with pytest.raises(ValueError):
-            WeightTable.build(P211, 4, MODE_EXACT, m=3)
+            step_weights(P211, 4, MODE_EXACT, m=3)
 
 
 class TestWeightedCatalan:
@@ -152,6 +154,28 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             weighted_catalan_bruteforce(P211, 13)
 
+    def test_step_profiles_group_every_path(self):
+        # matched rise/fall pairs make e[2j] = e[2j+1], so a group is a
+        # composition of k: 2^(k-1) of them
+        for k in range(13):
+            groups = _dyck_step_profiles(k)
+            assert len(groups) == (2 ** (k - 1) if k else 1)
+            assert sum(n for _, n in groups) == plain_catalan(k)
+            for e, _ in groups:
+                assert len(e) == 2 * k and e[::2] == e[1::2]
+
+    def test_oracle_keeps_no_path_list(self):
+        # a cached tuple of all 208012 paths at k = 12 peaked at 50 MiB;
+        # the walk keeps only the 2048 groups
+        _dyck_step_profiles.cache_clear()
+        tracemalloc.start()
+        try:
+            weighted_catalan_bruteforce(ModelParams(2, 1, 1), 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestPartialSeries:
     def test_k0(self):
@@ -209,7 +233,7 @@ class TestExactRecurrence:
     def test_equals_height_dp(self, lam, rho, K, k, z):
         p = ModelParams(2, lam, rho)
         seq = weighted_catalan_sequence(p, K)
-        assert seq == height_dp(WeightTable.build(p, K), K)
+        assert seq == height_dp(p, K)
         assert partial_series(p, z, K) == sum(c * z**i for i, c in enumerate(seq))
         k = min(k, K)
         assert weighted_catalan(p, k).value == seq[k]
@@ -260,7 +284,7 @@ class TestModifiedModes:
     def test_equals_height_dp(self, lam, rho, K, mode, z, data):
         m = data.draw(st.integers(1, K + 3))
         p = ModelParams(2, lam, rho)
-        ref = height_dp(WeightTable.build(p, K, mode, m), K)
+        ref = height_dp(p, K, mode, m)
         assert weighted_catalan_sequence(p, K, mode, m) == ref
         assert partial_series(p, z, K, mode, m) == sum(c * z**i for i, c in enumerate(ref))
         k = data.draw(st.integers(0, K))
@@ -274,7 +298,7 @@ class TestModifiedModes:
             exact = weighted_catalan_sequence(p, K)
             for m in (K - 2, K - 1):
                 seq = weighted_catalan_sequence(p, K, mode, m)
-                assert seq == height_dp(WeightTable.build(p, K, mode, m), K)
+                assert seq == height_dp(p, K, mode, m)
                 assert (seq == exact) == (m == K - 1)
 
     @pytest.mark.parametrize("rho", [F(7, 5), F(12360736211, 2**36)])

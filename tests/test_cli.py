@@ -173,6 +173,9 @@ class TestArgumentRanges:
         [
             ("rho-c --d 2 --lambda 1 --tol 0", "--tol"),
             ("catalan --lambda 1 --rho 1 --k-max -1", "--k-max"),
+            # every exact table shares simulate line's K bound: K = 800 takes about 3 s
+            ("catalan --lambda 1 --rho 1/3 --k-max 801", "--k-max: must be <= 800"),
+            ("catalan --lambda 1 --rho 1/3 --k 801", "--k: must be <= 800"),
             ("catalan --lambda 1 --rho 1 --k 2 --m 3", "--m:"),
             ("catalan --lambda 1 --rho 1 --k 2 --z -1", "--z"),
             ("decide --d 2 --lambda 1 --rho 1 --max-m -1", "--max-m"),

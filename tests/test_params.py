@@ -9,7 +9,6 @@ from ced.params import (
     ModelParams,
     WindowPosition,
     growth_bounds,
-    m_at_zero,
     rho_extinction,
     sqrt_enclosure,
     weight_a,
@@ -22,6 +21,14 @@ from ced.params import (
 WIDTH = F(1, 10**30)
 
 rationals_pos = st.fractions(min_value=F(1, 32), max_value=50, max_denominator=32)
+
+
+def m_at_zero(lam):
+    """Radius of convergence of the weighted Catalan series at rho = 0.
+
+    Exactly (1 + lambda)^2 / (4 lambda); symmetric under lambda <-> 1/lambda.
+    """
+    return (1 + lam) ** 2 / (4 * lam)
 
 
 def quadratic(d, x):
