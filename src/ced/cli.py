@@ -86,11 +86,13 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
     raise UsageError(f"{flag}: expected an exact rational like 3/7, got {text!r}{hint}")
 
 
-def _rational_arg(flag: str, positive: bool = False):
+def _rational_arg(flag: str, min_bits: int | None = None):
+    """A rational flag; with min_bits, values below 2^-min_bits are usage errors."""
+
     def convert(text: str) -> Fraction:
         value = parse_rational(text, flag)  # its UsageError names the flag and reaches main as is
-        if positive and value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        if min_bits is not None and value < Fraction(1, 1 << min_bits):
+            raise argparse.ArgumentTypeError(f"must be >= 2^-{min_bits}, got {value}")
         return value
 
     return convert
@@ -248,6 +250,13 @@ MAX_GRID_POINTS = 10_000
 #: flattened at m = 8, 3.7 s flattened at m = 400.  Long rho denominators
 #: cost more: 93 s exact at rho = 12360736211/2^36.
 MAX_LINE_K = 800
+
+#: `rho-c --tol` must be at least 2^-MIN_TOL_BITS.  When the estimate misses
+#: its cell, bisection decides every midpoint, and its cost grows steeply with
+#: the bits of tol: 0.04 / 0.27 / 0.61 / 1.97 s at 2^-100 / -200 / -300 / -400
+#: for d = 2, lambda = 1, and 0.97 / 15 / 64 / 152 s at d = 3 near the window
+#: edge (lambda = 197/20, depth m = 1024).
+MIN_TOL_BITS = 200
 
 #: Largest `simulate --d`.  The tree engine spends one Python iteration per
 #: child slot: at rho = 0, depth 2 and one trial, d = 1024 takes 1.1 s and
@@ -417,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--d", type=_int_arg(2), required=True)
     point.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     point.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    point.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
+    point.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
     point.add_argument("--json", action="store_true")
 
     pd = sub.add_parser("decide", parents=[point], help="decide rho below/above the critical death rate")
@@ -427,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--d", type=_int_arg(2), required=True)
     pr.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"))
     pr.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:N evenly spaced")
-    pr.add_argument("--tol", type=_rational_arg("--tol", positive=True), required=True)
-    pr.add_argument("--max-m", dest="max_m", type=_int_arg(1), default=DEFAULT_M_MAX)
+    pr.add_argument("--tol", type=_rational_arg("--tol", MIN_TOL_BITS), required=True,
+                    help=f"at least 2^-{MIN_TOL_BITS}")
+    pr.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
     pr.add_argument("--certs", action="store_true", help="embed endpoint certificates")
     pr.add_argument("--format", choices=("csv", "json"), default="csv")
     pr.add_argument("--threads", type=_int_arg(1), default=1)

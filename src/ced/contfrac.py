@@ -60,18 +60,21 @@ r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
 i = -1.  Its precondition b_m < 1/4 reads 4 alpha < G_{m+1} G_{m+2}.
 
 Closing factor.  Y/Z is psi_bounds(b_m).upper, formed from integers.
-Write b_m = P/Q in lowest terms (one gcd of alpha and G_{m+1} G_{m+2}).
-Since gcd(P, Q) = 1, gcd(Q - 4P, Q) = gcd(4P, Q) = gcd(4, Q), so
-1 - 4 b_m = p/q in lowest terms with p = (Q - 4P)/k, q = Q/k, k =
-gcd(4, Q).  `sqrt_enclosure` of p/q at half psi's width w takes
-N = max(1, ceil(2 / (w q))) and s = isqrt(p q N^2), and its lower root
-is s / (N q), exact or not; `psi_bounds` turns that into the upper bound
-2 / (1 + s/(N q)).  So Y = 2 N q and Z = N q + s are that same rational,
-and the kernel's verdict is the one the Fraction path would give.  Y/Z
-is left unreduced: the recurrence is linear in its starting values
-S_{n+1} = Y and S_n = Z G_{n+2}, so every S_i is linear in (Y, Z), and a
-common factor k > 0 of Y and Z multiplies every S_i by k and changes no
-sign.
+Take b_m = P/Q as given (P = alpha, Q = G_{m+1} G_{m+2}, unreduced), so
+1 - 4 b_m = (Q - 4P)/Q.  If v = (Q - 4P) Q is a perfect square, the root
+is isqrt(v)/Q exactly and Y = 2Q, Z = Q + isqrt(v).  Otherwise the root's
+lower end goes on the fixed grid 2^-k, k = 70: since floor(sqrt(y)) =
+isqrt(floor(y)) for y >= 0, it is s / 2^k with s = isqrt(floor((Q - 4P)
+2^(2k) / Q)), and Y = 2^(k+1), Z = 2^k + s.  The grid does not depend on
+b_m's denominator, so the bound is monotone: for x' < x with 1 - 4x not
+a rational square, Y/Z at x' is at most the grid bound at x', which is at
+most the grid bound at x, which is Y/Z at x.  A good sweep then stays
+good as rho rises, which `decision` relies on.  No bound that is exact at
+every rational square (a dense set) can be monotone short of psi itself,
+hence the exception.  Y/Z is left unreduced: the recurrence is linear in
+its starting values S_{n+1} = Y and S_n = Z G_{n+2}, so every S_i is
+linear in (Y, Z), and a common factor of Y and Z multiplies every S_i by
+it and changes no sign.
 
 Each sweep reads alpha, the step bc and G_{m+1} from the parameters and
 steps G down the progression, so nothing is kept between calls.
@@ -84,14 +87,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from ced.params import ModelParams, _progression_origin, sqrt_enclosure
+from ced.params import ModelParams, _progression_origin
 
 #: psi enclosures this tight are far below the margins at which the good
 #: test flips for any m >= 1 seen in practice, and cheap to produce.
 DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
 
-#: The square-root enclosure width that `psi_bounds` asks for.
-_ROOT_WIDTH = DEFAULT_PSI_WIDTH / 2
+#: Off the rational squares, psi's upper bound takes the lower end of
+#: sqrt(1 - 4x) on the grid 2^-_ROOT_BITS, the same for every x (module
+#: docstring); psi's slope in the root is at most 2, so the width is at most
+#: 2^(1 - _ROOT_BITS) <= DEFAULT_PSI_WIDTH.
+_ROOT_BITS = 70
 
 _ONE = Fraction(1)
 _QUARTER = Fraction(1, 4)
@@ -172,32 +178,29 @@ def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
 def psi_bounds(x: Fraction | int) -> PsiBound:
     """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
 
-    Computed through the cancellation-free form psi(x) = 2 / (1 + sqrt(1 - 4x))
-    with a directed square-root enclosure, so lower <= psi(x) <= upper with
-    upper - lower <= DEFAULT_PSI_WIDTH.  psi(0) = 1 and psi(1/4) = 2 exactly;
-    all values lie in [1, 2].
+    Computed through the cancellation-free form psi(x) = 2 / (1 + sqrt(1 - 4x)),
+    with upper = `_psi_upper`'s Y/Z.  When 1 - 4x is the square of a
+    rational, psi(x) is exact, so psi(0) = 1 and psi(1/4) = 2; otherwise the
+    root lies between neighbours of the grid 2^-70 and lower <= psi(x) <=
+    upper with upper - lower <= DEFAULT_PSI_WIDTH.  All values lie in [1, 2].
     """
     x = Fraction(x)
     if x < 0 or x > _QUARTER:
         raise ValueError(f"psi is defined on [0, 1/4], got {x}")
-    if x == 0:
-        return PsiBound(x, _ONE, _ONE)
-    root = sqrt_enclosure(Fraction(x.denominator - 4 * x.numerator, x.denominator), _ROOT_WIDTH)
-    # 2 / (1 + r) = 2 r_den / (r_den + r_num); root.lo >= 0 keeps upper <= 2
-    lower = max(_ONE, Fraction(2 * root.hi.denominator, root.hi.denominator + root.hi.numerator))
-    upper = Fraction(2 * root.lo.denominator, root.lo.denominator + root.lo.numerator)
-    return PsiBound(x, lower, upper)
+    y, z = _psi_upper(x.numerator, x.denominator)
+    r = 1 - 4 * x
+    if (2 * z - y) ** 2 * r.denominator == y * y * r.numerator:  # the root 2z/y - 1 is exact
+        return PsiBound(x, Fraction(y, z), Fraction(y, z))
+    return PsiBound(x, max(_ONE, Fraction(y, z + 1)), Fraction(y, z))
 
 
 def _psi_upper(num: int, den: int) -> tuple[int, int]:
     """(Y, Z), Z > 0, with Y/Z = psi_bounds(num/den).upper as a rational (module docstring)."""
-    k = math.gcd(num, den)
-    x_num, x_den = num // k, den // k
-    k = math.gcd(4, x_den)
-    r_num, r_den = (x_den - 4 * x_num) // k, x_den // k
-    scale = max(1, -(-_ROOT_WIDTH.denominator // (_ROOT_WIDTH.numerator * r_den)))
-    s = math.isqrt(r_num * r_den * scale * scale)
-    return 2 * scale * r_den, scale * r_den + s
+    v = (den - 4 * num) * den
+    root = math.isqrt(v)
+    if root * root == v:  # 1 - 4x is the square of root/den
+        return 2 * den, den + root
+    return 2 << _ROOT_BITS, (1 << _ROOT_BITS) + math.isqrt(((den - 4 * num) << 2 * _ROOT_BITS) // den)
 
 
 def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:

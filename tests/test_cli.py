@@ -179,6 +179,12 @@ class TestArgumentRanges:
             ("catalan --lambda 1 --rho 1 --k 2 --m 3", "--m:"),
             ("catalan --lambda 1 --rho 1 --k 2 --z -1", "--z"),
             ("decide --d 2 --lambda 1 --rho 1 --max-m -1", "--max-m"),
+            # the exact sweeps are quadratic in m: near the threshold m = 4096 takes about 100 s
+            ("decide --d 2 --lambda 1 --rho 1 --max-m 4097", "--max-m: must be <= 4096"),
+            ("phase --d 2 --lambda 1 --rho 1 --max-m 4097", "--max-m: must be <= 4096"),
+            ("rho-c --d 2 --lambda 1 --tol 1/64 --max-m 4097", "--max-m: must be <= 4096"),
+            # bisection's cost grows about 4x per 100 bits of tol, and more near the edges
+            (f"rho-c --d 2 --lambda 1 --tol 1/{2**201}", "--tol: must be >= 2^-200"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads -5", "--threads"),
             ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
@@ -203,6 +209,10 @@ class TestArgumentRanges:
         code, out, err = run(capsys, *argv.split())
         assert time.monotonic() - start < 1
         assert code == 64 and flag in err and out == ""
+
+    def test_largest_accepted_values_run(self, capsys):
+        code, out, _ = run(capsys, *f"rho-c --d 2 --lambda 1 --tol 1/{2**200} --max-m 4096".split())
+        assert code == 0 and out.splitlines()[-1].endswith(",bracket")
 
 
 class TestCatalanCommand:
@@ -414,6 +424,9 @@ GOLDEN = [
     # A lambda too close to the window end for the earlier enclosure test,
     # which refused it; recorded once the window test became exact.
     (f"rho-c --d 2 --lambda {NEAR_EDGE_LAMBDA} --tol 1/64 --certs", 0, "1a67ca42931b95c78034a4fafcb5bb4572f535388309bdece20948635d58b80b"),
+    # A midpoint comes back Undecided at --max-m 8, so the bracket stops short
+    # of the tolerance; recorded with plain bisection before the estimate.
+    ("rho-c --d 2 --lambda 1 --tol 1/1099511627776 --max-m 8 --certs --format json", 0, "6bca5b9344ac962e7202289fdd44e126879f789289b39159f31fa873e6d4d321"),
 ]
 
 

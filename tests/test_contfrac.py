@@ -109,6 +109,28 @@ class TestPsiBounds:
         assert 1 <= b.lower <= b.upper <= 2
         assert b.upper - b.lower <= F(1, 10**20)
 
+    @given(
+        st.fractions(min_value=0, max_value=F(1, 4), max_denominator=10**40),
+        st.integers(1, 10**6),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_upper_is_monotone_off_rational_squares(self, x, k, e):
+        # pairs from far apart down to 10^-60 apart, both sides of 10^-20
+        gap = F(k, 10**e)
+        for lo, hi in ((x - gap, x), (x, x + gap)):
+            if 0 <= lo and hi <= F(1, 4):
+                top = psi_bounds(hi)
+                if top.lower < top.upper:  # 1 - 4 hi is not the square of a rational
+                    assert psi_bounds(lo).upper <= top.upper
+
+    def test_exact_rational_square_is_the_one_exception(self):
+        # 1 - 4x = (1/9)^2: psi(x) = 9/5 exactly, and just below x the grid
+        # bound lies above it; `decision._exact_closing` guards this case
+        x = F(20, 81)
+        assert psi_bounds(x).upper == psi_bounds(x).lower == F(9, 5)
+        assert psi_bounds(x - F(1, 10**25)).upper > F(9, 5)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             psi_bounds(F(3, 10))

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ced.contfrac
 import ced.decision
@@ -24,7 +27,7 @@ from ced.decision import (
     rho_c_curve,
     verify_certificate,
 )
-from ced.params import ModelParams, growth_bounds, weight_b, window_position
+from ced.params import ModelParams, WindowPosition, growth_bounds, weight_b, window_position
 
 TOL10 = F(1, 2**10)
 
@@ -220,6 +223,100 @@ class TestCriticalRho:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             critical_rho(2, F(1), F(0))
+
+
+def _counting_decide(monkeypatch) -> list:
+    """Route critical_rho's decides through a wrapper; returns the list of their rhos."""
+    calls = []
+
+    def counting(p, m_max=ced.decision.DEFAULT_M_MAX):
+        calls.append(p.rho)
+        return decide(p, m_max)
+
+    monkeypatch.setattr(ced.decision, "decide", counting)
+    return calls
+
+
+@st.composite
+def bracket_cases(draw):
+    """(d, lambda, tol): lambda inside the window, interior or near either edge."""
+    d = draw(st.sampled_from([2, 3, 4, 8, 64]))
+    root = math.sqrt(d * d - d)
+    lower, upper = 2 * d - 1 - 2 * root, 2 * d - 1 + 2 * root
+    eps = draw(st.floats(0.03, 0.5))
+    where = draw(st.sampled_from(["lower", "interior", "upper"]))
+    x = {"lower": lower * (1 + eps), "interior": lower + (upper - lower) * eps, "upper": upper * (1 - eps)}[where]
+    lam = F(x).limit_denominator(1000)
+    return d, lam, F(1, 2 ** draw(st.integers(8, 100)))
+
+
+class TestCellPath:
+    """The estimated cell must give the very bracket that plain bisection gives."""
+
+    def test_cell_bracket_equals_bisection(self):
+        estimate = ced.decision._estimate_rho_c
+        fired = []
+
+        def shifted(by):
+            def guess(d, lam, lo, hi, tol, m_max):
+                est = estimate(d, lam, lo, hi, tol, m_max)
+                n = (math.ceil((hi - lo) / tol) - 1).bit_length()
+                return None if est is None else est + by * (hi - lo) / 2**n
+
+            return guess
+
+        @given(bracket_cases())
+        @example((3, F(197, 20), F(1, 2**40)))  # next to the window edge: depth 256
+        @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+        def check(case):
+            assert window_position(case[0], case[1]) is WindowPosition.INSIDE
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _counting_decide(mp)
+                bracket = critical_rho(*case)
+            fired.append(len(calls) <= 5)
+            for guess in (lambda *args: None, shifted(3), shifted(-3)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ced.decision, "_estimate_rho_c", guess)
+                    assert critical_rho(*case) == bracket
+
+        check()
+        assert sum(fired) >= 0.8 * len(fired), fired
+
+    @pytest.mark.parametrize("d,lam", [(2, F(1)), (8, F(1, 21))])
+    def test_at_most_five_decides_per_bracket(self, monkeypatch, d, lam):
+        # lo, the optional lo = 0, hi and the two ends of the cell; bisection
+        # makes about 100 at this tolerance
+        calls = _counting_decide(monkeypatch)
+        bracket = critical_rho(d, lam, F(1, 2**100))
+        assert len(calls) <= 5 and bracket.unresolved_midpoint is None
+        assert calls[-2:] == [bracket.lo, bracket.hi]
+
+    def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
+        # psi's upper bound is monotone only off the rational squares
+        expected = critical_rho(2, F(1), F(1, 2**40))
+        monkeypatch.setattr(ced.decision, "_exact_closing", lambda p, outcome: True)
+        calls = _counting_decide(monkeypatch)
+        assert critical_rho(2, F(1), F(1, 2**40)) == expected and len(calls) > 40
+
+    # Recorded with plain bisection before the estimate: a midpoint comes back
+    # Undecided at these depth caps, and the bracket stops there.
+    @pytest.mark.parametrize(
+        "d,lam,m_max,lo,hi,lo_cert,hi_cert,unresolved",
+        [
+            (2, F(1), 8, F(12360736211, 68719476736), F(198073260747, 1099511627776),
+             KernelBelow(m=8, level=0), KernelAbove(m=8), F(395845040123, 2199023255552)),
+            (8, F(1, 21), 16, F(16306662135911, 562949953421312), F(32613459136823, 1125899906842624),
+             KernelBelow(m=16, level=0), KernelAbove(m=16), F(65226783408645, 2251799813685248)),
+        ],
+    )
+    def test_undecided_midpoint_pinned(self, d, lam, m_max, lo, hi, lo_cert, hi_cert, unresolved):
+        bracket = critical_rho(d, lam, F(1, 2**40), m_max=m_max)
+        assert bracket == CriticalBracket(
+            lam, lo, hi,
+            DecisionOutcome(Verdict.BELOW, lo_cert, m_max),
+            DecisionOutcome(Verdict.ABOVE, hi_cert, m_max),
+            unresolved,
+        )
 
 
 class TestClassifyPhase:
