@@ -251,11 +251,9 @@ MAX_GRID_POINTS = 10_000
 #: cost more: 93 s exact at rho = 12360736211/2^36.
 MAX_LINE_K = 800
 
-#: `rho-c --tol` must be at least 2^-MIN_TOL_BITS.  When the estimate misses
-#: its cell, bisection decides every midpoint, and its cost grows steeply with
-#: the bits of tol: 0.04 / 0.27 / 0.61 / 1.97 s at 2^-100 / -200 / -300 / -400
-#: for d = 2, lambda = 1, and 0.97 / 15 / 64 / 152 s at d = 3 near the window
-#: edge (lambda = 197/20, depth m = 1024).
+#: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
+#: the estimate misses, took 0.97 / 15 / 64 / 152 s at 2^-100 / -200 / -300 /
+#: -400 next to the window edge (d = 3, lambda = 197/20).
 MIN_TOL_BITS = 200
 
 #: Largest `simulate --d`.  The tree engine spends one Python iteration per

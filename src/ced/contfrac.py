@@ -59,22 +59,17 @@ level i+1 without a pole, and three sign rules follow:
 r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
 i = -1.  Its precondition b_m < 1/4 reads 4 alpha < G_{m+1} G_{m+2}.
 
-Closing factor.  Y/Z is psi_bounds(b_m).upper, formed from integers.
-Take b_m = P/Q as given (P = alpha, Q = G_{m+1} G_{m+2}, unreduced), so
-1 - 4 b_m = (Q - 4P)/Q.  If v = (Q - 4P) Q is a perfect square, the root
-is isqrt(v)/Q exactly and Y = 2Q, Z = Q + isqrt(v).  Otherwise the root's
-lower end goes on the fixed grid 2^-k, k = 70: since floor(sqrt(y)) =
-isqrt(floor(y)) for y >= 0, it is s / 2^k with s = isqrt(floor((Q - 4P)
-2^(2k) / Q)), and Y = 2^(k+1), Z = 2^k + s.  The grid does not depend on
-b_m's denominator, so the bound is monotone: for x' < x with 1 - 4x not
-a rational square, Y/Z at x' is at most the grid bound at x', which is at
-most the grid bound at x, which is Y/Z at x.  A good sweep then stays
-good as rho rises, which `decision` relies on.  No bound that is exact at
-every rational square (a dense set) can be monotone short of psi itself,
-hence the exception.  Y/Z is left unreduced: the recurrence is linear in
-its starting values S_{n+1} = Y and S_n = Z G_{n+2}, so every S_i is
-linear in (Y, Z), and a common factor of Y and Z multiplies every S_i by
-it and changes no sign.
+Closing factor.  Y/Z is psi_bounds(b_m).upper, formed from integers for
+b_m = P/Q unreduced (P = alpha, Q = G_{m+1} G_{m+2}).  If v = (Q - 4P) Q
+is a perfect square, 1 - 4 b_m is the square of isqrt(v)/Q, and Y = 2Q,
+Z = Q + isqrt(v).  Otherwise the root's lower end on the grid 2^-k,
+k = 70, is s / 2^k with s = isqrt(floor((Q - 4P) 4^k / Q)), and Y =
+2^(k+1), Z = 2^k + s.  That grid does not depend on b_m's denominator, so
+off the rational squares the bound rises with b_m and a good sweep stays
+good as rho rises, which `decision` relies on (no bound exact on that
+dense set can be monotone short of psi itself).  Y/Z is left unreduced:
+every S_i is linear in the starting values S_{n+1} = Y and S_n = Z G_{n+2},
+so a common factor of Y and Z changes no sign.
 
 Each sweep reads alpha, the step bc and G_{m+1} from the parameters and
 steps G down the progression, so nothing is kept between calls.
@@ -93,10 +88,8 @@ from ced.params import ModelParams, _progression_origin
 #: test flips for any m >= 1 seen in practice, and cheap to produce.
 DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
 
-#: Off the rational squares, psi's upper bound takes the lower end of
-#: sqrt(1 - 4x) on the grid 2^-_ROOT_BITS, the same for every x (module
-#: docstring); psi's slope in the root is at most 2, so the width is at most
-#: 2^(1 - _ROOT_BITS) <= DEFAULT_PSI_WIDTH.
+#: psi's bounds put sqrt(1 - 4x) on the grid 2^-_ROOT_BITS for every x (module
+#: docstring); psi's slope in the root is at most 2, so they are 2^-69 apart.
 _ROOT_BITS = 70
 
 _ONE = Fraction(1)
@@ -178,20 +171,22 @@ def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
 def psi_bounds(x: Fraction | int) -> PsiBound:
     """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
 
-    Computed through the cancellation-free form psi(x) = 2 / (1 + sqrt(1 - 4x)),
-    with upper = `_psi_upper`'s Y/Z.  When 1 - 4x is the square of a
-    rational, psi(x) is exact, so psi(0) = 1 and psi(1/4) = 2; otherwise the
-    root lies between neighbours of the grid 2^-70 and lower <= psi(x) <=
-    upper with upper - lower <= DEFAULT_PSI_WIDTH.  All values lie in [1, 2].
+    Computed as 2 / (1 + sqrt(1 - 4x)): exact when 1 - 4x is the square of a
+    rational (psi(0) = 1, psi(1/4) = 2), else with the root between
+    neighbours of the grid 2^-70, so upper - lower <= DEFAULT_PSI_WIDTH.
+    All values lie in [1, 2].  `_psi_upper` forms the same upper bound by
+    its own integer code, which `decision.verify_certificate` relies on.
     """
     x = Fraction(x)
     if x < 0 or x > _QUARTER:
         raise ValueError(f"psi is defined on [0, 1/4], got {x}")
-    y, z = _psi_upper(x.numerator, x.denominator)
-    r = 1 - 4 * x
-    if (2 * z - y) ** 2 * r.denominator == y * y * r.numerator:  # the root 2z/y - 1 is exact
-        return PsiBound(x, Fraction(y, z), Fraction(y, z))
-    return PsiBound(x, max(_ONE, Fraction(y, z + 1)), Fraction(y, z))
+    r = 1 - 4 * x  # in lowest terms: a rational square iff both its terms are squares
+    p, q = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if p * p == r.numerator and q * q == r.denominator:
+        return PsiBound(x, Fraction(2 * q, q + p), Fraction(2 * q, q + p))
+    s = math.isqrt(math.floor(r * 4**_ROOT_BITS))  # s <= 2^70 sqrt(r) < s + 1
+    lower = Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s + 1)
+    return PsiBound(x, max(_ONE, lower), Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s))
 
 
 def _psi_upper(num: int, den: int) -> tuple[int, int]:

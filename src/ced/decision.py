@@ -20,24 +20,21 @@ and bisection callers stop gracefully instead of looping.
 
 `critical_rho` starts from the closed-form growth bounds, snapped outward
 to a dyadic grid so midpoint denominators stay small.  Bisection to width
-tol would take n steps and end on the cell [lo + k w, lo + (k+1) w],
-w = (hi - lo) / 2^n, that holds rho_c.  A Newton estimate picks k and only
-the two ends of that cell are decided; if they come back Below and Above,
-the bisection loop runs zero times, and otherwise it runs from [lo, hi].
-Both final certificates are re-checked on Fractions by `verify_certificate`.
+tol would end on a cell [lo + k w, lo + (k+1) w], w = (hi - lo) / 2^n, of
+that grid.  A Newton estimate of rho_c picks k; if the cell's ends certify
+Below and Above, the bisection loop runs zero times, else it runs from
+[lo, hi].  Both final certificates are re-checked by `verify_certificate`.
 
-Lemma: the cell is bisection's bracket, byte for byte.  Every midpoint
-that bisection would visit lies on the grid, no nearer rho_c than the cell
-end on its side.  Below at depth m persists as rho falls: every b_j grows,
-every tail of a finite continued fraction grows with its entries, and the
-witness stays; a good sweep there would certify rho > rho_c.  Above at
-depth m persists as rho rises: every entry of the flattened fraction
-shrinks, psi's upper bound is monotone in b_m unless 1 - 4 b_m is the
-square of a rational (`contfrac`, closing factor; `_exact_closing` sends
-that case back to bisection), and goodness falls with every entry; a
-witness there would certify rho <= rho_c.  So no midpoint on the way is
-Undecided, and `decide` is deterministic, so the endpoints, certificates
-and m_reached are the ones bisection would return.
+Lemma: the cell is bisection's bracket.  Each midpoint bisection would
+visit is a grid point no nearer rho_c than the cell end on its side.
+Below at depth m persists as rho falls: every b_j grows, and so does
+every tail of the witness.  Above at depth m persists as rho rises: every
+entry of the flattened fraction shrinks, a good fraction stays good as
+its entries shrink, and psi's upper bound is monotone in b_m unless
+1 - 4 b_m is a rational square (`_exact_closing` sends that case back to
+bisection).  No midpoint certifies the other side at a smaller depth,
+which would be false, so none is Undecided; and `decide` is
+deterministic, so endpoints, certificates and m_reached are bisection's.
 """
 
 from __future__ import annotations
@@ -59,14 +56,9 @@ from ced.params import (
     window_position,
 )
 
-#: Default depth cap of `decide`, and the largest `--max-m`: the sweeps cost
-#: O(m^2 log G), and near the threshold with long denominators m = 4096 takes
-#: about 100 s.
+#: Default depth cap of `decide`, and the largest `--max-m`: near the
+#: threshold with long denominators m = 4096 takes about 100 s.
 DEFAULT_M_MAX = 4096
-
-#: Relative distance at which two float roots of the estimate agree; near the
-#: window edges rounding alone moves them by about 1e-11 at depth 2048.
-_ROOTS_AGREE = 1e-10
 
 #: Bisection endpoints are snapped outward to multiples of 1/_DYADIC_GRID;
 #: plain midpoint averaging then keeps rho's denominator e a power of two no
@@ -243,68 +235,60 @@ class CriticalBracket:
         return (self.lo + self.hi) / 2
 
 
-def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int) -> Optional[Fraction]:
-    """A guess at the root of 1 - K[b_0, ..., b_M](rho) in [lo, hi], or None (module docstring).
+def _snap_down(x: Fraction) -> Fraction:
+    return Fraction(math.floor(x * _DYADIC_GRID), _DYADIC_GRID)
 
-    Floats: safeguarded Newton, the slope carried through the bottom-up
-    sweep, for M = 16, 32, ... until two roots agree to _ROOTS_AGREE; None
-    once M would pass m_max.  Then up to three Newton steps at depth 2M in
-    fixed point with bits(tol) + 40 fractional bits.  A tail t_{j+1} >= 1
-    with j >= 0 is a pole: K > 1 there, so the root lies to the right.
+
+def _snap_up(x: Fraction) -> Fraction:
+    return Fraction(math.ceil(x * _DYADIC_GRID), _DYADIC_GRID)
+
+
+def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int) -> Optional[Fraction]:
+    """A guess at the root of 1 - K[b_0, ..., b_M](rho) in [lo, hi], or None.
+
+    Safeguarded fixed-point Newton, the slope carried through the sweep: at
+    64 bits for M = 16, 32, ... until two roots agree to 2^-33 (None once M
+    would pass m_max), then at depth 2M with bits(tol) + 41 bits.  A tail
+    t_j >= 1, j >= 1, is a pole: K > 1 there, so the root lies to the right.
     """
     a, b = lam.numerator, lam.denominator
-    try:
-        dl, g, left, right = d * a / b, 1 + a / b, float(lo), float(hi)
-        rho, prev, m = (left + right) / 2, math.inf, 16
-        while abs(rho - prev) > _ROOTS_AGREE * rho:
-            if m > m_max:
-                return None
-            prev, lo_f, hi_f, last = rho, left, right, math.inf
-            for _ in range(64):
-                t = dt = 0.0  # t_{j+1} and its slope in rho
-                x2 = g + (m + 2) * rho  # 1 + lambda + (j + 2) rho
-                for j in range(m, -1, -1):
-                    x1 = x2 - rho
-                    bj, den = dl / (x1 * x2), 1 - t
-                    t = bj / den
-                    dt = (t * dt - bj * ((j + 1) / x1 + (j + 2) / x2)) / den
-                    if t >= 1 and j:
-                        break
-                    x2 = x1
-                if j:
-                    lo_f, rho = rho, (rho + hi_f) / 2
-                    continue
-                lo_f, hi_f = (rho, hi_f) if t > 1 else (lo_f, rho)
-                step = (1 - t) / dt
-                if abs(step) >= last / 2 or abs(step) <= 1e-16 * rho:  # converged, or at the rounding floor
-                    rho += step
-                    break
-                last = abs(step)
-                rho = rho + step if lo_f < rho + step < hi_f else (lo_f + hi_f) / 2
-            m *= 2
 
-        bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
-        one = 1 << bits
-        num, den = rho.as_integer_ratio()
-        r, g, dl = (num << bits) // den, ((a + b) << bits) // b, (d * a << 3 * bits) // b
-        for _ in range(3):
-            t = dt = 0
-            x2 = g + (m + 2) * r
+    def root(r: int, bits: int, m: int) -> int:  # r and the result are rho * 2^bits
+        one, g, dl = 1 << bits, ((a + b) << bits) // b, (d * a << 3 * bits) // b
+        left, right, last = (lo.numerator << bits) // lo.denominator, (hi.numerator << bits) // hi.denominator, None
+        for _ in range(64):
+            t = dt = 0  # t_{j+1} and its slope in rho
+            x2 = g + (m + 2) * r  # 1 + lambda + (j + 2) rho
             for j in range(m, -1, -1):
                 x1 = x2 - r
-                bj, den = dl // (x1 * x2), one - t
-                dbj = -(bj * (((j + 1) << 2 * bits) // x1 + ((j + 2) << 2 * bits) // x2)) >> bits
+                x12, den = x1 * x2, one - t
+                bj = dl // x12
+                dbj = -(bj * ((j + 1) * x2 + (j + 2) * x1) << bits) // x12  # b_j's slope
                 t = (bj << bits) // den
                 dt = ((dbj << bits) + t * dt) // den
                 if t >= one and j:
-                    return None
+                    break
                 x2 = x1
+            if j:
+                left, r = r, (r + right) // 2
+                continue
+            left, right = (r, right) if t > one else (left, r)
             step = ((one - t) << bits) // dt
-            r += step
-            if abs(step) < 1 << 20:
-                break
-        return Fraction(r, one)
-    except (OverflowError, ValueError, ZeroDivisionError):  # no usable estimate
+            if abs(step) < 1 << 20 or (last and 2 * abs(step) >= last):  # converged, or at the rounding floor
+                return r + step
+            last = abs(step)
+            r = r + step if left < r + step < right else (left + right) // 2
+        return r
+
+    try:
+        r, prev, m = math.floor((lo + hi) * 2**63), None, 16
+        while prev is None or abs(r - prev) > r >> 33:
+            if m > m_max:
+                return None
+            prev, r, m = r, root(r, 64, m), 2 * m
+        bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
+        return Fraction(root((r << bits) >> 64, bits, m), 1 << bits)
+    except ZeroDivisionError:  # a flat slope: no usable estimate
         return None
 
 
@@ -320,18 +304,18 @@ def critical_rho(
     tol: Fraction,
     m_max: int = DEFAULT_M_MAX,
 ) -> CriticalBracket:
-    """Bracket the critical death rate to width <= tol: the bracket certified bisection finds.
+    """Bracket the critical death rate to width <= tol by certified bisection.
 
     The initial bracket comes from the closed-form growth bounds: the
     clamped lower bound rounded down to the dyadic grid (still at or below
     the threshold) and the upper bound's enclosure rounded up (still
-    strictly above).  The cell of bisection's final grid that the estimate
-    falls in is tried first (module docstring); otherwise every midpoint is
-    resolved by `decide`, and an Undecided midpoint stops the loop and is
-    flagged on the returned bracket.  Both endpoint certificates of the
-    result are re-checked by `verify_certificate`, whose Fraction path
-    shares no code with the integer kernels that found them; a failed
-    re-check raises BracketError instead of returning an unproven bracket.
+    strictly above).  The estimated cell is tried first (module docstring);
+    otherwise every midpoint is resolved by `decide`, and an Undecided
+    midpoint stops the loop and is flagged on the returned bracket.  Both
+    endpoint certificates of the result are re-checked by
+    `verify_certificate`, whose Fraction path shares no code with the
+    integer kernels that found them; a failed re-check raises BracketError
+    instead of returning an unproven bracket.
     """
     lam = Fraction(lam)
     tol = Fraction(tol)
@@ -344,8 +328,8 @@ def critical_rho(
         )
 
     bound_lo, bound_hi = growth_bounds(d, lam)
-    lo = max(_ZERO, Fraction(math.floor(bound_lo.lo * _DYADIC_GRID), _DYADIC_GRID))
-    hi = Fraction(math.ceil(bound_hi.hi * _DYADIC_GRID), _DYADIC_GRID)
+    lo = max(_ZERO, _snap_down(bound_lo.lo))
+    hi = _snap_up(bound_hi.hi)
 
     lo_out = decide(ModelParams(d, lam, lo), m_max)
     if lo_out.verdict is Verdict.UNDECIDED and lo > 0:

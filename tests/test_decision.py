@@ -239,7 +239,11 @@ def _counting_decide(monkeypatch) -> list:
 
 @st.composite
 def bracket_cases(draw):
-    """(d, lambda, tol): lambda inside the window, interior or near either edge."""
+    """(d, lambda, tol, m_max): lambda inside the window, interior or near either edge.
+
+    The small depth caps let bisection stop on an Undecided midpoint while
+    the estimate still runs (it needs M = 16 and 32 to agree).
+    """
     d = draw(st.sampled_from([2, 3, 4, 8, 64]))
     root = math.sqrt(d * d - d)
     lower, upper = 2 * d - 1 - 2 * root, 2 * d - 1 + 2 * root
@@ -247,7 +251,8 @@ def bracket_cases(draw):
     where = draw(st.sampled_from(["lower", "interior", "upper"]))
     x = {"lower": lower * (1 + eps), "interior": lower + (upper - lower) * eps, "upper": upper * (1 - eps)}[where]
     lam = F(x).limit_denominator(1000)
-    return d, lam, F(1, 2 ** draw(st.integers(8, 100)))
+    m_max = draw(st.sampled_from([ced.decision.DEFAULT_M_MAX, 32, 64, 128]))
+    return d, lam, F(1, 2 ** draw(st.integers(8, 100))), m_max
 
 
 class TestCellPath:
@@ -255,7 +260,8 @@ class TestCellPath:
 
     def test_cell_bracket_equals_bisection(self):
         estimate = ced.decision._estimate_rho_c
-        fired = []
+        cap = ced.decision.DEFAULT_M_MAX
+        runs = []
 
         def shifted(by):
             def guess(d, lam, lo, hi, tol, m_max):
@@ -265,22 +271,33 @@ class TestCellPath:
 
             return guess
 
+        def uncapped(d, lam, lo, hi, tol, m_max):
+            # under a small depth cap the estimate mostly gives up; this one
+            # still picks a cell, whose ends may then need the whole cap
+            return estimate(d, lam, lo, hi, tol, cap)
+
         @given(bracket_cases())
-        @example((3, F(197, 20), F(1, 2**40)))  # next to the window edge: depth 256
-        @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+        @example((3, F(197, 20), F(1, 2**40), cap))  # next to the window edge: depth 256
+        @settings(max_examples=40, derandomize=True, deadline=None, database=None)
         def check(case):
             assert window_position(case[0], case[1]) is WindowPosition.INSIDE
             with pytest.MonkeyPatch.context() as mp:
-                calls = _counting_decide(mp)
-                bracket = critical_rho(*case)
-            fired.append(len(calls) <= 5)
-            for guess in (lambda *args: None, shifted(3), shifted(-3)):
+                mp.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)
+                bisection = critical_rho(*case)
+            for guess in (estimate, uncapped, shifted(3), shifted(-3)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(ced.decision, "_estimate_rho_c", guess)
-                    assert critical_rho(*case) == bracket
+                    calls = _counting_decide(mp)
+                    assert critical_rho(*case) == bisection
+                cell = len(calls) <= 5 and bisection.unresolved_midpoint is None
+                ends = (bisection.lo_outcome.m_reached, bisection.hi_outcome.m_reached)
+                runs.append((guess, case[3], cell, case[3] in ends))
 
         check()
-        assert sum(fired) >= 0.8 * len(fired), fired
+        full = [cell for guess, m_max, cell, _ in runs if guess is estimate and m_max == cap]
+        assert sum(full) >= 0.8 * len(full), runs
+        # under a depth cap, the cell path fires also where an end needs the whole cap
+        assert any(cell and at_cap for _, m_max, cell, at_cap in runs if m_max < cap), runs
 
     @pytest.mark.parametrize("d,lam", [(2, F(1)), (8, F(1, 21))])
     def test_at_most_five_decides_per_bracket(self, monkeypatch, d, lam):
