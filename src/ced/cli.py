@@ -256,6 +256,11 @@ MAX_LINE_K = 800
 #: -400 next to the window edge (d = 3, lambda = 197/20).
 MIN_TOL_BITS = 200
 
+#: Largest `--d` of `decide`, `phase` and `rho-c`: the kernels' integers carry
+#: d.  At tol 2^-200 `rho-c` took 0.1 s at d = 2^32 and 3.9 s at d = 2^64 with
+#: lambda at 0.97 of the upper window edge, and 11 s at d = 10^300, lambda = 1.
+MAX_DECISION_D = 1 << 32
+
 #: Largest `simulate --d`.  The tree engine spends one Python iteration per
 #: child slot: at rho = 0, depth 2 and one trial, d = 1024 takes 1.1 s and
 #: 138 MB, and d = 100000 ran 17.7 s before the vertex budget stopped it.
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # decide and phase take the same parameter triple, depth cap and --json
     point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--d", type=_int_arg(2), required=True)
+    point.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
     point.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
     point.add_argument("--rho", type=_rational_arg("--rho"), required=True)
     point.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
@@ -431,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_decide)
 
     pr = sub.add_parser("rho-c", help="bracket the critical death rate by bisection")
-    pr.add_argument("--d", type=_int_arg(2), required=True)
+    pr.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
     pr.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"))
     pr.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:N evenly spaced")
     pr.add_argument("--tol", type=_rational_arg("--tol", MIN_TOL_BITS), required=True,

@@ -1,4 +1,4 @@
-"""Finite continued fractions, the "good" test, and the two decision kernels.
+"""Finite continued fractions: psi's bounds and the two decision kernels.
 
 Notation: K[c_0, ..., c_n] = c_0 / (1 - c_1 / (1 - ... / (1 - c_n))).
 Evaluation runs bottom up through tail values t_i = K[c_i, ..., c_n].
@@ -20,10 +20,9 @@ The two kernels consumed by the decision module:
   A good sweep certifies convergence strictly beyond d, i.e. the death
   rate is above critical.
 
-`eval_finite` and `is_good` work on any Fraction entries.  The kernels
-instead run a three-term recurrence of continuants on integers (Flajolet,
-"Combinatorial aspects of continued fractions", 1980), with no Fraction
-and no gcd per level.
+The kernels run a three-term recurrence of continuants on integers
+(Flajolet, "Combinatorial aspects of continued fractions", 1980), with no
+Fraction and no gcd per level.
 
 Continuants.  For entries c_0, ..., c_n and a closing factor r > 0 (r = 1
 for the plain fraction), set R_{n+1} = r, R_n = 1 and
@@ -80,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 from ced.params import ModelParams, _progression_origin
 
@@ -97,29 +96,6 @@ _QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
-class CFEval:
-    """Outcome of a bottom-up finite continued fraction evaluation.
-
-    value       top value t_0, or None if a pole interrupted the sweep
-    pole_level  level i whose denominator 1 - t_{i+1} was <= 0, else None
-    partials    t_i for every level actually computed (None above a pole)
-    """
-
-    value: Optional[Fraction]
-    pole_level: Optional[int]
-    partials: tuple[Optional[Fraction], ...]
-
-    @property
-    def is_pole(self) -> bool:
-        return self.pole_level is not None
-
-
-class GoodCheck(NamedTuple):
-    good: bool
-    bad_level: Optional[int]  # deepest level whose partial reached 1
-
-
-@dataclass(frozen=True)
 class PsiBound:
     """Rational bounds on the plain-Catalan generating function at x."""
 
@@ -128,54 +104,14 @@ class PsiBound:
     upper: Fraction
 
 
-def eval_finite(entries: Sequence[Fraction | int]) -> CFEval:
-    """Evaluate K[c_0, ..., c_n] bottom up with exact rationals.
-
-    Entries must be nonnegative.  Stops with a pole the first time a
-    denominator 1 - t_{i+1} is <= 0; a pole is an outcome, not an error.
-    """
-    cs = [Fraction(c) for c in entries]
-    if not cs:
-        raise ValueError("continued fraction needs at least one entry")
-    if any(c < 0 for c in cs):
-        raise ValueError("entries must be nonnegative")
-    n = len(cs) - 1
-    partials: list[Optional[Fraction]] = [None] * (n + 1)
-    t = cs[n]
-    partials[n] = t
-    for i in range(n - 1, -1, -1):
-        den = 1 - t
-        if den <= 0:
-            return CFEval(value=None, pole_level=i, partials=tuple(partials))
-        t = cs[i] / den
-        partials[i] = t
-    return CFEval(value=t, pole_level=None, partials=tuple(partials))
-
-
-def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
-    """Are all partial values K[c_i, ..., c_n] strictly below 1?
-
-    Applies to the entries after the leading 1 of K[1, c_0, ..., c_n].
-    Equality counts as not good, so callers relying on goodness never
-    fire spuriously.  The reported bad level is the deepest violation.
-    """
-    ev = eval_finite(entries)
-    if ev.is_pole:
-        return GoodCheck(False, ev.pole_level + 1)
-    assert ev.value is not None
-    if ev.value >= 1:
-        return GoodCheck(False, 0)
-    return GoodCheck(True, None)
-
-
 def psi_bounds(x: Fraction | int) -> PsiBound:
     """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
 
     Computed as 2 / (1 + sqrt(1 - 4x)): exact when 1 - 4x is the square of a
     rational (psi(0) = 1, psi(1/4) = 2), else with the root between
     neighbours of the grid 2^-70, so upper - lower <= DEFAULT_PSI_WIDTH.
-    All values lie in [1, 2].  `_psi_upper` forms the same upper bound by
-    its own integer code, which `decision.verify_certificate` relies on.
+    All values lie in [1, 2].  `_psi_upper` and `certcheck.closing_bound`
+    form the same upper bound from integers.
     """
     x = Fraction(x)
     if x < 0 or x > _QUARTER:

@@ -23,7 +23,8 @@ to a dyadic grid so midpoint denominators stay small.  Bisection to width
 tol would end on a cell [lo + k w, lo + (k+1) w], w = (hi - lo) / 2^n, of
 that grid.  A Newton estimate of rho_c picks k; if the cell's ends certify
 Below and Above, the bisection loop runs zero times, else it runs from
-[lo, hi].  Both final certificates are re-checked by `verify_certificate`.
+[lo, hi].  Both final certificates are re-checked by `verify_certificate`
+on the integers of `ced.certcheck`, which shares no code with the kernels.
 
 Lemma: the cell is bisection's bracket.  Each midpoint bisection would
 visit is a grid point no nearer rho_c than the cell end on its side.
@@ -46,7 +47,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ced._workers import map_jobs
-from ced.contfrac import below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.certcheck import check_above, check_below
+from ced.contfrac import below_witness, km_good, psi_bounds
 from ced.params import (
     ModelParams,
     WindowPosition,
@@ -67,7 +69,6 @@ DEFAULT_M_MAX = 4096
 _DYADIC_GRID = 1 << 30
 
 _ZERO = Fraction(0)
-_QUARTER = Fraction(1, 4)
 
 
 class Verdict(enum.Enum):
@@ -176,11 +177,10 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     position.  Undecided outcomes carry no certificate and verify
     vacuously; a certificate of the other side's kind never verifies.
 
-    Both kernel re-checks run on Fractions from `weight_b`: `eval_finite`
-    on the witness slice, and `psi_bounds` plus `is_good` on
-    K[b_0, ..., b_{m-2}, b_{m-1} psi(b_m)].  Neither shares code with the
-    integer continuant sweeps of `below_witness` and `km_good` that
-    produced the certificates.
+    Both kernel re-checks run in `ced.certcheck`, on unreduced integer
+    pairs of tail values.  It shares no code with the continuant sweeps of
+    `below_witness` and `km_good` that produced the certificates, and it
+    proves its closing bound on psi(b_m) instead of trusting it.
     """
     cert = outcome.certificate
     if outcome.verdict is Verdict.UNDECIDED:
@@ -188,17 +188,9 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     if isinstance(cert, (KernelBelow, ZeroRhoBelow)) != (outcome.verdict is Verdict.BELOW):
         return False
     if isinstance(cert, KernelBelow):
-        if not (0 <= cert.level <= cert.m):
-            return False
-        ev = eval_finite([weight_b(p, j) for j in range(cert.level, cert.m + 1)])
-        return ev.is_pole or (ev.value is not None and ev.value > 1)
+        return check_below(p, cert.m, cert.level)
     if isinstance(cert, KernelAbove):
-        if cert.m < 1:
-            return False
-        b = [weight_b(p, j) for j in range(cert.m + 1)]
-        if not b[-1] < _QUARTER:
-            return False
-        return is_good(b[:-2] + [b[-2] * psi_bounds(b[-1]).upper]).good
+        return check_above(p, cert.m)
     if isinstance(cert, OutsideWindowAbove):
         pos = window_position(p.d, p.lam)
         expected = (
@@ -313,8 +305,8 @@ def critical_rho(
     otherwise every midpoint is resolved by `decide`, and an Undecided
     midpoint stops the loop and is flagged on the returned bracket.  Both
     endpoint certificates of the result are re-checked by
-    `verify_certificate`, whose Fraction path shares no code with the
-    integer kernels that found them; a failed re-check raises BracketError
+    `verify_certificate`, whose integer checker shares no code with the
+    kernels that found them; a failed re-check raises BracketError
     instead of returning an unproven bracket.
     """
     lam = Fraction(lam)

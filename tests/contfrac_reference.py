@@ -1,0 +1,76 @@
+"""Fraction evaluation of finite continued fractions: the tests' exact oracle.
+
+K[c_0, ..., c_n] = c_0 / (1 - c_1 / (1 - ... / (1 - c_n))) is evaluated
+bottom up through its tail values with `fractions.Fraction`, one gcd per
+level, and so shares no arithmetic with the integer kernels of
+`ced.contfrac` or the checker of `ced.certcheck`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
+
+
+@dataclass(frozen=True)
+class CFEval:
+    """Outcome of a bottom-up finite continued fraction evaluation.
+
+    value       top value t_0, or None if a pole interrupted the sweep
+    pole_level  level i whose denominator 1 - t_{i+1} was <= 0, else None
+    partials    t_i for every level actually computed (None above a pole)
+    """
+
+    value: Optional[Fraction]
+    pole_level: Optional[int]
+    partials: tuple[Optional[Fraction], ...]
+
+    @property
+    def is_pole(self) -> bool:
+        return self.pole_level is not None
+
+
+class GoodCheck(NamedTuple):
+    good: bool
+    bad_level: Optional[int]  # deepest level whose partial reached 1
+
+
+def eval_finite(entries: Sequence[Fraction | int]) -> CFEval:
+    """Evaluate K[c_0, ..., c_n] bottom up with exact rationals.
+
+    Entries must be nonnegative.  Stops with a pole the first time a
+    denominator 1 - t_{i+1} is <= 0; a pole is an outcome, not an error.
+    """
+    cs = [Fraction(c) for c in entries]
+    if not cs:
+        raise ValueError("continued fraction needs at least one entry")
+    if any(c < 0 for c in cs):
+        raise ValueError("entries must be nonnegative")
+    n = len(cs) - 1
+    partials: list[Optional[Fraction]] = [None] * (n + 1)
+    t = cs[n]
+    partials[n] = t
+    for i in range(n - 1, -1, -1):
+        den = 1 - t
+        if den <= 0:
+            return CFEval(value=None, pole_level=i, partials=tuple(partials))
+        t = cs[i] / den
+        partials[i] = t
+    return CFEval(value=t, pole_level=None, partials=tuple(partials))
+
+
+def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
+    """Are all partial values K[c_i, ..., c_n] strictly below 1?
+
+    Applies to the entries after the leading 1 of K[1, c_0, ..., c_n].
+    Equality counts as not good, so callers relying on goodness never
+    fire spuriously.  The reported bad level is the deepest violation.
+    """
+    ev = eval_finite(entries)
+    if ev.is_pole:
+        return GoodCheck(False, ev.pole_level + 1)
+    assert ev.value is not None
+    if ev.value >= 1:
+        return GoodCheck(False, 0)
+    return GoodCheck(True, None)

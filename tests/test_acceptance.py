@@ -19,10 +19,12 @@ from ced.catalan import (
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
-from ced.contfrac import eval_finite, km_good, psi_bounds
+from ced.contfrac import km_good, psi_bounds
 from ced.decision import KernelAbove, Verdict, critical_rho, decide, rho_c_curve, verify_certificate
 from ced.params import ModelParams, growth_bounds, sqrt_enclosure, weight_b
 from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tree
+
+from contfrac_reference import eval_finite
 
 P211 = ModelParams(2, F(1), F(1))
 TOL10 = F(1, 2**10)

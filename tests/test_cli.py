@@ -185,6 +185,10 @@ class TestArgumentRanges:
             ("rho-c --d 2 --lambda 1 --tol 1/64 --max-m 4097", "--max-m: must be <= 4096"),
             # bisection's cost grows about 4x per 100 bits of tol, and more near the edges
             (f"rho-c --d 2 --lambda 1 --tol 1/{2**201}", "--tol: must be >= 2^-200"),
+            # the kernels' integers carry d: rho-c at d = 10^300 took 11 s
+            ("decide --d 4294967297 --lambda 1 --rho 1", "--d: must be <= 4294967296"),
+            ("phase --d 4294967297 --lambda 1 --rho 1", "--d: must be <= 4294967296"),
+            (f"rho-c --d 1{'0' * 300} --lambda 1 --tol 1/64", "--d: must be <= 4294967296"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads -5", "--threads"),
             ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
@@ -213,6 +217,9 @@ class TestArgumentRanges:
     def test_largest_accepted_values_run(self, capsys):
         code, out, _ = run(capsys, *f"rho-c --d 2 --lambda 1 --tol 1/{2**200} --max-m 4096".split())
         assert code == 0 and out.splitlines()[-1].endswith(",bracket")
+        code, out, _ = run(capsys, *f"rho-c --d {2**32} --lambda 1 --tol 1/{2**200}".split())
+        assert code == 0 and out.splitlines()[-1].endswith(",bracket")
+        assert run(capsys, *f"decide --d {2**32} --lambda 1 --rho 1".split())[0] == 0  # below
 
 
 class TestCatalanCommand:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.contfrac import _psi_upper, below_witness, eval_finite, is_good, km_good, psi_bounds
+from ced.contfrac import _psi_upper, below_witness, km_good, psi_bounds
 from ced.decision import critical_rho
 from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
+
+from contfrac_reference import eval_finite, is_good
 
 P211 = ModelParams(2, F(1), F(1))
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ced.certcheck
 import ced.contfrac
 import ced.decision
 import ced.params
-from ced.contfrac import PsiBound, below_witness, km_good
+from ced.contfrac import below_witness, km_good
 from ced.decision import (
     BracketError,
     CriticalBracket,
@@ -110,11 +111,12 @@ class TestDecide:
 
     def test_above_recheck_closes_with_psi_upper_bound(self, monkeypatch):
         # (500, 1, 20): b_0 = 125/231 and b_1 = 125/651 < 1/4, so K[b_0 psi(b_1)]
-        # is good (about 0.70); widened to [1, 2], only psi's upper end reaches 1
+        # is good (about 0.70); with the closing bound y widened to 2, which
+        # still bounds psi(b_1), b_0 y = 250/231 reaches 1
         p = ModelParams(500, F(1), F(20))
         out = DecisionOutcome(Verdict.ABOVE, KernelAbove(m=1), 1)
         assert verify_certificate(p, out)
-        monkeypatch.setattr(ced.decision, "psi_bounds", lambda x: PsiBound(x, F(1), F(2)))
+        monkeypatch.setattr(ced.certcheck, "closing_bound", lambda num, den: (2, 1))
         assert not verify_certificate(p, out)
 
     def test_tampered_certificate_fails(self):
