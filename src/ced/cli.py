@@ -86,11 +86,19 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
     raise UsageError(f"{flag}: expected an exact rational like 3/7, got {text!r}{hint}")
 
 
+def _check_rate(flag: str, value: Fraction) -> None:
+    """A spread rate (--lambda) must be positive and a death rate (--rho) nonnegative."""
+    if value < 0 or (value == 0 and flag == "--lambda"):
+        raise UsageError(f"{flag}: must be {'positive' if flag == '--lambda' else 'nonnegative'}, got {value}")
+
+
 def _rational_arg(flag: str, min_bits: int | None = None):
-    """A rational flag; with min_bits, values below 2^-min_bits are usage errors."""
+    """A rational flag; with min_bits, values below 2^-min_bits are usage errors, as are bad rates."""
 
     def convert(text: str) -> Fraction:
         value = parse_rational(text, flag)  # its UsageError names the flag and reaches main as is
+        if flag in ("--lambda", "--rho"):
+            _check_rate(flag, value)
         if min_bits is not None and value < Fraction(1, 1 << min_bits):
             raise argparse.ArgumentTypeError(f"must be >= 2^-{min_bits}, got {value}")
         return value
@@ -273,6 +281,8 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise UsageError("--lambda-grid: expected LO:HI:N")
     lo = parse_rational(parts[0], "--lambda-grid")
     hi = parse_rational(parts[1], "--lambda-grid")
+    if lo <= 0:
+        raise UsageError(f"--lambda-grid: LO must be positive, got {lo}")
     try:
         n = int(parts[2])
     except ValueError:
@@ -366,6 +376,7 @@ def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
     for flag, rate in (("--lambda", lam), ("--rho", rho)):
+        _check_rate(flag, rate)
         # the engines draw their delays -log(1 - u) / rate in floats, and -log(1 - u) <= 53 ln 2
         if _float(rate) == math.inf:
             raise UsageError(f"{flag}: past the float range")

@@ -21,9 +21,9 @@ and bisection callers stop gracefully instead of looping.
 `critical_rho` starts from the closed-form growth bounds, snapped outward
 to a dyadic grid so midpoint denominators stay small.  Bisection to width
 tol would end on a cell [lo + k w, lo + (k+1) w], w = (hi - lo) / 2^n, of
-that grid.  A Newton estimate of rho_c picks k; if the cell's ends certify
-Below and Above, the bisection loop runs zero times, else it runs from
-[lo, hi].  Both final certificates are re-checked by `verify_certificate`
+that grid.  The integer Newton estimate `_estimate_rho_c` picks k; if the
+cell's ends certify Below and Above, bisection takes no step, else it runs
+from [lo, hi].  Both final certificates are re-checked by `verify_certificate`
 on the integers of `ced.certcheck`, which shares no code with the kernels.
 
 Lemma: the cell is bisection's bracket.  Each midpoint bisection would
@@ -132,13 +132,7 @@ class BracketError(RuntimeError):
 def _m_schedule(m_max: int) -> list[int]:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    out = []
-    m = 1
-    while m < m_max:
-        out.append(m)
-        m *= 2
-    out.append(m_max)
-    return out
+    return [1 << i for i in range((m_max - 1).bit_length())] + [m_max]  # 1, 2, 4, ... below m_max
 
 
 def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
@@ -235,13 +229,36 @@ def _snap_up(x: Fraction) -> Fraction:
     return Fraction(math.ceil(x * _DYADIC_GRID), _DYADIC_GRID)
 
 
-def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int) -> Optional[Fraction]:
-    """A guess at the root of 1 - K[b_0, ..., b_M](rho) in [lo, hi], or None.
+def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, int, int]:
+    """(j, t_j, its slope in rho) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
 
-    Safeguarded fixed-point Newton, the slope carried through the sweep: at
-    64 bits for M = 16, 32, ... until two roots agree to 2^-33 (None once M
-    would pass m_max), then at depth 2M with bits(tol) + 41 bits.  A tail
-    t_j >= 1, j >= 1, is a pole: K > 1 there, so the root lies to the right.
+    rho = r / 2^bits, g = (1 + lambda) 2^bits, dl = d lambda 2^(3 bits); j >= 1 is a pole t_j >= 1.
+    """
+    one, x2 = 1 << bits, g + (m + 2) * r  # x2 = 1 + lambda + (j + 2) rho
+    s = math.isqrt(max(one - 4 * (dl // (x2 * (x2 + r))), 0) << bits)  # sqrt(1 - 4 b_{m+1})
+    t, dt = (one - s) // 2 if s else 0, 0  # t = b_{m+1} / (1 - t), or 0 once b_{m+1} >= 1/4
+    for j in range(m, -1, -1):
+        x1 = x2 - r
+        x12, den = x1 * x2, one - t
+        bj = dl // x12
+        dbj = -(bj * ((j + 1) * x2 + (j + 2) * x1) << bits) // x12  # b_j's slope
+        t = (bj << bits) // den
+        dt = ((dbj << bits) + t * dt) // den
+        if t >= one and j:
+            break
+        x2 = x1
+    return j, t, dt
+
+
+def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int) -> Optional[Fraction]:
+    """A guess at the root of K(rho) = 1 in [lo, hi], or None; K is `_estimate_sweep`'s.
+
+    Safeguarded fixed-point Newton on 1/K, smooth through K's first pole and
+    quadratic: a step s < 2^-24 rho with s^2 < 2^23 rho (units 2^-bits) is the
+    last.  At 64 bits for M = 8, 16, ... until the roots at M/2 and M agree on
+    k >= 24 bits (k <= 40, what a 64-bit root holds; None past m_max).  As b_j
+    falls with j, depth D errs by about rho 2^(-2kD/M): the last root, at
+    bits(tol) + 41 bits, takes the least D >= M that puts this 2^10 below tol.
     """
     a, b = lam.numerator, lam.denominator
 
@@ -249,36 +266,29 @@ def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Frac
         one, g, dl = 1 << bits, ((a + b) << bits) // b, (d * a << 3 * bits) // b
         left, right, last = (lo.numerator << bits) // lo.denominator, (hi.numerator << bits) // hi.denominator, None
         for _ in range(64):
-            t = dt = 0  # t_{j+1} and its slope in rho
-            x2 = g + (m + 2) * r  # 1 + lambda + (j + 2) rho
-            for j in range(m, -1, -1):
-                x1 = x2 - r
-                x12, den = x1 * x2, one - t
-                bj = dl // x12
-                dbj = -(bj * ((j + 1) * x2 + (j + 2) * x1) << bits) // x12  # b_j's slope
-                t = (bj << bits) // den
-                dt = ((dbj << bits) + t * dt) // den
-                if t >= one and j:
-                    break
-                x2 = x1
-            if j:
+            j, t, dt = _estimate_sweep(r, m, bits, g, dl)
+            if j:  # a pole: K > 1 there, so the root lies to the right
                 left, r = r, (r + right) // 2
                 continue
             left, right = (r, right) if t > one else (left, r)
-            step = ((one - t) << bits) // dt
-            if abs(step) < 1 << 20 or (last and 2 * abs(step) >= last):  # converged, or at the rounding floor
+            step = (one - t) * t // dt
+            if abs(step) << 24 < r and step * step < r << 23:
                 return r + step
+            if last and 2 * abs(step) >= last:  # at the rounding floor, or no root in reach
+                return r
             last = abs(step)
             r = r + step if left < r + step < right else (left + right) // 2
         return r
 
     try:
-        r, prev, m = math.floor((lo + hi) * 2**63), None, 16
-        while prev is None or abs(r - prev) > r >> 33:
+        r, prev, m = math.floor((lo + hi) * 2**63), None, 8
+        while prev is None or abs(r - prev) > r >> 24:
             if m > m_max:
                 return None
             prev, r, m = r, root(r, 64, m), 2 * m
         bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
+        k = min(r.bit_length() - abs(r - prev).bit_length(), 40)  # depths M/2 and M = m/2 agree
+        m = max(m // 2, -(-(bits - 95 + r.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
         return Fraction(root((r << bits) >> 64, bits, m), 1 << bits)
     except ZeroDivisionError:  # a flat slope: no usable estimate
         return None

@@ -189,6 +189,18 @@ class TestArgumentRanges:
             ("decide --d 4294967297 --lambda 1 --rho 1", "--d: must be <= 4294967296"),
             ("phase --d 4294967297 --lambda 1 --rho 1", "--d: must be <= 4294967296"),
             (f"rho-c --d 1{'0' * 300} --lambda 1 --tol 1/64", "--d: must be <= 4294967296"),
+            # a spread rate must be positive and a death rate nonnegative
+            ("decide --d 2 --lambda 0 --rho 1", "--lambda: must be positive"),
+            ("decide --d 2 --lambda 1 --rho -1", "--rho: must be nonnegative"),
+            ("phase --d 2 --lambda -1 --rho 1", "--lambda: must be positive"),
+            ("phase --d 2 --lambda 1 --rho=-1/3", "--rho: must be nonnegative"),
+            ("catalan --lambda 0 --rho 1 --k 2", "--lambda: must be positive"),
+            ("catalan --lambda 1 --rho -1 --k 2", "--rho: must be nonnegative"),
+            ("rho-c --d 2 --lambda 0 --tol 1/8", "--lambda: must be positive"),
+            ("rho-c --d 2 --lambda-grid 0:1:3 --tol 1/8", "--lambda-grid: LO must be positive"),
+            ("rho-c --d 2 --lambda-grid=-1:1:3 --tol 1/8", "--lambda-grid: LO must be positive"),
+            ("simulate line --lambda 0 --rho 1 --trials 1 --seed 1", "--lambda: must be positive"),
+            ("simulate tree --lambda 1 --rho -1 --trials 1 --seed 1", "--rho: must be nonnegative"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads -5", "--threads"),
             ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),

@@ -244,7 +244,7 @@ def bracket_cases(draw):
     """(d, lambda, tol, m_max): lambda inside the window, interior or near either edge.
 
     The small depth caps let bisection stop on an Undecided midpoint while
-    the estimate still runs (it needs M = 16 and 32 to agree).
+    the estimate still runs (it needs M = 8 and 16 to agree).
     """
     d = draw(st.sampled_from([2, 3, 4, 8, 64]))
     root = math.sqrt(d * d - d)
@@ -309,6 +309,26 @@ class TestCellPath:
         bracket = critical_rho(d, lam, F(1, 2**100))
         assert len(calls) <= 5 and bracket.unresolved_midpoint is None
         assert calls[-2:] == [bracket.lo, bracket.hi]
+
+    def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
+        # 2786 levels in all at this writing, against 7468 for an estimator that
+        # closed the tail with 0, started at M = 16 and ran Newton on K
+        sweep = ced.decision._estimate_sweep
+        levels = []
+
+        def counting(r, m, bits, g, dl):
+            j, t, dt = sweep(r, m, bits, g, dl)
+            levels.append(m + 1 - j)  # the sweep stopped at level j
+            return j, t, dt
+
+        monkeypatch.setattr(ced.decision, "_estimate_sweep", counting)
+        calls = _counting_decide(monkeypatch)
+        for bits in (40, 100):
+            for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
+                calls.clear()
+                assert critical_rho(d, lam, F(1, 2**bits)).unresolved_midpoint is None
+                assert len(calls) <= 5, (d, lam, bits, len(calls))
+        assert sum(levels) <= 3480, sum(levels)
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
         # psi's upper bound is monotone only off the rational squares
