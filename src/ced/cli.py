@@ -53,6 +53,8 @@ from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tr
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
+_NEGATIVE_RE = re.compile(r"-[\d.]")
+_RATIONAL_FLAGS = frozenset({"--lambda", "--rho", "--z", "--tol", "--lambda-grid"})
 
 EXIT_USAGE = 64
 EXIT_RUNTIME = 70
@@ -492,10 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--rho -1/3` as `--rho=-1/3`: argparse takes a word like -1/3 for an option, so its value parser never saw it."""
+    words = []
+    for word in argv:
+        if words and words[-1] in _RATIONAL_FLAGS and _NEGATIVE_RE.match(word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"ced: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

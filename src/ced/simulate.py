@@ -138,21 +138,29 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
 
 
-def _mulhi(a: np.ndarray, m: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """High words of the products a * m by `_philox_block`'s limb chain, in a new array; x, y are scratch."""
+def _mulhi(a: np.ndarray, m: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """High words of the products a * m by `_philox_block`'s limb chain, in a new array; x, y, z are scratch."""
     import numpy as np
     lo32, m_lo, m_hi = np.uint64(0xFFFFFFFF), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     hi = np.bitwise_and(a, lo32, out=x) * m_lo
     hi >>= 32  # p
     x *= m_hi
-    np.multiply(np.right_shift(a, 32, out=y), m_lo, out=y)
+    np.multiply(np.right_shift(a, 32, out=z), m_lo, out=y)  # z = a_hi
     y += hi  # u
     x += np.bitwise_and(y, lo32, out=hi)  # v
     y >>= 32
     y += np.right_shift(x, 32, out=x)
-    np.multiply(np.right_shift(a, 32, out=hi), m_hi, out=hi)
+    np.multiply(z, m_hi, out=hi)
     hi += y
     return hi
+
+
+def _xor(a, b):
+    """a ^ b of words that are each an int or a uint64 array: an int if both are; writes only into a."""
+    import numpy as np
+    if isinstance(a, np.ndarray):
+        return np.bitwise_xor(a, b if isinstance(b, np.ndarray) else np.uint64(b), out=a)
+    return np.bitwise_xor(b, np.uint64(a)) if isinstance(b, np.ndarray) else a ^ b
 
 
 def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
@@ -161,21 +169,31 @@ def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
     `counter` holds the four counter words, low word first, each a
     nonnegative int or a uint64 array aligned with `trials`; the key is
     taken mod 2^64.  Block n of np.random.Philox(key=(seed << 64) | t) is
-    the counter (n+1, 0, 0, 0).  Returns a (4, len(trials)) array and writes
-    to no argument.  `_mulhi` forms the high words of the products a * m
-    from 32-bit limbs: p = (a_lo m_lo) >> 32, u = a_hi m_lo + p, v = a_lo m_hi
-    + (u mod 2^32), high word a_hi m_hi + (u >> 32) + (v >> 32).
+    the counter (n+1, 0, 0, 0).  Returns a new (4, len(trials)) array and
+    writes only into arrays it made.  A word that is the same for every
+    lane stays a Python int with exact products, high word (c m) >> 64 and
+    low word c m mod 2^64, until a per-lane word (the key's trial word or
+    an array counter word) is xored into it.  Both engines pass counter
+    words 0, 2 and 3 as ints, so a block makes 17 `_mulhi` calls instead of
+    20; int and uint64 arithmetic agree mod 2^64, so no word changes.
+    `_mulhi` forms the high words of array products from 32-bit limbs:
+    p = (a_lo m_lo) >> 32, u = a_hi m_lo + p, v = a_lo m_hi + (u mod 2^32),
+    high word a_hi m_hi + (u >> 32) + (v >> 32).
     """
     import numpy as np
-    c0, c1, c2, c3 = (np.broadcast_to(np.asarray(c, np.uint64), trials.shape) for c in counter)
+    c0, c1, c2, c3 = (c if isinstance(c, np.ndarray) else int(c) for c in counter)
     k0 = trials.astype(np.uint64)  # a copy: the key's low word, bumped in place each round
-    x, y = np.empty_like(k0), np.empty_like(k0)  # scratch
-    for r in range(10):
-        hi0, hi1 = _mulhi(c0, _PHILOX_M[0], x, y), _mulhi(c2, _PHILOX_M[1], x, y)
-        hi1 ^= np.bitwise_xor(c1, k0, out=x)
-        hi0 ^= np.bitwise_xor(c3, np.uint64((seed + r * _PHILOX_W[1]) & _MASK64), out=y)
-        c0, c1, c2, c3 = hi1, c2 * np.uint64(_PHILOX_M[1]), hi0, c0 * np.uint64(_PHILOX_M[0])
+    scratch = np.empty_like(k0), np.empty_like(k0), np.empty_like(k0)
+    for r in range(10):  # from round 1 on every array word was made here: its low product overwrites it
+        (hi0, lo0), (hi1, lo1) = (
+            divmod(c * m, 1 << 64) if isinstance(c, int)
+            else (_mulhi(c, m, *scratch), np.multiply(c, np.uint64(m), out=c if r else None))
+            for c, m in ((c0, _PHILOX_M[0]), (c2, _PHILOX_M[1]))
+        )
+        k1 = (seed + r * _PHILOX_W[1]) & _MASK64
+        c0, c1, c2, c3 = _xor(_xor(hi1, c1), k0), lo1, _xor(_xor(hi0, c3), k1), lo0
         k0 += np.uint64(_PHILOX_W[0])
+    del k0, scratch  # freed before the output is allocated
     return np.stack((c0, c1, c2, c3))
 
 
@@ -324,7 +342,10 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
         order = np.argsort(parent, kind="stable")  # by parent, then slot
         parent = parent[order]
         trial = trial[parent]
-        index = (np.arange(trial.size) - np.searchsorted(trial, trial)).astype(np.uint64)
+        index = np.arange(trial.size, dtype=np.uint64)  # minus the start of its trial's run, in O(n)
+        run_start = index.copy()
+        run_start[1:][trial[1:] == trial[:-1]] = 0
+        index -= np.maximum.accumulate(run_start, out=run_start)
         live = (trial, index, np.concatenate(reds)[order], blue[parent])
         if trial[0] != trial[-1] and trial.size > _LIVE_VERTICES:
             # Too wide for several trials: split by trial range; both halves continue.

@@ -226,6 +226,29 @@ class TestArgumentRanges:
         assert time.monotonic() - start < 1
         assert code == 64 and flag in err and out == ""
 
+    # argparse takes a separate word like -1/3 for an option unless the CLI attaches it to its flag
+    @pytest.mark.parametrize(
+        "argv,flag,value,message",
+        [
+            ("phase --d 2 --lambda 1", "--rho", "-1/3", "--rho: must be nonnegative, got -1/3"),
+            ("decide --d 2 --rho 1", "--lambda", "-1/2", "--lambda: must be positive, got -1/2"),
+            ("decide --d 2 --rho 1", "--lambda", "-.5", "--lambda: expected an exact rational"),
+            ("catalan --lambda 1 --rho 1 --k 2", "--z", "-1/3", "--z: must be nonnegative, got -1/3"),
+            ("rho-c --d 2 --lambda 1", "--tol", "-1/8", "--tol: must be >= 2^-200, got -1/8"),
+            ("rho-c --d 2 --tol 1/1024", "--lambda-grid", "-1:1:3", "--lambda-grid: LO must be positive, got -1"),
+            ("simulate tree --lambda 1 --trials 1 --seed 1", "--rho", "-1/3", "--rho: must be nonnegative"),
+            ("simulate line --rho 1 --trials 1 --seed 1", "--lambda", "-1/2", "--lambda: must be positive"),
+        ],
+    )
+    def test_negative_value_as_separate_word(self, capsys, argv, flag, value, message):
+        code, out, separate = run(capsys, *argv.split(), flag, value)
+        assert (code, out) == (64, "") and message in separate
+        assert run(capsys, *argv.split(), f"{flag}={value}") == (64, "", separate)
+
+    def test_option_after_rational_flag_is_still_missing_value(self, capsys):
+        code, _, err = run(capsys, *"decide --d 2 --lambda 1 --rho --json".split())
+        assert code == 64 and "argument --rho: expected one argument" in err
+
     def test_largest_accepted_values_run(self, capsys):
         code, out, _ = run(capsys, *f"rho-c --d 2 --lambda 1 --tol 1/{2**200} --max-m 4096".split())
         assert code == 0 and out.splitlines()[-1].endswith(",bracket")

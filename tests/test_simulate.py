@@ -94,6 +94,30 @@ class TestLineTrials:
         assert a == b
 
 
+def counter_shapes(n):
+    """Every counter shape on n lanes: each of the four words an int or a uint64 array."""
+    rng = np.random.default_rng(n)
+    ints = (7, 2**64 - 1, 0, 2**63)
+    for mask in range(16):
+        yield tuple(
+            rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False) if mask >> i & 1 else c
+            for i, c in enumerate(ints)
+        )
+
+
+def numpy_philox_words(counter, trials, seed):
+    """The (4, n) block of np.random.Philox at each lane's counter and key, one generator per lane."""
+    columns = []
+    for col, t in enumerate(trials.tolist()):
+        value = sum(int(c[col] if isinstance(c, np.ndarray) else c) << 64 * i for i, c in enumerate(counter))
+        key = (seed & (2**64 - 1)) << 64 | t
+        columns.append(np.random.Philox(key=key, counter=(value - 1) % 2**256).random_raw(4))  # emits counter + 1 first
+    return np.array(columns, dtype=np.uint64).reshape(-1, 4).T
+
+
+# A lane-invariant word is multiplied as a Python int; one that slipped into a numpy
+# scalar would overflow with a RuntimeWarning, which fails here.
+@pytest.mark.filterwarnings("error")
 class TestPhiloxKernel:
     @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
     @pytest.mark.parametrize("first", [0, 2**32 - 2])  # 2^32 - 2 .. 2^32 + 1 cross a 32-bit limb
@@ -133,12 +157,56 @@ class TestPhiloxKernel:
         trials = np.arange(2**32 - 150, 2**32 + 150, dtype=np.uint64)
         index = trials[::-1].copy()
         kept = trials.copy(), index.copy()
-        for position in range(4):
-            counter = [3, index, 1, 0]
-            counter[position] = trials
-            expected = ced.simulate._philox_block(tuple(counter), trials.copy(), 5)
-            assert np.array_equal(ced.simulate._philox_block(tuple(counter), trials, 5), expected)
-            assert np.array_equal(trials, kept[0]) and np.array_equal(index, kept[1])
+        shapes = [[3, index, 1, 0], [index, 2, index, 5], [index, index, index, index], [1, 2, 3, 4]]
+        for shape in shapes:
+            for position in range(4):
+                counter = list(shape)
+                counter[position] = trials
+                unaliased = tuple(c.copy() if isinstance(c, np.ndarray) else c for c in counter)
+                expected = ced.simulate._philox_block(unaliased, trials.copy(), 5)
+                assert np.array_equal(ced.simulate._philox_block(tuple(counter), trials, 5), expected)
+                assert np.array_equal(trials, kept[0]) and np.array_equal(index, kept[1])
+
+    @pytest.mark.parametrize("seed", [-1, 2**63 + 5])
+    @pytest.mark.parametrize("lanes", [0, 1, 300])
+    @pytest.mark.parametrize("position", range(4))
+    def test_int_counter_words_match_numpy_philox(self, seed, lanes, position):
+        trials = np.random.default_rng(lanes).integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
+        counter = [9, 0, 2**32 + 1, 3]
+        counter[position] = 2**64 - 1
+        words = ced.simulate._philox_block(tuple(counter), trials, seed)
+        assert words.shape == (4, lanes)
+        assert np.array_equal(words, numpy_philox_words(counter, trials, seed))
+        assert np.array_equal(ced.simulate._philox_block(tuple(map(np.uint64, counter)), trials, seed), words)
+
+    @pytest.mark.parametrize("lanes", [0, 1, 300])
+    def test_every_counter_shape_gives_a_fresh_array(self, lanes):
+        trials = np.arange(lanes, dtype=np.uint64)
+        for counter in counter_shapes(lanes):
+            words = ced.simulate._philox_block(counter, trials, 11)
+            assert words.shape == (4, lanes) and words.dtype == np.uint64
+            assert words.flags.c_contiguous and words.flags.writeable and words.flags.owndata
+            assert not any(np.shares_memory(words, c) for c in (trials, *counter) if isinstance(c, np.ndarray))
+            if lanes == 300:
+                assert np.array_equal(words, numpy_philox_words(counter, trials, 11))
+
+    @pytest.mark.parametrize(
+        "arrays,calls",
+        [((), 17), ((1,), 17), ((2,), 18), ((3,), 18), ((0,), 19), ((0, 2), 20), ((0, 1, 2, 3), 20)],
+    )
+    def test_array_limb_chains_per_block(self, monkeypatch, arrays, calls):
+        # Rounds 0 and 1 multiply only the counter words that are arrays; rounds 2-9 multiply two arrays.
+        seen, mulhi = [], ced.simulate._mulhi
+
+        def counting(a, *args):
+            seen.append(a.size)
+            return mulhi(a, *args)
+
+        monkeypatch.setattr(ced.simulate, "_mulhi", counting)
+        trials = np.arange(64, dtype=np.uint64)
+        counter = tuple(trials + np.uint64(i) if i in arrays else i for i in range(4))
+        ced.simulate._philox_block(counter, trials, 3)
+        assert len(seen) == calls and set(seen) == {64}
 
 
 class TestSimulateLine:
