@@ -54,7 +54,7 @@ from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tr
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 _NEGATIVE_RE = re.compile(r"-[\d.]")
-_RATIONAL_FLAGS = frozenset({"--lambda", "--rho", "--z", "--tol", "--lambda-grid"})
+_FLAG_RE = re.compile(r"--[^=]+")  # a --name word with no value attached; not the bare --
 
 EXIT_USAGE = 64
 EXIT_RUNTIME = 70
@@ -271,6 +271,12 @@ MIN_TOL_BITS = 200
 #: lambda at 0.97 of the upper window edge, and 11 s at d = 10^300, lambda = 1.
 MAX_DECISION_D = 1 << 32
 
+#: Largest `simulate --trials`.  The line engine's time grows linearly in it:
+#: at lambda = rho = 1, k <= 6, 10^6 / 4 10^6 / 10^7 trials take 0.48 / 1.27 /
+#: 2.3 s at 34 MB, so 10^12 would take days.  Trials at lambda = 5, rho = 0,
+#: k <= 800 take 176 us each: about half an hour at the cap.
+MAX_TRIALS = 10**7
+
 #: Largest `simulate --d`.  The tree engine spends one Python iteration per
 #: child slot: at rho = 0, depth 2 and one trial, d = 1024 takes 1.1 s and
 #: 138 MB, and d = 100000 ran 17.7 s before the vertex budget stopped it.
@@ -478,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"branching factor (at most {MAX_SIMULATE_D})")
     ps.add_argument("--lambda", dest="lam", required=True)
     ps.add_argument("--rho", required=True)
-    ps.add_argument("--trials", type=_int_arg(1), required=True)
+    ps.add_argument("--trials", type=_int_arg(1, MAX_TRIALS), required=True, help=f"at most {MAX_TRIALS}")
     ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
                     help=f"line: stop at this blue position (at most {MAX_LINE_K})")
@@ -495,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """`--rho -1/3` as `--rho=-1/3`: argparse takes a word like -1/3 for an option, so its value parser never saw it."""
+    """`--rho -1/3` as `--rho=-1/3`, for any flag: argparse takes -1/3 for an option, so its value parser never saw it."""
     words = []
     for word in argv:
-        if words and words[-1] in _RATIONAL_FLAGS and _NEGATIVE_RE.match(word):
+        if words and _FLAG_RE.fullmatch(words[-1]) and _NEGATIVE_RE.match(word):
             words[-1] += "=" + word
         else:
             words.append(word)

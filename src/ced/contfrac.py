@@ -1,4 +1,4 @@
-"""Finite continued fractions: psi's bounds and the two decision kernels.
+"""The two decision kernels: integer sweeps of finite continued fractions.
 
 Notation: K[c_0, ..., c_n] = c_0 / (1 - c_1 / (1 - ... / (1 - c_n))).
 Evaluation runs bottom up through tail values t_i = K[c_i, ..., c_n].
@@ -58,10 +58,10 @@ level i+1 without a pole, and three sign rules follow:
 r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
 i = -1.  Its precondition b_m < 1/4 reads 4 alpha < G_{m+1} G_{m+2}.
 
-Closing factor.  Y/Z is psi_bounds(b_m).upper, formed from integers for
-b_m = P/Q unreduced (P = alpha, Q = G_{m+1} G_{m+2}).  If v = (Q - 4P) Q
-is a perfect square, 1 - 4 b_m is the square of isqrt(v)/Q, and Y = 2Q,
-Z = Q + isqrt(v).  Otherwise the root's lower end on the grid 2^-k,
+Closing factor.  Y/Z bounds psi(b_m) = 2 / (1 + sqrt(1 - 4 b_m)) from
+above, formed from integers for b_m = P/Q unreduced (P = alpha, Q =
+G_{m+1} G_{m+2}).  If v = (Q - 4P) Q is a perfect square, 1 - 4 b_m is
+the square of isqrt(v)/Q, and Y = 2Q, Z = Q + isqrt(v).  Otherwise the root's lower end on the grid 2^-k,
 k = 70, is s / 2^k with s = isqrt(floor((Q - 4P) 4^k / Q)), and Y =
 2^(k+1), Z = 2^k + s.  That grid does not depend on b_m's denominator, so
 off the rational squares the bound rises with b_m and a good sweep stays
@@ -77,56 +77,18 @@ steps G down the progression, so nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ced.params import ModelParams, _progression_origin
 
-#: psi enclosures this tight are far below the margins at which the good
-#: test flips for any m >= 1 seen in practice, and cheap to produce.
-DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
-
-#: psi's bounds put sqrt(1 - 4x) on the grid 2^-_ROOT_BITS for every x (module
-#: docstring); psi's slope in the root is at most 2, so they are 2^-69 apart.
+#: The closing factor puts sqrt(1 - 4x) on the grid 2^-_ROOT_BITS for every x
+#: (module docstring); psi's slope in the root is at most 2, so the bound
+#: lies within 2^-69 of psi.
 _ROOT_BITS = 70
-
-_ONE = Fraction(1)
-_QUARTER = Fraction(1, 4)
-
-
-@dataclass(frozen=True)
-class PsiBound:
-    """Rational bounds on the plain-Catalan generating function at x."""
-
-    x: Fraction
-    lower: Fraction
-    upper: Fraction
-
-
-def psi_bounds(x: Fraction | int) -> PsiBound:
-    """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
-
-    Computed as 2 / (1 + sqrt(1 - 4x)): exact when 1 - 4x is the square of a
-    rational (psi(0) = 1, psi(1/4) = 2), else with the root between
-    neighbours of the grid 2^-70, so upper - lower <= DEFAULT_PSI_WIDTH.
-    All values lie in [1, 2].  `_psi_upper` and `certcheck.closing_bound`
-    form the same upper bound from integers.
-    """
-    x = Fraction(x)
-    if x < 0 or x > _QUARTER:
-        raise ValueError(f"psi is defined on [0, 1/4], got {x}")
-    r = 1 - 4 * x  # in lowest terms: a rational square iff both its terms are squares
-    p, q = math.isqrt(r.numerator), math.isqrt(r.denominator)
-    if p * p == r.numerator and q * q == r.denominator:
-        return PsiBound(x, Fraction(2 * q, q + p), Fraction(2 * q, q + p))
-    s = math.isqrt(math.floor(r * 4**_ROOT_BITS))  # s <= 2^70 sqrt(r) < s + 1
-    lower = Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s + 1)
-    return PsiBound(x, max(_ONE, lower), Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s))
 
 
 def _psi_upper(num: int, den: int) -> tuple[int, int]:
-    """(Y, Z), Z > 0, with Y/Z = psi_bounds(num/den).upper as a rational (module docstring)."""
+    """(Y, Z), Z > 0, with Y/Z >= psi(num/den), exact at the rational squares (module docstring)."""
     v = (den - 4 * num) * den
     root = math.isqrt(v)
     if root * root == v:  # 1 - 4x is the square of root/den

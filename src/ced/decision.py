@@ -18,8 +18,9 @@ the schedule misses nothing reachable by m_max.  Undecided is a
 first-class outcome: rho exactly at the threshold can never terminate,
 and bisection callers stop gracefully instead of looping.
 
-`critical_rho` starts from the closed-form growth bounds, snapped outward
-to a dyadic grid so midpoint denominators stay small.  Bisection to width
+`critical_rho` starts from the closed-form growth bounds, which
+`growth_bounds` rounds outward onto the grid 2^-30 so midpoint
+denominators stay small.  Bisection to width
 tol would end on a cell [lo + k w, lo + (k+1) w], w = (hi - lo) / 2^n, of
 that grid.  The integer Newton estimate `_estimate_rho_c` picks k; if the
 cell's ends certify Below and Above, bisection takes no step, else it runs
@@ -48,7 +49,7 @@ from typing import Optional, Sequence, Union
 
 from ced._workers import map_jobs
 from ced.certcheck import check_above, check_below
-from ced.contfrac import below_witness, km_good, psi_bounds
+from ced.contfrac import below_witness, km_good
 from ced.params import (
     ModelParams,
     WindowPosition,
@@ -61,12 +62,6 @@ from ced.params import (
 #: Default depth cap of `decide`, and the largest `--max-m`: near the
 #: threshold with long denominators m = 4096 takes about 100 s.
 DEFAULT_M_MAX = 4096
-
-#: Bisection endpoints are snapped outward to multiples of 1/_DYADIC_GRID;
-#: plain midpoint averaging then keeps rho's denominator e a power of two no
-#: larger than the tolerance needs.  That bounds the integers G_i and alpha
-#: of the continuant sweeps, so each level stays one big-by-small product.
-_DYADIC_GRID = 1 << 30
 
 _ZERO = Fraction(0)
 
@@ -221,14 +216,6 @@ class CriticalBracket:
         return (self.lo + self.hi) / 2
 
 
-def _snap_down(x: Fraction) -> Fraction:
-    return Fraction(math.floor(x * _DYADIC_GRID), _DYADIC_GRID)
-
-
-def _snap_up(x: Fraction) -> Fraction:
-    return Fraction(math.ceil(x * _DYADIC_GRID), _DYADIC_GRID)
-
-
 def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, int, int]:
     """(j, t_j, its slope in rho) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
 
@@ -295,9 +282,9 @@ def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Frac
 
 
 def _exact_closing(p: ModelParams, outcome: DecisionOutcome) -> bool:
-    """Did outcome's KernelAbove sweep close with psi exact, off the monotone grid?"""
-    bound = psi_bounds(weight_b(p, outcome.certificate.m))
-    return bound.lower == bound.upper
+    """Did outcome's KernelAbove sweep close with psi exact: is 1 - 4 b_m a rational square?"""
+    r = 1 - 4 * weight_b(p, outcome.certificate.m)
+    return all(math.isqrt(n) ** 2 == n for n in (r.numerator, r.denominator))
 
 
 def critical_rho(
@@ -308,11 +295,10 @@ def critical_rho(
 ) -> CriticalBracket:
     """Bracket the critical death rate to width <= tol by certified bisection.
 
-    The initial bracket comes from the closed-form growth bounds: the
-    clamped lower bound rounded down to the dyadic grid (still at or below
-    the threshold) and the upper bound's enclosure rounded up (still
-    strictly above).  The estimated cell is tried first (module docstring);
-    otherwise every midpoint is resolved by `decide`, and an Undecided
+    The initial bracket is `growth_bounds`: the clamped lower bound
+    rounded down (still at or below the threshold) and the upper bound
+    rounded up (still strictly above).  The estimated cell is tried first
+    (module docstring); otherwise every midpoint is resolved by `decide`, and an Undecided
     midpoint stops the loop and is flagged on the returned bracket.  Both
     endpoint certificates of the result are re-checked by
     `verify_certificate`, whose integer checker shares no code with the
@@ -329,9 +315,7 @@ def critical_rho(
             "the critical death rate is 0 there"
         )
 
-    bound_lo, bound_hi = growth_bounds(d, lam)
-    lo = max(_ZERO, _snap_down(bound_lo.lo))
-    hi = _snap_up(bound_hi.hi)
+    lo, hi = growth_bounds(d, lam)
 
     lo_out = decide(ModelParams(d, lam, lo), m_max)
     if lo_out.verdict is Verdict.UNDECIDED and lo > 0:

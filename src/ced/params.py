@@ -16,10 +16,9 @@ division by zero raises).  The endpoints of the coexistence window
     lambda_c^-/+ = 2d - 1 -/+ 2 sqrt(d^2 - d)
 
 are irrational, yet no rational lambda needs them: one integer sign test
-places it (`window_position`).  Other irrational quantities, such as the
-closed-form growth bounds, are returned as directed enclosures: intervals
-with rational endpoints, outward rounded, so strict inequality tests
-against them stay sound without symbolic algebra.
+places it (`window_position`).  The closed-form growth bounds are
+irrational too; `growth_bounds` rounds them outward onto a dyadic grid
+with the integer square root, so no Fraction root is ever formed.
 """
 
 from __future__ import annotations
@@ -29,64 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Default width of directed enclosures for irrational quantities.
-DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**30)
-
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Directed interval [lo, hi] with rational endpoints.
-
-    The enclosed real value r satisfies lo <= r <= hi.  When the value is
-    known to be irrational the bounds are strict, so `hi < x` certifies
-    r < x and `lo > x` certifies r > x.
-    """
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
-def sqrt_enclosure(x: Fraction | int, width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> Enclosure:
-    """Enclose sqrt(x) in a rational interval no wider than `width`.
-
-    Uses the integer square root (monotone Newton refinement under the
-    hood) on a scaled radicand: with x = p/q and N = ceil(1 / (width q)),
-
-        s = isqrt(p q N^2)  gives  s <= N sqrt(pq) < s + 1,
-
-    so sqrt(x) = sqrt(pq)/q lies in [s/(Nq), (s+1)/(Nq)], an interval of
-    width 1/(Nq) <= width.  Exact when x is a perfect rational square.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("square root of a negative rational")
-    if width <= 0:
-        raise ValueError("enclosure width must be positive")
-    if x == 0:
-        return Enclosure(_ZERO, _ZERO)
-    p, q = x.numerator, x.denominator
-    n = p * q
-    scale = max(1, -(-width.denominator // (width.numerator * q)))  # ceil(1 / (width q))
-    s = math.isqrt(n * scale * scale)
-    if s * s == n * scale * scale:
-        root = Fraction(s, scale * q)
-        return Enclosure(root, root)
-    return Enclosure(Fraction(s, scale * q), Fraction(s + 1, scale * q))
 
 
 def _validated(d: int, lam: Fraction | int) -> Fraction:
@@ -156,28 +98,30 @@ def rho_extinction(d: int, lam: Fraction | int) -> Fraction:
     return _validated(d, lam) * (d - 1)
 
 
-def growth_bounds(d: int, lam: Fraction | int) -> tuple[Enclosure, Enclosure]:
-    """Enclose the closed-form bounds that bracket the critical death rate.
+def growth_bounds(d: int, lam: Fraction | int) -> tuple[Fraction, Fraction]:
+    """(lo, hi): the closed-form bounds on the critical death rate, rounded outward to multiples of 2^-30.
 
     Both bounds have the shape ( sqrt(c lambda + lambda^2 + 1) - 3 lambda - 3 ) / 4
     with c = 8d + 2 for the lower and c = 32d + 2 for the upper.  For lam
     inside the coexistence window they bracket the critical rate from
-    below and strictly above.  The lower bound is clamped at zero (a
-    negative bound says nothing for rho >= 0); the upper is left
-    unclamped so a certified-negative value signals lam outside the
-    window.  Each enclosure is DEFAULT_ENCLOSURE_WIDTH wide at most.
+    below and strictly above.  lo is clamped at zero (a negative bound says
+    nothing for rho >= 0); hi is not, so a negative hi signals lam outside
+    the window.  From ends on this grid, bisection's midpoints keep rho's
+    denominator a power of two no larger than the tolerance needs.
+
+    With lam = a/b and N_c = c ab + a^2 + b^2, 2^30 times a bound is
+    (sqrt(N_c 2^56) - 3(a + b) 2^28) / b.  Its floor and ceiling are those
+    of the same quotient with the root rounded down, isqrt(n), or up,
+    isqrt(n - 1) + 1.
     """
     lam = _validated(d, lam)
-
-    def radical_bound(coeff: int) -> Enclosure:
-        radicand = coeff * lam + lam * lam + 1
-        root = sqrt_enclosure(radicand, 4 * DEFAULT_ENCLOSURE_WIDTH)
-        return Enclosure((root.lo - 3 * lam - 3) / 4, (root.hi - 3 * lam - 3) / 4)
-
-    lower = radical_bound(8 * d + 2)
-    upper = radical_bound(32 * d + 2)
-    clamped = Enclosure(max(_ZERO, lower.lo), max(_ZERO, lower.hi))
-    return clamped, upper
+    a, b = lam.numerator, lam.denominator
+    offset = 3 * (a + b) << 28
+    lower = (a * a + (8 * d + 2) * a * b + b * b) << 56
+    upper = (a * a + (32 * d + 2) * a * b + b * b) << 56
+    lo = max(0, (math.isqrt(lower) - offset) // b)
+    hi = -((offset - math.isqrt(upper - 1) - 1) // b)
+    return Fraction(lo, 1 << 30), Fraction(hi, 1 << 30)
 
 
 def _progression_origin(p: ModelParams) -> tuple[int, int]:

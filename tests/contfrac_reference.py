@@ -3,11 +3,15 @@
 K[c_0, ..., c_n] = c_0 / (1 - c_1 / (1 - ... / (1 - c_n))) is evaluated
 bottom up through its tail values with `fractions.Fraction`, one gcd per
 level, and so shares no arithmetic with the integer kernels of
-`ced.contfrac` or the checker of `ced.certcheck`.
+`ced.contfrac` or the checker of `ced.certcheck`.  `psi_bounds` gives
+Fraction bounds on the plain-Catalan generating function that closes the
+flattened fraction; the kernels' `_psi_upper` and the checker's
+`closing_bound` are tested against its upper end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -74,3 +78,39 @@ def is_good(entries: Sequence[Fraction | int]) -> GoodCheck:
     if ev.value >= 1:
         return GoodCheck(False, 0)
     return GoodCheck(True, None)
+
+
+#: psi_bounds' upper and lower ends lie at most this far apart.
+DEFAULT_PSI_WIDTH = Fraction(1, 10**20)
+
+#: psi_bounds puts sqrt(1 - 4x) between neighbours of the grid 2^-_ROOT_BITS.
+_ROOT_BITS = 70
+
+
+@dataclass(frozen=True)
+class PsiBound:
+    """Rational bounds on the plain-Catalan generating function at x."""
+
+    x: Fraction
+    lower: Fraction
+    upper: Fraction
+
+
+def psi_bounds(x: Fraction | int) -> PsiBound:
+    """Rational bounds on psi(x) = (1 - sqrt(1 - 4x)) / (2x), 0 <= x <= 1/4.
+
+    Computed as 2 / (1 + sqrt(1 - 4x)): exact when 1 - 4x is the square of a
+    rational (psi(0) = 1, psi(1/4) = 2), else with the root between
+    neighbours of the grid 2^-70, so upper - lower <= DEFAULT_PSI_WIDTH.
+    All values lie in [1, 2].
+    """
+    x = Fraction(x)
+    if x < 0 or x > Fraction(1, 4):
+        raise ValueError(f"psi is defined on [0, 1/4], got {x}")
+    r = 1 - 4 * x  # in lowest terms: a rational square iff both its terms are squares
+    p, q = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if p * p == r.numerator and q * q == r.denominator:
+        return PsiBound(x, Fraction(2 * q, q + p), Fraction(2 * q, q + p))
+    s = math.isqrt(math.floor(r * 4**_ROOT_BITS))  # s <= 2^70 sqrt(r) < s + 1
+    lower = Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s + 1)
+    return PsiBound(x, max(Fraction(1), lower), Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s))

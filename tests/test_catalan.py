@@ -20,9 +20,10 @@ from ced.catalan import (
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
-from ced.params import ModelParams, progression, sqrt_enclosure, weight_a, weight_b, weight_u, weight_v
+from ced.params import ModelParams, progression, weight_a, weight_b, weight_u, weight_v
 
 from catalan_reference import height_dp
+from sqrt_reference import sqrt_enclosure
 
 P211 = ModelParams(2, F(1), F(1))
 

@@ -13,7 +13,6 @@ import ced.contfrac
 import ced.decision
 import ced.params
 from ced.certcheck import bounds_psi, check_above, check_below, closing_bound
-from ced.contfrac import psi_bounds
 from ced.decision import (
     DecisionOutcome,
     KernelAbove,
@@ -26,7 +25,7 @@ from ced.decision import (
 from ced.params import ModelParams, weight_b
 
 import contfrac_reference
-from contfrac_reference import eval_finite, is_good
+from contfrac_reference import eval_finite, is_good, psi_bounds
 
 
 def oracle_below(p, m, level):
@@ -176,8 +175,8 @@ class TestIndependence:
             raise AssertionError("the re-check called code that the kernels or the Fraction path use")
 
         homes = {
-            ced.contfrac: ("below_witness", "km_good", "_sweep", "_psi_upper", "psi_bounds"),
-            contfrac_reference: ("eval_finite", "is_good"),
+            ced.contfrac: ("below_witness", "km_good", "_sweep", "_psi_upper"),
+            contfrac_reference: ("eval_finite", "is_good", "psi_bounds"),
             ced.params: ("weight_b",),
         }
         originals = [getattr(home, name) for home, names in homes.items() for name in names]

@@ -209,6 +209,10 @@ class TestArgumentRanges:
             ("simulate line --lambda 1 --rho 0 --k-max 100000000 --trials 1 --seed 1", "--k-max: must be <= 800"),
             # one Python iteration per child slot: this ran 17.7 s before the vertex budget
             ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
+            # the line engine's time is linear in the trials: 10^7 at lambda = rho = 1 take 2.3 s
+            ("simulate line --lambda 1 --rho 1 --trials 10000001 --seed 1", "--trials: must be <= 10000000"),
+            # after the bare --, a negative word is left to argparse
+            ("decide --d 2 --lambda 1 --rho 1 -- -1", "unrecognized arguments:"),
             # the engines draw their delays in floats, and these rates lie past the float range
             (f"simulate line --lambda 1 --rho 1{'0' * 400} --trials 10 --seed 1", "--rho"),
             (f"simulate tree --lambda 1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
@@ -238,6 +242,11 @@ class TestArgumentRanges:
             ("rho-c --d 2 --tol 1/1024", "--lambda-grid", "-1:1:3", "--lambda-grid: LO must be positive, got -1"),
             ("simulate tree --lambda 1 --trials 1 --seed 1", "--rho", "-1/3", "--rho: must be nonnegative"),
             ("simulate line --rho 1 --trials 1 --seed 1", "--lambda", "-1/2", "--lambda: must be positive"),
+            # abbreviated flags and integer flags take the word too
+            ("decide --d 2 --rho 1", "--lam", "-1/3", "--lambda: must be positive, got -1/3"),
+            ("phase --d 2 --lambda 1", "--rh", "-1/3", "--rho: must be nonnegative, got -1/3"),
+            ("catalan --lambda 1 --rho 1", "--k", "-1/2", "argument --k: expected an integer, got '-1/2'"),
+            ("simulate line --lambda 1 --rho 1 --trials 1", "--seed", "-1/2", "argument --seed: invalid int value"),
         ],
     )
     def test_negative_value_as_separate_word(self, capsys, argv, flag, value, message):

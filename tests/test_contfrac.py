@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.contfrac import _psi_upper, below_witness, km_good, psi_bounds
+from ced.contfrac import _psi_upper, below_witness, km_good
 from ced.decision import critical_rho
-from ced.params import ModelParams, progression, sqrt_enclosure, weight_b
+from ced.params import ModelParams, progression, weight_b
 
-from contfrac_reference import eval_finite, is_good
+from contfrac_reference import eval_finite, is_good, psi_bounds
+from sqrt_reference import sqrt_enclosure
 
 P211 = ModelParams(2, F(1), F(1))
 

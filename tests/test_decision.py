@@ -30,6 +30,8 @@ from ced.decision import (
 )
 from ced.params import ModelParams, WindowPosition, growth_bounds, weight_b, window_position
 
+from contfrac_reference import psi_bounds
+
 TOL10 = F(1, 2**10)
 
 
@@ -200,14 +202,27 @@ class TestCriticalRho:
     def test_agrees_with_growth_bounds(self):
         b = critical_rho(2, F(1), TOL10)
         bound_lo, bound_hi = growth_bounds(2, F(1))
-        assert b.lo >= max(F(0), bound_lo.lo)
-        assert b.hi <= bound_hi.hi + F(1, 2**30)  # initial endpoint is grid-snapped outward
+        assert bound_lo <= b.lo and b.hi <= bound_hi
 
     def test_positive_lower_bound_floor_respected(self):
         b = critical_rho(5, F(1), F(1, 64))
         bound_lo, _ = growth_bounds(5, F(1))
-        assert bound_lo.lo > 0
-        assert b.lo >= bound_lo.lo - F(1, 2**30)
+        assert bound_lo > 0
+        assert b.lo >= bound_lo
+
+    @pytest.mark.parametrize(
+        "p,m,exact",
+        [
+            (ModelParams(26, F(4, 5), F(3)), 1, True),  # 1 - 4 b_1 = (2 b_0 - 1)^2 = (1/9)^2
+            (ModelParams(2, F(1), F(1)), 1, False),  # 1 - 4 b_1 = 3/5
+            (ModelParams(2, F(1), F(2)), 2, False),  # 1 - 4 b_2 = 9/10
+            (ModelParams(2, F(1), F(1, 2)), 3, False),  # 1 - 4 b_3 = 5/9
+        ],
+    )
+    def test_exact_closing_agrees_with_psi_bounds(self, p, m, exact):
+        bound = psi_bounds(weight_b(p, m))
+        outcome = DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
+        assert ced.decision._exact_closing(p, outcome) is exact is (bound.lower == bound.upper)
 
     def test_pinch_near_upper_window_edge(self):
         b = critical_rho(2, F(291, 50), F(1, 256))

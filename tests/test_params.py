@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced.params import (
-    Enclosure,
     ModelParams,
     WindowPosition,
     growth_bounds,
     rho_extinction,
-    sqrt_enclosure,
     weight_a,
     weight_b,
     weight_u,
@@ -18,7 +17,10 @@ from ced.params import (
     window_position,
 )
 
+from sqrt_reference import Enclosure, sqrt_enclosure
+
 WIDTH = F(1, 10**30)
+GRID = F(1, 2**30)  # growth_bounds rounds outward onto multiples of this
 
 rationals_pos = st.fractions(min_value=F(1, 32), max_value=50, max_denominator=32)
 
@@ -197,29 +199,75 @@ class TestRhoExtinction:
             rho_extinction(2, F(0))
 
 
+def bound_enclosures(d, lam, width):
+    """Enclosures at most `width` wide of the lower and the upper closed-form bound.
+
+    Each is (sqrt(c lam + lam^2 + 1) - 3 lam - 3) / 4, with c = 8d + 2 and
+    c = 32d + 2.  At width 10^-30 these are the Fraction enclosures that
+    growth_bounds was once rounded from.
+    """
+
+    def bound(c):
+        root = sqrt_enclosure(c * lam + lam * lam + 1, 4 * width)
+        return Enclosure((root.lo - 3 * lam - 3) / 4, (root.hi - 3 * lam - 3) / 4)
+
+    return bound(8 * d + 2), bound(32 * d + 2)
+
+
+def grid_floor(x):
+    return math.floor(x / GRID) * GRID
+
+
+def grid_ceil(x):
+    return math.ceil(x / GRID) * GRID
+
+
 class TestGrowthBounds:
     def test_d2_lambda1(self):
         lower, upper = growth_bounds(2, F(1))
-        assert lower.lo == 0 and lower.hi == 0  # (sqrt20 - 6)/4 < 0, clamped
-        # the upper bound encloses (sqrt68 - 6)/4 ~ 0.561553
+        assert lower == 0  # (sqrt20 - 6)/4 < 0, clamped
+        # the upper bound lies within one grid step above (sqrt68 - 6)/4 ~ 0.561553
         fine = sqrt_enclosure(F(68), F(1, 10**40))
-        assert upper.lo <= (fine.midpoint - 6) / 4 <= upper.hi
-        assert upper.width <= 4 * WIDTH
+        assert upper - GRID < (fine.lo - 6) / 4 and (fine.hi - 6) / 4 <= upper
 
     def test_pinches_to_zero_at_upper_window_edge(self):
         root = sqrt_enclosure(F(2), WIDTH / 4)
         _, upper = growth_bounds(2, 3 + 2 * root.hi)  # just past 3 + 2 sqrt2
-        assert abs(upper.lo) < F(1, 10**20) and abs(upper.hi) < F(1, 10**20)
+        assert upper == 0  # the bound is about -3 10^-32, rounded up
 
     def test_negative_beyond_window_signals_outside(self):
         _, upper = growth_bounds(2, F(1, 10))
-        assert upper.hi < 0
+        assert upper < 0
 
     def test_f1_positive_case(self):
         # the unclamped lower bound is positive iff (d-2) lam > lam^2 + 1
         lower, upper = growth_bounds(5, F(1))
-        assert lower.lo > 0
-        assert lower.hi < upper.lo
+        assert lower > 0
+        assert lower < upper
+
+    @given(
+        d=st.sampled_from([2, 3, 5, 64, 1024, 2**32]) | st.integers(2, 2**32),
+        lam=st.fractions(min_value=F(1, 10**4), max_value=10**4, max_denominator=10**40),
+        edge=st.integers(0, 3),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_rounds_the_enclosure_route_outward(self, d, lam, edge):
+        # lam from anywhere, and one lam within 10^-100 of a window edge, on either side
+        ends = window_ends(d, F(1, 10**100))
+        near = (ends[0].lo, ends[0].hi, ends[1].lo, ends[1].hi)[edge]
+        for x in (lam, near):
+            lo, hi = growth_bounds(d, x)
+            # the 10^-30 enclosures, rounded outward: where no multiple of 2^-30 lies
+            # inside an enclosure, its two ends round alike and pin growth_bounds
+            lower, upper = bound_enclosures(d, x, WIDTH)
+            assert max(0, grid_floor(lower.lo)) <= lo <= max(0, grid_floor(lower.hi)), (d, x)
+            assert grid_ceil(upper.lo) <= hi <= grid_ceil(upper.hi), (d, x)
+            # lo <= lower bound < lo + 2^-30 (or the bound is below 2^-30 when lo is
+            # clamped) and hi - 2^-30 < upper bound <= hi, against a finer root
+            lower, upper = bound_enclosures(d, x, F(1, 10**60))
+            assert lo <= lower.lo or lo == 0, (d, x)
+            assert lower.hi < lo + GRID, (d, x)
+            assert hi - GRID < upper.lo and upper.hi <= hi, (d, x)
 
 
 class TestMAtZero:
