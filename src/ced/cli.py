@@ -42,9 +42,10 @@ from ced.decision import (
     KernelAbove,
     KernelBelow,
     OutsideWindowAbove,
+    OutsideWindowError,
     Verdict,
     classify_phase,
-    critical_rho,  # noqa: F401  unused here; perfbench's tracer test checks that this binding is wrapped
+    critical_rho,
     decide,
     rho_c_curve,
 )
@@ -303,35 +304,30 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(n)]
 
 
-def _cert_cells(bracket) -> list:
-    if bracket is None:
-        return [_NO_CERTIFICATE, _NO_CERTIFICATE]
-    return [_certificate_json(bracket.lo_outcome), _certificate_json(bracket.hi_outcome)]
-
-
 def _cmd_rho_c(args) -> int:
     if (args.lam is None) == (args.lambda_grid is None):
         raise UsageError("rho-c: give exactly one of --lambda or --lambda-grid")
     if args.lam is not None:
-        params = {"lambda": args.lam}
-        grid = [args.lam]
+        params, grid = {"lambda": args.lam}, [args.lam]
+        try:
+            brackets = [critical_rho(args.d, args.lam, args.tol, args.max_m)]
+        except OutsideWindowError as exc:
+            raise UsageError(f"--lambda: {exc}") from None
     else:
-        params = {"lambda_grid": args.lambda_grid}
-        grid = _parse_grid(args.lambda_grid)
-    curve = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=args.threads)
-    if args.lam is not None and curve[0].status == "outside":
-        raise UsageError(
-            f"--lambda: lambda = {args.lam} lies outside the coexistence window "
-            f"for d = {args.d}; the critical death rate is 0 there"
-        )
+        params, grid = {"lambda_grid": args.lambda_grid}, _parse_grid(args.lambda_grid)
+        brackets = rho_c_curve(args.d, grid, args.tol, args.max_m, threads=args.threads)
     params.update({"d": args.d, "tol": args.tol, "max_m": args.max_m})
     header = ["lambda", "lo", "hi", "status"]
     if args.certs:
         header += ["lo_certificate", "hi_certificate"]
-    rows = [
-        [pt.lam, pt.lo, pt.hi, pt.status] + (_cert_cells(pt.bracket) if args.certs else [])
-        for pt in curve
-    ]
+    rows = []
+    for lam, b in zip(grid, brackets):
+        if b is None:  # lambda outside the window, where the threshold is 0
+            row = [lam, Fraction(0), Fraction(0), "outside", _NO_CERTIFICATE, _NO_CERTIFICATE]
+        else:
+            status = "bracket" if b.unresolved_midpoint is None else "unresolved"
+            row = [lam, b.lo, b.hi, status, _certificate_json(b.lo_outcome), _certificate_json(b.hi_outcome)]
+        rows.append(row[: len(header)])
     _emit(RunManifest("rho-c", params), args.format, header, rows)
     return 0
 

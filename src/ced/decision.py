@@ -20,12 +20,13 @@ and bisection callers stop gracefully instead of looping.
 
 `critical_rho` starts from the closed-form growth bounds, which
 `growth_bounds` rounds outward onto the grid 2^-30 so midpoint
-denominators stay small.  Bisection to width
-tol would end on a cell [lo + k w, lo + (k+1) w], w = (hi - lo) / 2^n, of
-that grid.  The integer Newton estimate `_estimate_rho_c` picks k; if the
-cell's ends certify Below and Above, bisection takes no step, else it runs
-from [lo, hi].  Both final certificates are re-checked by `verify_certificate`
-on the integers of `ced.certcheck`, which shares no code with the kernels.
+denominators stay small; `decide` settles them at depth 1 (see
+`critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
+lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The integer Newton
+estimate `_estimate_rho_c` picks k; if the cell's ends certify Below and
+Above, bisection takes no step, else it runs from [lo, hi].  Both final
+certificates are re-checked by `verify_certificate` on the integers of
+`ced.certcheck`, which shares no code with the kernels.
 
 Lemma: the cell is bisection's bracket.  Each midpoint bisection would
 visit is a grid point no nearer rho_c than the cell end on its side.
@@ -62,8 +63,6 @@ from ced.params import (
 #: Default depth cap of `decide`, and the largest `--max-m`: near the
 #: threshold with long denominators m = 4096 takes about 100 s.
 DEFAULT_M_MAX = 4096
-
-_ZERO = Fraction(0)
 
 
 class Verdict(enum.Enum):
@@ -121,7 +120,7 @@ class OutsideWindowError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """Raised when bisection cannot certify its initial endpoints or re-check its final ones."""
+    """Raised when an end of a critical-rate bracket lacks its side's verdict or fails its re-check."""
 
 
 def _m_schedule(m_max: int) -> list[int]:
@@ -207,14 +206,6 @@ class CriticalBracket:
     hi_outcome: DecisionOutcome
     unresolved_midpoint: Optional[Fraction] = None
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, int, int]:
     """(j, t_j, its slope in rho) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
@@ -293,17 +284,21 @@ def critical_rho(
     tol: Fraction,
     m_max: int = DEFAULT_M_MAX,
 ) -> CriticalBracket:
-    """Bracket the critical death rate to width <= tol by certified bisection.
+    """Bracket the critical death rate to width <= tol, certified at both ends.
 
-    The initial bracket is `growth_bounds`: the clamped lower bound
-    rounded down (still at or below the threshold) and the upper bound
-    rounded up (still strictly above).  The estimated cell is tried first
-    (module docstring); otherwise every midpoint is resolved by `decide`, and an Undecided
-    midpoint stops the loop and is flagged on the returned bracket.  Both
-    endpoint certificates of the result are re-checked by
-    `verify_certificate`, whose integer checker shares no code with the
-    kernels that found them; a failed re-check raises BracketError
-    instead of returning an unproven bracket.
+    `decide` settles the initial bracket `growth_bounds` (lo, hi) at depth 1:
+    * lo = 0 by the rho = 0 short circuit.  For lo > 0, b_0 >= 1, so b_1 >= 1
+      (a pole) or K[b_0, b_1] = b_0 / (1 - b_1) > 1: `below_witness` fires.
+    * hi > 0, as b_0(0) = d lambda / (1 + lambda)^2 > 1/4 in the window.  As
+      b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
+      `km_good` is good: psi's closing bound is at most 2, so b_0 times it
+      is at most 1/2.
+    The estimated cell is tried next (module docstring); otherwise every
+    midpoint is resolved by `decide`, and an Undecided midpoint stops the
+    loop and is flagged on the returned bracket.  Each end of the result
+    needs its side's verdict and a certificate that `verify_certificate`
+    re-checks on integers, sharing no code with the kernels; else
+    BracketError is raised instead of an unproven bracket.
     """
     lam = Fraction(lam)
     tol = Fraction(tol)
@@ -317,21 +312,7 @@ def critical_rho(
 
     lo, hi = growth_bounds(d, lam)
 
-    lo_out = decide(ModelParams(d, lam, lo), m_max)
-    if lo_out.verdict is Verdict.UNDECIDED and lo > 0:
-        # The closed-form lower bound can hug the threshold; rho = 0 cannot.
-        lo = _ZERO
-        lo_out = decide(ModelParams(d, lam, lo), m_max)
-    if lo_out.verdict is not Verdict.BELOW:
-        raise BracketError(f"lower endpoint {lo} did not certify Below: {lo_out.verdict}")
-
-    hi_out = decide(ModelParams(d, lam, hi), m_max)
-    if hi_out.verdict is not Verdict.ABOVE:
-        raise BracketError(
-            f"upper endpoint {hi} did not certify Above: {hi_out.verdict}; "
-            "increase m_max or widen the tolerance"
-        )
-
+    lo_out, hi_out = decide(ModelParams(d, lam, lo), m_max), decide(ModelParams(d, lam, hi), m_max)
     n = (math.ceil((hi - lo) / tol) - 1).bit_length()  # bisection's steps, to cells w wide
     w = (hi - lo) / (1 << n)
     estimate = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
@@ -354,9 +335,12 @@ def critical_rho(
         else:
             unresolved = mid
             break
-    for rho, out in ((lo, lo_out), (hi, hi_out)):
-        if not verify_certificate(ModelParams(d, lam, rho), out):
-            raise BracketError(f"the certificate of endpoint {rho} failed its re-check: {out.certificate}")
+    for rho, out, side in ((lo, lo_out, Verdict.BELOW), (hi, hi_out, Verdict.ABOVE)):
+        if out.verdict is not side or not verify_certificate(ModelParams(d, lam, rho), out):
+            raise BracketError(
+                f"endpoint {rho} did not certify {side.value} with a certificate that passes "
+                f"its re-check: {out.verdict.value}, {out.certificate}"
+            )
     return CriticalBracket(lam, lo, hi, lo_out, hi_out, unresolved)
 
 
@@ -384,29 +368,9 @@ def classify_phase(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> Phase:
     return Phase.BOUNDARY_UNRESOLVED
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One row of the critical-rate curve: lambda and its certified bracket.
-
-    status is "bracket" for a full-width-certified row, "outside" for
-    lambda outside the window (threshold exactly 0), and "unresolved"
-    when bisection stopped early on an Undecided midpoint.
-    """
-
-    lam: Fraction
-    lo: Fraction
-    hi: Fraction
-    status: str
-    bracket: Optional[CriticalBracket] = None
-
-
-def _curve_point(args: tuple[int, Fraction, Fraction, int]) -> CurvePoint:
+def _curve_point(args: tuple[int, Fraction, Fraction, int]) -> Optional[CriticalBracket]:
     d, lam, tol, m_max = args
-    if window_position(d, lam).is_outside:
-        return CurvePoint(lam, _ZERO, _ZERO, "outside")
-    bracket = critical_rho(d, lam, tol, m_max)
-    status = "unresolved" if bracket.unresolved_midpoint is not None else "bracket"
-    return CurvePoint(lam, bracket.lo, bracket.hi, status, bracket)
+    return None if window_position(d, lam).is_outside else critical_rho(d, lam, tol, m_max)
 
 
 def rho_c_curve(
@@ -415,13 +379,13 @@ def rho_c_curve(
     tol: Fraction,
     m_max: int = DEFAULT_M_MAX,
     threads: int = 1,
-) -> list[CurvePoint]:
-    """Certified bracket rows of the critical death rate over a lambda grid.
+) -> list[Optional[CriticalBracket]]:
+    """The certified bracket of the critical death rate at each lambda of a grid.
 
-    Grid points outside the window produce (lambda, 0, 0) rows.  Rows come
-    back in grid order and are deterministic given the inputs; grid points
-    are independent, so threads > 1 fans them out across processes, at
-    most one per grid point and per CPU.
+    None stands for a lambda outside the window, where the threshold is
+    exactly 0.  Results come back in grid order and are deterministic
+    given the inputs; grid points are independent, so threads > 1 fans
+    them out across processes, at most one per grid point and per CPU.
     """
     jobs = [(d, Fraction(lam), Fraction(tol), m_max) for lam in lambdas]
     return map_jobs(_curve_point, jobs, threads)

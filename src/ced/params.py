@@ -101,10 +101,12 @@ def rho_extinction(d: int, lam: Fraction | int) -> Fraction:
 def growth_bounds(d: int, lam: Fraction | int) -> tuple[Fraction, Fraction]:
     """(lo, hi): the closed-form bounds on the critical death rate, rounded outward to multiples of 2^-30.
 
-    Both bounds have the shape ( sqrt(c lambda + lambda^2 + 1) - 3 lambda - 3 ) / 4
-    with c = 8d + 2 for the lower and c = 32d + 2 for the upper.  For lam
-    inside the coexistence window they bracket the critical rate from
-    below and strictly above.  lo is clamped at zero (a negative bound says
+    b_0 = d lambda / ((1 + lambda + rho)(1 + lambda + 2 rho)) falls as rho
+    grows; the bounds are where it is 1 and 1/4, ( sqrt(c lambda + lambda^2
+    + 1) - 3 lambda - 3 ) / 4 with c = 8d + 2 and c = 32d + 2.  Rounded, lo
+    has b_0 >= 1 unless lo = 0 and hi has b_0 <= 1/4, so for lam inside the
+    window `decide` settles them Below and Above at depth 1
+    (`decision.critical_rho`).  lo is clamped at zero (a negative bound says
     nothing for rho >= 0); hi is not, so a negative hi signals lam outside
     the window.  From ends on this grid, bisection's midpoints keep rho's
     denominator a power of two no larger than the tolerance needs.

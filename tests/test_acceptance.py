@@ -125,7 +125,7 @@ def test_acceptance_04_bracket_consistency():
     start = time.monotonic()
     b = _bracket()
     assert b.lo < b.hi
-    assert b.width <= TOL10
+    assert b.hi - b.lo <= TOL10
     assert b.lo_outcome.verdict is Verdict.BELOW
     assert b.hi_outcome.verdict is Verdict.ABOVE
     assert decide(ModelParams(2, F(1), b.lo)).verdict is Verdict.BELOW
@@ -166,7 +166,7 @@ def test_acceptance_06_sqrt_d_scaling():
     ratios = {}
     for d in (64, 256):
         b = critical_rho(d, F(1), F(1, 64))
-        ratios[d] = float(b.midpoint) / math.sqrt(d)
+        ratios[d] = float((b.lo + b.hi) / 2) / math.sqrt(d)
         assert 0.4 <= ratios[d] <= 1.6, (d, ratios[d])
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
@@ -216,11 +216,11 @@ def test_acceptance_09_phase_diagram_curve():
     assert len(grid) == 33
     rows = rho_c_curve(2, grid, tol)
 
-    assert rows[0].status == "outside" and rows[0].lo == rows[0].hi == 0
-    assert rows[-1].status == "outside" and rows[-1].lo == rows[-1].hi == 0
+    assert rows[0] is None and rows[-1] is None  # outside the window: threshold 0
     inner = rows[1:-1]
+    assert [r.lam for r in inner] == grid[1:-1]
     for r in inner:
-        assert r.status == "bracket", (r.lam, r.status)
+        assert r.unresolved_midpoint is None, (r.lam, r.unresolved_midpoint)
         assert r.hi - r.lo <= tol
         assert r.hi > 0  # positive threshold strictly inside the window
     # the curve pinches back to <= tol near both window edges

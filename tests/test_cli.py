@@ -106,6 +106,9 @@ class TestRhoCCommand:
         lam, lo, hi, status = lines[1].split(",")
         assert lam == "1" and status == "bracket"
         assert F(hi) - F(lo) <= F(1, 64)
+        # a one-point grid gives the same row
+        _, grid_out, _ = run(capsys, "rho-c", "--d", "2", "--lambda-grid", "1:1:1", "--tol", "1/64")
+        assert [l for l in grid_out.splitlines() if not l.startswith("#")] == lines
 
     def test_outside_window_is_error(self, capsys):
         code, _, err = run(capsys, "rho-c", "--d", "2", "--lambda", "6", "--tol", "1/64")
@@ -199,6 +202,10 @@ class TestArgumentRanges:
             ("rho-c --d 2 --lambda 0 --tol 1/8", "--lambda: must be positive"),
             ("rho-c --d 2 --lambda-grid 0:1:3 --tol 1/8", "--lambda-grid: LO must be positive"),
             ("rho-c --d 2 --lambda-grid=-1:1:3 --tol 1/8", "--lambda-grid: LO must be positive"),
+            ("rho-c --d 2 --lambda-grid 1:2 --tol 1/8", "--lambda-grid: expected LO:HI:N"),
+            ("rho-c --d 2 --lambda-grid 1:2:x --tol 1/8", "--lambda-grid: N must be an integer"),
+            ("catalan --lambda 1 --rho 1 --z 1", "--z needs --k or --k-max"),
+            ("catalan --lambda 1 --rho 1", "catalan: give --k or --k-max"),
             ("simulate line --lambda 0 --rho 1 --trials 1 --seed 1", "--lambda: must be positive"),
             ("simulate tree --lambda 1 --rho -1 --trials 1 --seed 1", "--rho: must be nonnegative"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
@@ -425,6 +432,10 @@ class TestPhaseCommand:
         )
         assert json.loads(out)["phase"] == "coexistence"
 
+    def test_undecided_near_the_threshold_is_reported(self, capsys):
+        code, out, _ = run(capsys, *"phase --d 2 --lambda 1 --rho 1475/8192 --max-m 2".split())
+        assert (code, out.splitlines()[-1]) == (0, "boundary-unresolved")
+
 
 #: argv -> (exit code, sha256 of stdout), recorded before the output code was
 #: folded into one emitter; every subcommand and output format is covered.
@@ -490,7 +501,7 @@ def test_golden_replay(capsys, argv, code, digest):
 @pytest.mark.parametrize(
     "callee,exc,argv",
     [
-        ("rho_c_curve", BracketError("endpoint failed"), "rho-c --d 2 --lambda 1 --tol 1/64"),
+        ("critical_rho", BracketError("endpoint failed"), "rho-c --d 2 --lambda 1 --tol 1/64"),
         ("simulate_line", ResourceBudgetError("too many vertices"), "simulate line --lambda 1 --rho 1 --trials 1 --seed 1"),
         ("decide", OutsideWindowError("outside"), "decide --d 2 --lambda 1 --rho 1"),
     ],

@@ -257,7 +257,7 @@ class TestIntegerKernels:
         # both ends of a 2^-60 bracket sit next to the threshold, where the
         # kernels need their deepest sweeps and the tails come closest to 1
         bracket = critical_rho(d, lam, F(1, 1 << 60))
-        for rho in (bracket.lo, bracket.hi, bracket.midpoint):
+        for rho in (bracket.lo, bracket.hi, (bracket.lo + bracket.hi) / 2):
             p = ModelParams(d, lam, rho)
             for m in range(1, 65):
                 assert below_witness(p, m) == reference_below_witness(p, m)

@@ -63,18 +63,22 @@ class TestDecide:
         assert out.verdict is Verdict.UNDECIDED
 
     def test_near_threshold_capped_depth_undecided(self):
-        out = decide(ModelParams(2, F(1), F(1475, 8192)), m_max=2)
+        from dataclasses import replace
+
+        p = ModelParams(2, F(1), F(1475, 8192))
+        out = decide(p, m_max=2)
         assert out.verdict is Verdict.UNDECIDED
         assert out.m_reached == 2
+        # an Undecided outcome verifies vacuously without a certificate, never with one
+        assert verify_certificate(p, out)
+        assert not verify_certificate(p, replace(out, certificate=KernelAbove(m=2)))
 
     def test_sweeps_evaluate_no_fraction_continued_fraction(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a decision sweep fell back to the Fraction path")
 
-        for module in (ced.params, ced.contfrac, ced.decision):
-            for name in ("eval_finite", "psi_bounds", "weight_b", "sqrt_enclosure"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(ced.params, "weight_b", refuse)
+        monkeypatch.setattr(ced.decision, "weight_b", refuse)
         # the two ends of the d = 2, lambda = 1 bracket at tol 2^-100, both at m = 32
         lo = F(122508967356535403325824145659176155565, 1 << 129)
         hi = F(15313620919566925415728018207434704617, 1 << 126)
@@ -182,7 +186,7 @@ class TestCriticalRho:
     def test_unit_rates_bracket(self):
         b = critical_rho(2, F(1), TOL10)
         assert 0 <= b.lo < b.hi
-        assert b.width <= TOL10
+        assert b.hi - b.lo <= TOL10
         assert b.unresolved_midpoint is None
         assert b.lo_outcome.verdict is Verdict.BELOW
         assert b.hi_outcome.verdict is Verdict.ABOVE
@@ -233,6 +237,20 @@ class TestCriticalRho:
         with pytest.raises(BracketError, match="re-check"):
             critical_rho(2, F(1), TOL10)
 
+    @pytest.mark.parametrize("settled", ["lo", "hi"])
+    def test_an_end_left_undecided_raises(self, monkeypatch, settled):
+        # decide answers Undecided everywhere but at one growth bound, so the
+        # other end of the bracket keeps an Undecided outcome
+        keep = growth_bounds(2, F(1))[settled == "hi"]
+        real = ced.decision.decide
+
+        def undecided(p, m_max=ced.decision.DEFAULT_M_MAX):
+            return real(p, m_max) if p.rho == keep else DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+
+        monkeypatch.setattr(ced.decision, "decide", undecided)
+        with pytest.raises(BracketError, match="re-check: undecided, None"):
+            critical_rho(2, F(1), TOL10)
+
     def test_outside_window_raises(self):
         with pytest.raises(OutsideWindowError):
             critical_rho(2, F(6), TOL10)
@@ -240,6 +258,48 @@ class TestCriticalRho:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             critical_rho(2, F(1), F(0))
+
+
+@st.composite
+def inside_window(draw):
+    """(d, lambda) inside the window: within 10^-100 of either edge, or p/q with q up to 10^40."""
+    d = draw(st.integers(2, 2**32))
+
+    def half(n):  # floor of n times half the window's width
+        return math.isqrt(4 * (d * d - d) * n * n)
+
+    where = draw(st.sampled_from(["lower", "upper", "interior"]))
+    if where == "interior":
+        q = draw(st.integers(1, 10**40))
+        lam = F(draw(st.integers((2 * d - 1) * q - half(q), (2 * d - 1) * q + half(q))), q)
+    else:
+        n = draw(st.integers(10**100, 10**101))
+        lam = F((2 * d - 1) * n + (half(n) if where == "upper" else -half(n)), n)
+    assert window_position(d, lam) is WindowPosition.INSIDE
+    return d, lam
+
+
+class TestGrowthBoundsSettleAtDepthOne:
+    """growth_bounds are the b_0 = 1 and b_0 = 1/4 points, which decide settles at m = 1."""
+
+    @given(inside_window())
+    @example((12, F(1)))  # lo = 1 with b_0(lo) = 1 exactly
+    @example((3, F(1)))  # hi = 1 with b_0(hi) = 1/4 exactly
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_both_ends_at_depth_one(self, case):
+        d, lam = case
+        lo, hi = growth_bounds(d, lam)
+        assert weight_b(ModelParams(d, lam, hi), 0) <= F(1, 4) and hi > 0
+        if lo > 0:
+            assert weight_b(ModelParams(d, lam, lo), 0) >= 1
+        lo_out = decide(ModelParams(d, lam, lo), m_max=1)
+        hi_out = decide(ModelParams(d, lam, hi), m_max=1)
+        assert lo_out.verdict is Verdict.BELOW and lo_out.m_reached <= 1
+        assert hi_out.verdict is Verdict.ABOVE and hi_out.m_reached == 1
+
+    def test_exact_examples(self):
+        assert growth_bounds(12, F(1))[0] == 1 and weight_b(ModelParams(12, F(1), F(1)), 0) == 1
+        assert growth_bounds(3, F(1))[1] == 1 and weight_b(ModelParams(3, F(1), F(1)), 0) == F(1, 4)
 
 
 def _counting_decide(monkeypatch) -> list:
@@ -317,12 +377,12 @@ class TestCellPath:
         assert any(cell and at_cap for _, m_max, cell, at_cap in runs if m_max < cap), runs
 
     @pytest.mark.parametrize("d,lam", [(2, F(1)), (8, F(1, 21))])
-    def test_at_most_five_decides_per_bracket(self, monkeypatch, d, lam):
-        # lo, the optional lo = 0, hi and the two ends of the cell; bisection
-        # makes about 100 at this tolerance
+    def test_four_decides_per_bracket(self, monkeypatch, d, lam):
+        # lo, hi and the two ends of the cell; bisection makes about 100 at
+        # this tolerance
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**100))
-        assert len(calls) <= 5 and bracket.unresolved_midpoint is None
+        assert len(calls) == 4 and bracket.unresolved_midpoint is None
         assert calls[-2:] == [bracket.lo, bracket.hi]
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
@@ -342,7 +402,7 @@ class TestCellPath:
             for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
                 calls.clear()
                 assert critical_rho(d, lam, F(1, 2**bits)).unresolved_midpoint is None
-                assert len(calls) <= 5, (d, lam, bits, len(calls))
+                assert len(calls) == 4, (d, lam, bits, len(calls))
         assert sum(levels) <= 3480, sum(levels)
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
@@ -395,22 +455,18 @@ class TestCurve:
     def test_small_grid(self):
         grid = [F(1, 10), F(1, 2), F(1), F(3), F(6)]
         rows = rho_c_curve(2, grid, F(1, 64))
-        assert [r.lam for r in rows] == grid
-        assert rows[0].status == "outside" and rows[0].lo == rows[0].hi == 0
-        assert rows[-1].status == "outside"
+        assert rows[0] is None and rows[-1] is None  # outside the window: threshold 0
+        assert [r.lam for r in rows[1:4]] == grid[1:4]
         for r in rows[1:4]:
-            assert r.status == "bracket"
+            assert isinstance(r, CriticalBracket) and r.unresolved_midpoint is None
             assert r.hi - r.lo <= F(1, 64)
             assert r.hi > 0
-            assert isinstance(r.bracket, CriticalBracket)
 
     def test_parallel_matches_serial(self):
         grid = [F(1, 2), F(1), F(2)]
         serial = rho_c_curve(2, grid, F(1, 32))
         parallel = rho_c_curve(2, grid, F(1, 32), threads=2)
-        assert [(r.lam, r.lo, r.hi, r.status) for r in serial] == [
-            (r.lam, r.lo, r.hi, r.status) for r in parallel
-        ]
+        assert parallel == serial
 
 
 class TestWindowGate:
