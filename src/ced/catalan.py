@@ -82,7 +82,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ced.params import ModelParams, progression, weight_u, weight_v
+from ced.params import ModelParams, progression
 
 MODE_EXACT = "exact"
 MODE_CAPPED = "capped"
@@ -130,8 +130,8 @@ def step_weights(
     if height < 0:
         raise ValueError("height must be nonnegative")
     kept = height if mode == MODE_EXACT else min(height, m)
-    u = [weight_u(p, j) for j in range(kept + 1)]
-    v = [weight_v(p, j) for j in range(kept + 1)]
+    u = [p.lam / (1 + p.lam + (j + 1) * p.rho) for j in range(kept + 1)]
+    v = [1 / (1 + p.lam + (j + 2) * p.rho) for j in range(kept + 1)]
     tail = height - kept
     if mode == MODE_CAPPED:
         return u + [_ZERO] * tail, v + [_ZERO] * tail

@@ -4,8 +4,10 @@ It shares no code with the kernels of `ced.contfrac` and takes only
 `ModelParams` from the package.  With lambda = a/b, rho = c/e, G_i = be +
 ae + i bc and alpha = d a b e^2, b_j = alpha / (G_{j+1} G_{j+2}).  Each
 tail t_j = K[c_j, ..., c_n] of c_0 / (1 - c_1 / (1 - ... / (1 - c_n))) is
-an unreduced pair N/D, D > 0; for c_j = b_j one level up is N <- alpha D,
-D <- G_{j+1} G_{j+2} (D - N), and t_{j+1} >= 1 is a pole.  No gcd.
+an unreduced pair N/D, D > 0, and t_{j+1} >= 1 is a pole.  If G_{j+2}
+divides D, t_j = b_j / (1 - N/D) = alpha (D / G_{j+2}) / (G_{j+1} (D - N)),
+whose D is a multiple of the next G; the starting pairs' D hold G_{m+1} and
+G_m.  So each division is exact, no gcd is taken, and D gains one G a level.
 
 KernelBelow(m, level) holds when K[b_level, ..., b_m] exceeds 1 or meets a
 pole.  KernelAbove(m) holds when b_m < 1/4 and every tail of K[b_0, ...,
@@ -48,12 +50,12 @@ def _integers(p: ModelParams) -> tuple[int, int, int]:
 
 
 def _climb(alpha: int, step: int, g: int, n: int, d: int, levels: int) -> Optional[tuple[int, int]]:
-    """The pair of t_{j-levels} from t_j = n/d and g = G_{j+1}; None at a tail >= 1 on the way."""
+    """The pair of t_{j-levels} from t_j = n/d, g = G_{j+1} dividing d; None at a tail >= 1 on the way."""
     for _ in range(levels):
         if d <= n:
             return None
+        n, d = alpha * (d // g), (g - step) * (d - n)
         g -= step
-        n, d = alpha * d, g * (g + step) * (d - n)
     return n, d
 
 

@@ -298,9 +298,7 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise UsageError("--lambda-grid: N must be an integer") from None
     if not 1 <= n <= MAX_GRID_POINTS or hi < lo:
         raise UsageError(f"--lambda-grid: need 1 <= N <= {MAX_GRID_POINTS} and HI >= LO")
-    if n == 1:
-        return [lo]
-    step = (hi - lo) / (n - 1)
+    step = (hi - lo) / max(n - 1, 1)
     return [lo + i * step for i in range(n)]
 
 
@@ -481,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lam", required=True)
     ps.add_argument("--rho", required=True)
     ps.add_argument("--trials", type=_int_arg(1, MAX_TRIALS), required=True, help=f"at most {MAX_TRIALS}")
-    ps.add_argument("--seed", type=int, required=True, help="required: no silent nondeterminism")
+    ps.add_argument("--seed", type=_int_arg(0, 2**64 - 1), required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
                     help=f"line: stop at this blue position (at most {MAX_LINE_K})")
     ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")

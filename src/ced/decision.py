@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ced._workers import map_jobs
 from ced.certcheck import check_above, check_below
 from ced.contfrac import below_witness, km_good
 from ced.params import (
@@ -385,7 +385,14 @@ def rho_c_curve(
     None stands for a lambda outside the window, where the threshold is
     exactly 0.  Results come back in grid order and are deterministic
     given the inputs; grid points are independent, so threads > 1 fans
-    them out across processes, at most one per grid point and per CPU.
+    them out across processes, at most one per grid point and per CPU (a fork
+    pool starts them all up front); one worker skips `concurrent.futures` (8 ms).
     """
     jobs = [(d, Fraction(lam), Fraction(tol), m_max) for lam in lambdas]
-    return map_jobs(_curve_point, jobs, threads)
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_curve_point(job) for job in jobs]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_curve_point, jobs))

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-_ONE = Fraction(1)
-
 
 def _validated(d: int, lam: Fraction | int) -> Fraction:
     """Check d and lambda > 0; return lambda as a Fraction."""
@@ -133,35 +131,13 @@ def _progression_origin(p: ModelParams) -> tuple[int, int]:
     return b * e + a * e, b * c
 
 
-def weight_u(p: ModelParams, j: int) -> Fraction:
-    """Rise weight at height j."""
-    if j < 0:
-        raise ValueError("height index must be nonnegative")
-    return p.lam / (1 + p.lam + (j + 1) * p.rho)
-
-
-def weight_v(p: ModelParams, j: int) -> Fraction:
-    """Fall weight ending at height j."""
-    if j < 0:
-        raise ValueError("height index must be nonnegative")
-    return _ONE / (1 + p.lam + (j + 2) * p.rho)
-
-
-def weight_a(p: ModelParams, j: int) -> Fraction:
-    """Excursion weight a_j = u(j) v(j) = a b e^2 / (G_{j+1} G_{j+2}) (see `progression`).
-
-    Strictly decreasing in j when rho > 0.
-    """
+def weight_b(p: ModelParams, j: int) -> Fraction:
+    """b_j = d u(j) v(j) = d a b e^2 / (G_{j+1} G_{j+2}) (see `progression`), decreasing in j if rho > 0."""
     if j < 0:
         raise ValueError("height index must be nonnegative")
     g0, step = _progression_origin(p)
     g = g0 + (j + 1) * step
-    return Fraction(p.lam.numerator * p.lam.denominator * p.rho.denominator**2, g * (g + step))
-
-
-def weight_b(p: ModelParams, j: int) -> Fraction:
-    """Tree-weighted excursion weight b_j = d a_j."""
-    return p.d * weight_a(p, j)
+    return Fraction(p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2, g * (g + step))
 
 
 def progression(p: ModelParams, n: int) -> list[int]:

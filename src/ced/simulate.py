@@ -270,6 +270,8 @@ def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> LineS
         raise ValueError("n_trials must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     # The output tallies come first, so an impossible k_max fails at once.
     tallies = ([0] * (k_max + 1), [0] * len(_ABSORPTIONS))
     for start in range(0, n_trials, _SLAB):
@@ -369,6 +371,8 @@ def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> T
         raise ValueError("depth_cap must be >= 1")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     # The output tallies come first, so an impossible depth_cap fails at once.
     tallies = ([0] * (depth_cap + 1), [0] * (depth_cap + 1), [0] * (depth_cap + 2), [0] * (depth_cap + 1))
     for start in range(0, n_trials, _SLAB):

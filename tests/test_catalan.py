@@ -20,7 +20,7 @@ from ced.catalan import (
     weighted_catalan_bruteforce,
     weighted_catalan_sequence,
 )
-from ced.params import ModelParams, progression, weight_a, weight_b, weight_u, weight_v
+from ced.params import ModelParams, progression, weight_b
 
 from catalan_reference import height_dp
 from sqrt_reference import sqrt_enclosure
@@ -34,22 +34,32 @@ def plain_catalan(k):
     return math.comb(2 * k, k) // (k + 1)
 
 
+def rise(p, j):
+    """u(j), the weight of a rise from height j, from the definition."""
+    return p.lam / (1 + p.lam + (j + 1) * p.rho)
+
+
+def fall(p, j):
+    """v(j), the weight of a fall ending at height j, from the definition."""
+    return 1 / (1 + p.lam + (j + 2) * p.rho)
+
+
 class TestWeightTable:
     def test_exact_uv_product(self):
         u, v = step_weights(P211, 5)
         for j in range(6):
-            assert u[j] * v[j] == weight_a(P211, j)
+            assert u[j] * v[j] == weight_b(P211, j) / P211.d
 
     def test_capped_zeroes_above_m(self):
         u, v = step_weights(P211, 6, MODE_CAPPED, m=2)
-        assert u[2] == weight_u(P211, 2) and v[2] == weight_v(P211, 2)
+        assert u[2] == rise(P211, 2) and v[2] == fall(P211, 2)
         assert u[3] == 0 and v[3] == 0 and u[6] == 0
 
     def test_flattened_freezes_at_m(self):
         u, v = step_weights(P211, 6, MODE_FLATTENED, m=2)
-        assert u[1] == weight_u(P211, 1)
-        assert u[2] == u[5] == weight_u(P211, 2)
-        assert v[3] == weight_v(P211, 2)
+        assert u[1] == rise(P211, 1)
+        assert u[2] == u[5] == rise(P211, 2)
+        assert v[3] == fall(P211, 2)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -72,7 +82,7 @@ class TestWeightedCatalan:
 
     def test_two_paths_hand_sum(self):
         # UDUD contributes a0^2, UUDD contributes a0*a1
-        a0, a1 = weight_a(P211, 0), weight_a(P211, 1)
+        a0, a1 = weight_b(P211, 0) / P211.d, weight_b(P211, 1) / P211.d
         assert weighted_catalan(P211, 2).value == a0 * a0 + a0 * a1 == F(1, 90)
 
     @pytest.mark.parametrize("lam", [F(1, 2), F(1), F(3)])
@@ -84,12 +94,12 @@ class TestWeightedCatalan:
             assert seq[k] == plain_catalan(k) * base**k
 
     def test_alternating_path_lower_bound(self):
-        a0 = weight_a(P211, 0)
+        a0 = weight_b(P211, 0) / P211.d
         for k in range(1, 14):
             assert weighted_catalan(P211, k).value >= a0**k
 
     def test_upper_bound_by_plain_catalan(self):
-        a0 = weight_a(P211, 0)
+        a0 = weight_b(P211, 0) / P211.d
         for k in range(1, 14):
             assert weighted_catalan(P211, k).value <= plain_catalan(k) * a0**k
 
@@ -144,9 +154,9 @@ class TestBruteForce:
         heights = [0, 1, 0, 1, 2, 3, 2, 3, 2, 1, 0]
         w = F(1)
         for a, b in zip(heights, heights[1:]):
-            w *= weight_u(P211, a) if b > a else weight_v(P211, b)
-        u = [weight_u(P211, j) for j in range(3)]
-        v = [weight_v(P211, j) for j in range(3)]
+            w *= rise(P211, a) if b > a else fall(P211, b)
+        u = [rise(P211, j) for j in range(3)]
+        v = [fall(P211, j) for j in range(3)]
         assert w == u[0] ** 2 * v[0] ** 2 * u[1] * v[1] * u[2] ** 2 * v[2] ** 2
         # and the full k=5 sum dominates this single path
         assert weighted_catalan_bruteforce(P211, 5).value > w
@@ -250,8 +260,8 @@ class TestExactRecurrence:
         a, b, e = lam.numerator, lam.denominator, rho.denominator
         g = progression(p, 22)
         for j in range(21):
-            assert F(a * e, g[j + 1]) == weight_u(p, j)
-            assert F(b * e, g[j + 2]) == weight_v(p, j)
+            assert F(a * e, g[j + 1]) == rise(p, j)
+            assert F(b * e, g[j + 2]) == fall(p, j)
             assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j)
 
     def test_wrong_denominator_raises(self, monkeypatch):

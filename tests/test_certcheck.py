@@ -116,6 +116,34 @@ class TestAgainstFractionOracle:
             assert check_above(p, cert.m) is oracle_above(p, cert.m) is accepted
 
 
+def undivided_climb(alpha, step, g, n, d, levels):
+    """`_climb` without its exact division: D gains G_j G_{j+1} a level."""
+    for _ in range(levels):
+        if d <= n:
+            return None
+        g -= step
+        n, d = alpha * d, g * (g + step) * (d - n)
+    return n, d
+
+
+class TestClimb:
+    @pytest.mark.parametrize("d,lam", [(2, F(1)), (3, F(197, 20))])
+    @pytest.mark.parametrize("levels", [64, 256])
+    def test_divided_pairs_have_about_half_the_bits(self, d, lam, levels):
+        # Each level divides out one G, so D_L^2 < D_0 D_L(undivided): with every
+        # tail below 1, D_L = D_0 prod G_j (1 - t_{j+1}) and the undivided D_L is
+        # that times prod G_{j+1}.
+        bracket = critical_rho(d, lam, F(1, 2**100))
+        for rho in (bracket.lo, bracket.hi):
+            alpha, g0, step = ced.certcheck._integers(ModelParams(d, lam, rho))
+            g = g0 + (levels + 1) * step
+            start = alpha, g * (g + step)  # t_levels = b_levels
+            top = ced.certcheck._climb(alpha, step, g, *start, levels)
+            undivided = undivided_climb(alpha, step, g, *start, levels)
+            assert F(*top) == F(*undivided)
+            assert top[1] ** 2 < start[1] * undivided[1]
+
+
 class TestClosingBound:
     @given(st.fractions(min_value=F(1, 10**6), max_value=F(1, 4), max_denominator=10**6))
     @settings(max_examples=200, derandomize=True, deadline=None)

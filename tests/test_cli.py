@@ -218,6 +218,9 @@ class TestArgumentRanges:
             ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
             # the line engine's time is linear in the trials: 10^7 at lambda = rho = 1 take 2.3 s
             ("simulate line --lambda 1 --rho 1 --trials 10000001 --seed 1", "--trials: must be <= 10000000"),
+            # Philox keys on the seed mod 2^64: a seed outside [0, 2^64) would alias one inside
+            ("simulate line --lambda 1 --rho 1 --trials 1 --seed -1", "--seed: must be >= 0, got -1"),
+            (f"simulate tree --lambda 1 --rho 1 --trials 1 --seed {2**64}", f"--seed: must be <= {2**64 - 1}"),
             # after the bare --, a negative word is left to argparse
             ("decide --d 2 --lambda 1 --rho 1 -- -1", "unrecognized arguments:"),
             # the engines draw their delays in floats, and these rates lie past the float range
@@ -253,7 +256,7 @@ class TestArgumentRanges:
             ("decide --d 2 --rho 1", "--lam", "-1/3", "--lambda: must be positive, got -1/3"),
             ("phase --d 2 --lambda 1", "--rh", "-1/3", "--rho: must be nonnegative, got -1/3"),
             ("catalan --lambda 1 --rho 1", "--k", "-1/2", "argument --k: expected an integer, got '-1/2'"),
-            ("simulate line --lambda 1 --rho 1 --trials 1", "--seed", "-1/2", "argument --seed: invalid int value"),
+            ("simulate line --lambda 1 --rho 1 --trials 1", "--seed", "-1/2", "argument --seed: expected an integer, got '-1/2'"),
         ],
     )
     def test_negative_value_as_separate_word(self, capsys, argv, flag, value, message):
@@ -516,32 +519,34 @@ def test_library_errors_exit_70(capsys, monkeypatch, callee, exc, argv):
     assert (code, out) == (70, "") and str(exc) in err
 
 
-#: Runs each argv through `ced.cli.main` in a fresh interpreter, then says
-#: whether numpy got imported.
+#: Runs each argv through `ced.cli.main` in a fresh interpreter, then names
+#: the lazily imported modules that got imported.
 _IMPORT_PROBE = """
 import sys
 from ced.cli import main
 for argv in sys.argv[1:]:
     main(argv.split())
-print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("loaded:", *(name for name in ("numpy", "concurrent.futures") if name in sys.modules), file=sys.stderr)
 """
 
 
-def _numpy_loaded_by(*argvs):
+def _loaded_by(*argvs):
     src = str(Path(ced.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argvs], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1]
+    return set(proc.stderr.splitlines()[-1].split()[1:])
 
 
 def test_only_simulate_imports_numpy():
-    exact = _numpy_loaded_by(
+    # nor concurrent.futures, which only a grid run on two or more workers needs
+    exact = _loaded_by(
         "decide --d 2 --lambda 1 --rho 1",
         "phase --d 2 --lambda 1 --rho 1/2",
         "catalan --lambda 1 --rho 1 --k-max 4",
         "rho-c --d 2 --lambda 1 --tol 1/16",
+        "rho-c --d 2 --lambda-grid 1/2:2:3 --tol 1/16 --threads 1",
     )
-    assert exact == "numpy loaded: False"
-    assert _numpy_loaded_by("simulate line --lambda 1 --rho 1 --trials 10 --seed 1") == "numpy loaded: True"
+    assert exact == set()
+    assert "numpy" in _loaded_by("simulate line --lambda 1 --rho 1 --trials 10 --seed 1")

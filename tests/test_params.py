@@ -10,10 +10,7 @@ from ced.params import (
     WindowPosition,
     growth_bounds,
     rho_extinction,
-    weight_a,
     weight_b,
-    weight_u,
-    weight_v,
     window_position,
 )
 
@@ -285,18 +282,25 @@ class TestMAtZero:
 class TestWeights:
     def test_examples_d2(self):
         p = ModelParams(2, F(1), F(1))
-        assert weight_a(p, 0) == F(1, 12)
+        assert weight_b(p, 0) / p.d == F(1, 12)
         assert weight_b(p, 0) == F(1, 6)
-        assert weight_a(p, 1) == F(1, 20)
+        assert weight_b(p, 1) / p.d == F(1, 20)
 
     def test_rho_zero_constant(self):
         p = ModelParams(2, F(1), F(0))
-        assert {weight_a(p, j) for j in range(10)} == {F(1, 4)}
+        assert {weight_b(p, j) / p.d for j in range(10)} == {F(1, 4)}
 
-    def test_uv_product_is_a(self):
-        p = ModelParams(3, F(2, 3), F(1, 7))
-        for j in range(6):
-            assert weight_u(p, j) * weight_v(p, j) == weight_a(p, j)
+    @given(
+        d=st.integers(2, 2**32),
+        lam=st.fractions(min_value=F(1, 10**20), max_value=10**20, max_denominator=10**20),
+        rho=st.fractions(min_value=0, max_value=10**20, max_denominator=10**20),
+        j=st.integers(0, 40),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_is_d_u_v_from_the_definition(self, d, lam, rho, j):
+        u = lam / (1 + lam + (j + 1) * rho)  # rise from height j
+        v = 1 / (1 + lam + (j + 2) * rho)  # fall ending at height j
+        assert weight_b(ModelParams(d, lam, rho), j) == d * u * v
 
     @given(lam=rationals_pos, rho=rationals_pos, rho2=rationals_pos, j=st.integers(0, 12))
     @settings(max_examples=60)
@@ -304,14 +308,14 @@ class TestWeights:
         lo, hi = sorted([rho, rho2])
         if lo == hi:
             return
-        assert weight_a(ModelParams(2, lam, hi), j) < weight_a(ModelParams(2, lam, lo), j)
+        assert weight_b(ModelParams(2, lam, hi), j) < weight_b(ModelParams(2, lam, lo), j)
 
     @given(lam=rationals_pos, rho=rationals_pos, j=st.integers(0, 40))
     @settings(max_examples=60)
     def test_vanishing_bound(self, lam, rho, j):
         p = ModelParams(2, lam, rho)
-        assert weight_a(p, j) < lam / ((j + 1) ** 2 * rho**2)
+        assert weight_b(p, j) / p.d < lam / ((j + 1) ** 2 * rho**2)
 
     def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
-            weight_a(ModelParams(2, 1, 1), -1)
+            weight_b(ModelParams(2, 1, 1), -1)

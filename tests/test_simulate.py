@@ -116,8 +116,8 @@ def numpy_philox_words(counter, trials, seed):
 
 
 # A lane-invariant word is multiplied as a Python int; one that slipped into a numpy
-# scalar would overflow with a RuntimeWarning, which fails here.
-@pytest.mark.filterwarnings("error")
+# scalar would overflow with a RuntimeWarning, which fails the suite (filterwarnings
+# in pyproject.toml).
 class TestPhiloxKernel:
     @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
     @pytest.mark.parametrize("first", [0, 2**32 - 2])  # 2^32 - 2 .. 2^32 + 1 cross a 32-bit limb
@@ -217,7 +217,7 @@ class TestSimulateLine:
             (F(1), F(10), 4, 600, 4),             # deaths dominate
             (F(1), F(1), 1, 64 * 64 + 37, 1),     # k_max = 1; at _SLAB = 64, 64 slabs and a remainder
             (F(3, 2), F(1, 10), 8, 1000, 2**63 + 5),
-            (F(3), F(0), 20, 300, -1),            # drifts to truncation
+            (F(3), F(0), 20, 300, 2**64 - 1),     # drifts to truncation
         ],
     )
     def test_equals_scalar_reference(self, monkeypatch, lam, rho, k_max, n_trials, seed):
@@ -265,6 +265,14 @@ class TestSimulateLine:
         with pytest.raises(ValueError):
             simulate_line(P211, 10, 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the key takes the seed mod 2^64, so such a seed would alias one inside the range
+        with pytest.raises(ValueError, match="seed"):
+            simulate_line(P211, 10, 3, seed)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_tree(P211, 3, 10, seed)
+
 
 class TestCompareRenewals:
     def test_k0_exact_row(self):
@@ -304,7 +312,7 @@ class TestSimulateTree:
             (P211, 5, 300, 7),
             (ModelParams(3, F(1), F(1, 2)), 4, 200, 2),   # d + 2 = 5 words: a second Philox block
             (ModelParams(2, F(1), F(0)), 5, 200, 5),      # no deaths
-            (ModelParams(2, F(2), F(1, 2)), 5, 100, -1),  # supercritical: red survives to the cap
+            (ModelParams(2, F(2), F(1, 2)), 5, 100, 2**64 - 1),  # supercritical: red survives to the cap
             (P211, 1, 500, 2**63 + 5),                    # cap 1
             (P211, 2, 64 * 64 + 37, 11),                  # at _SLAB = 64, 64 slabs and a remainder
         ],
