@@ -49,15 +49,20 @@ floor((k-i+1+l)/l) <= floor((k+1)/l).  Finally D_k divides D_K for k <= K.
 So W_k = gamma_k D_K is an integer for every k <= K, and (R) times D_K is a
 recurrence on integers.  Horner's rule builds its sum as
 acc = acc (l G_l) + W_{k-l}, each step a big integer times a small one,
-and one exact division by T_k gives W_k.  A nonzero remainder would mean
-the lemma failed; it raises ArithmeticError instead of rounding.  A run
-whose divisions all leave no remainder is exact whatever D_K it used,
-since the recurrence is linear.
+and one exact division gives W_k = (D_K G_1 - G_{k+1} acc) / (T_k G_{k+1}).
+A nonzero remainder would mean the lemma failed; it raises ArithmeticError
+instead of rounding.  One check suffices: an exact quotient is the value
+of (R) times D_K, whether or not G_{k+1} alone divides D_K G_1.  Since the
+recurrence is linear, a run whose divisions leave no remainder is exact
+whatever D_K it used.
 
 Nothing is reduced to lowest terms until the end: the sequence divides W_k
-by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once,
-`weighted_catalan` reduces its one C_k, and `partial_series` folds z into
-one integer Horner sum and reduces that once.
+by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once, and
+`weighted_catalan` reduces its one C_k.  `partial_series` needs
+sum_k W_k n^k q^(K-k) for z r = n/q.  Instead of Horner's rule, where
+each term meets a growing power of q, it merges neighbouring runs of terms
+pairwise, round by round, so each product pairs integers of about the same
+size.  It reduces the one sum once.
 
 A path's weight depends only on its matched pairs (Flajolet, 1980): the
 rise from height j and the fall back to j weigh u(j) v(j) = alpha / beta_j
@@ -177,14 +182,16 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
     g = progression(p, k_max + 1)
     steps = _denominator_steps(g, k_max)
     d_top = math.prod(steps)
+    top = d_top * g[1]
+    lg = [l * g[l] for l in range(k_max + 1)]
     w = [d_top]
     t = 1
     for k in range(1, k_max + 1):
-        t *= k * g[k]  # T_k
+        t *= lg[k]  # T_k
         acc = w[k - 1]
         for l in range(2, k + 1):
-            acc = acc * (l * g[l]) + w[k - l]
-        w.append(_exact_div(_exact_div(d_top, g[k + 1]) * g[1] - acc, t))
+            acc = acc * lg[l] + w[k - l]
+        w.append(_exact_div(top - g[k + 1] * acc, t * g[k + 1]))
     return _ExactTerms(w, steps, -a * e * e, c)
 
 
@@ -340,10 +347,12 @@ def partial_series(
     if K < 0:
         raise ValueError("K must be nonnegative")
     t = _terms(p, K, mode, m)
-    # C_k z^k = w[k] n^k / (D_K q^k); Horner from the top gives sum_k w[k] n^k q^(K-k)
+    # C_k z^k = w[k] n^k / (D_K q^k).  A run [a, b] of terms carries (sum_k w[k] n^(k-a) q^(b-k),
+    # n^len, q^len); merging neighbours pairwise leaves the run [0, K], whose sum is the numerator.
     n, q = t.r_num * z.numerator, t.r_den * z.denominator
-    acc, q_pow = t.w[K], 1
-    for w_k in reversed(t.w[:-1]):
-        q_pow *= q
-        acc = acc * n + w_k * q_pow
-    return Fraction(acc, t.w[0] * q_pow)
+    seg = [(w_k, n, q) for w_k in t.w]
+    while len(seg) > 1:
+        odd = seg[-1:] if len(seg) % 2 else []
+        seg = [(v0 * q1 + n0 * v1, n0 * n1, q0 * q1) for (v0, n0, q0), (v1, n1, q1) in zip(seg[::2], seg[1::2])] + odd
+    acc, _, q_pow = seg[0]  # q_pow = q^(K+1)
+    return Fraction(acc, t.w[0] * (q_pow // q))

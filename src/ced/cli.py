@@ -257,9 +257,9 @@ MAX_GRID_POINTS = 10_000
 
 #: Largest K of any exact C_k table: `simulate line --k-max` and `catalan
 #: --k`/`--k-max`.  The cost grows about as K^3: at lambda = 1, rho = 1/3,
-#: K = 800 takes 2.5 s exact (7 s at K = 1000), 0.3 s capped and 1.3 s
-#: flattened at m = 8, 3.7 s flattened at m = 400.  Long rho denominators
-#: cost more: 93 s exact at rho = 12360736211/2^36.
+#: K = 800 takes 2.5-2.9 s exact (5 s at K = 1000), 0.4 s capped and 1.4 s
+#: flattened at m = 8, 3.5 s flattened at m = 400.  Long rho denominators
+#: cost more: 98 s exact at rho = 12360736211/2^36.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when

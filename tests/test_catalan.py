@@ -216,6 +216,22 @@ class TestPartialSeries:
             flat = partial_series(P211, z, K, MODE_FLATTENED, 2)
             assert capped <= exact <= flat
 
+    # K + 1 terms: odd, even and power-of-two counts for the pairwise merge
+    @given(
+        lam=small_rationals,
+        num=st.integers(1, 2**30 - 1),
+        z=st.fractions(min_value=0, max_value=16, max_denominator=1000),
+        K=st.sampled_from([0, 1, 2, 3, 7, 8, 15, 16, 63, 64, 65, 110]),
+        mode=st.sampled_from([MODE_EXACT, MODE_CAPPED, MODE_FLATTENED]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_merge_equals_the_sum_of_the_terms(self, lam, num, z, K, mode, data):
+        m = None if mode == MODE_EXACT else data.draw(st.integers(1, K + 2))
+        p = ModelParams(2, lam, F(num, 2**30))
+        seq = weighted_catalan_sequence(p, K, mode, m)
+        assert partial_series(p, z, K, mode, m) == sum(c * z**k for k, c in enumerate(seq))
+
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
             partial_series(P211, F(-1), 3)
@@ -279,6 +295,19 @@ class TestExactRecurrence:
         for call in (weighted_catalan_sequence, weighted_catalan, lambda p, K: partial_series(p, 2, K)):
             with pytest.raises(ArithmeticError, match="remainder"):
                 call(p, 10)
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 10, 40])
+    def test_one_exact_division_per_term(self, monkeypatch, K):
+        calls = []
+        real = ced.catalan._exact_div
+
+        def counted(n, d):
+            calls.append(d)
+            return real(n, d)
+
+        monkeypatch.setattr(ced.catalan, "_exact_div", counted)
+        ced.catalan._exact_terms(ModelParams(2, F(3, 2), F(300000001, 2**30)), K)
+        assert len(calls) == K
 
 
 class TestModifiedModes:
