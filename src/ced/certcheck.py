@@ -16,6 +16,17 @@ b_{m-2}, b_{m-1} y] is below 1, for y >= psi(b_m) = (1 - sqrt(1 - 4 b_m)) /
 builds it, then proven: for 0 < x <= 1/4, x y^2 - y + 1 <= 0 holds exactly
 between the quadratic's roots, psi(x) and a root of at least 2, and every
 y built here lies in [1, 2].
+
+Bound runs.  D gains the bits of one G a level, so an exact climb of m
+levels costs about m^2 word operations.  Each check first climbs bounds on
+the tails at the fixed scale 2^W, W = 64 + the bits of rho's denominator.
+For t_{j+1} < 1, t_j = b_j / (1 - t_{j+1}) rises with t_{j+1}, so a lower
+bound lo on 2^W t_{j+1} gives floor(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W -
+lo))) <= 2^W t_j, and an upper bound hi < 2^W gives the ceil of the same
+quotient as an upper bound.  check_below accepts when its floor run reaches
+2^W on the way up (a tail >= 1 there, or one lower down) or ends above 2^W;
+check_above accepts when its ceil run stays below 2^W at every level.  Any
+other case runs the exact climb, and so does every rejection.
 """
 
 from __future__ import annotations
@@ -27,6 +38,9 @@ from ced.params import ModelParams
 
 #: The closing bound puts the lower end of sqrt(1 - 4x) on the grid 2^-_GRID_BITS.
 _GRID_BITS = 70
+
+#: Guard bits of the bound runs' scale over rho's grid step (`_scale`).
+_GUARD_BITS = 64
 
 
 def closing_bound(num: int, den: int) -> tuple[int, int]:
@@ -49,6 +63,11 @@ def _integers(p: ModelParams) -> tuple[int, int, int]:
     return p.d * a * b * e * e, b * e + a * e, b * c
 
 
+def _scale(p: ModelParams) -> int:
+    """2^W, W = _GUARD_BITS + the bits of rho's denominator: the bound runs' scale."""
+    return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
+
+
 def _climb(alpha: int, step: int, g: int, n: int, d: int, levels: int) -> Optional[tuple[int, int]]:
     """The pair of t_{j-levels} from t_j = n/d, g = G_{j+1} dividing d; None at a tail >= 1 on the way."""
     for _ in range(levels):
@@ -59,12 +78,30 @@ def _climb(alpha: int, step: int, g: int, n: int, d: int, levels: int) -> Option
     return n, d
 
 
+def _bound_run(alpha: int, step: int, g: int, t: int, levels: int, one: int, sign: int) -> Optional[int]:
+    """The bound on one t_{j-levels} from a bound t on one t_j, g = G_{j+1}; None at a bound >= one on the way.
+
+    sign = 1 climbs lower bounds (floor), sign = -1 upper bounds (ceil).
+    """
+    top = sign * alpha * one * one
+    for _ in range(levels):
+        if t >= one:
+            return None
+        g -= step
+        t = sign * (top // (g * (g + step) * (one - t)))
+    return t
+
+
 def check_below(p: ModelParams, m: int, level: int) -> bool:
     """Does K[b_level, ..., b_m] exceed 1 or meet a pole?"""
     if not 0 <= level <= m:
         return False
     alpha, g0, step = _integers(p)
     g = g0 + (m + 1) * step
+    one = _scale(p)
+    low = _bound_run(alpha, step, g, alpha * one // (g * (g + step)), m - level, one, 1)
+    if low is None or low > one:
+        return True
     top = _climb(alpha, step, g, alpha, g * (g + step), m - level)
     return top is None or top[0] > top[1]
 
@@ -81,5 +118,9 @@ def check_above(p: ModelParams, m: int) -> bool:
     y, z = closing_bound(alpha, x_den)
     if not bounds_psi(alpha, x_den, y, z):
         return False
+    one = _scale(p)
+    high = _bound_run(alpha, step, g, -(-alpha * y * one // (g * (g + step) * z)), m - 1, one, -1)
+    if high is not None and high < one:
+        return True
     top = _climb(alpha, step, g, alpha * y, g * (g + step) * z, m - 1)
     return top is not None and top[0] < top[1]

@@ -72,6 +72,26 @@ so a common factor of Y and Z changes no sign.
 
 Each sweep reads alpha, the step bc and G_{m+1} from the parameters and
 steps G down the progression, so nothing is kept between calls.
+
+Bound sweeps.  The continuants S_i gain the bits of one G a level, so an
+exact sweep to depth m costs about m^2 word operations.  Both kernels
+first run a sweep of bounds on the tails at the fixed scale 2^W, W = 64 +
+the bits of rho's denominator.  Below 1, t_j = b_j / (1 - t_{j+1}) rises
+with t_{j+1}, so from lo <= 2^W t_{j+1} <= hi < 2^W
+
+    floor(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W - lo))) <= 2^W t_j
+        <= ceil(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W - hi))),
+
+with b_j exact inside each division: one floor and one ceil division of
+numbers of about 2W bits a level, whatever m.  While every upper bound
+stays below 2^W, every tail so far is below 1.  `below_witness` returns
+level j once its lower bound exceeds 2^W, and None when the upper bounds
+stay below 2^W through level 0; `km_good` is good in that last case and
+not good once a lower bound reaches 2^W.  Any other case, a tail whose
+bounds straddle 1 (an exact tie t = 1 among them), runs the exact sweep,
+so every answer is the exact one.  Near the threshold the tails come
+within about rho's grid step of 1; the 64 guard bits leave room below
+that for the rounding that builds up over the levels.
 """
 
 from __future__ import annotations
@@ -85,6 +105,9 @@ from ced.params import ModelParams, _progression_origin
 #: (module docstring); psi's slope in the root is at most 2, so the bound
 #: lies within 2^-69 of psi.
 _ROOT_BITS = 70
+
+#: Guard bits of the bound sweeps' scale over rho's grid step (`_scale`).
+_GUARD_BITS = 64
 
 
 def _psi_upper(num: int, den: int) -> tuple[int, int]:
@@ -104,6 +127,11 @@ def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:
     return p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2, step, g0 + (m + 1) * step
 
 
+def _scale(p: ModelParams) -> int:
+    """2^W, W = _GUARD_BITS + the bits of rho's denominator: the bound sweeps' scale."""
+    return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
+
+
 def _sweep(alpha: int, step: int, g: int, i: int, s_next: int, s: int) -> Optional[tuple[int, int]]:
     """First (j, S_j) with S_j <= 0 for j = i, i-1, ..., -1, else None.
 
@@ -117,6 +145,21 @@ def _sweep(alpha: int, step: int, g: int, i: int, s_next: int, s: int) -> Option
     return None
 
 
+def _bound_sweep(alpha: int, step: int, g: int, j: int, lo: int, hi: int, one: int) -> Optional[tuple[int, int]]:
+    """First (i, lower bound on one t_i) whose upper bound reaches one, for i = j, j-1, ..., 0, else None.
+
+    Starts from lo <= one t_j <= hi and g = G_{j+1} (module docstring).
+    """
+    top = alpha * one * one
+    while hi < one:
+        if not j:
+            return None
+        j, g = j - 1, g - step  # g = G_{j+1}
+        den = g * (g + step)
+        lo, hi = top // (den * (one - lo)), -(-top // (den * (one - hi)))
+    return j, lo
+
+
 def below_witness(p: ModelParams, m: int) -> Optional[int]:
     """Largest i with K[b_i, ..., b_m] > 1 (or infinite), else None.
 
@@ -125,9 +168,16 @@ def below_witness(p: ModelParams, m: int) -> Optional[int]:
     counts as a witness at that level: the singularity it creates sits at
     or before d, and the caller treats the boundary case as below
     critical.  So the scan returns i+1 at the first S_i < 0, i at the
-    first S_i = 0 with i >= 0, and None when S_{-1} >= 0.
+    first S_i = 0 with i >= 0, and None when S_{-1} >= 0.  A bound sweep
+    settles it first unless a tail's bounds straddle 1.
     """
     alpha, step, g = _integers(p, m)
+    one, den = _scale(p), g * (g + step)
+    bound = _bound_sweep(alpha, step, g, m, alpha * one // den, -(-alpha * one // den), one)
+    if bound is None:
+        return None
+    if bound[1] > one:
+        return bound[0]
     hit = _sweep(alpha, step, g, m - 1, 1, g + step)
     if hit is None:
         return None
@@ -142,11 +192,19 @@ def km_good(p: ModelParams, m: int) -> bool:
     The tail is closed off by psi evaluated at b_m, taken at its upper
     bound: goodness is monotone decreasing in every entry, so good with
     the inflated last entry implies good with the true value.  Good
-    exactly when every continuant S_i of the sweep is positive.
+    exactly when every continuant S_i of the sweep is positive.  A bound
+    sweep from t_{m-1} = alpha Y / (G_m G_{m+1} Z) settles it first unless
+    a tail's bounds straddle 1.
     """
     alpha, step, g = _integers(p, m)
     den = g * (g + step)
     if not 4 * alpha < den:  # b_m = alpha / den is not below 1/4
         return False
     y, z = _psi_upper(alpha, den)
+    one, q = _scale(p), (g - step) * g * z  # t_{m-1} = alpha y / q
+    bound = _bound_sweep(alpha, step, g - step, m - 1, alpha * y * one // q, -(-alpha * y * one // q), one)
+    if bound is None:
+        return True
+    if bound[1] >= one:
+        return False
     return _sweep(alpha, step, g - step, m - 2, y, z * g) is None

@@ -203,7 +203,7 @@ class TestIndependence:
             raise AssertionError("the re-check called code that the kernels or the Fraction path use")
 
         homes = {
-            ced.contfrac: ("below_witness", "km_good", "_sweep", "_psi_upper"),
+            ced.contfrac: ("below_witness", "km_good", "_sweep", "_bound_sweep", "_scale", "_psi_upper"),
             contfrac_reference: ("eval_finite", "is_good", "psi_bounds"),
             ced.params: ("weight_b",),
         }
@@ -217,3 +217,33 @@ class TestIndependence:
             ced.decision.km_good(ModelParams(2, F(1), F(1)), 1)
         for rho, out in ends:
             assert verify_certificate(ModelParams(2, F(1), rho), out)
+
+
+def exact_only(check, *args):
+    """A check's verdict from the exact climb alone: bound runs that settle nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ced.certcheck, "_bound_run", lambda alpha, step, g, t, levels, one, sign: one)
+        return check(*args)
+
+
+class TestBoundRuns:
+    """The bound runs with the exact fallback give the exact climb's verdicts."""
+
+    @given(points_around_rho_c(), st.sampled_from([None, 1, 16]))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_every_mutant_judged_as_the_exact_climb_judges_it(self, points, scale):
+        # scale None keeps 2^W; 1 and 16 make nearly every run fall back
+        for p in points:
+            out = decide(p)
+            if not isinstance(out.certificate, (KernelBelow, KernelAbove)):
+                continue
+            for cert in mutants(out.certificate):
+                if isinstance(cert, KernelBelow):
+                    check, args, oracle = check_below, (p, cert.m, cert.level), oracle_below
+                else:
+                    check, args, oracle = check_above, (p, cert.m), oracle_above
+                with pytest.MonkeyPatch.context() as mp:
+                    if scale is not None:
+                        mp.setattr(ced.certcheck, "_scale", lambda p: scale)
+                    got = check(*args)
+                assert got == exact_only(check, *args) == oracle(*args), cert

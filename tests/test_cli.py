@@ -67,6 +67,17 @@ class TestDecideCommand:
         )
         assert code == 2 and "undecided" in out
 
+    def test_near_threshold_long_denominators_reach_the_cap_quickly(self, capsys):
+        # lambda within 10^-100 of the lower window end and rho = 10^-300: every
+        # depth up to 4096 is swept, which took about 100 s with exact sweeps alone
+        lam = F(3 * 10**100 - math.isqrt(8 * 10**200), 10**100)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "decide", "--d", "2", "--lambda", str(lam), "--rho", f"1/{10**300}", "--max-m", "4096", "--json"
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 2 and json.loads(out)["m_reached"] == 4096
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "decide", "--d", "2", "--lambda", "1", "--rho", "1", "--json"

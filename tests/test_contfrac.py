@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ced.contfrac
 from ced.contfrac import _psi_upper, below_witness, km_good
 from ced.decision import critical_rho
 from ced.params import ModelParams, progression, weight_b
@@ -249,6 +251,7 @@ class TestIntegerKernels:
         p = ModelParams(d, lam, rho)
         assert below_witness(p, m) == reference_below_witness(p, m)
         assert km_good(p, m) == reference_km_good(p, m)
+        assert exact_kernels(p, m) == (below_witness(p, m), km_good(p, m))  # the fallback alone, too
 
     @pytest.mark.parametrize(
         "d,lam", [(2, F(1)), (3, F(5, 2)), (4, F(1, 10)), (8, F(3)), (64, F(1, 191)), (64, F(45, 4))]
@@ -311,3 +314,55 @@ class TestIntegerKernels:
         assert weight_b(p, 1) == F(1, 4)
         assert km_good(p, 1) is reference_km_good(p, 1) is False
 
+
+@st.composite
+def near_threshold(draw):
+    """(p, m): rho at or between the ends of a bracket of rho_c, lambda interior or near a window edge."""
+    d = draw(st.one_of(st.sampled_from([2, 3, 4, 8, 64]), st.integers(2, 1000)))
+    root = math.sqrt(d * d - d)
+    lower, upper = 2 * d - 1 - 2 * root, 2 * d - 1 + 2 * root
+    eps = draw(st.floats(0.03, 0.5))
+    where = draw(st.sampled_from(["lower", "interior", "upper"]))
+    x = {"lower": lower * (1 + eps), "interior": lower + (upper - lower) * eps, "upper": upper * (1 - eps)}[where]
+    lam = F(x).limit_denominator(10**6)
+    bracket = critical_rho(d, lam, F(1, 2 ** draw(st.integers(8, 100))))
+    rho = bracket.lo + (bracket.hi - bracket.lo) * F(draw(st.integers(0, 4)), 4)
+    return ModelParams(d, lam, rho), draw(st.integers(1, 300))
+
+
+def exact_kernels(p, m):
+    """Both kernels' answers from the exact sweep alone: a bound sweep that settles nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ced.contfrac, "_bound_sweep", lambda *args: (0, 0))
+        return below_witness(p, m), km_good(p, m)
+
+
+class TestBoundSweeps:
+    """The bound sweeps with the exact fallback against the exact sweep alone."""
+
+    @given(near_threshold())
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_match_the_exact_sweep(self, case):
+        p, m = case
+        assert (below_witness(p, m), km_good(p, m)) == exact_kernels(p, m)
+
+    @pytest.mark.parametrize("scale", [1, 16])
+    def test_match_the_exact_sweep_at_a_tiny_scale(self, scale):
+        # at scale 1 every tail's bounds straddle 1 from the start, so every
+        # below_witness call falls back; at 16 the bounds give out partway
+        sweep, fell_back = ced.contfrac._sweep, []
+
+        @given(near_threshold())
+        @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+        def check(case):
+            p, m = case
+            expected, ran = exact_kernels(p, m), []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ced.contfrac, "_scale", lambda p: scale)
+                mp.setattr(ced.contfrac, "_sweep", lambda *args: ran.append(args) or sweep(*args))
+                got = below_witness(p, m)
+                fell_back.append(bool(ran))
+                assert (got, km_good(p, m)) == expected
+
+        check()
+        assert all(fell_back) if scale == 1 else any(fell_back)

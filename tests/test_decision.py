@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ced.certcheck
@@ -182,6 +182,52 @@ class TestDecide:
             assert not (v1 is Verdict.ABOVE and v2 is Verdict.BELOW)
 
 
+class TestLead:
+    """A lead side orders decide's tests and changes no outcome."""
+
+    @given(
+        st.sampled_from([2, 3, 4, 8, 64]),
+        st.fractions(min_value=F(1, 10), max_value=20, max_denominator=100),
+        st.integers(8, 80),
+        st.integers(0, 8),
+        st.sampled_from([1, 2, 3, 5, 8, 64, 100]),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    def test_every_lead_gives_the_same_outcome(self, d, lam, bits, k, m_max):
+        assume(window_position(d, lam) is WindowPosition.INSIDE)
+        bracket = critical_rho(d, lam, F(1, 2**bits))
+        p = ModelParams(d, lam, bracket.lo + (bracket.hi - bracket.lo) * F(k, 8))
+        expected = decide(p, m_max)
+        for lead in (Verdict.BELOW, Verdict.ABOVE):
+            assert decide(p, m_max, lead) == expected
+
+    @pytest.mark.parametrize("rho,lead,m_max", [(F(1, 1000), Verdict.ABOVE, 2), (F(1), Verdict.BELOW, 1)])
+    def test_the_lagging_side_catches_up(self, rho, lead, m_max):
+        # the other side wins at the last depth of the schedule, which its
+        # lagging test reaches only after the schedule ends
+        p = ModelParams(2, F(1), rho)
+        expected = decide(p, m_max)
+        assert expected.verdict not in (lead, Verdict.UNDECIDED) and expected.m_reached == m_max
+        assert decide(p, m_max, lead) == expected
+
+
+class TestFastPath:
+    """The bound sweeps and bound runs settle these brackets without an exact sweep or climb."""
+
+    @pytest.mark.parametrize(
+        "d,lam,tol",
+        [(2, F(1), F(1, 2**100)), (3, F(197, 20), F(1, 2**200)), (2**16, F(130939929, 500), F(1, 2**200))],
+    )
+    def test_no_exact_fallback(self, monkeypatch, d, lam, tol):
+        calls = []
+        for module, name in ((ced.contfrac, "_sweep"), (ced.certcheck, "_climb")):
+            exact = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, exact=exact, name=name: calls.append(name) or exact(*args))
+        bracket = critical_rho(d, lam, tol)
+        assert bracket.unresolved_midpoint is None and bracket.hi - bracket.lo <= tol
+        assert calls == []
+
+
 class TestCriticalRho:
     def test_unit_rates_bracket(self):
         b = critical_rho(2, F(1), TOL10)
@@ -244,8 +290,8 @@ class TestCriticalRho:
         keep = growth_bounds(2, F(1))[settled == "hi"]
         real = ced.decision.decide
 
-        def undecided(p, m_max=ced.decision.DEFAULT_M_MAX):
-            return real(p, m_max) if p.rho == keep else DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+        def undecided(p, m_max=ced.decision.DEFAULT_M_MAX, lead=None):
+            return real(p, m_max, lead) if p.rho == keep else DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
         monkeypatch.setattr(ced.decision, "decide", undecided)
         with pytest.raises(BracketError, match="re-check: undecided, None"):
@@ -306,9 +352,9 @@ def _counting_decide(monkeypatch) -> list:
     """Route critical_rho's decides through a wrapper; returns the list of their rhos."""
     calls = []
 
-    def counting(p, m_max=ced.decision.DEFAULT_M_MAX):
+    def counting(p, m_max=ced.decision.DEFAULT_M_MAX, lead=None):
         calls.append(p.rho)
-        return decide(p, m_max)
+        return decide(p, m_max, lead)
 
     monkeypatch.setattr(ced.decision, "decide", counting)
     return calls
