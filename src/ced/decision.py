@@ -18,15 +18,15 @@ the schedule misses nothing reachable by m_max.  Undecided is a
 first-class outcome: rho exactly at the threshold can never terminate,
 and bisection callers stop gracefully instead of looping.
 
-By default each step runs the below test, then the above test, at its m.
-A caller that expects one side can name it the lead: each step then runs
-the lead's test at its m_j and the other test two steps behind, at
-m_{j-2}, and the lagging test catches up once the schedule ends.  Both
-tests are sound, so no rho passes both at any depths, and only one side's
-test ever passes: it is run at the same depths in the same order either
-way, so the first depth that passes, the certificate and m_reached are
-unchanged.  When the lead is right, the side that cannot win is swept
-only at a quarter of each depth.
+At the two ends of the cell that `critical_rho` estimates, each end runs
+only the test its side expects (`_settle`): first at the schedule depth
+nearest, in log2, to the depth the estimate converged at; then, while it
+passes, at each shallower depth until one fails; or, if it fails, once at
+the next deeper depth.  The first passing depth is decide's: a passing
+test is sound, so the other side's test fails at every depth, and a test
+that passes at m passes at every later depth.  So the outcome equals
+`decide`'s, certificate and m_reached included; an end that settles
+neither way goes to `decide`.
 
 `critical_rho` starts from the closed-form growth bounds, which
 `growth_bounds` rounds outward onto the grid 2^-30 so midpoint
@@ -34,9 +34,10 @@ denominators stay small; `decide` settles them at depth 1 (see
 `critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
 lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The integer Newton
 estimate `_estimate_rho_c` picks k; if the cell's ends certify Below and
-Above, bisection takes no step, else it runs from [lo, hi].  Both final
-certificates are re-checked by `verify_certificate` on the integers of
-`ced.certcheck`, which shares no code with the kernels.
+Above, bisection takes no step and the growth bounds are never decided,
+else it runs from [lo, hi].  Both final certificates are re-checked by
+`verify_certificate` on the integers of `ced.certcheck`, which shares no
+code with the kernels.
 
 Lemma: the cell is bisection's bracket.  Each midpoint bisection would
 visit is a grid point no nearer rho_c than the cell end on its side.
@@ -47,8 +48,8 @@ its entries shrink, and psi's upper bound is monotone in b_m unless
 1 - 4 b_m is a rational square (`_exact_closing` sends that case back to
 bisection).  No midpoint certifies the other side at a smaller depth,
 which would be false, so none is Undecided; and `decide` is
-deterministic, whatever its lead, so endpoints, certificates and
-m_reached are bisection's.
+deterministic, and `_settle` returns its outcome, so endpoints,
+certificates and m_reached are bisection's.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ced.certcheck import check_above, check_below
 from ced.contfrac import below_witness, km_good
@@ -150,16 +151,15 @@ def _above(p: ModelParams, m: int) -> Optional[DecisionOutcome]:
     return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m) if km_good(p, m) else None  # False whenever b_m >= 1/4
 
 
-def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX, lead: Optional[Verdict] = None) -> DecisionOutcome:
+def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     """Is rho below or above the critical death rate?  Certified either way.
 
     Short circuits: lambda certified outside the window with rho > 0 is
     Above (the threshold is zero there); rho = 0 inside the window is
     Below (the threshold is positive there).  rho = 0 outside the window
     sits exactly at the zero threshold and is reported Undecided, as is
-    anything the kernels cannot separate by depth m_max.  `lead` (BELOW,
-    ABOVE or None) orders the tests and never changes the outcome (module
-    docstring).
+    anything the kernels cannot separate by depth m_max.  Otherwise each
+    depth of the schedule runs the below test, then the above test.
     """
     pos = window_position(p.d, p.lam)
     if pos.is_outside:
@@ -170,13 +170,29 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX, lead: Optional[Verdict] =
     if p.rho == 0:
         return DecisionOutcome(Verdict.BELOW, ZeroRhoBelow(), 0)
 
-    first, second = (_above, _below) if lead is Verdict.ABOVE else (_below, _above)
-    schedule, pad = _m_schedule(m_max), [0] * (0 if lead is None else 2)
-    for m, m_lag in zip(schedule + pad, pad + schedule):  # 0 pads the lag's start and the lead's end
-        out = (m and first(p, m)) or (m_lag and second(p, m_lag))
+    for m in _m_schedule(m_max):
+        out = _below(p, m) or _above(p, m)
         if out:
             return out
     return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+
+
+def _settle(
+    p: ModelParams, test: Callable[[ModelParams, int], Optional[DecisionOutcome]], m_max: int, near: int
+) -> Optional[DecisionOutcome]:
+    """`decide(p, m_max)` if `test` passes near depth `near`, else None (module docstring).
+
+    rho > 0 with lambda inside the window.  `test` runs at the schedule depth
+    nearest near in log2, then shallower while it passes, or once deeper.
+    """
+    schedule = _m_schedule(m_max)
+    i = sum(near * near > a * b for a, b in zip(schedule, schedule[1:]))  # near is nearer b than a
+    out = test(p, schedule[i])
+    if out is None:
+        return test(p, schedule[i + 1]) if i + 1 < len(schedule) else None
+    while i and (shallower := test(p, schedule[i - 1])):
+        out, i = shallower, i - 1
+    return out
 
 
 def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
@@ -251,8 +267,10 @@ def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, in
     return j, t, dt
 
 
-def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int) -> Optional[Fraction]:
-    """A guess at the root of K(rho) = 1 in [lo, hi], or None; K is `_estimate_sweep`'s.
+def _estimate_rho_c(
+    d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int
+) -> Optional[tuple[Fraction, int]]:
+    """(A guess at the root of K(rho) = 1 in [lo, hi], its depth D), or None; K is `_estimate_sweep`'s.
 
     Safeguarded fixed-point Newton on 1/K, smooth through K's first pole and
     quadratic: a step s < 2^-24 rho with s^2 < 2^23 rho (units 2^-bits) is the
@@ -260,6 +278,7 @@ def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Frac
     k >= 24 bits (k <= 40, what a 64-bit root holds; None past m_max).  As b_j
     falls with j, depth D errs by about rho 2^(-2kD/M): the last root, at
     bits(tol) + 41 bits, takes the least D >= M that puts this 2^10 below tol.
+    The kernels mostly settle the ends of the root's cell at about depth D.
     """
     a, b = lam.numerator, lam.denominator
 
@@ -290,7 +309,7 @@ def _estimate_rho_c(d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Frac
         bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
         k = min(r.bit_length() - abs(r - prev).bit_length(), 40)  # depths M/2 and M = m/2 agree
         m = max(m // 2, -(-(bits - 95 + r.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
-        return Fraction(root((r << bits) >> 64, bits, m), 1 << bits)
+        return Fraction(root((r << bits) >> 64, bits, m), 1 << bits), m
     except ZeroDivisionError:  # a flat slope: no usable estimate
         return None
 
@@ -316,12 +335,14 @@ def critical_rho(
       b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
       `km_good` is good: psi's closing bound is at most 2, so b_0 times it
       is at most 1/2.
-    The estimated cell is tried next (module docstring); otherwise every
-    midpoint is resolved by `decide`, and an Undecided midpoint stops the
-    loop and is flagged on the returned bracket.  Each end of the result
-    needs its side's verdict and a certificate that `verify_certificate`
-    re-checks on integers, sharing no code with the kernels; else
-    BracketError is raised instead of an unproven bracket.
+    The estimated cell is tried first, its ends settled near the estimate's
+    depth (module docstring).  The growth bounds are decided only when
+    bisection runs: then every midpoint is resolved by `decide`, and an
+    Undecided midpoint stops the loop and is flagged on the returned
+    bracket.  Each end of the result needs its side's verdict and a
+    certificate that `verify_certificate` re-checks on integers, sharing no
+    code with the kernels; else BracketError is raised instead of an
+    unproven bracket.
     """
     lam = Fraction(lam)
     tol = Fraction(tol)
@@ -334,18 +355,21 @@ def critical_rho(
         )
 
     lo, hi = growth_bounds(d, lam)
-
-    lo_out, hi_out = decide(ModelParams(d, lam, lo), m_max), decide(ModelParams(d, lam, hi), m_max)
     n = (math.ceil((hi - lo) / tol) - 1).bit_length()  # bisection's steps, to cells w wide
     w = (hi - lo) / (1 << n)
-    estimate = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
-    if estimate is not None:  # certify the cell the estimate falls in (module docstring)
+    found = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
+    lo_out = hi_out = None
+    if found is not None:  # certify the cell the estimate falls in (module docstring)
+        estimate, near = found
         k = min(max(math.floor((estimate - lo) / w), 0), (1 << n) - 1)
         p_lo, p_hi = ModelParams(d, lam, lo + k * w), ModelParams(d, lam, lo + (k + 1) * w)
-        cell_lo = decide(p_lo, m_max, Verdict.BELOW)
-        cell_hi = decide(p_hi, m_max, Verdict.ABOVE) if cell_lo.verdict is Verdict.BELOW else None
-        if cell_hi is not None and cell_hi.verdict is Verdict.ABOVE and not _exact_closing(p_hi, cell_hi):
-            lo, lo_out, hi, hi_out = p_lo.rho, cell_lo, p_hi.rho, cell_hi
+        cell_lo = (_settle(p_lo, _below, m_max, near) if p_lo.rho else None) or decide(p_lo, m_max)
+        if cell_lo.verdict is Verdict.BELOW:
+            cell_hi = _settle(p_hi, _above, m_max, near) or decide(p_hi, m_max)
+            if cell_hi.verdict is Verdict.ABOVE and not _exact_closing(p_hi, cell_hi):
+                lo, lo_out, hi, hi_out = p_lo.rho, cell_lo, p_hi.rho, cell_hi
+    if lo_out is None:  # bisection from the growth bounds
+        lo_out, hi_out = decide(ModelParams(d, lam, lo), m_max), decide(ModelParams(d, lam, hi), m_max)
 
     unresolved = None
     while hi - lo > tol:

@@ -182,33 +182,59 @@ class TestDecide:
             assert not (v1 is Verdict.ABOVE and v2 is Verdict.BELOW)
 
 
-class TestLead:
-    """A lead side orders decide's tests and changes no outcome."""
+def _settled(first: int, calls: list):
+    """A test that passes from depth `first` on; it records each depth it is asked at."""
+
+    def test(p, m):
+        calls.append(m)
+        return DecisionOutcome(Verdict.BELOW, KernelBelow(m, 0), m) if m >= first else None
+
+    return test
+
+
+class TestSettle:
+    """An end settled near a depth gets decide's outcome, or None."""
 
     @given(
         st.sampled_from([2, 3, 4, 8, 64]),
         st.fractions(min_value=F(1, 10), max_value=20, max_denominator=100),
         st.integers(8, 80),
-        st.integers(0, 8),
         st.sampled_from([1, 2, 3, 5, 8, 64, 100]),
     )
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    def test_every_lead_gives_the_same_outcome(self, d, lam, bits, k, m_max):
+    @example(2, F(1), 80, 100)
+    @example(3, F(197, 20), 40, 5)
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    def test_settle_returns_decide_or_none(self, d, lam, bits, m_max):
         assume(window_position(d, lam) is WindowPosition.INSIDE)
         bracket = critical_rho(d, lam, F(1, 2**bits))
-        p = ModelParams(d, lam, bracket.lo + (bracket.hi - bracket.lo) * F(k, 8))
-        expected = decide(p, m_max)
-        for lead in (Verdict.BELOW, Verdict.ABOVE):
-            assert decide(p, m_max, lead) == expected
+        below, above = ced.decision._below, ced.decision._above
+        for rho, right, wrong in ((bracket.lo, below, above), (bracket.hi, above, below)):
+            p = ModelParams(d, lam, rho)
+            if rho == 0:
+                continue  # decide's short circuit, never settled
+            expected = decide(p, m_max)
+            for near in range(1, 2 * m_max + 1):
+                assert ced.decision._settle(p, right, m_max, near) in (expected, None)
+                assert ced.decision._settle(p, wrong, m_max, near) is None
 
-    @pytest.mark.parametrize("rho,lead,m_max", [(F(1, 1000), Verdict.ABOVE, 2), (F(1), Verdict.BELOW, 1)])
-    def test_the_lagging_side_catches_up(self, rho, lead, m_max):
-        # the other side wins at the last depth of the schedule, which its
-        # lagging test reaches only after the schedule ends
-        p = ModelParams(2, F(1), rho)
-        expected = decide(p, m_max)
-        assert expected.verdict not in (lead, Verdict.UNDECIDED) and expected.m_reached == m_max
-        assert decide(p, m_max, lead) == expected
+    @pytest.mark.parametrize(
+        "first,m_max,near,depths,settled",
+        [
+            (4, 64, 7, [8, 4, 2], 4),  # 7 is nearer 8 than 4 in log2; walk down to the last pass
+            (4, 64, 5, [4, 2], 4),
+            (16, 64, 6, [8, 16], 16),  # a fail tries one deeper depth
+            (32, 64, 6, [8, 16], None),  # ... and only one
+            (1, 64, 1, [1], 1),
+            (5, 5, 9, [5, 4], 5),  # the cap ends the schedule
+            (5, 5, 4, [4, 5], 5),
+            (6, 5, 200, [5], None),  # no deeper depth to try
+        ],
+    )
+    def test_depths_tried(self, first, m_max, near, depths, settled):
+        calls = []
+        out = ced.decision._settle(ModelParams(2, F(1), F(1)), _settled(first, calls), m_max, near)
+        assert calls == depths
+        assert (out and out.m_reached) == settled
 
 
 class TestFastPath:
@@ -285,15 +311,16 @@ class TestCriticalRho:
 
     @pytest.mark.parametrize("settled", ["lo", "hi"])
     def test_an_end_left_undecided_raises(self, monkeypatch, settled):
-        # decide answers Undecided everywhere but at one growth bound, so the
-        # other end of the bracket keeps an Undecided outcome
+        # bisection runs, and decide answers Undecided everywhere but at one
+        # growth bound, so the other end of the bracket keeps an Undecided outcome
         keep = growth_bounds(2, F(1))[settled == "hi"]
         real = ced.decision.decide
 
-        def undecided(p, m_max=ced.decision.DEFAULT_M_MAX, lead=None):
-            return real(p, m_max, lead) if p.rho == keep else DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+        def undecided(p, m_max=ced.decision.DEFAULT_M_MAX):
+            return real(p, m_max) if p.rho == keep else DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
         monkeypatch.setattr(ced.decision, "decide", undecided)
+        monkeypatch.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)  # bisection decides every end
         with pytest.raises(BracketError, match="re-check: undecided, None"):
             critical_rho(2, F(1), TOL10)
 
@@ -352,9 +379,9 @@ def _counting_decide(monkeypatch) -> list:
     """Route critical_rho's decides through a wrapper; returns the list of their rhos."""
     calls = []
 
-    def counting(p, m_max=ced.decision.DEFAULT_M_MAX, lead=None):
+    def counting(p, m_max=ced.decision.DEFAULT_M_MAX):
         calls.append(p.rho)
-        return decide(p, m_max, lead)
+        return decide(p, m_max)
 
     monkeypatch.setattr(ced.decision, "decide", counting)
     return calls
@@ -388,9 +415,9 @@ class TestCellPath:
 
         def shifted(by):
             def guess(d, lam, lo, hi, tol, m_max):
-                est = estimate(d, lam, lo, hi, tol, m_max)
+                found = estimate(d, lam, lo, hi, tol, m_max)
                 n = (math.ceil((hi - lo) / tol) - 1).bit_length()
-                return None if est is None else est + by * (hi - lo) / 2**n
+                return None if found is None else (found[0] + by * (hi - lo) / 2**n, found[1])
 
             return guess
 
@@ -412,7 +439,7 @@ class TestCellPath:
                     mp.setattr(ced.decision, "_estimate_rho_c", guess)
                     calls = _counting_decide(mp)
                     assert critical_rho(*case) == bisection
-                cell = len(calls) <= 5 and bisection.unresolved_midpoint is None
+                cell = len(calls) <= 2 and bisection.unresolved_midpoint is None  # bisection adds 2 + n
                 ends = (bisection.lo_outcome.m_reached, bisection.hi_outcome.m_reached)
                 runs.append((guess, case[3], cell, case[3] in ends))
 
@@ -423,13 +450,18 @@ class TestCellPath:
         assert any(cell and at_cap for _, m_max, cell, at_cap in runs if m_max < cap), runs
 
     @pytest.mark.parametrize("d,lam", [(2, F(1)), (8, F(1, 21))])
-    def test_four_decides_per_bracket(self, monkeypatch, d, lam):
-        # lo, hi and the two ends of the cell; bisection makes about 100 at
-        # this tolerance
+    def test_no_decide_on_the_cell_path(self, monkeypatch, d, lam):
+        # each end of the cell is settled in at most 3 kernel calls; bisection
+        # makes about 100 decides at this tolerance
+        kernels = []
+        for name in ("below_witness", "km_good"):
+            real = getattr(ced.decision, name)
+            monkeypatch.setattr(ced.decision, name, lambda p, m, real=real: kernels.append(p.rho) or real(p, m))
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**100))
-        assert len(calls) == 4 and bracket.unresolved_midpoint is None
-        assert calls[-2:] == [bracket.lo, bracket.hi]
+        assert calls == [] and bracket.unresolved_midpoint is None
+        assert sorted(set(kernels)) == [bracket.lo, bracket.hi]
+        assert kernels.count(bracket.lo) <= 3 and kernels.count(bracket.hi) <= 3
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
         # 2786 levels in all at this writing, against 7468 for an estimator that
@@ -448,7 +480,7 @@ class TestCellPath:
             for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
                 calls.clear()
                 assert critical_rho(d, lam, F(1, 2**bits)).unresolved_midpoint is None
-                assert len(calls) == 4, (d, lam, bits, len(calls))
+                assert calls == [], (d, lam, bits, len(calls))
         assert sum(levels) <= 3480, sum(levels)
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
