@@ -23,7 +23,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -126,32 +125,6 @@ def _int_arg(minimum: int, maximum: int | None = None):
     return convert
 
 
-@dataclass
-class RunManifest:
-    """Echo of everything needed to replay a run byte-identically."""
-
-    subcommand: str
-    params: dict  # raw values, written with str()
-    seed: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": "ced",
-            "version": ced.__version__,
-            "subcommand": self.subcommand,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "seed": self.seed,
-        }
-
-    def comment_lines(self) -> list[str]:
-        pieces = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        lines = [f"# tool=ced version={ced.__version__} subcommand={self.subcommand}"]
-        lines.append(f"# params {pieces}" if pieces else "# params")
-        if self.seed is not None:
-            lines.append(f"# seed {self.seed}")
-        return lines
-
-
 #: A missing certificate.  JSON writes it as null and CSV and text spell it
 #: `null`, where a bare None cell (the `z` of the k = 0 row) prints empty.
 _NO_CERTIFICATE = object()
@@ -173,9 +146,14 @@ def _text_cell(value) -> str:
     return str(value)  # Fraction -> p/q, float -> its repr
 
 
-def _emit(manifest: RunManifest, format: str, header=(), rows=(), scalars=None, text=None) -> None:
+def _emit(
+    subcommand: str, params: dict, format: str, header=(), rows=(), scalars=None, text=None, seed: Optional[int] = None
+) -> None:
     """Write one result to stdout; nothing else in the CLI does.
 
+    The manifest echoes everything needed to replay the run byte for byte:
+    the tool, its version, the subcommand, the params (raw values, written
+    with str()) and the seed, if any.
     json: one object with the manifest, `rows` (one object per row, keyed by
     the header) when there is a header, and the named scalars.
     csv: the manifest as # comments, the header and rows, then one
@@ -192,14 +170,17 @@ def _emit(manifest: RunManifest, format: str, header=(), rows=(), scalars=None, 
     sys.set_int_max_str_digits(0)
     try:
         if format == "json":
-            payload = {"manifest": manifest.as_dict()}
+            payload = {"manifest": {"tool": "ced", "version": ced.__version__, "subcommand": subcommand,
+                                    "params": {k: str(v) for k, v in params.items()}, "seed": seed}}
             if header:
                 payload["rows"] = [{h: _json_cell(v) for h, v in zip(header, row)} for row in rows]
             payload.update((name, _json_cell(v)) for name, v in scalars.items())
             print(json.dumps(payload, sort_keys=True))
             return
-        for line in manifest.comment_lines():
-            print(line)
+        print(f"# tool=ced version={ced.__version__} subcommand={subcommand}")
+        print(" ".join(["# params", *(f"{k}={v}" for k, v in sorted(params.items()))]))
+        if seed is not None:
+            print(f"# seed {seed}")
         if format == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(header)
@@ -238,10 +219,10 @@ def _model_params(p: ModelParams) -> dict:
 
 def _cmd_decide(args) -> int:
     p = ModelParams(args.d, args.lam, args.rho)
-    manifest = RunManifest("decide", {**_model_params(p), "max_m": args.max_m})
     outcome = decide(p, args.max_m)
     _emit(
-        manifest,
+        "decide",
+        {**_model_params(p), "max_m": args.max_m},
         "json" if args.json else "text",
         scalars={
             "verdict": outcome.verdict.value,
@@ -258,8 +239,9 @@ MAX_GRID_POINTS = 10_000
 #: Largest K of any exact C_k table: `simulate line --k-max` and `catalan
 #: --k`/`--k-max`.  The cost grows about as K^3: at lambda = 1, rho = 1/3,
 #: K = 800 takes 2.5-2.9 s exact (5 s at K = 1000), 0.4 s capped and 1.4 s
-#: flattened at m = 8, 3.5 s flattened at m = 400.  Long rho denominators
-#: cost more: 98 s exact at rho = 12360736211/2^36.
+#: flattened at m = 8, 3.5 s flattened at m = 400.  Long denominators of rho
+#: or lambda cost more: 98 s exact at rho = 12360736211/2^36, and 121 s at
+#: K = 400 (13 s at K = 200) for lambda = 1/10^48, rho = 1.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
@@ -326,7 +308,7 @@ def _cmd_rho_c(args) -> int:
             status = "bracket" if b.unresolved_midpoint is None else "unresolved"
             row = [lam, b.lo, b.hi, status, _certificate_json(b.lo_outcome), _certificate_json(b.hi_outcome)]
         rows.append(row[: len(header)])
-    _emit(RunManifest("rho-c", params), args.format, header, rows)
+    _emit("rho-c", params, args.format, header, rows)
     return 0
 
 
@@ -352,17 +334,17 @@ def _cmd_catalan(args) -> int:
             raise UsageError("--z needs --k or --k-max for the truncation order")
         params.update({"z": args.z, "K": k_hi})
         value = partial_series(p, args.z, k_hi, mode, args.m)
-        _emit(RunManifest("catalan", params), single, scalars={"partial_series": value}, text=value)
+        _emit("catalan", params, single, scalars={"partial_series": value}, text=value)
     elif args.k_max is not None:
         params["k_max"] = args.k_max
         seq = weighted_catalan_sequence(p, args.k_max, mode, args.m)
-        _emit(RunManifest("catalan", params), args.format, ["k", "value"], list(enumerate(seq)))
+        _emit("catalan", params, args.format, ["k", "value"], list(enumerate(seq)))
     elif args.k is None:
         raise UsageError("catalan: give --k or --k-max")
     else:
         params["k"] = args.k
         value = weighted_catalan(p, args.k, mode, args.m).value
-        _emit(RunManifest("catalan", params), single, scalars={"k": args.k, "value": value}, text=value)
+        _emit("catalan", params, single, scalars={"k": args.k, "value": value}, text=value)
     return 0
 
 
@@ -386,25 +368,26 @@ def _cmd_simulate(args) -> int:
             raise UsageError(f"{flag}: so close to 0 that a delay would overflow the float range")
     p = ModelParams(args.d, lam, rho)
     size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
-    manifest = RunManifest(
-        f"simulate {args.engine}", {**_model_params(p), **size, "trials": args.trials}, seed=args.seed
-    )
+    params = {**_model_params(p), **size, "trials": args.trials}
     if args.engine == "line":
         summary = simulate_line(p, args.trials, args.k_max, args.seed)
         rows = compare_renewals(summary)
         _emit(
-            manifest,
+            "simulate line",
+            params,
             args.format,
             ["k", "count", "frequency", "stderr", "exact", "z"],
             [(r.k, summary.renewal_counts[r.k], r.observed, r.stderr, r.expected, r.z) for r in rows],
             {"max_abs_z": max_abs_z(rows), "absorption": dict(summary.absorption_counts)},
+            seed=args.seed,
         )
         return 0
 
     summary = simulate_tree(p, args.depth, args.trials, args.seed)
     exact = weighted_catalan_sequence(p, args.depth)
     _emit(
-        manifest,
+        "simulate tree",
+        params,
         args.format,
         ["level", "mean", "stderr", "exact"],
         [
@@ -415,15 +398,16 @@ def _cmd_simulate(args) -> int:
             "blue_reach_cap_frequency": summary.blue_reach_cap_frequency(),
             "red_reach_cap_frequency": summary.red_reach_cap_frequency(),
         },
+        seed=args.seed,
     )
     return 0
 
 
 def _cmd_phase(args) -> int:
     p = ModelParams(args.d, args.lam, args.rho)
-    manifest = RunManifest("phase", {**_model_params(p), "max_m": args.max_m})
     label = classify_phase(p, args.max_m).value
-    _emit(manifest, "json" if args.json else "text", scalars={"phase": label}, text=label)
+    params = {**_model_params(p), "max_m": args.max_m}
+    _emit("phase", params, "json" if args.json else "text", scalars={"phase": label}, text=label)
     return 0
 
 

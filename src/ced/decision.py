@@ -18,15 +18,16 @@ the schedule misses nothing reachable by m_max.  Undecided is a
 first-class outcome: rho exactly at the threshold can never terminate,
 and bisection callers stop gracefully instead of looping.
 
-At the two ends of the cell that `critical_rho` estimates, each end runs
-only the test its side expects (`_settle`): first at the schedule depth
-nearest, in log2, to the depth the estimate converged at; then, while it
-passes, at each shallower depth until one fails; or, if it fails, once at
-the next deeper depth.  The first passing depth is decide's: a passing
-test is sound, so the other side's test fails at every depth, and a test
-that passes at m passes at every later depth.  So the outcome equals
-`decide`'s, certificate and m_reached included; an end that settles
-neither way goes to `decide`.
+Every decision is one walk over that schedule (`_walk`): from the
+schedule depth nearest, in log2, to a given depth, the two tests run in
+order at each depth, deeper until one passes; one that passes at the
+first depth runs again at each shallower depth while it passes.  A
+passing test is sound, so the other side's test fails at every depth,
+and a test that passes at m passes at every later depth: from any start
+and in either order, the first passing depth, certificate and m_reached
+are those of `decide`, which walks from depth 1, below test first.  Each
+end of the cell that `critical_rho` estimates walks from the depth the
+estimate converged at, the test its side expects first.
 
 `critical_rho` starts from the closed-form growth bounds, which
 `growth_bounds` rounds outward onto the grid 2^-30 so midpoint
@@ -48,7 +49,7 @@ its entries shrink, and psi's upper bound is monotone in b_m unless
 1 - 4 b_m is a rational square (`_exact_closing` sends that case back to
 bisection).  No midpoint certifies the other side at a smaller depth,
 which would be false, so none is Undecided; and `decide` is
-deterministic, and `_settle` returns its outcome, so endpoints,
+deterministic, and the walk returns its outcome, so endpoints,
 certificates and m_reached are bisection's.
 """
 
@@ -158,8 +159,9 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     Above (the threshold is zero there); rho = 0 inside the window is
     Below (the threshold is positive there).  rho = 0 outside the window
     sits exactly at the zero threshold and is reported Undecided, as is
-    anything the kernels cannot separate by depth m_max.  Otherwise each
-    depth of the schedule runs the below test, then the above test.
+    anything the kernels cannot separate by depth m_max.  Otherwise one walk
+    from depth 1 runs the below test, then the above test, at each depth
+    of the schedule.
     """
     pos = window_position(p.d, p.lam)
     if pos.is_outside:
@@ -169,30 +171,23 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
         return DecisionOutcome(Verdict.UNDECIDED, None, 0)  # rho == 0 == threshold
     if p.rho == 0:
         return DecisionOutcome(Verdict.BELOW, ZeroRhoBelow(), 0)
-
-    for m in _m_schedule(m_max):
-        out = _below(p, m) or _above(p, m)
-        if out:
-            return out
-    return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+    return _walk(p, (_below, _above), m_max, 1)
 
 
-def _settle(
-    p: ModelParams, test: Callable[[ModelParams, int], Optional[DecisionOutcome]], m_max: int, near: int
-) -> Optional[DecisionOutcome]:
-    """`decide(p, m_max)` if `test` passes near depth `near`, else None (module docstring).
-
-    rho > 0 with lambda inside the window.  `test` runs at the schedule depth
-    nearest near in log2, then shallower while it passes, or once deeper.
-    """
+def _walk(
+    p: ModelParams, tests: Sequence[Callable[[ModelParams, int], Optional[DecisionOutcome]]], m_max: int, near: int
+) -> DecisionOutcome:
+    """`decide(p, m_max)` for rho > 0 inside the window, walked from the depth nearest near (module docstring)."""
     schedule = _m_schedule(m_max)
-    i = sum(near * near > a * b for a, b in zip(schedule, schedule[1:]))  # near is nearer b than a
-    out = test(p, schedule[i])
-    if out is None:
-        return test(p, schedule[i + 1]) if i + 1 < len(schedule) else None
-    while i and (shallower := test(p, schedule[i - 1])):
-        out, i = shallower, i - 1
-    return out
+    start = sum(near * near > a * b for a, b in zip(schedule, schedule[1:]))  # near is nearer b than a
+    for i in range(start, len(schedule)):
+        for test in tests:
+            if out := test(p, schedule[i]):
+                shallower = schedule[:start] if i == start else []
+                while shallower and (last := test(p, shallower.pop())):
+                    out = last
+                return out
+    return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
 
 def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
@@ -335,8 +330,8 @@ def critical_rho(
       b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
       `km_good` is good: psi's closing bound is at most 2, so b_0 times it
       is at most 1/2.
-    The estimated cell is tried first, its ends settled near the estimate's
-    depth (module docstring).  The growth bounds are decided only when
+    The estimated cell is tried first: each end walks decide's schedule
+    from the estimate's depth, its side's test first (module docstring).  The growth bounds are decided only when
     bisection runs: then every midpoint is resolved by `decide`, and an
     Undecided midpoint stops the loop and is flagged on the returned
     bracket.  Each end of the result needs its side's verdict and a
@@ -363,9 +358,9 @@ def critical_rho(
         estimate, near = found
         k = min(max(math.floor((estimate - lo) / w), 0), (1 << n) - 1)
         p_lo, p_hi = ModelParams(d, lam, lo + k * w), ModelParams(d, lam, lo + (k + 1) * w)
-        cell_lo = (_settle(p_lo, _below, m_max, near) if p_lo.rho else None) or decide(p_lo, m_max)
+        cell_lo = _walk(p_lo, (_below, _above), m_max, near) if p_lo.rho else decide(p_lo, m_max)
         if cell_lo.verdict is Verdict.BELOW:
-            cell_hi = _settle(p_hi, _above, m_max, near) or decide(p_hi, m_max)
+            cell_hi = _walk(p_hi, (_above, _below), m_max, near)
             if cell_hi.verdict is Verdict.ABOVE and not _exact_closing(p_hi, cell_hi):
                 lo, lo_out, hi, hi_out = p_lo.rho, cell_lo, p_hi.rho, cell_hi
     if lo_out is None:  # bisection from the growth bounds

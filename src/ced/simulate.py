@@ -209,11 +209,22 @@ def _gap_tables(lam: float, rho: float, size: int) -> tuple[np.ndarray, np.ndarr
     return lam / total, (lam + 1.0) / total
 
 
-def _accumulate(tallies: tuple[list[int], ...], part) -> None:
-    """Add each sequence of a slab's `part` into the tally list in its place, entry by entry."""
-    for total, values in zip(tallies, part):
-        for i, value in enumerate(values):
-            total[i] += value
+def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
+    """Tallies of these sizes, each the entrywise sum of its sequence from slab(*args, seed, start, stop).
+
+    The slabs step the trials [0, n_trials) _SLAB at a time.  The arguments are
+    checked first and the tallies made next, so an impossible size fails at once.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    tallies = tuple([0] * size for size in sizes)
+    for start in range(0, n_trials, _SLAB):
+        for total, values in zip(tallies, slab(*args, seed, start, min(start + _SLAB, n_trials))):
+            for i, value in enumerate(values):
+                total[i] += value
+    return tallies
 
 
 def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
@@ -266,17 +277,10 @@ def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> LineS
     Deterministic given (seed, n_trials, k_max); the trials are stepped
     together in numpy, in one process.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    # The output tallies come first, so an impossible k_max fails at once.
-    tallies = ([0] * (k_max + 1), [0] * len(_ABSORPTIONS))
-    for start in range(0, n_trials, _SLAB):
-        _accumulate(tallies, _line_slab(float(p.lam), float(p.rho), k_max, seed, start, min(start + _SLAB, n_trials)))
-    renewal_counts, absorb = tallies
+    args = (float(p.lam), float(p.rho), k_max)
+    renewal_counts, absorb = _run_slabs(_line_slab, args, n_trials, seed, (k_max + 1, len(_ABSORPTIONS)))
     renewal_counts[0] = n_trials  # every trial starts with a renewal at 0
     return LineSummary(p, n_trials, seed, tuple(renewal_counts), tuple(zip(_ABSORPTIONS, absorb)))
 
@@ -369,16 +373,9 @@ def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> T
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    # The output tallies come first, so an impossible depth_cap fails at once.
-    tallies = ([0] * (depth_cap + 1), [0] * (depth_cap + 1), [0] * (depth_cap + 2), [0] * (depth_cap + 1))
-    for start in range(0, n_trials, _SLAB):
-        part = _tree_slab(p.d, float(p.lam), float(p.rho), depth_cap, seed, start, min(start + _SLAB, n_trials))
-        _accumulate(tallies, part)
-    return TreeSummary(p, n_trials, seed, *map(tuple, tallies))
+    args = (p.d, float(p.lam), float(p.rho), depth_cap)
+    sizes = (depth_cap + 1, depth_cap + 1, depth_cap + 2, depth_cap + 1)
+    return TreeSummary(p, n_trials, seed, *map(tuple, _run_slabs(_tree_slab, args, n_trials, seed, sizes)))
 
 
 class RenewalZ(NamedTuple):

@@ -182,18 +182,18 @@ class TestDecide:
             assert not (v1 is Verdict.ABOVE and v2 is Verdict.BELOW)
 
 
-def _settled(first: int, calls: list):
-    """A test that passes from depth `first` on; it records each depth it is asked at."""
+def _fake_test(name: str, first: int, calls: list):
+    """A test that passes from depth `first` on; it records name and depth, as "a8", each time it runs."""
 
     def test(p, m):
-        calls.append(m)
+        calls.append(f"{name}{m}")
         return DecisionOutcome(Verdict.BELOW, KernelBelow(m, 0), m) if m >= first else None
 
     return test
 
 
-class TestSettle:
-    """An end settled near a depth gets decide's outcome, or None."""
+class TestWalk:
+    """A walk from any depth, with the tests in either order, returns decide's outcome."""
 
     @given(
         st.sampled_from([2, 3, 4, 8, 64]),
@@ -204,37 +204,43 @@ class TestSettle:
     @example(2, F(1), 80, 100)
     @example(3, F(197, 20), 40, 5)
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    def test_settle_returns_decide_or_none(self, d, lam, bits, m_max):
+    def test_walk_returns_decide(self, d, lam, bits, m_max):
         assume(window_position(d, lam) is WindowPosition.INSIDE)
         bracket = critical_rho(d, lam, F(1, 2**bits))
-        below, above = ced.decision._below, ced.decision._above
-        for rho, right, wrong in ((bracket.lo, below, above), (bracket.hi, above, below)):
+        tests = (ced.decision._below, ced.decision._above)
+        for rho in (bracket.lo, bracket.hi):
             p = ModelParams(d, lam, rho)
             if rho == 0:
-                continue  # decide's short circuit, never settled
+                continue  # decide's short circuit, never walked
             expected = decide(p, m_max)
             for near in range(1, 2 * m_max + 1):
-                assert ced.decision._settle(p, right, m_max, near) in (expected, None)
-                assert ced.decision._settle(p, wrong, m_max, near) is None
+                assert ced.decision._walk(p, tests, m_max, near) == expected
+                assert ced.decision._walk(p, tests[::-1], m_max, near) == expected
 
     @pytest.mark.parametrize(
-        "first,m_max,near,depths,settled",
+        "first_a,first_b,m_max,near,depths,reached",
         [
-            (4, 64, 7, [8, 4, 2], 4),  # 7 is nearer 8 than 4 in log2; walk down to the last pass
-            (4, 64, 5, [4, 2], 4),
-            (16, 64, 6, [8, 16], 16),  # a fail tries one deeper depth
-            (32, 64, 6, [8, 16], None),  # ... and only one
-            (1, 64, 1, [1], 1),
-            (5, 5, 9, [5, 4], 5),  # the cap ends the schedule
-            (5, 5, 4, [4, 5], 5),
-            (6, 5, 200, [5], None),  # no deeper depth to try
+            (4, 99, 64, 7, ["a8", "a4", "a2"], 4),  # 7 is nearer 8 than 4 in log2; walk down to the last pass
+            (4, 99, 64, 5, ["a4", "a2"], 4),
+            (16, 99, 64, 6, ["a8", "b8", "a16"], 16),  # a fail runs the other test, then goes deeper
+            (32, 99, 64, 6, ["a8", "b8", "a16", "b16", "a32"], 32),  # ... never shallower after a deeper pass
+            (99, 2, 64, 8, ["a8", "b8", "b4", "b2", "b1"], 2),  # the second test walks down too
+            (1, 99, 64, 1, ["a1"], 1),
+            (5, 99, 5, 9, ["a5", "a4"], 5),  # the cap ends the schedule
+            (5, 99, 5, 4, ["a4", "b4", "a5"], 5),
+            (99, 99, 5, 1, ["a1", "b1", "a2", "b2", "a4", "b4", "a5", "b5"], None),  # Undecided at m_max
+            (6, 99, 5, 200, ["a5", "b5"], None),
         ],
     )
-    def test_depths_tried(self, first, m_max, near, depths, settled):
+    def test_depths_tried(self, first_a, first_b, m_max, near, depths, reached):
         calls = []
-        out = ced.decision._settle(ModelParams(2, F(1), F(1)), _settled(first, calls), m_max, near)
+        tests = (_fake_test("a", first_a, calls), _fake_test("b", first_b, calls))
+        out = ced.decision._walk(ModelParams(2, F(1), F(1)), tests, m_max, near)
         assert calls == depths
-        assert (out and out.m_reached) == settled
+        if reached is None:
+            assert out == DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+        else:
+            assert out.verdict is Verdict.BELOW and out.m_reached == reached
 
 
 class TestFastPath:

@@ -273,6 +273,13 @@ class TestSimulateLine:
         with pytest.raises(ValueError, match="seed"):
             simulate_tree(P211, 3, 10, seed)
 
+    def test_bad_seed_rejected_before_tallies(self):
+        # tallies of 2^61 entries would exhaust memory: the seed check must come first
+        with pytest.raises(ValueError, match="seed"):
+            simulate_tree(P211, 2**61, 1, -1)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_line(P211, 1, 2**61, -1)
+
 
 class TestCompareRenewals:
     def test_k0_exact_row(self):
