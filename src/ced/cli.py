@@ -245,13 +245,13 @@ MAX_GRID_POINTS = 10_000
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
-#: the estimate misses, took 0.97 / 15 / 64 / 152 s at 2^-100 / -200 / -300 /
-#: -400 next to the window edge (d = 3, lambda = 197/20).
+#: the estimate misses, took 0.21 / 0.91 / 2.0 / 4.2 s at 2^-100 / -200 / -300
+#: / -400 next to the window edge (d = 3, lambda = 197/20; 2-core Xeon).
 MIN_TOL_BITS = 200
 
 #: Largest `--d` of `decide`, `phase` and `rho-c`: the kernels' integers carry
-#: d.  At tol 2^-200 `rho-c` took 0.1 s at d = 2^32 and 3.9 s at d = 2^64 with
-#: lambda at 0.97 of the upper window edge, and 11 s at d = 10^300, lambda = 1.
+#: d.  At tol 2^-200 `critical_rho` took 0.02 / 0.6 / 2.2 s at d = 2^32 / 2^64 (lambda at
+#: 0.97 of the upper window edge) / 10^300 (lambda = 1), the last two by bisection.
 MAX_DECISION_D = 1 << 32
 
 #: Largest `simulate --trials`.  The line engine's time grows linearly in it:

@@ -33,10 +33,11 @@ estimate converged at, the test its side expects first.
 `growth_bounds` rounds outward onto the grid 2^-30 so midpoint
 denominators stay small; `decide` settles them at depth 1 (see
 `critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
-lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The integer Newton
-estimate `_estimate_rho_c` picks k; if the cell's ends certify Below and
-Above, bisection takes no step and the growth bounds are never decided,
-else it runs from [lo, hi].  Both final certificates are re-checked by
+lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The Newton estimate
+`_estimate_rho_c` (float64 under a rounding-error bound, then fixed point)
+picks k; if the cell's ends certify Below and Above, bisection takes no
+step and the growth bounds are never decided, else it runs from [lo, hi].
+Both final certificates are re-checked by
 `verify_certificate` on the integers of `ced.certcheck`, which shares no
 code with the kernels.
 
@@ -262,18 +263,44 @@ def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, in
     return j, t, dt
 
 
+def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, float, float, float]:
+    """`_estimate_sweep` in float64 (rho = r, g = 1 + lambda, dl = d lambda), plus e, a bound on t's rounding error.
+
+    First order, u = 2^-53: the closure t = (1 - s) / 2 is good to 4u/s + 4u, and each level adds 12u
+    relative plus e / (1 - t) (Higham 2002, 3.3).  x1 is formed afresh: stepping x2 - r lets rounding drift.
+    """
+    u, c = 2.0**-53, 12 * 2.0**-53
+    x2 = g + (m + 2) * r
+    v = 1 - 4 * (dl / (x2 * (x2 + r)))  # 1 - 4 b_{m+1}, good to 8u
+    s = math.sqrt(v) if v > 0 else 0.0
+    t, dt, e = ((1 - s) / 2, 0.0, 4 * u / s + 4 * u) if s else (0.0, 0.0, 0.5 if v > -8 * u else 0.0)
+    for j in range(m, -1, -1):
+        x1 = g + (j + 1) * r
+        x12, den = x1 * x2, 1 - t
+        bj = dl / x12  # b_j to 7u, with the rounding of g and dl
+        t = bj / den
+        dt = (t * dt - bj * ((j + 1) * x2 + (j + 2) * x1) / x12) / den
+        e = t * (c + e / den)
+        if t >= 1 and j:
+            break
+        x2 = x1
+    return j, t, dt, e
+
+
 def _estimate_rho_c(
     d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int
 ) -> Optional[tuple[Fraction, int]]:
     """(A guess at the root of K(rho) = 1 in [lo, hi], its depth D), or None; K is `_estimate_sweep`'s.
 
-    Safeguarded fixed-point Newton on 1/K, smooth through K's first pole and
-    quadratic: a step s < 2^-24 rho with s^2 < 2^23 rho (units 2^-bits) is the
-    last.  At 64 bits for M = 8, 16, ... until the roots at M/2 and M agree on
-    k >= 24 bits (k <= 40, what a 64-bit root holds; None past m_max).  As b_j
-    falls with j, depth D errs by about rho 2^(-2kD/M): the last root, at
-    bits(tol) + 41 bits, takes the least D >= M that puts this 2^10 below tol.
-    The kernels mostly settle the ends of the root's cell at about depth D.
+    Safeguarded Newton on 1/K, smooth through K's first pole and quadratic:
+    a step s < 2^-24 rho with s^2 < 2^-41 rho is the last.  In float64 (only
+    + - * / and sqrt, correctly rounded everywhere) for M = 8, 16, ... until
+    the roots at M/2 and M agree on k >= 24 bits (k <= 40; None past m_max);
+    unless four times their rounding-error bounds lie below their gap (or
+    2^-40 rho), both are re-measured at 64 fixed-point bits (Ziv 1991).  As
+    b_j falls with j, depth D errs by about rho 2^(-2kD/M): the last root, at
+    bits(tol) + 41 fixed-point bits, takes the least D >= M that puts this
+    2^10 below tol.  The kernels mostly settle its cell's ends near depth D.
     """
     a, b = lam.numerator, lam.denominator
 
@@ -295,17 +322,38 @@ def _estimate_rho_c(
             r = r + step if left < r + step < right else (left + right) // 2
         return r
 
+    def root_float(r: float, m: int) -> tuple[float, float]:  # root's float twin: (root, its error bound)
+        left, right, last = lo_f, hi_f, None
+        for _ in range(64):
+            j, t, dt, e = _estimate_sweep_float(r, m, g, dl)
+            if j:
+                left, r = r, (r + right) / 2
+                continue
+            left, right = (r, right) if t > 1 else (left, r)
+            step = (1 - t) * t / dt
+            if not (abs(step) * 2**24 >= r or step * step >= r * 2**-41):  # a NaN step stops too
+                return r + step, e / abs(dt)
+            if last and 2 * abs(step) >= last:
+                return r, e / abs(dt)
+            last = abs(step)
+            r = r + step if left < r + step < right else (left + right) / 2
+        return r, e / abs(dt)
+
     try:
-        r, prev, m = math.floor((lo + hi) * 2**63), None, 8
-        while prev is None or abs(r - prev) > r >> 24:
+        g, dl, lo_f, hi_f = (a + b) / b, d * a / b, float(lo), float(hi)
+        r, err, prev, m = (lo_f + hi_f) / 2, 0.0, None, 8
+        while prev is None or abs(r - prev) > r * 2**-24:
             if m > m_max:
                 return None
-            prev, r, m = r, root(r, 64, m), 2 * m
+            prev, prev_err, (r, err), m = r, err, root_float(r, m), 2 * m
+        deep, shallow = int(r * 2**64), int(prev * 2**64)
+        if not 4 * (err + prev_err) < max(abs(r - prev), r * 2**-40):  # the floats may not resolve k
+            deep, shallow = root(deep, 64, m // 2), root(shallow, 64, m // 4)
         bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
-        k = min(r.bit_length() - abs(r - prev).bit_length(), 40)  # depths M/2 and M = m/2 agree
-        m = max(m // 2, -(-(bits - 95 + r.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
-        return Fraction(root((r << bits) >> 64, bits, m), 1 << bits), m
-    except ZeroDivisionError:  # a flat slope: no usable estimate
+        k = min(deep.bit_length() - abs(deep - shallow).bit_length(), 40)  # depths M/2 and M = m/2 agree
+        m = max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
+        return Fraction(root((deep << bits) >> 64, bits, m), 1 << bits), m
+    except (ZeroDivisionError, OverflowError, ValueError):  # a flat slope, a NaN or a float past range
         return None
 
 
@@ -428,7 +476,8 @@ def rho_c_curve(
     exactly 0.  Results come back in grid order and are deterministic
     given the inputs; grid points are independent, so threads > 1 fans
     them out across processes, at most one per grid point and per CPU (a fork
-    pool starts them all up front); one worker skips `concurrent.futures` (8 ms).
+    pool starts them all up front) in chunks of a quarter of a worker's
+    share; one worker skips `concurrent.futures` (8 ms).
     """
     jobs = [(d, Fraction(lam), Fraction(tol), m_max) for lam in lambdas]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
@@ -437,4 +486,4 @@ def rho_c_curve(
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_curve_point, jobs))
+        return list(pool.map(_curve_point, jobs, chunksize=-(-len(jobs) // (4 * workers))))

@@ -470,17 +470,19 @@ class TestCellPath:
         assert kernels.count(bracket.lo) <= 3 and kernels.count(bracket.hi) <= 3
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
-        # 2786 levels in all at this writing, against 7468 for an estimator that
-        # closed the tail with 0, started at M = 16 and ran Newton on K
-        sweep = ced.decision._estimate_sweep
+        # float and fixed-point levels together: 3039 at this writing (2786 with
+        # a 64-bit doubling stage), against 7468 for an estimator that closed
+        # the tail with 0, started at M = 16 and ran Newton on K
         levels = []
+        for name in ("_estimate_sweep", "_estimate_sweep_float"):
+            sweep = getattr(ced.decision, name)
 
-        def counting(r, m, bits, g, dl):
-            j, t, dt = sweep(r, m, bits, g, dl)
-            levels.append(m + 1 - j)  # the sweep stopped at level j
-            return j, t, dt
+            def counting(r, m, *args, sweep=sweep):
+                out = sweep(r, m, *args)
+                levels.append(m + 1 - out[0])  # the sweep stopped at level j
+                return out
 
-        monkeypatch.setattr(ced.decision, "_estimate_sweep", counting)
+            monkeypatch.setattr(ced.decision, name, counting)
         calls = _counting_decide(monkeypatch)
         for bits in (40, 100):
             for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
@@ -488,6 +490,45 @@ class TestCellPath:
                 assert critical_rho(d, lam, F(1, 2**bits)).unresolved_midpoint is None
                 assert calls == [], (d, lam, bits, len(calls))
         assert sum(levels) <= 3480, sum(levels)
+
+    def test_integer_remeasure_keeps_bracket_and_depth(self):
+        # an infinite error bound on every float root sends each estimate
+        # through the 64-bit re-measure of its last two roots
+        float_sweep, int_sweep = ced.decision._estimate_sweep_float, ced.decision._estimate_sweep
+        depths, remeasured = [], []
+
+        def unsure(r, m, g, dl):
+            return (*float_sweep(r, m, g, dl)[:3], math.inf)
+
+        def fixed_point(r, m, bits, g, dl):
+            remeasured.append(bits == 64)
+            return int_sweep(r, m, bits, g, dl)
+
+        @given(bracket_cases())
+        @example((65536, F(130939929, 500), F(1, 2**200), ced.decision.DEFAULT_M_MAX))  # re-measured unforced
+        @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+        def check(case):
+            d, lam, tol, m_max = case
+            lo, hi = growth_bounds(d, lam)
+            found, bracket = ced.decision._estimate_rho_c(d, lam, lo, hi, tol, m_max), critical_rho(*case)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ced.decision, "_estimate_sweep_float", unsure)
+                mp.setattr(ced.decision, "_estimate_sweep", fixed_point)
+                forced = ced.decision._estimate_rho_c(d, lam, lo, hi, tol, m_max)
+                assert critical_rho(*case) == bracket
+            depths.append((found and found[1], forced and forced[1]))
+
+        check()
+        assert any(remeasured)
+        assert sum(a != b for a, b in depths) <= 0.05 * len(depths), depths
+
+    @pytest.mark.parametrize("nan", [(0, math.nan, 1.0, 0.0), (0, 0.5, math.nan, 0.0)])
+    def test_non_finite_floats_give_no_estimate(self, monkeypatch, nan):
+        lo, hi = growth_bounds(12, F(1))  # lo = 1: Newton safeguards alone would settle there
+        huge = 10**400  # d lambda overflows a float
+        assert ced.decision._estimate_rho_c(huge, F(1), *growth_bounds(huge, F(1)), F(1, 2**40), 4096) is None
+        monkeypatch.setattr(ced.decision, "_estimate_sweep_float", lambda r, m, g, dl: nan)
+        assert lo == 1 and ced.decision._estimate_rho_c(12, F(1), lo, hi, F(1, 2**40), 4096) is None
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
         # psi's upper bound is monotone only off the rational squares
@@ -551,6 +592,10 @@ class TestCurve:
         serial = rho_c_curve(2, grid, F(1, 32))
         parallel = rho_c_curve(2, grid, F(1, 32), threads=2)
         assert parallel == serial
+
+    def test_chunked_pool_matches_serial(self):
+        grid = [F(1, 4) + F(i, 10) for i in range(40)]  # inside d = 2's window (0.17, 5.83)
+        assert rho_c_curve(2, grid, F(1, 2**40), threads=2) == rho_c_curve(2, grid, F(1, 2**40))
 
 
 class TestWindowGate:

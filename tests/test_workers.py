@@ -24,7 +24,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
