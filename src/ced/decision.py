@@ -34,7 +34,7 @@ estimate converged at, the test its side expects first.
 denominators stay small; `decide` settles them at depth 1 (see
 `critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
 lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The Newton estimate
-`_estimate_rho_c` (float64 under a rounding-error bound, then fixed point)
+`_estimate_rho_c` (float64, then a fixed-point polish scaled to rho_c)
 picks k; if the cell's ends certify Below and Above, bisection takes no
 step and the growth bounds are never decided, else it runs from [lo, hi].
 Both final certificates are re-checked by
@@ -263,28 +263,21 @@ def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, in
     return j, t, dt
 
 
-def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, float, float, float]:
-    """`_estimate_sweep` in float64 (rho = r, g = 1 + lambda, dl = d lambda), plus e, a bound on t's rounding error.
-
-    First order, u = 2^-53: the closure t = (1 - s) / 2 is good to 4u/s + 4u, and each level adds 12u
-    relative plus e / (1 - t) (Higham 2002, 3.3).  x1 is formed afresh: stepping x2 - r lets rounding drift.
-    """
-    u, c = 2.0**-53, 12 * 2.0**-53
+def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, float, float]:
+    """`_estimate_sweep` in float64 (rho = r, g = 1 + lambda, dl = d lambda); x1 is formed afresh, lest it drift."""
     x2 = g + (m + 2) * r
-    v = 1 - 4 * (dl / (x2 * (x2 + r)))  # 1 - 4 b_{m+1}, good to 8u
-    s = math.sqrt(v) if v > 0 else 0.0
-    t, dt, e = ((1 - s) / 2, 0.0, 4 * u / s + 4 * u) if s else (0.0, 0.0, 0.5 if v > -8 * u else 0.0)
+    v = 1 - 4 * (dl / (x2 * (x2 + r)))  # 1 - 4 b_{m+1}
+    t, dt = (1 - math.sqrt(v)) / 2 if v > 0 else 0.0, 0.0
     for j in range(m, -1, -1):
         x1 = g + (j + 1) * r
         x12, den = x1 * x2, 1 - t
-        bj = dl / x12  # b_j to 7u, with the rounding of g and dl
+        bj = dl / x12
         t = bj / den
         dt = (t * dt - bj * ((j + 1) * x2 + (j + 2) * x1) / x12) / den
-        e = t * (c + e / den)
         if t >= 1 and j:
             break
         x2 = x1
-    return j, t, dt, e
+    return j, t, dt
 
 
 def _estimate_rho_c(
@@ -295,64 +288,54 @@ def _estimate_rho_c(
     Safeguarded Newton on 1/K, smooth through K's first pole and quadratic:
     a step s < 2^-24 rho with s^2 < 2^-41 rho is the last.  In float64 (only
     + - * / and sqrt, correctly rounded everywhere) for M = 8, 16, ... until
-    the roots at M/2 and M agree on k >= 24 bits (k <= 40; None past m_max);
-    unless four times their rounding-error bounds lie below their gap (or
-    2^-40 rho), both are re-measured at 64 fixed-point bits (Ziv 1991).  As
-    b_j falls with j, depth D errs by about rho 2^(-2kD/M): the last root, at
-    bits(tol) + 41 fixed-point bits, takes the least D >= M that puts this
-    2^10 below tol.  The kernels mostly settle its cell's ends near depth D.
+    the roots at M/2 and M agree on k >= 24 bits (k <= 40; None past m_max).
+    As b_j falls with j, depth D errs by about rho 2^(-2kD/M): D is the least
+    depth >= M that puts this 2^10 below tol.  Plain Newton at depth D, on
+    bits(tol) + 41 fixed-point bits plus hi's integer bits, polishes the float
+    root; a pole, or no convergence in 16 steps, gives None.  The kernels
+    mostly settle its cell's ends near depth D.
     """
     a, b = lam.numerator, lam.denominator
 
-    def root(r: int, bits: int, m: int) -> int:  # r and the result are rho * 2^bits
-        one, g, dl = 1 << bits, ((a + b) << bits) // b, (d * a << 3 * bits) // b
-        left, right, last = (lo.numerator << bits) // lo.denominator, (hi.numerator << bits) // hi.denominator, None
-        for _ in range(64):
-            j, t, dt = _estimate_sweep(r, m, bits, g, dl)
-            if j:  # a pole: K > 1 there, so the root lies to the right
-                left, r = r, (r + right) // 2
-                continue
-            left, right = (r, right) if t > one else (left, r)
-            step = (one - t) * t // dt
-            if abs(step) << 24 < r and step * step < r << 23:
-                return r + step
-            if last and 2 * abs(step) >= last:  # at the rounding floor, or no root in reach
-                return r
-            last = abs(step)
-            r = r + step if left < r + step < right else (left + right) // 2
-        return r
-
-    def root_float(r: float, m: int) -> tuple[float, float]:  # root's float twin: (root, its error bound)
+    def root_float(r: float, m: int) -> float:
         left, right, last = lo_f, hi_f, None
         for _ in range(64):
-            j, t, dt, e = _estimate_sweep_float(r, m, g, dl)
-            if j:
+            j, t, dt = _estimate_sweep_float(r, m, g, dl)
+            if j:  # a pole: K > 1 there, so the root lies to the right
                 left, r = r, (r + right) / 2
                 continue
             left, right = (r, right) if t > 1 else (left, r)
             step = (1 - t) * t / dt
             if not (abs(step) * 2**24 >= r or step * step >= r * 2**-41):  # a NaN step stops too
-                return r + step, e / abs(dt)
-            if last and 2 * abs(step) >= last:
-                return r, e / abs(dt)
+                return r + step
+            if last and 2 * abs(step) >= last:  # at the rounding floor, or no root in reach
+                return r
             last = abs(step)
             r = r + step if left < r + step < right else (left + right) / 2
-        return r, e / abs(dt)
+        return r
 
     try:
         g, dl, lo_f, hi_f = (a + b) / b, d * a / b, float(lo), float(hi)
-        r, err, prev, m = (lo_f + hi_f) / 2, 0.0, None, 8
+        r, prev, m = (lo_f + hi_f) / 2, None, 8
         while prev is None or abs(r - prev) > r * 2**-24:
             if m > m_max:
                 return None
-            prev, prev_err, (r, err), m = r, err, root_float(r, m), 2 * m
+            prev, r, m = r, root_float(r, m), 2 * m
         deep, shallow = int(r * 2**64), int(prev * 2**64)
-        if not 4 * (err + prev_err) < max(abs(r - prev), r * 2**-40):  # the floats may not resolve k
-            deep, shallow = root(deep, 64, m // 2), root(shallow, 64, m // 4)
         bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
         k = min(deep.bit_length() - abs(deep - shallow).bit_length(), 40)  # depths M/2 and M = m/2 agree
         m = max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
-        return Fraction(root((deep << bits) >> 64, bits, m), 1 << bits), m
+        bits += max(hi.numerator.bit_length() - hi.denominator.bit_length(), 0)  # rho_c's integer bits
+        one, g, dl, r = 1 << bits, ((a + b) << bits) // b, (d * a << 3 * bits) // b, (deep << bits) >> 64
+        for _ in range(16):  # dt keeps about bits(tol) + 41 bits: at a huge rho_c the steps shrink only linearly
+            j, t, dt = _estimate_sweep(r, m, bits, g, dl)
+            if j:
+                return None
+            step = (one - t) * t // dt
+            if abs(step) << 24 < r and step * step < r << 23:
+                return Fraction(r + step, one), m
+            r += step
+        return None
     except (ZeroDivisionError, OverflowError, ValueError):  # a flat slope, a NaN or a float past range
         return None
 

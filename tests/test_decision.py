@@ -434,6 +434,7 @@ class TestCellPath:
 
         @given(bracket_cases())
         @example((3, F(197, 20), F(1, 2**40), cap))  # next to the window edge: depth 256
+        @example((65536, F(130939929, 500), F(1, 2**200), cap))  # an ill-conditioned estimate: depth 2701
         @settings(max_examples=40, derandomize=True, deadline=None, database=None)
         def check(case):
             assert window_position(case[0], case[1]) is WindowPosition.INSIDE
@@ -469,10 +470,22 @@ class TestCellPath:
         assert sorted(set(kernels)) == [bracket.lo, bracket.hi]
         assert kernels.count(bracket.lo) <= 3 and kernels.count(bracket.hi) <= 3
 
+    @pytest.mark.parametrize(
+        "d,lam",
+        [(2**64, F(97 * (4 * 2**64 - 2) // 100)), (10**30, F(1)), (2**100, F(1)), (10**300, F(1))],
+        ids=["2^64-near-edge", "10^30", "2^100", "10^300"],
+    )
+    def test_no_decide_at_a_huge_rho_c(self, monkeypatch, d, lam):
+        # hi has 50-498 integer bits here (the first lambda is 0.97 of the upper
+        # window edge): the polish must carry them to land in the estimated cell
+        calls = _counting_decide(monkeypatch)
+        bracket = critical_rho(d, lam, F(1, 2**200))
+        assert calls == [] and bracket.unresolved_midpoint is None
+
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
-        # float and fixed-point levels together: 3039 at this writing (2786 with
-        # a 64-bit doubling stage), against 7468 for an estimator that closed
-        # the tail with 0, started at M = 16 and ran Newton on K
+        # float and fixed-point levels together: 3039 at this writing (2042 float,
+        # 997 in the polish; 2786 with a 64-bit doubling stage), against 7468 for
+        # an estimator that closed the tail with 0, started at M = 16 and ran Newton on K
         levels = []
         for name in ("_estimate_sweep", "_estimate_sweep_float"):
             sweep = getattr(ced.decision, name)
@@ -491,38 +504,7 @@ class TestCellPath:
                 assert calls == [], (d, lam, bits, len(calls))
         assert sum(levels) <= 3480, sum(levels)
 
-    def test_integer_remeasure_keeps_bracket_and_depth(self):
-        # an infinite error bound on every float root sends each estimate
-        # through the 64-bit re-measure of its last two roots
-        float_sweep, int_sweep = ced.decision._estimate_sweep_float, ced.decision._estimate_sweep
-        depths, remeasured = [], []
-
-        def unsure(r, m, g, dl):
-            return (*float_sweep(r, m, g, dl)[:3], math.inf)
-
-        def fixed_point(r, m, bits, g, dl):
-            remeasured.append(bits == 64)
-            return int_sweep(r, m, bits, g, dl)
-
-        @given(bracket_cases())
-        @example((65536, F(130939929, 500), F(1, 2**200), ced.decision.DEFAULT_M_MAX))  # re-measured unforced
-        @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-        def check(case):
-            d, lam, tol, m_max = case
-            lo, hi = growth_bounds(d, lam)
-            found, bracket = ced.decision._estimate_rho_c(d, lam, lo, hi, tol, m_max), critical_rho(*case)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ced.decision, "_estimate_sweep_float", unsure)
-                mp.setattr(ced.decision, "_estimate_sweep", fixed_point)
-                forced = ced.decision._estimate_rho_c(d, lam, lo, hi, tol, m_max)
-                assert critical_rho(*case) == bracket
-            depths.append((found and found[1], forced and forced[1]))
-
-        check()
-        assert any(remeasured)
-        assert sum(a != b for a, b in depths) <= 0.05 * len(depths), depths
-
-    @pytest.mark.parametrize("nan", [(0, math.nan, 1.0, 0.0), (0, 0.5, math.nan, 0.0)])
+    @pytest.mark.parametrize("nan", [(0, math.nan, 1.0), (0, 0.5, math.nan)])
     def test_non_finite_floats_give_no_estimate(self, monkeypatch, nan):
         lo, hi = growth_bounds(12, F(1))  # lo = 1: Newton safeguards alone would settle there
         huge = 10**400  # d lambda overflows a float
