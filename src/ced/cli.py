@@ -250,7 +250,7 @@ MAX_LINE_K = 800
 MIN_TOL_BITS = 200
 
 #: Largest `--d` of `decide`, `phase` and `rho-c`: the kernels' integers carry
-#: d.  At tol 2^-200 `critical_rho` took 0.017 / 0.020 / 0.04 s at d = 2^32 / 2^64 (lambda
+#: d.  At tol 2^-200 `critical_rho` took 0.011 / 0.016 / 0.020 s at d = 2^32 / 2^64 (lambda
 #: at 0.97 of the upper window edge) / 10^300 (lambda = 1; 2-core Xeon).
 MAX_DECISION_D = 1 << 32
 

@@ -33,11 +33,11 @@ estimate converged at, the test its side expects first.
 `growth_bounds` rounds outward onto the grid 2^-30 so midpoint
 denominators stay small; `decide` settles them at depth 1 (see
 `critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
-lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  The Newton estimate
-`_estimate_rho_c` (float64, then a fixed-point polish scaled to rho_c)
-picks k; if the cell's ends certify Below and Above, bisection takes no
-step and the growth bounds are never decided, else it runs from [lo, hi].
-Both final certificates are re-checked by
+lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  `_estimate_rho_c` picks
+k by one safeguarded Newton loop, on floats and then in fixed point, on rho
+in units of 2^(the integer bits of hi); if the cell's ends certify Below and
+Above, bisection takes no step and the growth bounds are never decided,
+else it runs from [lo, hi].  Both final certificates are re-checked by
 `verify_certificate` on the integers of `ced.certcheck`, which shares no
 code with the kernels.
 
@@ -243,11 +243,11 @@ class CriticalBracket:
 
 
 def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, int, int]:
-    """(j, t_j, its slope in rho) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
+    """(j, t_j, its slope in x) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
 
-    rho = r / 2^bits, g = (1 + lambda) 2^bits, dl = d lambda 2^(3 bits); j >= 1 is a pole t_j >= 1.
+    x = r / 2^bits = rho / 2^e, g = (1 + lambda) 2^(bits - e), dl = d lambda 2^(3 bits - 2e); j >= 1: a pole t_j >= 1.
     """
-    one, x2 = 1 << bits, g + (m + 2) * r  # x2 = 1 + lambda + (j + 2) rho
+    one, x2 = 1 << bits, g + (m + 2) * r  # x2 = (1 + lambda + (j + 2) rho) / 2^e
     s = math.isqrt(max(one - 4 * (dl // (x2 * (x2 + r))), 0) << bits)  # sqrt(1 - 4 b_{m+1})
     t, dt = (one - s) // 2 if s else 0, 0  # t = b_{m+1} / (1 - t), or 0 once b_{m+1} >= 1/4
     for j in range(m, -1, -1):
@@ -264,7 +264,7 @@ def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, in
 
 
 def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, float, float]:
-    """`_estimate_sweep` in float64 (rho = r, g = 1 + lambda, dl = d lambda); x1 is formed afresh, lest it drift."""
+    """`_estimate_sweep` in float64 (r = x, g = (1 + lambda) 2^-e, dl = d lambda 4^-e); x1 afresh, lest it drift."""
     x2 = g + (m + 2) * r
     v = 1 - 4 * (dl / (x2 * (x2 + r)))  # 1 - 4 b_{m+1}
     t, dt = (1 - math.sqrt(v)) / 2 if v > 0 else 0.0, 0.0
@@ -280,62 +280,62 @@ def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, f
     return j, t, dt
 
 
+def _newton(r, left, right, one, sweep: Callable, *args):
+    """Safeguarded Newton on 1/K from r to K = 1 in (left, right), where (j, K, K') = sweep(r, *args).
+
+    Floats if one = 1.0, else integers in units of 1/one, divided with floor.
+    A pole (j >= 1) sends r halfway to right.  A step s = (1 - K) K / K' with
+    |s| < 2^-24 r and s^2 < 2^23 r in units of the last bit (2^-64 for floats)
+    is the last; one that does not halve the one before stops at r, and one
+    that leaves the bracket goes to its midpoint.  64 sweeps at most.
+    """
+    div, fine = (float.__truediv__, 2**-41) if isinstance(one, float) else (int.__floordiv__, 1 << 23)
+    last = None
+    for _ in range(64):
+        j, t, dt = sweep(r, *args)
+        if j:
+            left, r = r, div(r + right, 2)
+            continue
+        left, right = (r, right) if t > one else (left, r)
+        step = div((one - t) * t, dt)
+        if not (abs(step) * 2**24 >= r or step * step >= r * fine):  # a NaN step stops too
+            return r + step
+        if last and 2 * abs(step) >= last:  # at the rounding floor, or no root in reach
+            return r
+        last = abs(step)
+        r = r + step if left < r + step < right else div(left + right, 2)
+    return r
+
+
 def _estimate_rho_c(
     d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int
 ) -> Optional[tuple[Fraction, int]]:
     """(A guess at the root of K(rho) = 1 in [lo, hi], its depth D), or None; K is `_estimate_sweep`'s.
 
-    Safeguarded Newton on 1/K, smooth through K's first pole and quadratic:
-    a step s < 2^-24 rho with s^2 < 2^-41 rho is the last.  In float64 (only
-    + - * / and sqrt, correctly rounded everywhere) for M = 8, 16, ... until
-    the roots at M/2 and M agree on k >= 24 bits (k <= 40; None past m_max).
-    As b_j falls with j, depth D errs by about rho 2^(-2kD/M): D is the least
-    depth >= M that puts this 2^10 below tol.  Plain Newton at depth D, on
-    bits(tol) + 41 fixed-point bits plus hi's integer bits, polishes the float
-    root; a pole, or no convergence in 16 steps, gives None.  The kernels
-    mostly settle its cell's ends near depth D.
+    One loop, `_newton`, runs both stages on x = rho / 2^e, e the integer bits
+    of hi, so x < 1 and every stop test and slope is relative.  On floats for
+    M = 8, 16, ... until the roots at M/2 and M agree on k >= 24 bits (k <= 40;
+    None past m_max).  As b_j falls with j, depth D errs by about x 2^(-2kD/M):
+    D is the least depth >= M that puts this 2^10 below tol / 2^e.  At depth D
+    the loop polishes the float root, within 2^(1-k) of it, on bits(tol / 2^e)
+    + 41 fixed-point bits.  The kernels mostly settle its cell's ends near D.
     """
-    a, b = lam.numerator, lam.denominator
-
-    def root_float(r: float, m: int) -> float:
-        left, right, last = lo_f, hi_f, None
-        for _ in range(64):
-            j, t, dt = _estimate_sweep_float(r, m, g, dl)
-            if j:  # a pole: K > 1 there, so the root lies to the right
-                left, r = r, (r + right) / 2
-                continue
-            left, right = (r, right) if t > 1 else (left, r)
-            step = (1 - t) * t / dt
-            if not (abs(step) * 2**24 >= r or step * step >= r * 2**-41):  # a NaN step stops too
-                return r + step
-            if last and 2 * abs(step) >= last:  # at the rounding floor, or no root in reach
-                return r
-            last = abs(step)
-            r = r + step if left < r + step < right else (left + right) / 2
-        return r
-
+    a, b, e = lam.numerator, lam.denominator, int(hi).bit_length()
     try:
-        g, dl, lo_f, hi_f = (a + b) / b, d * a / b, float(lo), float(hi)
+        g, dl, lo_f, hi_f = (a + b) / b / 2**e, d * a / b / 4**e, float(lo) / 2**e, float(hi) / 2**e
         r, prev, m = (lo_f + hi_f) / 2, None, 8
         while prev is None or abs(r - prev) > r * 2**-24:
             if m > m_max:
                 return None
-            prev, r, m = r, root_float(r, m), 2 * m
+            prev, r, m = r, _newton(r, lo_f, hi_f, 1.0, _estimate_sweep_float, m, g, dl), 2 * m
         deep, shallow = int(r * 2**64), int(prev * 2**64)
-        bits = max(tol.denominator.bit_length() - tol.numerator.bit_length(), 0) + 41
+        bits = max(tol.denominator.bit_length() + e - tol.numerator.bit_length(), 0) + 41  # bits(tol / 2^e) + 41
         k = min(deep.bit_length() - abs(deep - shallow).bit_length(), 40)  # depths M/2 and M = m/2 agree
         m = max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
-        bits += max(hi.numerator.bit_length() - hi.denominator.bit_length(), 0)  # rho_c's integer bits
-        one, g, dl, r = 1 << bits, ((a + b) << bits) // b, (d * a << 3 * bits) // b, (deep << bits) >> 64
-        for _ in range(16):  # dt keeps about bits(tol) + 41 bits: at a huge rho_c the steps shrink only linearly
-            j, t, dt = _estimate_sweep(r, m, bits, g, dl)
-            if j:
-                return None
-            step = (one - t) * t // dt
-            if abs(step) << 24 < r and step * step < r << 23:
-                return Fraction(r + step, one), m
-            r += step
-        return None
+        g, dl = ((a + b) << bits) // (b << e), (d * a << 3 * bits) // (b << 2 * e)
+        left, r, right = (((deep + i * (deep >> (k - 1))) << bits) >> 64 for i in (-1, 0, 1))
+        r = _newton(r, left, right, 1 << bits, _estimate_sweep, m, bits, g, dl)
+        return Fraction(r << e, 1 << bits), m
     except (ZeroDivisionError, OverflowError, ValueError):  # a flat slope, a NaN or a float past range
         return None
 

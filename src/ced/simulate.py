@@ -294,16 +294,16 @@ def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
 def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, stop: int):
     """Tally tree trials [start, stop) level by level, by the rules in the module docstring.
 
-    Returns the per-level renewal sums and sums of squares over the trials,
-    and the histograms of the deepest blue level plus one and of the deepest
-    red level, each up to the last level reached.
+    Returns the renewal sums and sums of squares over the trials at each
+    level 0 .. cap, and the histograms of the deepest blue level plus one and
+    of the deepest red level, each up to the last level reached.
     """
     import numpy as np
     n = stop - start
     vertices = np.ones(n, np.int64)
     blue_depth = np.full(n, -1)
     red_depth = np.zeros(n, np.int64)
-    ren_sum, ren_sumsq = [], []
+    ren_sum, ren_sumsq = [0] * (cap + 1), [0] * (cap + 1)
     # Pending levels, deepest last: a level and, for each of its live
     # vertices in trial order, the slab-local trial, index in its trial's
     # level, red time and parent's blue time (the seed's is 0).
@@ -336,9 +336,6 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
                 )
             parents.append(born)
             reds.append(spread[born])
-        if level == len(ren_sum):  # first reached: every shallower level was
-            ren_sum.append(0)
-            ren_sumsq.append(0)
         per_trial = np.bincount(trial[renews])
         ren_sum[level] += int(per_trial.sum())
         ren_sumsq[level] += int(per_trial @ per_trial)

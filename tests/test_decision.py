@@ -472,15 +472,31 @@ class TestCellPath:
 
     @pytest.mark.parametrize(
         "d,lam",
-        [(2**64, F(97 * (4 * 2**64 - 2) // 100)), (10**30, F(1)), (2**100, F(1)), (10**300, F(1))],
-        ids=["2^64-near-edge", "10^30", "2^100", "10^300"],
+        [(2**64, F(97 * (4 * 2**64 - 2) // 100)), (10**30, F(1)), (2**100, F(1)), (10**200, F(1)), (10**300, F(1))],
+        ids=["2^64-near-edge", "10^30", "2^100", "10^200", "10^300"],
     )
     def test_no_decide_at_a_huge_rho_c(self, monkeypatch, d, lam):
         # hi has 50-498 integer bits here (the first lambda is 0.97 of the upper
-        # window edge): the polish must carry them to land in the estimated cell
+        # window edge): both Newton stages run on rho / 2^(those bits), since in
+        # absolute units the float stop tests sink below a float's resolution
+        # and the fixed-point slope loses those bits
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**200))
         assert calls == [] and bracket.unresolved_midpoint is None
+
+    def test_no_decide_after_a_pole_in_the_polish(self, monkeypatch):
+        # a pole sends the polish halfway to the right end of its bracket, and
+        # Newton steps back from there to the same cell
+        expected = critical_rho(2, F(1), F(1, 2**100))
+        sweep, poles = ced.decision._estimate_sweep, [1]
+
+        def pole_first(*args):
+            j, t, dt = sweep(*args)
+            return (poles.pop() if poles else j), t, dt
+
+        monkeypatch.setattr(ced.decision, "_estimate_sweep", pole_first)
+        calls = _counting_decide(monkeypatch)
+        assert critical_rho(2, F(1), F(1, 2**100)) == expected and calls == [] and poles == []
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
         # float and fixed-point levels together: 3039 at this writing (2042 float,
