@@ -34,12 +34,12 @@ estimate converged at, the test its side expects first.
 denominators stay small; `decide` settles them at depth 1 (see
 `critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
 lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  `_estimate_rho_c` picks
-k by one safeguarded Newton loop, on floats and then in fixed point, on rho
-in units of 2^(the integer bits of hi); if the cell's ends certify Below and
-Above, bisection takes no step and the growth bounds are never decided,
-else it runs from [lo, hi].  Both final certificates are re-checked by
-`verify_certificate` on the integers of `ced.certcheck`, which shares no
-code with the kernels.
+k by one safeguarded Newton loop over one sweep of the tails, on floats and
+then in fixed point, on rho in units of 2^(the integer bits of hi); if the
+cell's ends certify Below and Above, bisection takes no step and the growth
+bounds are never decided, else it runs from [lo, hi].  Both final
+certificates are re-checked by `verify_certificate` on the integers of
+`ced.certcheck`, which shares no code with the kernels.
 
 Lemma: the cell is bisection's bracket.  Each midpoint bisection would
 visit is a grid point no nearer rho_c than the cell end on its side.
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,46 +243,34 @@ class CriticalBracket:
     unresolved_midpoint: Optional[Fraction] = None
 
 
-def _estimate_sweep(r: int, m: int, bits: int, g: int, dl: int) -> tuple[int, int, int]:
-    """(j, t_j, its slope in x) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...].
+def _estimate_sweep(r, m, one, g, dl):
+    """(j, t_j, its slope in x) for the tails of K[b_0, ..., b_m, b_{m+1}, b_{m+1}, ...]; j >= 1: a pole t_j >= 1.
 
-    x = r / 2^bits = rho / 2^e, g = (1 + lambda) 2^(bits - e), dl = d lambda 2^(3 bits - 2e); j >= 1: a pole t_j >= 1.
+    Floats if one = 1.0, else integers in units of 1/one, divided with floor,
+    as in `_newton`: r = x one, g = (1 + lambda) 2^-e one and dl = d lambda
+    4^-e one^4, so b_j = dl / (x1 x2) with x1 = g + (j + 1) r and x2 = x1 + r.
+    Two divisions a level, from t = t_{j+1} and its slope t': q = x1 x2 (1 - t),
+    t_j = dl / q and t_j' = t_j (t' x1 x2 - ((j + 1)(x1 + x2) + x1)(1 - t)) / q.
+    The tail closes as the above kernel closes it, with slope 0.
     """
-    one, x2 = 1 << bits, g + (m + 2) * r  # x2 = (1 + lambda + (j + 2) rho) / 2^e
-    s = math.isqrt(max(one - 4 * (dl // (x2 * (x2 + r))), 0) << bits)  # sqrt(1 - 4 b_{m+1})
-    t, dt = (one - s) // 2 if s else 0, 0  # t = b_{m+1} / (1 - t), or 0 once b_{m+1} >= 1/4
+    div, root = (operator.truediv, math.sqrt) if isinstance(one, float) else (operator.floordiv, math.isqrt)
+    x2 = g + (m + 2) * r
+    v = one * one - div(4 * dl, x2 * (x2 + r))  # 1 - 4 b_{m+1}
+    t, dt = div(one - root(v), 2) if v > 0 else 0 * one, 0 * one  # t = b_{m+1} / (1 - t), or 0 once b_{m+1} >= 1/4
     for j in range(m, -1, -1):
-        x1 = x2 - r
-        x12, den = x1 * x2, one - t
-        bj = dl // x12
-        dbj = -(bj * ((j + 1) * x2 + (j + 2) * x1) << bits) // x12  # b_j's slope
-        t = (bj << bits) // den
-        dt = ((dbj << bits) + t * dt) // den
+        x1 = g + (j + 1) * r  # afresh, lest floats drift
+        x12, rest = x1 * x2, one - t
+        q = x12 * rest
+        t = div(dl, q)
+        dt = div(t * (dt * x12 - ((j + 1) * (x1 + x2) + x1) * one * rest), q)
         if t >= one and j:
             break
         x2 = x1
     return j, t, dt
 
 
-def _estimate_sweep_float(r: float, m: int, g: float, dl: float) -> tuple[int, float, float]:
-    """`_estimate_sweep` in float64 (r = x, g = (1 + lambda) 2^-e, dl = d lambda 4^-e); x1 afresh, lest it drift."""
-    x2 = g + (m + 2) * r
-    v = 1 - 4 * (dl / (x2 * (x2 + r)))  # 1 - 4 b_{m+1}
-    t, dt = (1 - math.sqrt(v)) / 2 if v > 0 else 0.0, 0.0
-    for j in range(m, -1, -1):
-        x1 = g + (j + 1) * r
-        x12, den = x1 * x2, 1 - t
-        bj = dl / x12
-        t = bj / den
-        dt = (t * dt - bj * ((j + 1) * x2 + (j + 2) * x1) / x12) / den
-        if t >= 1 and j:
-            break
-        x2 = x1
-    return j, t, dt
-
-
-def _newton(r, left, right, one, sweep: Callable, *args):
-    """Safeguarded Newton on 1/K from r to K = 1 in (left, right), where (j, K, K') = sweep(r, *args).
+def _newton(r, left, right, one, m, g, dl):
+    """Safeguarded Newton on 1/K from r to K = 1 in (left, right); (j, K, K') = _estimate_sweep(r, m, one, g, dl).
 
     Floats if one = 1.0, else integers in units of 1/one, divided with floor.
     A pole (j >= 1) sends r halfway to right.  A step s = (1 - K) K / K' with
@@ -289,10 +278,10 @@ def _newton(r, left, right, one, sweep: Callable, *args):
     is the last; one that does not halve the one before stops at r, and one
     that leaves the bracket goes to its midpoint.  64 sweeps at most.
     """
-    div, fine = (float.__truediv__, 2**-41) if isinstance(one, float) else (int.__floordiv__, 1 << 23)
+    div, fine = (operator.truediv, 2**-41) if isinstance(one, float) else (operator.floordiv, 1 << 23)
     last = None
     for _ in range(64):
-        j, t, dt = sweep(r, *args)
+        j, t, dt = _estimate_sweep(r, m, one, g, dl)
         if j:
             left, r = r, div(r + right, 2)
             continue
@@ -312,13 +301,14 @@ def _estimate_rho_c(
 ) -> Optional[tuple[Fraction, int]]:
     """(A guess at the root of K(rho) = 1 in [lo, hi], its depth D), or None; K is `_estimate_sweep`'s.
 
-    One loop, `_newton`, runs both stages on x = rho / 2^e, e the integer bits
-    of hi, so x < 1 and every stop test and slope is relative.  On floats for
-    M = 8, 16, ... until the roots at M/2 and M agree on k >= 24 bits (k <= 40;
-    None past m_max).  As b_j falls with j, depth D errs by about x 2^(-2kD/M):
-    D is the least depth >= M that puts this 2^10 below tol / 2^e.  At depth D
-    the loop polishes the float root, within 2^(1-k) of it, on bits(tol / 2^e)
-    + 41 fixed-point bits.  The kernels mostly settle its cell's ends near D.
+    One loop, `_newton`, on one sweep, `_estimate_sweep`, runs both stages on
+    x = rho / 2^e, e the integer bits of hi, so x < 1 and every stop test and
+    slope is relative.  On floats for M = 8, 16, ... until the roots at M/2
+    and M agree on k >= 24 bits (k <= 40; None past m_max).  As b_j falls with
+    j, depth D errs by about x 2^(-2kD/M): D is the least depth >= M that puts
+    this 2^10 below tol / 2^e.  At depth D the loop polishes the float root,
+    within 2^(1-k) of it, on bits(tol / 2^e) + 41 fixed-point bits.  The
+    kernels mostly settle its cell's ends near D.
     """
     a, b, e = lam.numerator, lam.denominator, int(hi).bit_length()
     try:
@@ -327,14 +317,14 @@ def _estimate_rho_c(
         while prev is None or abs(r - prev) > r * 2**-24:
             if m > m_max:
                 return None
-            prev, r, m = r, _newton(r, lo_f, hi_f, 1.0, _estimate_sweep_float, m, g, dl), 2 * m
+            prev, r, m = r, _newton(r, lo_f, hi_f, 1.0, m, g, dl), 2 * m
         deep, shallow = int(r * 2**64), int(prev * 2**64)
         bits = max(tol.denominator.bit_length() + e - tol.numerator.bit_length(), 0) + 41  # bits(tol / 2^e) + 41
         k = min(deep.bit_length() - abs(deep - shallow).bit_length(), 40)  # depths M/2 and M = m/2 agree
         m = max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
-        g, dl = ((a + b) << bits) // (b << e), (d * a << 3 * bits) // (b << 2 * e)
+        g, dl = ((a + b) << bits) // (b << e), (d * a << 4 * bits) // (b << 2 * e)
         left, r, right = (((deep + i * (deep >> (k - 1))) << bits) >> 64 for i in (-1, 0, 1))
-        r = _newton(r, left, right, 1 << bits, _estimate_sweep, m, bits, g, dl)
+        r = _newton(r, left, right, 1 << bits, m, g, dl)
         return Fraction(r << e, 1 << bits), m
     except (ZeroDivisionError, OverflowError, ValueError):  # a flat slope, a NaN or a float past range
         return None

@@ -490,28 +490,26 @@ class TestCellPath:
         expected = critical_rho(2, F(1), F(1, 2**100))
         sweep, poles = ced.decision._estimate_sweep, [1]
 
-        def pole_first(*args):
-            j, t, dt = sweep(*args)
-            return (poles.pop() if poles else j), t, dt
+        def pole_first(r, m, one, g, dl):
+            j, t, dt = sweep(r, m, one, g, dl)
+            return (poles.pop() if poles and isinstance(one, int) else j), t, dt  # the first fixed-point sweep
 
         monkeypatch.setattr(ced.decision, "_estimate_sweep", pole_first)
         calls = _counting_decide(monkeypatch)
         assert critical_rho(2, F(1), F(1, 2**100)) == expected and calls == [] and poles == []
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
-        # float and fixed-point levels together: 3039 at this writing (2042 float,
+        # the one sweep's levels, float and fixed point: 3039 at this writing (2042 float,
         # 997 in the polish; 2786 with a 64-bit doubling stage), against 7468 for
         # an estimator that closed the tail with 0, started at M = 16 and ran Newton on K
-        levels = []
-        for name in ("_estimate_sweep", "_estimate_sweep_float"):
-            sweep = getattr(ced.decision, name)
+        levels, sweep = [], ced.decision._estimate_sweep
 
-            def counting(r, m, *args, sweep=sweep):
-                out = sweep(r, m, *args)
-                levels.append(m + 1 - out[0])  # the sweep stopped at level j
-                return out
+        def counting(r, m, *args):
+            out = sweep(r, m, *args)
+            levels.append(m + 1 - out[0])  # the sweep stopped at level j
+            return out
 
-            monkeypatch.setattr(ced.decision, name, counting)
+        monkeypatch.setattr(ced.decision, "_estimate_sweep", counting)
         calls = _counting_decide(monkeypatch)
         for bits in (40, 100):
             for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
@@ -525,7 +523,12 @@ class TestCellPath:
         lo, hi = growth_bounds(12, F(1))  # lo = 1: Newton safeguards alone would settle there
         huge = 10**400  # d lambda overflows a float
         assert ced.decision._estimate_rho_c(huge, F(1), *growth_bounds(huge, F(1)), F(1, 2**40), 4096) is None
-        monkeypatch.setattr(ced.decision, "_estimate_sweep_float", lambda r, m, g, dl: nan)
+        sweep = ced.decision._estimate_sweep
+
+        def float_nan(r, m, one, g, dl):
+            return nan if isinstance(one, float) else sweep(r, m, one, g, dl)
+
+        monkeypatch.setattr(ced.decision, "_estimate_sweep", float_nan)
         assert lo == 1 and ced.decision._estimate_rho_c(12, F(1), lo, hi, F(1, 2**40), 4096) is None
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
@@ -554,6 +557,44 @@ class TestCellPath:
             DecisionOutcome(Verdict.ABOVE, hi_cert, m_max),
             unresolved,
         )
+
+
+@st.composite
+def sweep_cases(draw):
+    """(d, lambda, e, x, m): lambda interior, x = rho / 2^e inside the growth bounds, e the integer bits of hi."""
+    d = draw(st.sampled_from([2, 3, 4, 8, 64, 2**16, 2**32]))
+    root = math.sqrt(d * d - d)
+    lower, upper = 2 * d - 1 - 2 * root, 2 * d - 1 + 2 * root
+    lam = F(lower + (upper - lower) * draw(st.floats(0.03, 0.97))).limit_denominator(1000)
+    assume(window_position(d, lam) is WindowPosition.INSIDE)
+    lo, hi = growth_bounds(d, lam)
+    e = int(hi).bit_length()
+    x = float((lo + (hi - lo) * F(draw(st.integers(1, 2**20 - 1)), 2**20)) / 2**e)
+    return d, lam, e, x, draw(st.integers(1, 600))
+
+
+class TestEstimateSweep:
+    """`_estimate_sweep` runs one recurrence on floats and on fixed-point integers."""
+
+    @given(sweep_cases())
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    def test_one_sweep_at_two_precisions(self, case):
+        d, lam, e, x, m = case
+        a, b, bits = lam.numerator, lam.denominator, 200
+        one, sweep = 1 << bits, ced.decision._estimate_sweep
+        g, dl = ((a + b) << bits) // (b << e), (d * a << 4 * bits) // (b << 2 * e)
+        r = int(F(x) * one)  # x exactly
+        j, t, dt = sweep(x, m, 1.0, (a + b) / b / 2**e, d * a / b / 4**e)
+        jx, tx, dtx = sweep(r, m, one, g, dl)
+        assert j == jx
+        if j == 0 and t < 0.99:
+            assert math.isclose(t, tx / one, rel_tol=2**-30) and math.isclose(dt, dtx / one, rel_tol=2**-20)
+        # the slope is t's own but for the tail's, which the closure sets to 0:
+        # negligible from m = 64 on, up to whole percents below that
+        h = r >> 60
+        (jp, tp, _), (jm, tm, _) = sweep(r + h, m, one, g, dl), sweep(r - h, m, one, g, dl)
+        if m >= 64 and not (jx or jp or jm):
+            assert abs((tp - tm) * one - 2 * h * dtx) <= abs(2 * h * dtx) >> 16
 
 
 class TestClassifyPhase:
