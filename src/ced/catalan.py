@@ -58,7 +58,9 @@ whatever D_K it used.
 
 Nothing is reduced to lowest terms until the end: the sequence divides W_k
 by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once, and
-`weighted_catalan` reduces its one C_k.  `partial_series` needs
+`weighted_catalan` reduces its one C_k.  `weighted_catalan_floats` reduces
+nothing: the double nearest C_k is one correctly rounded int division of
+W_k r^k by D_K, whatever their common factors.  `partial_series` needs
 sum_k W_k n^k q^(K-k) for z r = n/q.  Instead of Horner's rule, where
 each term meets a growing power of q, it merges neighbouring runs of terms
 pairwise, round by round, so each product pairs integers of about the same
@@ -263,6 +265,27 @@ def weighted_catalan(
         raise ValueError("k must be nonnegative")
     t = _terms(p, k, mode, m)
     return CatalanValue(k, Fraction(t.w[k] * t.r_num**k, t.w[0] * t.r_den**k))
+
+
+def weighted_catalan_floats(p: ModelParams, k_max: int, scale: int = 1) -> list[float]:
+    """The doubles nearest scale^k C_k for k = 0 .. k_max, exact weights; inf past the float range.
+
+    Each is one correctly rounded int division of the recurrence's integers,
+    the value float() gives the exact Fraction, without reducing it.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    t = _exact_terms(p, k_max)
+    out = []
+    num_pow = den_pow = 1
+    for w_k in t.w:
+        try:
+            out.append(w_k * num_pow / (t.w[0] * den_pow))
+        except OverflowError:
+            out.append(math.inf)
+        num_pow *= scale * t.r_num
+        den_pow *= t.r_den
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ from ced.catalan import (
     MODE_FLATTENED,
     partial_series,
     weighted_catalan,
+    weighted_catalan_floats,
     weighted_catalan_sequence,
 )
 from ced.decision import (
@@ -49,7 +50,7 @@ from ced.decision import (
     rho_c_curve,
 )
 from ced.params import ModelParams
-from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tree
+from ced.simulate import ResourceBudgetError, compare_renewals, max_abs_z, simulate_line, simulate_tree
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
@@ -236,12 +237,15 @@ def _cmd_decide(args) -> int:
 #: Largest N accepted by --lambda-grid; each point is a full bisection.
 MAX_GRID_POINTS = 10_000
 
-#: Largest K of any exact C_k table: `simulate line --k-max` and `catalan
-#: --k`/`--k-max`.  The cost grows about as K^3: at lambda = 1, rho = 1/3,
+#: Largest K of any exact C_k table: `catalan --k`/`--k-max`, and the float
+#: column of `simulate line --k-max` and of `simulate tree --depth` (a deeper
+#: tree exits 70).  The cost grows about as K^3: at lambda = 1, rho = 1/3,
 #: K = 800 takes 2.5-2.9 s exact (5 s at K = 1000), 0.4 s capped and 1.4 s
-#: flattened at m = 8, 3.5 s flattened at m = 400.  Long denominators of rho
-#: or lambda cost more: 98 s exact at rho = 12360736211/2^36, and 121 s at
-#: K = 400 (13 s at K = 200) for lambda = 1/10^48, rho = 1.
+#: flattened at m = 8, 3.5 s flattened at m = 400, and 1.0 s as floats
+#: (`simulate line`: 1.4-1.9 s).  Long denominators of rho or lambda cost
+#: more: 98 s exact at rho = 12360736211/2^36, and 121 s at K = 400 (13 s at
+#: K = 200) for lambda = 1/10^48, rho = 1, whose float column at K = 150
+#: takes 0.8 s.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
@@ -384,14 +388,16 @@ def _cmd_simulate(args) -> int:
         return 0
 
     summary = simulate_tree(p, args.depth, args.trials, args.seed)
-    exact = weighted_catalan_sequence(p, args.depth)
+    if args.depth > MAX_LINE_K:  # after the tallies are made, so a depth past memory reports that first
+        raise ResourceBudgetError(f"--depth {args.depth}: the exact column is a C_k table of at most {MAX_LINE_K}")
+    exact = weighted_catalan_floats(p, args.depth, args.d)
     _emit(
         "simulate tree",
         params,
         args.format,
         ["level", "mean", "stderr", "exact"],
         [
-            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), _float(args.d**k * exact[k]))
+            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), exact[k])
             for k in range(args.depth + 1)
         ],
         {
@@ -466,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=_int_arg(0, 2**64 - 1), required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
                     help=f"line: stop at this blue position (at most {MAX_LINE_K})")
-    ps.add_argument("--depth", type=_int_arg(1), default=6, help="tree: depth cap")
+    ps.add_argument("--depth", type=_int_arg(1), default=6,
+                    help=f"tree: depth cap (at most {MAX_LINE_K}, exit 70 above)")
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")

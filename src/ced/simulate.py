@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from ced.catalan import weighted_catalan_sequence
+from ced.catalan import weighted_catalan_floats
 from ced.params import ModelParams
 
 # numpy is imported by the functions that compute with it, not by this
@@ -86,7 +86,7 @@ _ABSORPTIONS = tuple(sorted((ABSORB_DEATH, ABSORB_CAUGHT, ABSORB_TRUNCATED)))  #
 
 
 class ResourceBudgetError(RuntimeError):
-    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices."""
+    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices, or a CLI depth cap is past MAX_LINE_K."""
 
 
 # Each summary stores integer tallies only; frequencies and standard errors
@@ -202,13 +202,6 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _gap_tables(lam: float, rho: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The advance and advance-or-retreat probabilities for gaps 0 .. size-1."""
-    import numpy as np
-    total = 1.0 + lam + np.arange(size, dtype=np.float64) * rho
-    return lam / total, (lam + 1.0) / total
-
-
 def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
     """Tallies of these sizes, each the entrywise sum of its sequence from slab(*args, seed, start, stop).
 
@@ -230,27 +223,26 @@ def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ..
 def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
     """Step line trials [start, stop) in lockstep until every one has stopped.
 
-    Step s of every live trial compares the uniform of word s of its
-    Philox stream against the gap tables.  Returns the histogram of the
-    blue positions of the renewals after the start and the number of
-    trials per absorption in _ABSORPTIONS order.
+    Step s of a live trial at gap j compares the uniform of word s of its
+    Philox stream with lambda / t and (lambda + 1) / t, t = 1 + lambda + j rho.
+    Returns the histogram of the blue positions of the renewals after the
+    start and the number of trials per absorption in _ABSORPTIONS order.
     """
     import numpy as np
     trials = np.arange(start, stop, dtype=np.uint64)
     j = np.ones(trials.size, np.int64)
     b = np.zeros(trials.size, np.int64)
-    adv, adv_ret = _gap_tables(lam, rho, 64)
     renewals = []
     absorb = dict.fromkeys(_ABSORPTIONS, 0)
     step = 0
     while trials.size:
         if step % 4 == 0:
             words = _philox_block((step // 4 + 1, 0, 0, 0), trials, seed)
-            if adv.size < step + 6:  # the gap is at most step + 1 before step `step`
-                adv, adv_ret = _gap_tables(lam, rho, 2 * (step + 6))
-        x = _uniforms(words[step % 4])
-        advance = x < adv[j]
-        moved = x < adv_ret[j]
+        x = _uniforms(words[0])
+        words = words[1:]  # the rows of the block's later steps
+        total = 1.0 + lam + j * rho
+        advance = x < lam / total
+        moved = x < (lam + 1.0) / total
         retreat = moved & ~advance
         j += advance
         j -= retreat
@@ -265,7 +257,7 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
         absorb[ABSORB_DEATH] += int(np.count_nonzero(~moved))
         absorb[ABSORB_CAUGHT] += int(np.count_nonzero(is_caught))
         absorb[ABSORB_TRUNCATED] += int(np.count_nonzero(is_truncated))
-        live = ~stopped
+        live = np.flatnonzero(~stopped)
         trials, j, b, words = trials[live], j[live], b[live], words[:, live]
     return np.bincount(np.concatenate(renewals)).tolist(), list(absorb.values())
 
@@ -389,12 +381,12 @@ def compare_renewals(summary: LineSummary) -> list[RenewalZ]:
     z_k = (phat_k - C_k) / sqrt(phat_k (1 - phat_k) / n).  The k = 0 row is
     a renewal by construction and is reported as an exact match.
     """
-    exact = weighted_catalan_sequence(summary.params, len(summary.renewal_counts) - 1)
+    exact = weighted_catalan_floats(summary.params, len(summary.renewal_counts) - 1)
     n = summary.n_trials
     rows: list[RenewalZ] = []
     for k, count in enumerate(summary.renewal_counts):
         phat = count / n
-        expected = float(exact[k])
+        expected = exact[k]
         if k == 0:
             rows.append(RenewalZ(0, phat, expected, 0.0, None))
             continue

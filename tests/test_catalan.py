@@ -18,6 +18,7 @@ from ced.catalan import (
     step_weights,
     weighted_catalan,
     weighted_catalan_bruteforce,
+    weighted_catalan_floats,
     weighted_catalan_sequence,
 )
 from ced.params import ModelParams, progression, weight_b
@@ -308,6 +309,48 @@ class TestExactRecurrence:
         monkeypatch.setattr(ced.catalan, "_exact_div", counted)
         ced.catalan._exact_terms(ModelParams(2, F(3, 2), F(300000001, 2**30)), K)
         assert len(calls) == K
+
+
+def float_column(p, K, scale):
+    """float(scale^k C_k) of the exact values for k <= K, inf where that overflows."""
+    out = []
+    for k, c in enumerate(weighted_catalan_sequence(p, K)):
+        try:
+            out.append(float(scale**k * c))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+class TestFloatColumns:
+    # rates with short and with 30-bit denominators, and rho = 0 (the closed form)
+    @given(
+        d=st.sampled_from([2, 3, 64]),
+        lam=st.one_of(small_rationals, st.integers(1, 2**33).map(lambda n: F(n, 2**30 - 35))),
+        rho=st.one_of(st.just(F(0)), small_rationals, st.integers(1, 2**33).map(lambda n: F(n, 2**30 + 3))),
+        K=st.integers(0, 60),
+        scaled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equal_float_of_the_exact_value(self, d, lam, rho, K, scaled):
+        scale = d if scaled else 1
+        p = ModelParams(d, lam, rho)
+        assert weighted_catalan_floats(p, K, scale) == float_column(p, K, scale)
+
+    @pytest.mark.parametrize(
+        "p,K,scale,first",
+        [
+            (ModelParams(64, F(1, 4), F(0)), 200, 64, math.inf),  # (64 * 16/25)^k passes 2^1024 at k = 194
+            (ModelParams(2, F(1, 10**6), F(0)), 60, 1, 0.0),  # subnormal at k = 57 .. 59
+        ],
+    )
+    def test_past_the_float_range(self, p, K, scale, first):
+        floats = weighted_catalan_floats(p, K, scale)
+        assert floats == float_column(p, K, scale) and floats[-1] == first
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_catalan_floats(P211, -1)
 
 
 class TestModifiedModes:

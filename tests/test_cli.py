@@ -368,6 +368,14 @@ class TestSimulateCommand:
         )
         assert code == 70 and "out of memory" in err and out == ""
 
+    def test_depth_past_the_exact_column_cap_is_runtime_error(self, capsys):
+        # the exact column is the `catalan --k-max` table of that depth, which stops at 800
+        code, out, err = run(
+            capsys, "simulate", "tree", "--lambda", "1", "--rho", "3",
+            "--depth", "801", "--trials", "1", "--seed", "1",
+        )
+        assert code == 70 and "--depth" in err and out == ""
+
     def test_vertex_budget_stops_deep_tree_quickly(self, capsys):
         for wide in (("--depth", "30", "--seed", "1"), ("--d", "64", "--depth", "300", "--seed", "11")):
             start = time.monotonic()
