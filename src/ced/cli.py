@@ -50,7 +50,7 @@ from ced.decision import (
     rho_c_curve,
 )
 from ced.params import ModelParams
-from ced.simulate import ResourceBudgetError, compare_renewals, max_abs_z, simulate_line, simulate_tree
+from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tree
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
@@ -238,14 +238,13 @@ def _cmd_decide(args) -> int:
 MAX_GRID_POINTS = 10_000
 
 #: Largest K of any exact C_k table: `catalan --k`/`--k-max`, and the float
-#: column of `simulate line --k-max` and of `simulate tree --depth` (a deeper
-#: tree exits 70).  The cost grows about as K^3: at lambda = 1, rho = 1/3,
-#: K = 800 takes 2.5-2.9 s exact (5 s at K = 1000), 0.4 s capped and 1.4 s
-#: flattened at m = 8, 3.5 s flattened at m = 400, and 1.0 s as floats
-#: (`simulate line`: 1.4-1.9 s).  Long denominators of rho or lambda cost
-#: more: 98 s exact at rho = 12360736211/2^36, and 121 s at K = 400 (13 s at
-#: K = 200) for lambda = 1/10^48, rho = 1, whose float column at K = 150
-#: takes 0.8 s.
+#: column of `simulate line --k-max` and of `simulate tree --depth`.  The
+#: cost grows about as K^3: at lambda = 1, rho = 1/3, K = 800 takes 2.5-2.9 s
+#: exact (5 s at K = 1000), 0.4 s capped and 1.4 s flattened at m = 8, 3.5 s
+#: flattened at m = 400, and 1.0 s as floats (`simulate line`: 1.4-1.9 s).
+#: Long denominators of rho or lambda cost more: 98 s exact at
+#: rho = 12360736211/2^36, and 121 s at K = 400 (13 s at K = 200) for
+#: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.8 s.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
@@ -371,41 +370,26 @@ def _cmd_simulate(args) -> int:
         if rate and _float(rate) * sys.float_info.max < 53 * math.log(2):
             raise UsageError(f"{flag}: so close to 0 that a delay would overflow the float range")
     p = ModelParams(args.d, lam, rho)
-    size = {"k_max": args.k_max} if args.engine == "line" else {"depth": args.depth}
-    params = {**_model_params(p), **size, "trials": args.trials}
     if args.engine == "line":
+        size = {"k_max": args.k_max}
         summary = simulate_line(p, args.trials, args.k_max, args.seed)
-        rows = compare_renewals(summary)
-        _emit(
-            "simulate line",
-            params,
-            args.format,
-            ["k", "count", "frequency", "stderr", "exact", "z"],
-            [(r.k, summary.renewal_counts[r.k], r.observed, r.stderr, r.expected, r.z) for r in rows],
-            {"max_abs_z": max_abs_z(rows), "absorption": dict(summary.absorption_counts)},
-            seed=args.seed,
-        )
-        return 0
-
-    summary = simulate_tree(p, args.depth, args.trials, args.seed)
-    if args.depth > MAX_LINE_K:  # after the tallies are made, so a depth past memory reports that first
-        raise ResourceBudgetError(f"--depth {args.depth}: the exact column is a C_k table of at most {MAX_LINE_K}")
-    exact = weighted_catalan_floats(p, args.depth, args.d)
-    _emit(
-        "simulate tree",
-        params,
-        args.format,
-        ["level", "mean", "stderr", "exact"],
-        [
-            (k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), exact[k])
-            for k in range(args.depth + 1)
-        ],
-        {
+        renewals = compare_renewals(summary)
+        header = ["k", "count", "frequency", "stderr", "exact", "z"]
+        rows = [(r.k, summary.renewal_counts[r.k], r.observed, r.stderr, r.expected, r.z) for r in renewals]
+        scalars = {"max_abs_z": max_abs_z(renewals), "absorption": dict(summary.absorption_counts)}
+    else:
+        size = {"depth": args.depth}
+        summary = simulate_tree(p, args.depth, args.trials, args.seed)
+        exact = weighted_catalan_floats(p, args.depth, args.d)
+        header = ["level", "mean", "stderr", "exact"]
+        rows = [(k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), exact[k])
+                for k in range(args.depth + 1)]
+        scalars = {
             "blue_reach_cap_frequency": summary.blue_reach_cap_frequency(),
             "red_reach_cap_frequency": summary.red_reach_cap_frequency(),
-        },
-        seed=args.seed,
-    )
+        }
+    params = {**_model_params(p), **size, "trials": args.trials}
+    _emit(f"simulate {args.engine}", params, args.format, header, rows, scalars, seed=args.seed)
     return 0
 
 
@@ -472,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=_int_arg(0, 2**64 - 1), required=True, help="required: no silent nondeterminism")
     ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
                     help=f"line: stop at this blue position (at most {MAX_LINE_K})")
-    ps.add_argument("--depth", type=_int_arg(1), default=6,
-                    help=f"tree: depth cap (at most {MAX_LINE_K}, exit 70 above)")
+    ps.add_argument("--depth", type=_int_arg(1, MAX_LINE_K), default=6,
+                    help=f"tree: depth cap (at most {MAX_LINE_K})")
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -513,7 +497,7 @@ def main(argv=None) -> int:
         print(f"ced: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError:
-        print("ced: error: out of memory (is a size such as --k-max or --depth too large?)", file=sys.stderr)
+        print("ced: error: out of memory", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"ced {args.subcommand}: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

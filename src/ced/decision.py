@@ -304,24 +304,26 @@ def _estimate_rho_c(
     One loop, `_newton`, on one sweep, `_estimate_sweep`, runs both stages on
     x = rho / 2^e, e the integer bits of hi, so x < 1 and every stop test and
     slope is relative.  On floats for M = 8, 16, ... until the roots at M/2
-    and M agree on k >= 24 bits (k <= 40; None past m_max).  As b_j falls with
-    j, depth D errs by about x 2^(-2kD/M): D is the least depth >= M that puts
-    this 2^10 below tol / 2^e.  At depth D the loop polishes the float root,
-    within 2^(1-k) of it, on bits(tol / 2^e) + 41 fixed-point bits.  The
-    kernels mostly settle its cell's ends near D.
+    and M agree on k >= 24 bits or M reaches m_max (1 <= k <= 40; None if
+    m_max < 8).  As b_j falls with j, depth D errs by about x 2^(-2kD/M): D
+    is the least depth >= M that puts this 2^10 below tol / 2^e, capped at
+    m_max.  At depth D the loop polishes the float root, within 2^(1-k) of
+    it, on bits(tol / 2^e) + 41 fixed-point bits.  The kernels mostly settle
+    its cell's ends near D.
     """
     a, b, e = lam.numerator, lam.denominator, int(hi).bit_length()
     try:
         g, dl, lo_f, hi_f = (a + b) / b / 2**e, d * a / b / 4**e, float(lo) / 2**e, float(hi) / 2**e
         r, prev, m = (lo_f + hi_f) / 2, None, 8
-        while prev is None or abs(r - prev) > r * 2**-24:
-            if m > m_max:
-                return None
+        while m <= m_max and (prev is None or abs(r - prev) > r * 2**-24):
             prev, r, m = r, _newton(r, lo_f, hi_f, 1.0, m, g, dl), 2 * m
+        if prev is None:  # m_max < 8: no root
+            return None
         deep, shallow = int(r * 2**64), int(prev * 2**64)
         bits = max(tol.denominator.bit_length() + e - tol.numerator.bit_length(), 0) + 41  # bits(tol / 2^e) + 41
-        k = min(deep.bit_length() - abs(deep - shallow).bit_length(), 40)  # depths M/2 and M = m/2 agree
-        m = max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k)))  # 2kD/M >= bits(tol) + 10 + log2(rho)
+        k = max(min(deep.bit_length() - abs(deep - shallow).bit_length(), 40), 1)  # depths M/2 and M = m/2 agree
+        # D: 2kD/M >= bits(tol) + 10 + log2(rho), at least M = m/2 and at most m_max
+        m = min(max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k))), m_max)
         g, dl = ((a + b) << bits) // (b << e), (d * a << 4 * bits) // (b << 2 * e)
         left, r, right = (((deep + i * (deep >> (k - 1))) << bits) >> 64 for i in (-1, 0, 1))
         r = _newton(r, left, right, 1 << bits, m, g, dl)
@@ -352,8 +354,9 @@ def critical_rho(
       `km_good` is good: psi's closing bound is at most 2, so b_0 times it
       is at most 1/2.
     The estimated cell is tried first: each end walks decide's schedule
-    from the estimate's depth, its side's test first (module docstring).  The growth bounds are decided only when
-    bisection runs: then every midpoint is resolved by `decide`, and an
+    from the estimate's depth, its side's test first (module docstring).
+    There is an estimate for every m_max >= 8 unless its floats fail.  The
+    growth bounds are decided only when bisection runs: then every midpoint is resolved by `decide`, and an
     Undecided midpoint stops the loop and is flagged on the returned
     bracket.  Each end of the result needs its side's verdict and a
     certificate that `verify_certificate` re-checks on integers, sharing no

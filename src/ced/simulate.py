@@ -86,7 +86,7 @@ _ABSORPTIONS = tuple(sorted((ABSORB_DEATH, ABSORB_CAUGHT, ABSORB_TRUNCATED)))  #
 
 
 class ResourceBudgetError(RuntimeError):
-    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices, or a CLI depth cap is past MAX_LINE_K."""
+    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices."""
 
 
 # Each summary stores integer tallies only; frequencies and standard errors

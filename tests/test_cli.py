@@ -225,6 +225,10 @@ class TestArgumentRanges:
             ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --threads 2", "--threads"),
             # the exact C_k column would run for minutes and the tallies take 1.6 GB
             ("simulate line --lambda 1 --rho 0 --k-max 100000000 --trials 1 --seed 1", "--k-max: must be <= 800"),
+            # the exact column is the `catalan --k-max` table of that depth; the trials
+            # ran 21 s before this was refused after them
+            ("simulate tree --lambda 1 --rho 1 --depth 801 --trials 200000 --seed 1", "--depth: must be <= 800"),
+            (f"simulate tree --lambda 1 --rho 1 --depth {2**61} --trials 1 --seed 1", "--depth: must be <= 800"),
             # one Python iteration per child slot: this ran 17.7 s before the vertex budget
             ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
             # the line engine's time is linear in the trials: 10^7 at lambda = rho = 1 take 2.3 s
@@ -357,24 +361,23 @@ class TestSimulateCommand:
         )
         assert code == 64 and "--lambda" in err
 
-    # 2^61 + 1 list slots exceed PY_SSIZE_T_MAX bytes, so the tally list is
-    # refused before any memory is allocated.  (The line engine's --k-max is
-    # capped at parse time; see TestArgumentRanges.)
-    @pytest.mark.parametrize("size_flag", ["--depth"])
-    def test_tally_too_large_for_memory_is_runtime_error(self, capsys, size_flag):
-        code, out, err = run(
-            capsys, "simulate", "tree", "--lambda", "1", "--rho", "1",
-            "--trials", "1", "--seed", "1", size_flag, str(2**61),
-        )
+    # every size flag is capped at parse time (see TestArgumentRanges), so an
+    # engine stands in for a run past memory
+    def test_tally_too_large_for_memory_is_runtime_error(self, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(ced.cli, "simulate_tree", out_of_memory)
+        code, out, err = run(capsys, "simulate", "tree", "--lambda", "1", "--rho", "1", "--trials", "1", "--seed", "1")
         assert code == 70 and "out of memory" in err and out == ""
 
-    def test_depth_past_the_exact_column_cap_is_runtime_error(self, capsys):
+    def test_depth_past_the_exact_column_cap_is_usage_error(self, capsys):
         # the exact column is the `catalan --k-max` table of that depth, which stops at 800
         code, out, err = run(
             capsys, "simulate", "tree", "--lambda", "1", "--rho", "3",
             "--depth", "801", "--trials", "1", "--seed", "1",
         )
-        assert code == 70 and "--depth" in err and out == ""
+        assert code == 64 and "--depth" in err and out == ""
 
     def test_vertex_budget_stops_deep_tree_quickly(self, capsys):
         for wide in (("--depth", "30", "--seed", "1"), ("--d", "64", "--depth", "300", "--seed", "11")):

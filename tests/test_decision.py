@@ -398,7 +398,7 @@ def bracket_cases(draw):
     """(d, lambda, tol, m_max): lambda inside the window, interior or near either edge.
 
     The small depth caps let bisection stop on an Undecided midpoint while
-    the estimate still runs (it needs M = 8 and 16 to agree).
+    the estimate still runs (it needs m_max >= 8).
     """
     d = draw(st.sampled_from([2, 3, 4, 8, 64]))
     root = math.sqrt(d * d - d)
@@ -428,8 +428,8 @@ class TestCellPath:
             return guess
 
         def uncapped(d, lam, lo, hi, tol, m_max):
-            # under a small depth cap the estimate mostly gives up; this one
-            # still picks a cell, whose ends may then need the whole cap
+            # under a small depth cap the estimate stops at the cap; this one
+            # picks its cell at full depth, whose ends may then need the whole cap
             return estimate(d, lam, lo, hi, tol, cap)
 
         @given(bracket_cases())
@@ -483,6 +483,19 @@ class TestCellPath:
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**200))
         assert calls == [] and bracket.unresolved_midpoint is None
+
+    def test_no_decide_when_the_float_roots_never_agree(self, monkeypatch):
+        # next to the upper window edge the float roots still differ at M = m_max;
+        # the last two of them pick the cell, polished at depth m_max, where
+        # bisection took 40 decides
+        d, lam, tol = 1000, F(2467749743, 617319), F(1, 2**40)
+        with monkeypatch.context() as mp:
+            mp.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)
+            bisection = critical_rho(d, lam, tol)
+        m_max = ced.decision.DEFAULT_M_MAX
+        assert ced.decision._estimate_rho_c(d, lam, *growth_bounds(d, lam), tol, m_max) is not None
+        calls = _counting_decide(monkeypatch)
+        assert repr(critical_rho(d, lam, tol)) == repr(bisection) and calls == []
 
     def test_no_decide_after_a_pole_in_the_polish(self, monkeypatch):
         # a pole sends the polish halfway to the right end of its bracket, and
