@@ -49,6 +49,7 @@ line, a `TreeSummary` from the tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -62,16 +63,13 @@ from ced.params import ModelParams
 if TYPE_CHECKING:
     import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 #: Vertices one tree trial may materialize.  A hostile depth cap would
 #: otherwise exhaust memory and time; the trial stops with an error first.
 #: Read at call time.
 DEFAULT_MAX_VERTICES = 2_000_000
 
-#: Trials stepped together by either engine; it bounds their arrays and has no effect on
-#: the result.  Each slab ends in a tail of steps on a few live trials, paid in numpy call
-#: overhead: a 20 000-trial line took 19 ms in five slabs of 4096, 12.5 ms in one of 2^15 (Xeon).
+#: Trials either engine steps together: it bounds their arrays, never the result.  Each slab ends in a tail on a
+#: few live trials, paid in numpy calls: 20 000 line trials took 11 ms in 5 slabs of 4096, 5.8 ms in 1 of 2^15 (Xeon).
 _SLAB = 1 << 15
 
 #: Live vertices a tree level of several trials may hold.  A wider level is
@@ -133,73 +131,75 @@ class TreeSummary:
         return self.red_depth_counts[-1] / self.n_trials
 
 
-# Philox4x64-10 over uint64 arrays.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64-10 round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
 
 
-def _mulhi(a: np.ndarray, m: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """High words of the products a * m by `_philox_block`'s limb chain, in a new array; x, y, z are scratch."""
+@functools.cache
+def _u64() -> tuple:
+    """np.uint64 constants made on first use: 11, the key's low-word bump, and the multipliers' `_mulhi` operands."""
     import numpy as np
-    lo32, m_lo, m_hi = np.uint64(0xFFFFFFFF), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    hi = np.bitwise_and(a, lo32, out=x) * m_lo
-    hi >>= 32  # p
+    chains = (tuple(map(np.uint64, (m, m & 0xFFFFFFFF, m >> 32, 0xFFFFFFFF, 32))) for m in _PHILOX_M)
+    return (np.uint64(11), np.uint64(_PHILOX_W[0]), *chains)
+
+
+def _mulhi(a: np.ndarray, m, m_lo, m_hi, mask, shift, hi: np.ndarray, lo: np.ndarray, x, y, z) -> np.ndarray:
+    """Writes the high and low words of a * m into hi and lo (lo may be a) and returns lo; x, y, z are scratch."""
+    import numpy as np
+    np.multiply(np.bitwise_and(a, mask, out=x), m_lo, out=hi)
+    hi >>= shift  # p
     x *= m_hi
-    np.multiply(np.right_shift(a, 32, out=z), m_lo, out=y)  # z = a_hi
+    np.multiply(np.right_shift(a, shift, out=z), m_lo, out=y)  # z = a_hi
+    np.multiply(a, m, out=lo)  # the last read of a
     y += hi  # u
-    x += np.bitwise_and(y, lo32, out=hi)  # v
-    y >>= 32
-    y += np.right_shift(x, 32, out=x)
+    x += np.bitwise_and(y, mask, out=hi)  # v
+    y >>= shift
+    y += np.right_shift(x, shift, out=x)
     np.multiply(z, m_hi, out=hi)
     hi += y
-    return hi
-
-
-def _xor(a, b):
-    """a ^ b of words that are each an int or a uint64 array: an int if both are; writes only into a."""
-    import numpy as np
-    if isinstance(a, np.ndarray):
-        return np.bitwise_xor(a, b if isinstance(b, np.ndarray) else np.uint64(b), out=a)
-    return np.bitwise_xor(b, np.uint64(a)) if isinstance(b, np.ndarray) else a ^ b
+    return lo
 
 
 def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
     """Philox4x64-10 of the counter under the key (t, seed) for each t in trials.
 
-    `counter` holds the four counter words, low word first, each a
-    nonnegative int or a uint64 array aligned with `trials`; the key is
-    taken mod 2^64.  Block n of np.random.Philox(key=(seed << 64) | t) is
-    the counter (n+1, 0, 0, 0).  Returns a new (4, len(trials)) array and
-    writes only into arrays it made.  A word that is the same for every
-    lane stays a Python int with exact products, high word (c m) >> 64 and
-    low word c m mod 2^64, until a per-lane word (the key's trial word or
-    an array counter word) is xored into it.  Both engines pass counter
-    words 0, 2 and 3 as ints, so a block makes 17 `_mulhi` calls instead of
-    20; int and uint64 arithmetic agree mod 2^64, so no word changes.
-    `_mulhi` forms the high words of array products from 32-bit limbs:
-    p = (a_lo m_lo) >> 32, u = a_hi m_lo + p, v = a_lo m_hi + (u mod 2^32),
-    high word a_hi m_hi + (u >> 32) + (v >> 32).
+    `counter` holds the four counter words, low word first, each a nonnegative int or a
+    uint64 array aligned with `trials`; the key is taken mod 2^64.  Block n of
+    np.random.Philox(key=(seed << 64) | t) is the counter (n+1, 0, 0, 0).  Returns a new
+    (4, len(trials)) array and writes into no argument: each round's array words live in
+    its rows, a new word in the row of the word it replaces.  A word that is the same
+    for every lane stays a Python int with exact products until a per-lane word (the
+    key's trial word or an array counter word) is xored into it as an np.uint64, so
+    numpy 1.x and 2.x promote alike; the engines' int words 0, 2 and 3 save 3 of the 20
+    `_mulhi` calls, which form high words from 32-bit limbs: p = (a_lo m_lo) >> 32,
+    u = a_hi m_lo + p, v = a_lo m_hi + (u mod 2^32), high a_hi m_hi + (u >> 32) + (v >> 32).
     """
     import numpy as np
-    c0, c1, c2, c3 = (c if isinstance(c, np.ndarray) else int(c) for c in counter)
+    bump, m0, m1 = _u64()[1:]
+    c0, c1, c2, c3 = [c if isinstance(c, np.ndarray) else int(c) for c in counter]
     k0 = trials.astype(np.uint64)  # a copy: the key's low word, bumped in place each round
-    scratch = np.empty_like(k0), np.empty_like(k0), np.empty_like(k0)
-    for r in range(10):  # from round 1 on every array word was made here: its low product overwrites it
-        (hi0, lo0), (hi1, lo1) = (
-            divmod(c * m, 1 << 64) if isinstance(c, int)
-            else (_mulhi(c, m, *scratch), np.multiply(c, np.uint64(m), out=c if r else None))
-            for c, m in ((c0, _PHILOX_M[0]), (c2, _PHILOX_M[1]))
-        )
-        k1 = (seed + r * _PHILOX_W[1]) & _MASK64
-        c0, c1, c2, c3 = _xor(_xor(hi1, c1), k0), lo1, _xor(_xor(hi0, c3), k1), lo0
-        k0 += np.uint64(_PHILOX_W[0])
-    del k0, scratch  # freed before the output is allocated
-    return np.stack((c0, c1, c2, c3))
+    hi, x, y, z = (np.empty_like(k0) for _ in range(4))
+    r2, r3, r0, r1 = block = np.empty_like(k0, shape=(4, k0.size))  # word i's row: (i + r + 2) % 4
+    for r in range(10):
+        k1 = (seed + r * _PHILOX_W[1]) % 2**64
+        # new words 2 and 3 are hi0 ^ c3 ^ k1 and lo0, 0 and 1 are hi1 ^ c1 ^ k0 and lo1
+        h, c0 = divmod(c0 * _PHILOX_M[0], 1 << 64) if type(c0) is int else (hi, _mulhi(c0, *m0, hi, r0, x, y, z))
+        if type(c3) is int:
+            c3 = c3 ^ k1 ^ h if h is not hi else np.bitwise_xor(hi, np.uint64(c3 ^ k1), out=r3)
+        else:
+            c3 = np.bitwise_xor(c3, np.uint64(k1), out=r3)
+            c3 ^= hi if h is hi else np.uint64(h)
+        h, c2 = divmod(c2 * _PHILOX_M[1], 1 << 64) if type(c2) is int else (hi, _mulhi(c2, *m1, hi, r2, x, y, z))
+        c1 = np.bitwise_xor(k0, np.uint64(c1) if type(c1) is int else c1, out=r1)
+        c1 ^= hi if h is hi else np.uint64(h)
+        c0, c1, c2, c3, r0, r1, r2, r3 = c1, c2, c3, c0, r1, r2, r3, r0
+        k0 += bump
+    return block
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """The uniforms (w >> 11) 2^-53 in [0, 1) of raw words, the doubles numpy's Generator.random makes."""
-    return (words >> 11) * 2.0**-53
+    return (words >> _u64()[0]).astype(float) * 2.0**-53
 
 
 def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:

@@ -115,6 +115,28 @@ def numpy_philox_words(counter, trials, seed):
     return np.array(columns, dtype=np.uint64).reshape(-1, 4).T
 
 
+class NoBareNumbers(np.ndarray):
+    """An array whose ufuncs refuse a bare Python int or float beside a uint64 operand.
+
+    numpy 1.x and 2.x promote such a mix differently (NEP 50); with uint64
+    arrays and np.uint64 scalars only, both give the same dtypes.  Results
+    and views stay of this class, so scratch made by np.empty_like is checked too.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if any(type(v) in (bool, int, float) for v in inputs) and any(
+            getattr(v, "dtype", None) == np.uint64 for v in inputs
+        ):
+            raise TypeError(f"{ufunc.__name__} meets a bare Python number with a uint64 operand")
+        inputs = tuple(v.view(np.ndarray) if isinstance(v, NoBareNumbers) else v for v in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, NoBareNumbers) else o for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(NoBareNumbers) if isinstance(result, np.ndarray) else result
+
+
 # A lane-invariant word is multiplied as a Python int; one that slipped into a numpy
 # scalar would overflow with a RuntimeWarning, which fails the suite (filterwarnings
 # in pyproject.toml).
@@ -189,6 +211,28 @@ class TestPhiloxKernel:
             assert not any(np.shares_memory(words, c) for c in (trials, *counter) if isinstance(c, np.ndarray))
             if lanes == 300:
                 assert np.array_equal(words, numpy_philox_words(counter, trials, 11))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
+    @pytest.mark.parametrize("lanes", [0, 1, 300])
+    def test_every_counter_shape_matches_numpy_philox(self, seed, lanes):
+        trials = np.random.default_rng([lanes, 1]).integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
+        for counter in counter_shapes(lanes):
+            words = ced.simulate._philox_block(counter, trials, seed)
+            assert np.array_equal(words, numpy_philox_words(counter, trials, seed))
+
+    def test_no_bare_python_number_meets_a_uint64_operand(self):
+        trials = np.arange(2**32 - 150, 2**32 + 150, dtype=np.uint64)
+        strict = trials.view(NoBareNumbers)
+        with pytest.raises(TypeError):
+            strict >> 11
+        for counter in counter_shapes(trials.size):
+            checked = tuple(c.view(NoBareNumbers) if isinstance(c, np.ndarray) else c for c in counter)
+            words = ced.simulate._philox_block(checked, strict, -1)
+            assert type(words) is NoBareNumbers  # its scratch was checked too
+            assert np.array_equal(words, ced.simulate._philox_block(counter, trials, -1))
+            plain = words.view(np.ndarray)
+            assert np.array_equal(ced.simulate._uniforms(words[0]), ced.simulate._uniforms(plain[0]))
+            assert np.array_equal(ced.simulate._exp_delays(words[1], 2.5), ced.simulate._exp_delays(plain[1], 2.5))
 
     @pytest.mark.parametrize(
         "arrays,calls",
