@@ -10,7 +10,7 @@ Exit codes for `decide`: 0 below, 1 above, 2 undecided, 64 usage error,
 70 runtime error.  Other subcommands: 0 on success.  Exit 70 covers any
 RuntimeError or ValueError, among them `BracketError` and
 `ResourceBudgetError` (RuntimeErrors) and `OutsideWindowError` (a
-ValueError).
+ValueError), and a stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -490,9 +491,14 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except UsageError as exc:
         print(f"ced: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader left; so that the flush at exit cannot fail too:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ced: error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_RUNTIME
     except (RuntimeError, ValueError) as exc:
         print(f"ced: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -25,33 +25,27 @@ first depth runs again at each shallower depth while it passes.  A
 passing test is sound, so the other side's test fails at every depth,
 and a test that passes at m passes at every later depth: from any start
 and in either order, the first passing depth, certificate and m_reached
-are those of `decide`, which walks from depth 1, below test first.  Each
-end of the cell that `critical_rho` estimates walks from the depth the
-estimate converged at, the test its side expects first.
+are those of `decide`, which walks from depth 1, below test first.
 
-`critical_rho` starts from the closed-form growth bounds, which
-`growth_bounds` rounds outward onto the grid 2^-30 so midpoint
-denominators stay small; `decide` settles them at depth 1 (see
-`critical_rho`).  Bisection to width tol would end on a cell [lo + k w,
-lo + (k+1) w], w = (hi - lo) / 2^n, of that grid.  `_estimate_rho_c` picks
-k by one safeguarded Newton loop over one sweep of the tails, on floats and
-then in fixed point, on rho in units of 2^(the integer bits of hi); if the
-cell's ends certify Below and Above, bisection takes no step and the growth
-bounds are never decided, else it runs from [lo, hi].  Both final
+`critical_rho` bisects on the grid rho = lo + i w, w = (hi - lo) / 2^n,
+between the closed-form growth bounds, rounded outward onto the grid 2^-30
+so denominators stay small, and settled by `decide` at depth 1.
+`_estimate_rho_c` picks the cell [k, k + 1] that bisection would end on, by
+one safeguarded Newton loop over one sweep of the tails, on floats and then
+in fixed point, on rho in units of 2^(the integer bits of hi).  Both final
 certificates are re-checked by `verify_certificate` on the integers of
 `ced.certcheck`, which shares no code with the kernels.
 
-Lemma: the cell is bisection's bracket.  Each midpoint bisection would
-visit is a grid point no nearer rho_c than the cell end on its side.
-Below at depth m persists as rho falls: every b_j grows, and so does
-every tail of the witness.  Above at depth m persists as rho rises: every
-entry of the flattened fraction shrinks, a good fraction stays good as
-its entries shrink, and psi's upper bound is monotone in b_m unless
-1 - 4 b_m is a rational square (`_exact_closing` sends that case back to
-bisection).  No midpoint certifies the other side at a smaller depth,
-which would be false, so none is Undecided; and `decide` is
-deterministic, and the walk returns its outcome, so endpoints,
-certificates and m_reached are bisection's.
+Persistence: each end of the cell that certifies settles its side of the
+grid.  Below at depth m persists as rho falls: every b_j grows, and so
+does every tail of the witness.  Above at depth m persists as rho rises:
+every entry of the flattened fraction shrinks, a good fraction stays good
+as its entries shrink, and psi's upper bound is monotone in b_m unless
+1 - 4 b_m is a rational square (`_exact_closing`: that Above settles
+nothing).  So each midpoint bisection would visit beyond a settled index
+decides that index's side, and none is Undecided: skipping them leaves
+bisection's other midpoints, its last cell and, as `decide` is
+deterministic and the walk returns its outcome, that cell's outcomes.
 """
 
 from __future__ import annotations
@@ -232,7 +226,7 @@ class CriticalBracket:
 
     decide(lo) certified Below and decide(hi) certified Above; both
     outcomes are attached.  `unresolved_midpoint` is set when a bisection
-    midpoint came back Undecided and the bracket is the best achieved.
+    midpoint came back Undecided; lo and hi are the cell it splits.
     """
 
     lam: Fraction
@@ -346,22 +340,22 @@ def critical_rho(
 ) -> CriticalBracket:
     """Bracket the critical death rate to width <= tol, certified at both ends.
 
-    `decide` settles the initial bracket `growth_bounds` (lo, hi) at depth 1:
+    One bisection over rho = lo + i w, w <= tol, 0 <= i <= 2^n, between the
+    growth bounds (lo, hi), which `decide` settles at depth 1:
     * lo = 0 by the rho = 0 short circuit.  For lo > 0, b_0 >= 1, so b_1 >= 1
       (a pole) or K[b_0, b_1] = b_0 / (1 - b_1) > 1: `below_witness` fires.
     * hi > 0, as b_0(0) = d lambda / (1 + lambda)^2 > 1/4 in the window.  As
       b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
       `km_good` is good: psi's closing bound is at most 2, so b_0 times it
       is at most 1/2.
-    The estimated cell is tried first: each end walks decide's schedule
+    Each end of the estimated cell not yet settled walks decide's schedule
     from the estimate's depth, its side's test first (module docstring).
-    There is an estimate for every m_max >= 8 unless its floats fail.  The
-    growth bounds are decided only when bisection runs: then every midpoint is resolved by `decide`, and an
-    Undecided midpoint stops the loop and is flagged on the returned
-    bracket.  Each end of the result needs its side's verdict and a
-    certificate that `verify_certificate` re-checks on integers, sharing no
-    code with the kernels; else BracketError is raised instead of an
-    unproven bracket.
+    Then `decide` runs at the midpoint of the least bisection cell holding
+    the settled indices; an Undecided one stops the loop, is flagged, and
+    its cell is returned.  Each rho is decided once, the result's ends when
+    first needed; each needs its side's verdict and a certificate that
+    `verify_certificate` re-checks on integers, sharing no code with the
+    kernels; else BracketError is raised instead of an unproven bracket.
     """
     lam = Fraction(lam)
     tol = Fraction(tol)
@@ -376,38 +370,43 @@ def critical_rho(
     lo, hi = growth_bounds(d, lam)
     n = (math.ceil((hi - lo) / tol) - 1).bit_length()  # bisection's steps, to cells w wide
     w = (hi - lo) / (1 << n)
+    known = {}  # grid index i -> (ModelParams at lo + i w, its outcome): each rho is decided once
+
+    def settle(i, tests=None, near=1):
+        if i not in known:
+            p = ModelParams(d, lam, lo + i * w)
+            known[i] = p, decide(p, m_max) if tests is None else _walk(p, tests, m_max, near)
+        return known[i]
+
+    below, above = 0, 1 << n  # the largest index known Below, the least known Above
     found = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
-    lo_out = hi_out = None
-    if found is not None:  # certify the cell the estimate falls in (module docstring)
+    if found is not None:  # seed the ends of the cell the estimate falls in (module docstring)
         estimate, near = found
         k = min(max(math.floor((estimate - lo) / w), 0), (1 << n) - 1)
-        p_lo, p_hi = ModelParams(d, lam, lo + k * w), ModelParams(d, lam, lo + (k + 1) * w)
-        cell_lo = _walk(p_lo, (_below, _above), m_max, near) if p_lo.rho else decide(p_lo, m_max)
-        if cell_lo.verdict is Verdict.BELOW:
-            cell_hi = _walk(p_hi, (_above, _below), m_max, near)
-            if cell_hi.verdict is Verdict.ABOVE and not _exact_closing(p_hi, cell_hi):
-                lo, lo_out, hi, hi_out = p_lo.rho, cell_lo, p_hi.rho, cell_hi
-    if lo_out is None:  # bisection from the growth bounds
-        lo_out, hi_out = decide(ModelParams(d, lam, lo), m_max), decide(ModelParams(d, lam, hi), m_max)
-
+        for i, tests in ((k, (_below, _above)), (k + 1, (_above, _below))):
+            if below < i < above:
+                p, out = settle(i, tests, near)
+                if out.verdict is Verdict.BELOW:
+                    below = i
+                elif out.verdict is Verdict.ABOVE and not _exact_closing(p, out):
+                    above = i
     unresolved = None
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        out = decide(ModelParams(d, lam, mid), m_max)
-        if out.verdict is Verdict.BELOW:
-            lo, lo_out = mid, out
-        elif out.verdict is Verdict.ABOVE:
-            hi, hi_out = mid, out
-        else:
-            unresolved = mid
+    while above - below > 1:
+        h = (below ^ (above - 1)).bit_length() - 1  # the least bisection cell holding both is 2^(h+1) wide
+        mid = (below >> h | 1) << h
+        verdict = settle(mid)[1].verdict
+        if verdict is Verdict.UNDECIDED:
+            unresolved, below, above = lo + mid * w, mid - (1 << h), mid + (1 << h)
             break
-    for rho, out, side in ((lo, lo_out, Verdict.BELOW), (hi, hi_out, Verdict.ABOVE)):
-        if out.verdict is not side or not verify_certificate(ModelParams(d, lam, rho), out):
+        below, above = (mid, above) if verdict is Verdict.BELOW else (below, mid)
+    (p_lo, lo_out), (p_hi, hi_out) = settle(below), settle(above)
+    for p, out, side in ((p_lo, lo_out, Verdict.BELOW), (p_hi, hi_out, Verdict.ABOVE)):
+        if out.verdict is not side or not verify_certificate(p, out):
             raise BracketError(
-                f"endpoint {rho} did not certify {side.value} with a certificate that passes "
+                f"endpoint {p.rho} did not certify {side.value} with a certificate that passes "
                 f"its re-check: {out.verdict.value}, {out.certificate}"
             )
-    return CriticalBracket(lam, lo, hi, lo_out, hi_out, unresolved)
+    return CriticalBracket(lam, p_lo.rho, p_hi.rho, lo_out, hi_out, unresolved)
 
 
 def classify_phase(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> Phase:

@@ -543,6 +543,24 @@ def test_library_errors_exit_70(capsys, monkeypatch, callee, exc, argv):
     assert (code, out) == (70, "") and str(exc) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["decide --d 2 --lambda 1 --rho 1", "catalan --lambda 1 --rho 1/3 --k-max 300"],
+    ids=["flushed-at-the-end", "written-in-emit"],
+)
+def test_closed_stdout_exits_70(argv):
+    # the pipe's read end is closed before the spawn, so the first write fails
+    # without a race; decide's exit 1 would read as Above
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ced.cli", *argv.split()], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 70 and proc.stderr == "ced: error: stdout closed before the output was written\n"
+
+
 #: Runs each argv through `ced.cli.main` in a fresh interpreter, then names
 #: the lazily imported modules that got imported.
 _IMPORT_PROBE = """
@@ -554,11 +572,15 @@ print("loaded:", *(name for name in ("numpy", "concurrent.futures") if name in s
 """
 
 
-def _loaded_by(*argvs):
+def _src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, for a fresh interpreter."""
     src = str(Path(ced.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _loaded_by(*argvs):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argvs], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split()[1:])
 

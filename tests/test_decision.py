@@ -393,6 +393,40 @@ def _counting_decide(monkeypatch) -> list:
     return calls
 
 
+def bisection(d, lam, tol, m_max=ced.decision.DEFAULT_M_MAX) -> CriticalBracket:
+    """Plain bisection on Fractions from the growth bounds, with `decide` at both of them and at every midpoint."""
+    lam = F(lam)
+    lo, hi = growth_bounds(d, lam)
+    lo_out, hi_out = decide(ModelParams(d, lam, lo), m_max), decide(ModelParams(d, lam, hi), m_max)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        out = decide(ModelParams(d, lam, mid), m_max)
+        if out.verdict is Verdict.UNDECIDED:
+            return CriticalBracket(lam, lo, hi, lo_out, hi_out, mid)
+        if out.verdict is Verdict.BELOW:
+            lo, lo_out = mid, out
+        else:
+            hi, hi_out = mid, out
+    return CriticalBracket(lam, lo, hi, lo_out, hi_out)
+
+
+def _cell_width(d, lam, tol):
+    """w: bisection's cells from the growth bounds (lo, hi) to width tol are [lo + i w, lo + (i + 1) w]."""
+    lo, hi = growth_bounds(d, lam)
+    return (hi - lo) / 2 ** (math.ceil((hi - lo) / tol) - 1).bit_length()
+
+
+def _shifted(by):
+    """`_estimate_rho_c`, its guess moved by `by` cells."""
+    estimate = ced.decision._estimate_rho_c
+
+    def guess(d, lam, lo, hi, tol, m_max):
+        found = estimate(d, lam, lo, hi, tol, m_max)
+        return None if found is None else (found[0] + by * _cell_width(d, lam, tol), found[1])
+
+    return guess
+
+
 @st.composite
 def bracket_cases(draw):
     """(d, lambda, tol, m_max): lambda inside the window, interior or near either edge.
@@ -419,14 +453,6 @@ class TestCellPath:
         cap = ced.decision.DEFAULT_M_MAX
         runs = []
 
-        def shifted(by):
-            def guess(d, lam, lo, hi, tol, m_max):
-                found = estimate(d, lam, lo, hi, tol, m_max)
-                n = (math.ceil((hi - lo) / tol) - 1).bit_length()
-                return None if found is None else (found[0] + by * (hi - lo) / 2**n, found[1])
-
-            return guess
-
         def uncapped(d, lam, lo, hi, tol, m_max):
             # under a small depth cap the estimate stops at the cap; this one
             # picks its cell at full depth, whose ends may then need the whole cap
@@ -438,16 +464,14 @@ class TestCellPath:
         @settings(max_examples=40, derandomize=True, deadline=None, database=None)
         def check(case):
             assert window_position(case[0], case[1]) is WindowPosition.INSIDE
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)
-                bisection = critical_rho(*case)
-            for guess in (estimate, uncapped, shifted(3), shifted(-3)):
+            reference = bisection(*case)
+            for guess in (estimate, uncapped, _shifted(3), _shifted(-3)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(ced.decision, "_estimate_rho_c", guess)
                     calls = _counting_decide(mp)
-                    assert critical_rho(*case) == bisection
-                cell = len(calls) <= 2 and bisection.unresolved_midpoint is None  # bisection adds 2 + n
-                ends = (bisection.lo_outcome.m_reached, bisection.hi_outcome.m_reached)
+                    assert critical_rho(*case) == reference
+                cell = len(calls) <= 2 and reference.unresolved_midpoint is None  # a missed cell adds decides
+                ends = (reference.lo_outcome.m_reached, reference.hi_outcome.m_reached)
                 runs.append((guess, case[3], cell, case[3] in ends))
 
         check()
@@ -489,13 +513,10 @@ class TestCellPath:
         # the last two of them pick the cell, polished at depth m_max, where
         # bisection took 40 decides
         d, lam, tol = 1000, F(2467749743, 617319), F(1, 2**40)
-        with monkeypatch.context() as mp:
-            mp.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)
-            bisection = critical_rho(d, lam, tol)
         m_max = ced.decision.DEFAULT_M_MAX
         assert ced.decision._estimate_rho_c(d, lam, *growth_bounds(d, lam), tol, m_max) is not None
         calls = _counting_decide(monkeypatch)
-        assert repr(critical_rho(d, lam, tol)) == repr(bisection) and calls == []
+        assert repr(critical_rho(d, lam, tol)) == repr(bisection(d, lam, tol)) and calls == []
 
     def test_no_decide_after_a_pole_in_the_polish(self, monkeypatch):
         # a pole sends the polish halfway to the right end of its bracket, and
@@ -545,11 +566,39 @@ class TestCellPath:
         assert lo == 1 and ced.decision._estimate_rho_c(12, F(1), lo, hi, F(1, 2**40), 4096) is None
 
     def test_exact_closing_at_the_upper_end_falls_back(self, monkeypatch):
-        # psi's upper bound is monotone only off the rational squares
+        # psi's upper bound is monotone only off the rational squares, so an
+        # Above end with an exact closing settles nothing: bisection runs above
+        # the certified lower end
         expected = critical_rho(2, F(1), F(1, 2**40))
         monkeypatch.setattr(ced.decision, "_exact_closing", lambda p, outcome: True)
         calls = _counting_decide(monkeypatch)
-        assert critical_rho(2, F(1), F(1, 2**40)) == expected and len(calls) > 40
+        assert critical_rho(2, F(1), F(1, 2**40)) == expected
+        assert calls and min(calls) > expected.lo
+
+    @pytest.mark.parametrize(
+        "d,lam,bits,m_max,by",
+        [(2, F(1, 3), 16, 8, 3), (2, F(1), 16, 8, -3), (3, F(5, 2), 48, 16, -3)],
+    )
+    def test_bisection_stays_in_the_gap_the_seeds_leave(self, monkeypatch, d, lam, bits, m_max, by):
+        # the cell is shifted off rho_c, and under the depth cap one of its ends
+        # is Undecided; the end that certifies still settles its side of the grid
+        tol = F(1, 2**bits)
+        lo, hi = growth_bounds(d, lam)
+        guess = _shifted(by)
+        estimate, _ = guess(d, lam, lo, hi, tol, m_max)
+        w = _cell_width(d, lam, tol)
+        k = math.floor((estimate - lo) / w)
+        seeds = {rho: decide(ModelParams(d, lam, rho), m_max).verdict for rho in (lo + k * w, lo + (k + 1) * w)}
+        assert Verdict.UNDECIDED in seeds.values() and len(set(seeds.values())) == 2
+        gap_lo = max([rho for rho, verdict in seeds.items() if verdict is Verdict.BELOW], default=lo)
+        gap_hi = min([rho for rho, verdict in seeds.items() if verdict is Verdict.ABOVE], default=hi)
+        monkeypatch.setattr(ced.decision, "_estimate_rho_c", guess)
+        calls = _counting_decide(monkeypatch)
+        bracket = critical_rho(d, lam, tol, m_max)
+        assert bracket == bisection(d, lam, tol, m_max) and bracket.unresolved_midpoint is not None
+        # an end of the Undecided midpoint's cell may lie past a seed inside that cell
+        assert all(gap_lo < rho < gap_hi or rho in (bracket.lo, bracket.hi) for rho in calls)
+        assert {lo, hi} & set(calls) <= {bracket.lo, bracket.hi}
 
     # Recorded with plain bisection before the estimate: a midpoint comes back
     # Undecided at these depth caps, and the bracket stops there.
