@@ -33,7 +33,9 @@ level-k vertex renews (red when its parent turns blue, tracked child
 still white) is C_k.  Requiring all d children white would race the wait
 against rate d*lambda and break that identity.  The root renews by
 construction; cap vertices never spread, so the cap level's renewal
-counts are biased up, and only the levels below it are exact.
+counts are biased up, and only the levels below it are exact.  A cap
+vertex whose parent never turns blue can neither turn blue nor renew:
+it counts for the deepest red level and nothing else.
 
 Reproducibility: every draw is a word of Philox4x64-10 keyed by (trial,
 seed) (Salmon et al., SC'11), computed in numpy for a slab of trials at
@@ -41,7 +43,9 @@ once.  Line step s takes word s mod 4 of the counter (s // 4 + 1, 0, 0, 0),
 the stream of np.random.Philox(key=(seed, trial)).  The vertex with index
 i in its trial's level l (children numbered by parent, then slot) takes
 the counters (l + 1, i, b, 0), b = 0, 1, ..., whose words are its death,
-overtake and slot 0 .. d-1 spread delays.  So a trial's result depends on
+overtake and slot 0 .. d-1 spread delays.  A cap vertex whose parent
+never turns blue draws nothing, yet still takes its index, so no other
+vertex's counters move.  So a trial's result depends on
 (seed, trial) alone, never on its slab or on how a slab's live level is
 split, and equal seeds give equal summaries: a `LineSummary` from the
 line, a `TreeSummary` from the tree.
@@ -342,6 +346,14 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
         run_start[1:][trial[1:] == trial[:-1]] = 0
         index -= np.maximum.accumulate(run_start, out=run_start)
         live = (trial, index, np.concatenate(reds)[order], blue[parent])
+        if level + 1 == cap:
+            # Tally the cap's red level now; only vertices whose parent turns blue are drawn.
+            red_depth[trial] = cap
+            kept = live[3] < np.inf
+            live = tuple(a[kept] for a in live)
+            trial = live[0]
+            if not trial.size:
+                continue
         if trial[0] != trial[-1] and trial.size > _LIVE_VERTICES:
             # Too wide for several trials: split by trial range; both halves continue.
             cut = np.searchsorted(trial, (trial[0] + trial[-1] + 1) // 2)
@@ -379,7 +391,9 @@ def compare_renewals(summary: LineSummary) -> list[RenewalZ]:
     """Per-k z-scores of observed renewal frequencies against exact values.
 
     z_k = (phat_k - C_k) / sqrt(phat_k (1 - phat_k) / n).  The k = 0 row is
-    a renewal by construction and is reported as an exact match.
+    a renewal by construction and is reported as an exact match.  A row
+    with stderr 0 (frequency 0 or 1) gets z = 0 if phat_k = C_k and else
+    an infinity with the sign of phat_k - C_k.
     """
     exact = weighted_catalan_floats(summary.params, len(summary.renewal_counts) - 1)
     n = summary.n_trials
@@ -392,7 +406,7 @@ def compare_renewals(summary: LineSummary) -> list[RenewalZ]:
             continue
         se = math.sqrt(phat * (1.0 - phat) / n)
         if se == 0.0:
-            z = 0.0 if phat == expected else math.inf
+            z = 0.0 if phat == expected else math.copysign(math.inf, phat - expected)
         else:
             z = (phat - expected) / se
         rows.append(RenewalZ(k, phat, expected, se, z))

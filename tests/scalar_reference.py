@@ -33,6 +33,7 @@ class TreeTrialRecord(NamedTuple):
     blue_reached_depth: int        # deepest level any tree vertex turned blue; -1 if none
     red_reached_depth: int         # deepest level any vertex turned red
     renewal_vertices_per_level: tuple[int, ...]
+    blue_parent_vertices_per_level: tuple[int, ...]  # vertices whose parent turns blue (the root's is the seed)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -92,11 +93,13 @@ def tree_trial(p: ModelParams, depth_cap: int, seed: int, index: int) -> TreeTri
     d, lam, rho = p.d, float(p.lam), float(p.rho)
     key = _key(seed, index)
     renewals = [0] * (depth_cap + 1)
+    blue_parents = [0] * (depth_cap + 1)
     blue_max = -1
     red_max = 0
     level = [(0.0, 0.0)]  # (red time, parent's blue time); the seed is blue at 0
     for depth in range(depth_cap + 1):
         children = []
+        blue_parents[depth] = sum(1 for _, parent_blue in level if parent_blue < np.inf)
         for i, (red, parent_blue) in enumerate(level):
             # Philox(counter=c) emits the block of counter c + 1 first.
             words = np.concatenate([
@@ -120,4 +123,4 @@ def tree_trial(p: ModelParams, depth_cap: int, seed: int, index: int) -> TreeTri
         level = children
         if not level:
             break
-    return TreeTrialRecord(blue_max, red_max, tuple(renewals))
+    return TreeTrialRecord(blue_max, red_max, tuple(renewals), tuple(blue_parents))

@@ -468,6 +468,8 @@ class TestPhaseCommand:
 #: folded into one emitter; every subcommand and output format is covered.
 #: The two `simulate tree` rows were re-recorded when the tree engine moved
 #: to level-synchronous Philox streams.
+#: The four `simulate line` rows were re-recorded when a zero-count row's z
+#: became -inf (it was +inf for a frequency below C_k); only those z cells moved.
 GOLDEN = [
     ("decide --d 2 --lambda 1 --rho 1", 1, "12af5f7c46b91101036c2b4869c5a958e8d15031229d4f34a348e584cf66c66d"),
     ("decide --d 2 --lambda 1 --rho 1 --json", 1, "955b47d7b19cb9331a046db485e090022d63649486916422ac9d22b2a4043aaa"),
@@ -490,12 +492,15 @@ GOLDEN = [
     ("catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 0, "2ca4c7cd9b5f5183c734759d4f702a1e082b085860eec9fc1affd48fb42d85dc"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 3 --k 4 --format json", 0, "562297ce79036ec0be4bac262c113aa7e3af4f99ce6178cd2412aec7362094a3"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 2 --z 2 --k-max 5", 0, "34ef882f3d3934c3dc183555e40d746534b8ce995f7ae5c4a666604a13cc0bea"),
-    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "169c6aeb17a06e1bd05bfaf933340686ba8fda6710c54eeb46c848c8bae1c7d8"),
-    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "a6cc21519b4ce672c8941582e7bdff5398049238e32eefafa3b5c2b1074f0b00"),
-    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "e9ae44cf55c68da754abafeb7489f4bfde56b54de7a444e00ffe6a75dfdc8bd9"),
-    ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "270f9e1f4a3d0a285678218df0939b47d3ddc01ed1e8899992cc1ab8dfdd9fd9"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "7896368a75e5f1e30280fd6f6261cbeae6bfd0a3cd49e0007dbbf0901a320576"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "188d7ca8fa33c7e48ce945ba8c3c7db380753655be09b8ee59ea6d090a609dbd"),
+    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "dd5b13ea7cf44aaed0a7c2af4458b57289a3cce3ae3cdf92e50e6bbd6f4cb432"),
+    ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "04e1df36750560c58ff410b4f953c634b622dfb1ea3b510e8fa77fe9b6310fe7"),
     ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "2db4d6eff3df65fb2aad1a5459187018d33697636ca39eade1873b87a310f87d"),
     ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "1cf95ebb9d95569c5b57d607be8971b4d4c924d81e07f787734b50a439f7b614"),
+    # Supercritical: almost every cap vertex has a parent that never turns blue and
+    # draws nothing; recorded while every cap vertex still drew its words.
+    ("simulate tree --d 2 --lambda 2 --rho 1/2 --depth 8 --trials 1000 --seed 1", 0, "aac7cd5fb8cb0d8987900a326e1892cd3d4223e36e5ed580b2976e1127a1428c"),
     ("decide --d 2 --lambda 1 --rho 1/0", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Deep brackets (tol 2^-100, m = 32 and 64), a below witness at level 1
     # and the two exact ties b_1 = 1 and t_0 = 1, recorded with the Fraction

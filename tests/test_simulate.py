@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ced.simulate
@@ -338,6 +338,14 @@ class TestCompareRenewals:
         rows = compare_renewals(forged)
         assert max_abs_z(rows) > 6.0
 
+    def test_zero_stderr_z_takes_the_sign_of_the_miss(self):
+        # se = 0 at frequency 0 or 1: an unseen k lies below C_k, a certain one above it
+        absorb = (("caught", 0), ("death", 10), ("truncated", 0))
+        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 0, 0), absorb))]
+        assert z == [None, -math.inf, -math.inf]
+        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 10), absorb))]
+        assert z == [None, math.inf]
+
 
 class TestTreeTrials:
     def test_blue_needs_red_first(self):
@@ -392,6 +400,47 @@ class TestSimulateTree:
         assert len(level0) == 4 and sorted(sum(level0, [])) == list(range(100))
         # A split: some level of the four slabs was drawn in more than four calls.
         assert max(sum(level == l for level, _ in draws) for l in range(1, 6)) > 4
+
+    @given(
+        d=st.integers(2, 5),
+        lam=st.fractions(min_value=F(1, 4), max_value=3, max_denominator=8),
+        rho=st.fractions(min_value=0, max_value=3, max_denominator=8),
+        cap=st.integers(1, 4),
+        n_trials=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(d=5, lam=F(3), rho=F(0), cap=4, n_trials=20, seed=2**64 - 1)  # every vertex spreads; two Philox blocks
+    @example(d=2, lam=F(1), rho=F(1), cap=1, n_trials=20, seed=0)  # the cap filter runs at level 0
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_equals_scalar_reference_everywhere(self, d, lam, rho, cap, n_trials, seed):
+        p = ModelParams(d, lam, rho)
+        assert simulate_tree(p, cap, n_trials, seed) == scalar_tree_summary(p, cap, n_trials, seed)
+
+    @pytest.mark.parametrize("live_vertices", [ced.simulate._LIVE_VERTICES, 5])
+    def test_cap_draws_only_for_blue_parents(self, monkeypatch, live_vertices):
+        # A cap vertex whose parent never turns blue never renews or turns blue: it draws no lane.
+        p, cap, n_trials, seed = ModelParams(2, F(2), F(1, 2)), 5, 100, 4  # d + 2 = 4 words: one block a vertex
+        calls = []  # (level, trials) of each Philox call
+        philox_block = ced.simulate._philox_block
+
+        def recording(counter, trials, seed):
+            calls.append((counter[0] - 1, trials.tolist()))
+            return philox_block(counter, trials, seed)
+
+        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
+        monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
+        summary = simulate_tree(p, cap, n_trials, seed)
+        records = [tree_trial(p, cap, seed, i) for i in range(n_trials)]
+        cap_lanes = sum(len(trials) for level, trials in calls if level == cap)
+        assert cap_lanes == sum(r.blue_parent_vertices_per_level[cap] for r in records) > 0
+        assert summary.red_depth_counts[cap] == sum(r.red_reached_depth == cap for r in records)
+        if live_vertices == 5:
+            # Some entry of level cap - 1 has children at the cap, none of which draws: it pushes no entry.
+            assert any(
+                any(records[t].red_reached_depth == cap for t in trials)
+                and not any(records[t].blue_parent_vertices_per_level[cap] for t in trials)
+                for level, trials in calls if level == cap - 1
+            )
 
     def test_split_path_equals_scalar_reference(self, monkeypatch):
         p = ModelParams(3, F(2), F(1, 2))  # supercritical: red survives to the cap
