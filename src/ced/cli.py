@@ -264,9 +264,9 @@ MAX_DECISION_D = 1 << 32
 #: k <= 800 take 176 us each: about half an hour at the cap.
 MAX_TRIALS = 10**7
 
-#: Largest `simulate --d`.  The tree engine spends one Python iteration per
-#: child slot: at rho = 0, depth 2 and one trial, d = 1024 takes 1.1 s and
-#: 138 MB, and d = 100000 ran 17.7 s before the vertex budget stopped it.
+#: Largest `simulate --d`, kept as a spec decision: the tree engine's memory no
+#: longer grows with d.  At rho = 0, depth 2 and one trial, in process, d = 1024 takes
+#: 0.3-0.4 s at 32 MB, and d = 100000 stops on the vertex budget after 1.0-1.2 s at 45 MB.
 MAX_SIMULATE_D = 1024
 
 

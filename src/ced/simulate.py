@@ -46,8 +46,8 @@ the counters (l + 1, i, b, 0), b = 0, 1, ..., whose words are its death,
 overtake and slot 0 .. d-1 spread delays.  A cap vertex whose parent
 never turns blue draws nothing, yet still takes its index, so no other
 vertex's counters move.  So a trial's result depends on
-(seed, trial) alone, never on its slab or on how a slab's live level is
-split, and equal seeds give equal summaries: a `LineSummary` from the
+(seed, trial) alone, never on its slab or on the pieces its levels are
+drawn in, and equal seeds give equal summaries: a `LineSummary` from the
 line, a `TreeSummary` from the tree.
 """
 
@@ -76,9 +76,9 @@ DEFAULT_MAX_VERTICES = 2_000_000
 #: few live trials, paid in numpy calls: 20 000 line trials took 11 ms in 5 slabs of 4096, 5.8 ms in 1 of 2^15 (Xeon).
 _SLAB = 1 << 15
 
-#: Live vertices a tree level of several trials may hold.  A wider level is
-#: split by trial range and each half continues from it, which bounds memory
-#: and has no effect on the result.
+#: Philox blocks one piece of a tree level draws, in one `_philox_block` call: it bounds the engine's arrays, never
+#: the result.  A vertex takes ceil((d + 2) / 4) blocks, one at the cap.  Near 2^13 lanes a call's fixed cost is paid
+#: off, and above it the page faults on its fresh arrays grow (Xeon).
 _LIVE_VERTICES = 1 << 13
 
 ABSORB_DEATH = "death"
@@ -300,66 +300,63 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
     blue_depth = np.full(n, -1)
     red_depth = np.zeros(n, np.int64)
     ren_sum, ren_sumsq = [0] * (cap + 1), [0] * (cap + 1)
-    # Pending levels, deepest last: a level and, for each of its live
-    # vertices in trial order, the slab-local trial, index in its trial's
-    # level, red time and parent's blue time (the seed's is 0).
+    run = [(-1, 0, 0)] * (cap + 1)  # per level: its last drawn trial, that trial's renewals and children so far
+    # Pending vertices, next last: a level and, in (trial, index) order, the slab-local trial, index in its trial's
+    # level, red time and parent's blue time (the seed's is 0).  A piece's children go before the rest of its level.
     pending = [(0, (np.arange(n), np.zeros(n, np.uint64), np.zeros(n), np.zeros(n)))]
-    while pending:
-        level, (trial, index, red, parent_blue) = pending.pop()
-        keys = trial.astype(np.uint64) + np.uint64(start)
-        words = _philox_block((level + 1, index, 0, 0), keys, seed)
+    leaves = []  # cap vertices, in order: with no children, they wait until they fill a piece
+    while pending or leaves:
+        if not pending or sum(leaf[0].size for leaf in leaves) >= _LIVE_VERTICES:
+            pending.append((cap, tuple(map(np.concatenate, zip(*leaves)))))
+            leaves = []
+        level, live = pending.pop()
+        blocks = (d + 5) // 4 if level < cap else 1  # cap vertices never spread: death and overtake only
+        size = max(1, _LIVE_VERTICES // blocks)
+        if live[0].size > size:
+            pending.append((level, tuple(a[size:] for a in live)))
+        trial, index, red, parent_blue = (a[:size] for a in live)
+        # One call draws the piece's (block, vertex) grid; words[w] is then every vertex's word w.
+        keys = np.concatenate((trial.astype(np.uint64) + np.uint64(start),) * blocks)
+        block = np.arange(blocks, dtype=np.uint64).repeat(trial.size) if blocks > 1 else 0
+        words = _philox_block((level + 1, np.concatenate((index,) * blocks), block, 0), keys, seed)
+        words = words.reshape(4, blocks, -1).swapaxes(0, 1).reshape(4 * blocks, -1)
         death = red + _exp_delays(words[0], rho) if rho > 0.0 else np.full(red.size, np.inf)
         overtake = parent_blue + _exp_delays(words[1], 1.0)
         red_at_blue = parent_blue < death  # still red when its parent turns blue
         blue = np.where(red_at_blue & (overtake < death), overtake, np.inf)
-        red_depth[trial] = level
-        blue_depth[trial[blue < np.inf]] = level
-        renews = red_at_blue
-        lives_until = np.minimum(death, blue)  # no spread from a dead or blue vertex
-        parents, reds = [], []  # each slot's children, one slot at a time
-        for slot in range(d if level < cap else 0):  # cap vertices never spread
-            if slot % 4 == 2:
-                words = _philox_block((level + 1, index, (slot + 2) // 4, 0), keys, seed)
-            spread = red + _exp_delays(words[(slot + 2) % 4], lam)
-            if slot == 0:
-                renews = red_at_blue & (spread > parent_blue)
-            born = np.flatnonzero(spread < lives_until)
-            vertices += np.bincount(trial[born], minlength=n)
-            if vertices.max() > DEFAULT_MAX_VERTICES:
-                raise ResourceBudgetError(
-                    f"tree trial {start + int(np.argmax(vertices))} materialized more than "
-                    f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
-                )
-            parents.append(born)
-            reds.append(spread[born])
-        per_trial = np.bincount(trial[renews])
-        ren_sum[level] += int(per_trial.sum())
-        ren_sumsq[level] += int(per_trial @ per_trial)
-        parent = np.concatenate(parents) if parents else np.zeros(0, np.int64)
-        if not parent.size:
-            continue
-        order = np.argsort(parent, kind="stable")  # by parent, then slot
-        parent = parent[order]
-        trial = trial[parent]
-        index = np.arange(trial.size, dtype=np.uint64)  # minus the start of its trial's run, in O(n)
-        run_start = index.copy()
-        run_start[1:][trial[1:] == trial[:-1]] = 0
-        index -= np.maximum.accumulate(run_start, out=run_start)
-        live = (trial, index, np.concatenate(reds)[order], blue[parent])
+        spread = red + _exp_delays(words[2:d + 2 if level < cap else 2], lam)  # a row per slot
+        renews = red_at_blue & (spread[0] > parent_blue) if level < cap else red_at_blue
+        spread = spread.T.copy()  # a row per vertex, so children come by parent, then slot
+        born = np.flatnonzero(spread < np.minimum(death, blue)[:, None])  # no spread from a dead or blue vertex
+        parent = born // d
+        turned = trial[blue < np.inf]
+        blue_depth[turned] = np.maximum(blue_depth[turned], level)  # a run-on trial's deeper levels may be drawn
+        first = int(trial[0])
+        local = trial - first  # a piece's trials come sorted: ren and kids count trials first .. trial[-1]
+        ren = np.bincount(local[renews], minlength=local[-1] + 1)
+        kids = np.bincount(local[parent], minlength=ren.size)
+        counts = vertices[first:first + ren.size]
+        counts += kids
+        if counts.max() > DEFAULT_MAX_VERTICES:
+            raise ResourceBudgetError(
+                f"tree trial {start + first + int(np.argmax(counts))} materialized more than "
+                f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
+            )
+        _, ren_before, kids_before = run[level] if run[level][0] == first else (None, 0, 0)
+        ren[0] += ren_before
+        kids[0] += kids_before
+        ren_sum[level] += int(ren.sum()) - ren_before
+        ren_sumsq[level] += int(ren @ ren) - ren_before * ren_before
+        run[level] = (first + ren.size - 1, int(ren[-1]), int(kids[-1]))
+        base = np.cumsum(kids) - kids - kids_before  # each trial's first child, less its earlier ones
+        live = (trial[parent], (np.arange(parent.size) - base[local[parent]]).view(np.uint64),
+                spread.ravel()[born], blue[parent])
+        red_depth[live[0]] = np.maximum(red_depth[live[0]], level + 1)
         if level + 1 == cap:
-            # Tally the cap's red level now; only vertices whose parent turns blue are drawn.
-            red_depth[trial] = cap
-            kept = live[3] < np.inf
-            live = tuple(a[kept] for a in live)
-            trial = live[0]
-            if not trial.size:
-                continue
-        if trial[0] != trial[-1] and trial.size > _LIVE_VERTICES:
-            # Too wide for several trials: split by trial range; both halves continue.
-            cut = np.searchsorted(trial, (trial[0] + trial[-1] + 1) // 2)
-            pending.append((level + 1, tuple(a[cut:] for a in live)))
-            live = tuple(a[:cut] for a in live)
-        pending.append((level + 1, live))
+            kept = live[3] < np.inf  # only cap vertices whose parent turns blue are drawn
+            leaves += [tuple(a[kept] for a in live)] if kept.any() else []
+        elif live[0].size:
+            pending.append((level + 1, live))
     return ren_sum, ren_sumsq, np.bincount(blue_depth + 1).tolist(), np.bincount(red_depth).tolist()
 
 

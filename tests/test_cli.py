@@ -386,6 +386,16 @@ class TestSimulateCommand:
             assert time.monotonic() - start < 10, wide
             assert code == 70 and "vertices" in err and "--depth" in err and out == ""
 
+    def test_vertex_budget_stops_wide_trials_quickly(self, capsys):
+        # 100 trials near the budget at the largest d, drawn a piece at a time, not a level
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "simulate", "tree", "--d", "1024", "--lambda", "1", "--rho", "1",
+            "--depth", "6", "--trials", "100", "--seed", "1",
+        )
+        assert time.monotonic() - start < 5
+        assert code == 70 and "vertices" in err and out == ""
+
     def test_smallest_accepted_rates_run_without_warnings(self, capsys):
         # 2.1e-307 lies just above 53 ln 2 / max float: the largest delay stays finite
         tiny = f"21/1{'0' * 308}"

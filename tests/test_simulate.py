@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -363,6 +364,17 @@ class TestTreeTrials:
         with pytest.raises(ResourceBudgetError):  # one trial of a slab is enough
             simulate_tree(ModelParams(2, F(5), F(0)), 12, 100, seed=1)
 
+    def test_budget_stop_holds_pieces_not_levels(self):
+        # One trial near the budget: the pending pieces, not whole levels, bound the memory.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError):
+                simulate_tree(ModelParams(2, F(1), F(0)), 30, 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
 
 class TestSimulateTree:
     @pytest.mark.parametrize(
@@ -395,10 +407,10 @@ class TestSimulateTree:
         monkeypatch.setattr(ced.simulate, "_SLAB", 32)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
         assert simulate_tree(p, 5, 100, seed=4) == whole
-        # No re-run: each trial draws its level-0 counter once, in one call per slab.
+        # No re-run: each trial's level-0 counter is drawn exactly once, whatever the pieces.
         level0 = [trials for level, trials in draws if level == 0]
-        assert len(level0) == 4 and sorted(sum(level0, [])) == list(range(100))
-        # A split: some level of the four slabs was drawn in more than four calls.
+        assert sorted(sum(level0, [])) == list(range(100))
+        # Pieces: some level of the four slabs was drawn in more than four calls.
         assert max(sum(level == l for level, _ in draws) for l in range(1, 6)) > 4
 
     @given(
@@ -415,6 +427,27 @@ class TestSimulateTree:
     def test_equals_scalar_reference_everywhere(self, d, lam, rho, cap, n_trials, seed):
         p = ModelParams(d, lam, rho)
         assert simulate_tree(p, cap, n_trials, seed) == scalar_tree_summary(p, cap, n_trials, seed)
+
+    @given(
+        d=st.integers(2, 5),
+        lam=st.fractions(min_value=F(1, 4), max_value=3, max_denominator=8),
+        rho=st.fractions(min_value=0, max_value=3, max_denominator=8),
+        cap=st.integers(1, 4),
+        n_trials=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        live_vertices=st.integers(1, 6),
+    )
+    # one vertex a piece, and a cut inside a trial at every level below the root
+    @example(d=3, lam=F(3), rho=F(0), cap=4, n_trials=3, seed=1, live_vertices=1)  # two blocks a vertex
+    @example(d=2, lam=F(3), rho=F(0), cap=4, n_trials=4, seed=2, live_vertices=1)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_pieces_inside_trials_equal_scalar_reference(self, d, lam, rho, cap, n_trials, seed, live_vertices):
+        # Pieces of a few blocks cut trials at every level: the run-on trial's renewals and indices carry over.
+        p = ModelParams(d, lam, rho)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
+            summary = simulate_tree(p, cap, n_trials, seed)
+        assert summary == scalar_tree_summary(p, cap, n_trials, seed)
 
     @pytest.mark.parametrize("live_vertices", [ced.simulate._LIVE_VERTICES, 5])
     def test_cap_draws_only_for_blue_parents(self, monkeypatch, live_vertices):
