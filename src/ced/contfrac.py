@@ -1,4 +1,4 @@
-"""The two decision kernels: integer sweeps of finite continued fractions.
+"""The decision kernels: integer runs over finite continued fractions.
 
 Notation: K[c_0, ..., c_n] = c_0 / (1 - c_1 / (1 - ... / (1 - c_n))).
 Evaluation runs bottom up through tail values t_i = K[c_i, ..., c_n].
@@ -6,98 +6,91 @@ A tail value of exactly 1 makes the level above infinite; past 1 the
 fraction is still algebraically defined but no longer tracks a convergent
 series, so both cases stop evaluation and are reported as a pole.
 
-The two kernels consumed by the decision module:
+The decision module's two tests at a truncation depth m:
 
-* `below_witness` scans one bottom-up sweep of K[b_i, ..., b_m] for a
-  partial exceeding 1 (or blowing up), which certifies that the weighted
-  Catalan generating function already has a singularity at or before d,
-  i.e. the death rate is below critical.
+* below(m): a tail of K[b_0, ..., b_m] exceeds 1 (or blows up), so the
+  weighted Catalan generating function already has a singularity at or
+  before d: the death rate is below critical.  `below_witness` returns
+  the deepest such level.
+* above(m), `km_good`: b_m < 1/4 and the flattened upper-bound fraction
+  K[1, b_0, ..., b_{m-2}, b_{m-1} psi(b_m)] is good (every tail below 1),
+  with psi(x) = (1 - sqrt(1 - 4x)) / (2x) the plain Catalan generating
+  function closing off the flattened tail: convergence strictly beyond
+  d, so the death rate is above critical.
 
-* `km_good` checks the flattened upper-bound fraction
-  K[1, b_0, ..., b_{m-2}, b_{m-1} psi(b_m)] for goodness, where
-  psi(x) = (1 - sqrt(1 - 4x)) / (2x) is the generating function of the
-  plain Catalan numbers, closing off the flattened tail in one stroke.
-  A good sweep certifies convergence strictly beyond d, i.e. the death
-  rate is above critical.
-
-The kernels run a three-term recurrence of continuants on integers
+`forward_pass` answers both at every depth of a schedule in one pass.
+The kernels run three-term recurrences of continuants on integers
 (Flajolet, "Combinatorial aspects of continued fractions", 1980), with no
-Fraction and no gcd per level.
+Fraction and no gcd per level.  With lambda = a/b, rho = c/e, G_i = be +
+ae + i bc > 0 and alpha = d a b e^2 (`params.progression`), b_j = alpha /
+(G_{j+1} G_{j+2}).
 
-Continuants.  For entries c_0, ..., c_n and a closing factor r > 0 (r = 1
-for the plain fraction), set R_{n+1} = r, R_n = 1 and
+Backward continuants (`below_witness`).  Set S_{m+1} = 1, S_m = G_{m+2}
+and S_i = G_{i+2} S_{i+1} - alpha S_{i+2} for i = m-1, ..., -1, one
+big-by-small product per level.  Then 1 - t_{i+1} = S_i / (G_{i+2}
+S_{i+1}) by induction down from t_m = b_m, so while S_{i+1}, ..., S_m > 0:
 
-    R_i = R_{i+1} - c_{i+1} R_{i+2}        for i = n-1, ..., -1.
-
-Then 1 - t_{i+1} = R_i / R_{i+1} and t_i = c_i R_{i+1} / R_i for the tails
-of K[c_0, ..., c_{n-1}, c_n r], by induction down from t_n = c_n r: while
-R_{i+1} != 0, 1 - t_{i+1} = 1 - c_{i+1} R_{i+2} / R_{i+1} = R_i / R_{i+1}.
-
-Scaling.  With lambda = a/b, rho = c/e, G_i = be + ae + i bc and
-alpha = d a b e^2 (see `params.progression`), b_j = alpha / (G_{j+1}
-G_{j+2}).  Write r = Y/Z with Z > 0 and
-
-    R_i = S_i / (Z prod_{l=i+2..n+2} G_l).
-
-Then S_{n+1} = Y, S_n = Z G_{n+2} and, multiplying the recurrence for
-c_{i+1} = b_{i+1} by Z prod_{l=i+2..n+2} G_l,
-
-    S_i = G_{i+2} S_{i+1} - alpha S_{i+2},
-
-one big-by-small product per level.  Every G_l is positive, so S_i and R_i
-have the same sign.  While S_{i+1}, ..., S_n > 0 the sweep has reached
-level i+1 without a pole, and three sign rules follow:
-
-* the denominator at level i is 1 - t_{i+1} = R_i / R_{i+1}, so there is
-  a pole at level i (0 <= i < n) exactly when S_i <= 0;
+* there is a pole at level i (0 <= i < m) exactly when S_i <= 0;
 * t_{i+1} > 1 exactly when S_i < 0, and t_{i+1} = 1 exactly when S_i = 0;
 * t_0 > 1 exactly when S_{-1} < 0 (and t_0 < 1 exactly when S_{-1} > 0).
 
-`below_witness` is the sign scan for K[b_0, ..., b_m] with r = 1 (Y = Z
-= 1); `km_good` is the same sweep for K[b_0, ..., b_{m-1}] closed by
-r = psi's upper bound at b_m, good exactly when every S_i > 0 down to
-i = -1.  Its precondition b_m < 1/4 reads 4 alpha < G_{m+1} G_{m+2}.
+Forward continuants (`forward_pass`).  Let F_{-1} = F_0 = 1 and F_{j+1} =
+F_j - b_j F_{j-1}.  Up to positive factors the F_j and the S_i are the
+leading and the trailing minors of one symmetric tridiagonal matrix, and
+by the chain-sequence criterion every tail of K[b_0, ..., b_n] lies below
+1 exactly when F_1, ..., F_{n+1} > 0 (Wall and Wetzel, Duke Math. J. 11,
+1944; Wall, Analytic Theory of Continued Fractions, 1948).  So, with
+`below_witness`'s ties and Y/Z psi's closing bound at b_m,
+
+    below(m) <=> F_j <= 0 for some j <= m, or F_{m+1} < 0 (F_{m+1} = 0 is t_0 = 1);
+    above(m) <=> 4 alpha < G_{m+1} G_{m+2}, F_1, ..., F_{m-1} > 0 and
+                 F_{m-1} - b_{m-1} (Y/Z) F_{m-2} > 0.
+
+In the ratios u_j = F_{j+1} / F_j, u_{-1} = 1 and u_j = 1 - b_j / u_{j-1}:
+the first u_j <= 0 ends the pass, and depth m's closing test reads
+u_{m-2} > b_{m-1} Y/Z, which makes u_{m-1} > 0 too (Y/Z >= 1).  So one
+pass up j, testing depth m's closing at j = m - 2, returns the first depth
+of a schedule where either test holds.
 
 Closing factor.  Y/Z bounds psi(b_m) = 2 / (1 + sqrt(1 - 4 b_m)) from
 above, formed from integers for b_m = P/Q unreduced (P = alpha, Q =
 G_{m+1} G_{m+2}).  If v = (Q - 4P) Q is a perfect square, 1 - 4 b_m is
-the square of isqrt(v)/Q, and Y = 2Q, Z = Q + isqrt(v).  Otherwise the root's lower end on the grid 2^-k,
-k = 70, is s / 2^k with s = isqrt(floor((Q - 4P) 4^k / Q)), and Y =
-2^(k+1), Z = 2^k + s.  That grid does not depend on b_m's denominator, so
-off the rational squares the bound rises with b_m and a good sweep stays
-good as rho rises, which `decision` relies on (no bound exact on that
-dense set can be monotone short of psi itself).  Y/Z is left unreduced:
-every S_i is linear in the starting values S_{n+1} = Y and S_n = Z G_{n+2},
-so a common factor of Y and Z changes no sign.
+the square of isqrt(v)/Q, and Y = 2Q, Z = Q + isqrt(v).  Otherwise the
+root's lower end on the grid 2^-k, k = 70, is s / 2^k with s =
+isqrt(floor((Q - 4P) 4^k / Q)), and Y = 2^(k+1), Z = 2^k + s.  That grid
+does not depend on b_m's denominator, so off the rational squares the
+bound rises with b_m and a good fraction stays good as rho rises, which
+`decision` relies on (no bound exact on that dense set can be monotone
+short of psi itself).  Y/Z is left unreduced: the closing test is linear
+in Y and in Z, so a common factor changes nothing.
 
-Each sweep reads alpha, the step bc and G_{m+1} from the parameters and
-steps G down the progression, so nothing is kept between calls.
+Bounds first.  Exact continuants gain the bits of a G a level, so an
+exact run to depth m costs about m^2 word operations.  So both kernels
+first run bounds at the fixed scale one = 2^W, W = 64 + the bits of rho's
+denominator, with b_j exact inside each division: one floor and one ceil
+division a level, of numbers that do not grow with m.  Below 1, t_j =
+b_j / (1 - t_{j+1}) rises with t_{j+1}, and above 0, u_j rises with
+u_{j-1}; so from lo <= one t_{j+1} <= hi < one, and from 0 < lo <= one
+u_{j-1} <= hi, with q = alpha one^2 / (G_{j+1} G_{j+2}),
 
-Bound sweeps.  The continuants S_i gain the bits of one G a level, so an
-exact sweep to depth m costs about m^2 word operations.  Both kernels
-first run a sweep of bounds on the tails at the fixed scale 2^W, W = 64 +
-the bits of rho's denominator.  Below 1, t_j = b_j / (1 - t_{j+1}) rises
-with t_{j+1}, so from lo <= 2^W t_{j+1} <= hi < 2^W
+    floor(q / (one - lo)) <= one t_j <= ceil(q / (one - hi)),
+    one - ceil(q / lo) <= one u_j <= one - floor(q / hi).
 
-    floor(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W - lo))) <= 2^W t_j
-        <= ceil(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W - hi))),
-
-with b_j exact inside each division: one floor and one ceil division of
-numbers of about 2W bits a level, whatever m.  While every upper bound
-stays below 2^W, every tail so far is below 1.  `below_witness` returns
-level j once its lower bound exceeds 2^W, and None when the upper bounds
-stay below 2^W through level 0; `km_good` is good in that last case and
-not good once a lower bound reaches 2^W.  Any other case, a tail whose
-bounds straddle 1 (an exact tie t = 1 among them), runs the exact sweep,
-so every answer is the exact one.  Near the threshold the tails come
-within about rho's grid step of 1; the 64 guard bits leave room below
-that for the rounding that builds up over the levels.
+A test whose bounds straddle it (an exact tie among them) runs exactly:
+`below_witness` the continuant sweep, and `forward_pass` the same loop
+again on u_j = T_{j+1} / (G_{j+2} T_j), where T_{-1} = 1, T_0 = G_1 and
+T_{j+1} = G_{j+2} T_j - alpha T_{j-1} = G_1 ... G_{j+2} F_{j+1}, two
+big-by-small products and one exact division by G_{j+1} a level.  So
+every answer is the exact one.  Near the threshold the tails come within
+about rho's grid step of 1 and the ratios of 0; the 64 guard bits leave
+room below that for the rounding that builds up over the levels.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from ced.params import ModelParams, _progression_origin
 
@@ -106,7 +99,7 @@ from ced.params import ModelParams, _progression_origin
 #: lies within 2^-69 of psi.
 _ROOT_BITS = 70
 
-#: Guard bits of the bound sweeps' scale over rho's grid step (`_scale`).
+#: Guard bits of the bound runs' scale over rho's grid step (`_scale`).
 _GUARD_BITS = 64
 
 
@@ -128,7 +121,7 @@ def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:
 
 
 def _scale(p: ModelParams) -> int:
-    """2^W, W = _GUARD_BITS + the bits of rho's denominator: the bound sweeps' scale."""
+    """2^W, W = _GUARD_BITS + the bits of rho's denominator: the scale of the bound runs."""
     return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
 
 
@@ -185,26 +178,53 @@ def below_witness(p: ModelParams, m: int) -> Optional[int]:
     return i + 1 if s < 0 else (i if i >= 0 else None)
 
 
-def km_good(p: ModelParams, m: int) -> bool:
-    """Goodness of the flattened upper-bound fraction at depth m.
+def _pass(alpha: int, step: int, g: int, depths: Sequence[int], scale: int) -> Union[None, bool, tuple[int, bool]]:
+    """`forward_pass` from g = G_0, on bounds at the scale `scale`, or exactly if it is 0; False: a test straddles."""
+    wanted, one, top = set(depths), scale or g + step, alpha * scale * scale
+    lo = hi = one  # one u_{-1} = F_0 / F_{-1}
+    for j in range(depths[-1] + 1):
+        g += step  # G_{j+1}
+        den = g * (g + step)  # alpha / b_j
+        if j + 1 in wanted and 4 * alpha < (q := (g + step) * (g + 2 * step)):  # b_{j+1} < 1/4
+            y, z = _psi_upper(alpha, q)  # depth j + 1's closing test: u_{j-1} > b_j Y/Z
+            if z * den * lo > alpha * y * one:
+                return j + 1, False
+            if z * den * hi > alpha * y * one:  # the bounds straddle it
+                return False
+        if scale:  # den lo = one u_{j-1} / b_j, at each end
+            lo, hi = one + -top // (den * lo), one - top // (den * hi)
+        else:  # lo = T_j and one = G_{j+1} T_{j-1}, so that u_j = T_{j+1} / (G_{j+2} T_j)
+            one, t = (g + step) * lo, one // g  # G_{j+2} T_j and T_{j-1}
+            lo = hi = one - alpha * t  # T_{j+1}
+        if lo <= 0:
+            if lo < hi and hi >= 0:  # the bounds straddle 0
+                return False
+            k = bisect.bisect_left(depths, j + (hi == 0))
+            return (depths[k], True) if k < len(depths) else None
+    return None
 
-    Requires b_m < 1/4 (checked; returns False immediately otherwise).
-    The tail is closed off by psi evaluated at b_m, taken at its upper
-    bound: goodness is monotone decreasing in every entry, so good with
-    the inflated last entry implies good with the true value.  Good
-    exactly when every continuant S_i of the sweep is positive.  A bound
-    sweep from t_{m-1} = alpha Y / (G_m G_{m+1} Z) settles it first unless
-    a tail's bounds straddle 1.
+
+def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, bool]]:
+    """(m, True) at the first m of depths with below(m), (m, False) at the first with above(m), else None.
+
+    depths ascend from 1.  The pass (module docstring) stops at the first
+    u_j <= 0, which is below(m) at the first depth m >= j (m > j when u_j
+    = 0), or at the first depth m whose closing test passes, before u_{m-1}.
+    It runs on bounds at the scale `_scale(p)`, and once more exactly if a
+    test straddles its bounds.
     """
-    alpha, step, g = _integers(p, m)
-    den = g * (g + step)
-    if not 4 * alpha < den:  # b_m = alpha / den is not below 1/4
-        return False
-    y, z = _psi_upper(alpha, den)
-    one, q = _scale(p), (g - step) * g * z  # t_{m-1} = alpha y / q
-    bound = _bound_sweep(alpha, step, g - step, m - 1, alpha * y * one // q, -(-alpha * y * one // q), one)
-    if bound is None:
-        return True
-    if bound[1] >= one:
-        return False
-    return _sweep(alpha, step, g - step, m - 2, y, z * g) is None
+    alpha, step, g = _integers(p, depths[0])
+    g -= (depths[0] + 1) * step  # G_0
+    hit = _pass(alpha, step, g, depths, _scale(p))
+    return _pass(alpha, step, g, depths, 0) if hit is False else hit
+
+
+def km_good(p: ModelParams, m: int) -> bool:
+    """Goodness of the flattened upper-bound fraction K[b_0, ..., b_{m-2}, b_{m-1} psi(b_m)] at depth m.
+
+    False whenever b_m >= 1/4.  The tail is closed off by psi's upper bound
+    at b_m: goodness is monotone decreasing in every entry, so good with the
+    inflated last entry implies good with the true value.  Answered by the
+    forward pass at the single depth m.
+    """
+    return forward_pass(p, [m]) == (m, False)

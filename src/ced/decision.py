@@ -18,14 +18,9 @@ the schedule misses nothing reachable by m_max.  Undecided is a
 first-class outcome: rho exactly at the threshold can never terminate,
 and bisection callers stop gracefully instead of looping.
 
-Every decision is one walk over that schedule (`_walk`): from the
-schedule depth nearest, in log2, to a given depth, the two tests run in
-order at each depth, deeper until one passes; one that passes at the
-first depth runs again at each shallower depth while it passes.  A
-passing test is sound, so the other side's test fails at every depth,
-and a test that passes at m passes at every later depth: from any start
-and in either order, the first passing depth, certificate and m_reached
-are those of `decide`, which walks from depth 1, below test first.
+Every decision is one forward pass over that schedule
+(`contfrac.forward_pass`), which returns the first depth where either test
+passes; a Below there runs `below_witness` once more for its level.
 
 `critical_rho` bisects on the grid rho = lo + i w, w = (hi - lo) / 2^n,
 between the closed-form growth bounds, rounded outward onto the grid 2^-30
@@ -45,7 +40,7 @@ as its entries shrink, and psi's upper bound is monotone in b_m unless
 nothing).  So each midpoint bisection would visit beyond a settled index
 decides that index's side, and none is Undecided: skipping them leaves
 bisection's other midpoints, its last cell and, as `decide` is
-deterministic and the walk returns its outcome, that cell's outcomes.
+deterministic, that cell's outcomes.
 """
 
 from __future__ import annotations
@@ -56,10 +51,10 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ced.certcheck import check_above, check_below
-from ced.contfrac import below_witness, km_good
+from ced.contfrac import below_witness, forward_pass
 from ced.params import (
     ModelParams,
     WindowPosition,
@@ -70,7 +65,7 @@ from ced.params import (
 )
 
 #: Default depth cap of `decide`, and the largest `--max-m`: near the
-#: threshold, m = 4096 takes 0.2 s at rho = 10^-300 and 23 s at a
+#: threshold, m = 4096 takes 0.1 s at rho = 10^-300 and 12 s at a
 #: 4200-digit denominator (2-core Xeon).
 DEFAULT_M_MAX = 4096
 
@@ -139,15 +134,6 @@ def _m_schedule(m_max: int) -> list[int]:
     return [1 << i for i in range((m_max - 1).bit_length())] + [m_max]  # 1, 2, 4, ... below m_max
 
 
-def _below(p: ModelParams, m: int) -> Optional[DecisionOutcome]:
-    witness = below_witness(p, m)
-    return None if witness is None else DecisionOutcome(Verdict.BELOW, KernelBelow(m, witness), m)
-
-
-def _above(p: ModelParams, m: int) -> Optional[DecisionOutcome]:
-    return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m) if km_good(p, m) else None  # False whenever b_m >= 1/4
-
-
 def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     """Is rho below or above the critical death rate?  Certified either way.
 
@@ -155,9 +141,8 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
     Above (the threshold is zero there); rho = 0 inside the window is
     Below (the threshold is positive there).  rho = 0 outside the window
     sits exactly at the zero threshold and is reported Undecided, as is
-    anything the kernels cannot separate by depth m_max.  Otherwise one walk
-    from depth 1 runs the below test, then the above test, at each depth
-    of the schedule.
+    anything the kernels cannot separate by depth m_max.  Otherwise one
+    forward pass finds the first depth of the schedule where a test passes.
     """
     pos = window_position(p.d, p.lam)
     if pos.is_outside:
@@ -167,23 +152,13 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
         return DecisionOutcome(Verdict.UNDECIDED, None, 0)  # rho == 0 == threshold
     if p.rho == 0:
         return DecisionOutcome(Verdict.BELOW, ZeroRhoBelow(), 0)
-    return _walk(p, (_below, _above), m_max, 1)
-
-
-def _walk(
-    p: ModelParams, tests: Sequence[Callable[[ModelParams, int], Optional[DecisionOutcome]]], m_max: int, near: int
-) -> DecisionOutcome:
-    """`decide(p, m_max)` for rho > 0 inside the window, walked from the depth nearest near (module docstring)."""
-    schedule = _m_schedule(m_max)
-    start = sum(near * near > a * b for a, b in zip(schedule, schedule[1:]))  # near is nearer b than a
-    for i in range(start, len(schedule)):
-        for test in tests:
-            if out := test(p, schedule[i]):
-                shallower = schedule[:start] if i == start else []
-                while shallower and (last := test(p, shallower.pop())):
-                    out = last
-                return out
-    return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+    hit = forward_pass(p, _m_schedule(m_max))
+    if hit is None:
+        return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
+    m, below = hit
+    if below:
+        return DecisionOutcome(Verdict.BELOW, KernelBelow(m, below_witness(p, m)), m)
+    return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
 
 
 def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
@@ -292,8 +267,8 @@ def _newton(r, left, right, one, m, g, dl):
 
 def _estimate_rho_c(
     d: int, lam: Fraction, lo: Fraction, hi: Fraction, tol: Fraction, m_max: int
-) -> Optional[tuple[Fraction, int]]:
-    """(A guess at the root of K(rho) = 1 in [lo, hi], its depth D), or None; K is `_estimate_sweep`'s.
+) -> Optional[Fraction]:
+    """A guess at the root of K(rho) = 1 in [lo, hi], or None; K is `_estimate_sweep`'s.
 
     One loop, `_newton`, on one sweep, `_estimate_sweep`, runs both stages on
     x = rho / 2^e, e the integer bits of hi, so x < 1 and every stop test and
@@ -302,8 +277,7 @@ def _estimate_rho_c(
     m_max < 8).  As b_j falls with j, depth D errs by about x 2^(-2kD/M): D
     is the least depth >= M that puts this 2^10 below tol / 2^e, capped at
     m_max.  At depth D the loop polishes the float root, within 2^(1-k) of
-    it, on bits(tol / 2^e) + 41 fixed-point bits.  The kernels mostly settle
-    its cell's ends near D.
+    it, on bits(tol / 2^e) + 41 fixed-point bits.
     """
     a, b, e = lam.numerator, lam.denominator, int(hi).bit_length()
     try:
@@ -320,8 +294,7 @@ def _estimate_rho_c(
         m = min(max(m // 2, -(-(bits - 95 + deep.bit_length()) * m // (4 * k))), m_max)
         g, dl = ((a + b) << bits) // (b << e), (d * a << 4 * bits) // (b << 2 * e)
         left, r, right = (((deep + i * (deep >> (k - 1))) << bits) >> 64 for i in (-1, 0, 1))
-        r = _newton(r, left, right, 1 << bits, m, g, dl)
-        return Fraction(r << e, 1 << bits), m
+        return Fraction(_newton(r, left, right, 1 << bits, m, g, dl) << e, 1 << bits)
     except (ZeroDivisionError, OverflowError, ValueError):  # a flat slope, a NaN or a float past range
         return None
 
@@ -348,9 +321,8 @@ def critical_rho(
       b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
       `km_good` is good: psi's closing bound is at most 2, so b_0 times it
       is at most 1/2.
-    Each end of the estimated cell not yet settled walks decide's schedule
-    from the estimate's depth, its side's test first (module docstring).
-    Then `decide` runs at the midpoint of the least bisection cell holding
+    `decide` runs at each end of the estimated cell not yet settled (module
+    docstring), then at the midpoint of the least bisection cell holding
     the settled indices; an Undecided one stops the loop, is flagged, and
     its cell is returned.  Each rho is decided once, the result's ends when
     first needed; each needs its side's verdict and a certificate that
@@ -372,20 +344,19 @@ def critical_rho(
     w = (hi - lo) / (1 << n)
     known = {}  # grid index i -> (ModelParams at lo + i w, its outcome): each rho is decided once
 
-    def settle(i, tests=None, near=1):
+    def settle(i):
         if i not in known:
             p = ModelParams(d, lam, lo + i * w)
-            known[i] = p, decide(p, m_max) if tests is None else _walk(p, tests, m_max, near)
+            known[i] = p, decide(p, m_max)
         return known[i]
 
     below, above = 0, 1 << n  # the largest index known Below, the least known Above
-    found = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
-    if found is not None:  # seed the ends of the cell the estimate falls in (module docstring)
-        estimate, near = found
+    estimate = _estimate_rho_c(d, lam, lo, hi, tol, m_max) if n else None
+    if estimate is not None:  # settle the ends of the cell the estimate falls in (module docstring)
         k = min(max(math.floor((estimate - lo) / w), 0), (1 << n) - 1)
-        for i, tests in ((k, (_below, _above)), (k + 1, (_above, _below))):
+        for i in (k, k + 1):
             if below < i < above:
-                p, out = settle(i, tests, near)
+                p, out = settle(i)
                 if out.verdict is Verdict.BELOW:
                     below = i
                 elif out.verdict is Verdict.ABOVE and not _exact_closing(p, out):

@@ -6,7 +6,9 @@ level, and so shares no arithmetic with the integer kernels of
 `ced.contfrac` or the checker of `ced.certcheck`.  `psi_bounds` gives
 Fraction bounds on the plain-Catalan generating function that closes the
 flattened fraction; the kernels' `_psi_upper` and the checker's
-`closing_bound` are tested against its upper end.
+`closing_bound` are tested against its upper end.  `reference_below_witness`
+and `reference_km_good` give both kernel answers from these over the
+Fraction weights `params.weight_b`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
+
+from ced.params import weight_b
 
 
 @dataclass(frozen=True)
@@ -114,3 +118,21 @@ def psi_bounds(x: Fraction | int) -> PsiBound:
     s = math.isqrt(math.floor(r * 4**_ROOT_BITS))  # s <= 2^70 sqrt(r) < s + 1
     lower = Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s + 1)
     return PsiBound(x, max(Fraction(1), lower), Fraction(2 << _ROOT_BITS, (1 << _ROOT_BITS) + s))
+
+
+def reference_below_witness(p, m: int) -> Optional[int]:
+    """`ced.contfrac.below_witness` from `eval_finite` over the Fraction weights."""
+    ev = eval_finite([weight_b(p, j) for j in range(m + 1)])
+    if ev.is_pole:
+        return ev.pole_level + 1 if ev.partials[ev.pole_level + 1] > 1 else ev.pole_level
+    return 0 if ev.value > 1 else None
+
+
+def reference_km_good(p, m: int) -> bool:
+    """`ced.contfrac.km_good` from `is_good` and `psi_bounds` over the Fraction weights."""
+    b_m = weight_b(p, m)
+    if not b_m < Fraction(1, 4):
+        return False
+    entries = [weight_b(p, j) for j in range(m - 1)]
+    entries.append(weight_b(p, m - 1) * psi_bounds(b_m).upper)
+    return is_good(entries).good

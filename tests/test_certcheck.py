@@ -203,7 +203,9 @@ class TestIndependence:
             raise AssertionError("the re-check called code that the kernels or the Fraction path use")
 
         homes = {
-            ced.contfrac: ("below_witness", "km_good", "_sweep", "_bound_sweep", "_scale", "_psi_upper"),
+            ced.contfrac: (
+                "below_witness", "forward_pass", "km_good", "_pass", "_sweep", "_bound_sweep", "_scale", "_psi_upper"
+            ),
             contfrac_reference: ("eval_finite", "is_good", "psi_bounds"),
             ced.params: ("weight_b",),
         }
@@ -213,8 +215,9 @@ class TestIndependence:
             for key, value in list(vars(module).items()):
                 if any(value is original for original in originals):
                     monkeypatch.setattr(module, key, refuse)
-        with pytest.raises(AssertionError):
-            ced.decision.km_good(ModelParams(2, F(1), F(1)), 1)
+        for kernel, depth in ((ced.decision.below_witness, 1), (ced.decision.forward_pass, [1])):  # decision's kernels
+            with pytest.raises(AssertionError):
+                kernel(ModelParams(2, F(1), F(1)), depth)
         for rho, out in ends:
             assert verify_certificate(ModelParams(2, F(1), rho), out)
 

@@ -229,7 +229,7 @@ class TestArgumentRanges:
             # ran 21 s before this was refused after them
             ("simulate tree --lambda 1 --rho 1 --depth 801 --trials 200000 --seed 1", "--depth: must be <= 800"),
             (f"simulate tree --lambda 1 --rho 1 --depth {2**61} --trials 1 --seed 1", "--depth: must be <= 800"),
-            # one Python iteration per child slot: this ran 17.7 s before the vertex budget
+            # a cap kept as a spec decision: uncapped, this stops on the vertex budget after about 1 s at 45 MB
             ("simulate tree --d 100000 --lambda 1 --rho 0 --depth 2 --trials 1 --seed 1", "--d: must be <= 1024"),
             # the line engine's time is linear in the trials: 10^7 at lambda = rho = 1 take 2.3 s
             ("simulate line --lambda 1 --rho 1 --trials 10000001 --seed 1", "--trials: must be <= 10000000"),

@@ -10,7 +10,7 @@ from ced.contfrac import _psi_upper, below_witness, km_good
 from ced.decision import critical_rho
 from ced.params import ModelParams, progression, weight_b
 
-from contfrac_reference import eval_finite, is_good, psi_bounds
+from contfrac_reference import eval_finite, is_good, psi_bounds, reference_below_witness, reference_km_good
 from sqrt_reference import sqrt_enclosure
 
 P211 = ModelParams(2, F(1), F(1))
@@ -200,6 +200,45 @@ class TestKmGood:
             km_good(P211, 0)
 
 
+class TestForwardPass:
+    @pytest.mark.parametrize(
+        "p,depths,hit",
+        [
+            (ModelParams(2, F(1), F(0)), [1], None),  # every b_j = 1/2: F_2 = 0, the tie t_0 = 1
+            (ModelParams(2, F(1), F(0)), [1, 2], (2, True)),  # ... is a pole one depth deeper
+            (ModelParams(2, F(1), F(0)), [1, 3, 4], (3, True)),  # the first depth past the tie
+            (ModelParams(20, F(1), F(1)), [1, 2], (1, True)),  # b_0 = 5/3: F_1 < 0
+            (ModelParams(20, F(1), F(1)), [3], (3, True)),
+            (ModelParams(2, F(1), F(1)), [1, 2], (1, False)),  # the closing test before any F_j
+            (ModelParams(2, F(1), F(1)), [2, 4], (2, False)),
+            (ModelParams(26, F(4, 5), F(3)), [1, 2, 4], (2, False)),  # b_0 psi(b_1) = 1 exactly at depth 1
+            (ModelParams(2, F(1), F(1, 3)), [1, 2], (2, False)),  # b_1 = 1/4: no closing at depth 1
+            (ModelParams(2, F(1), F(1, 8)), [1, 2, 4, 8, 16], (4, True)),
+        ],
+    )
+    def test_first_depth(self, p, depths, hit):
+        assert ced.contfrac.forward_pass(p, depths) == hit
+        below = [m for m in depths if reference_below_witness(p, m) is not None]
+        above = [m for m in depths if reference_km_good(p, m)]
+        assert hit == min([(m, True) for m in below[:1]] + [(m, False) for m in above[:1]], default=None)
+
+
+    @pytest.mark.parametrize(
+        "p,m,scale",
+        [
+            (ModelParams(5, F(9), F(4, 5)), 3, 16),
+            (ModelParams(4, F(1), F(8, 13)), 2, 16),
+            (ModelParams(8, F(11, 2), F(2)), 4, 32),
+        ],
+    )
+    def test_a_closing_test_the_bounds_straddle_reruns_exactly(self, monkeypatch, p, m, scale):
+        # at these scales the bounds on u_{m-2} straddle b_{m-1} Y/Z, and only the exact rerun finds depth m good
+        monkeypatch.setattr(ced.contfrac, "_scale", lambda p: scale)
+        alpha, step, g = ced.contfrac._integers(p, 1)
+        assert ced.contfrac._pass(alpha, step, g - 2 * step, [m], scale) is False
+        assert km_good(p, m) is reference_km_good(p, m) is True
+
+
 class TestTailMonotonicity:
     def test_partials_nonincreasing_with_decreasing_entries(self):
         # with the tree-weighted entries at (2, 1, 1), shallower tails dominate
@@ -208,23 +247,6 @@ class TestTailMonotonicity:
         assert not ev.is_pole
         for i in range(m):
             assert ev.partials[i] >= ev.partials[i + 1]
-
-
-def reference_below_witness(p, m):
-    # the Fraction sweep the integer kernel replaced
-    ev = eval_finite([weight_b(p, j) for j in range(m + 1)])
-    if ev.is_pole:
-        return ev.pole_level + 1 if ev.partials[ev.pole_level + 1] > 1 else ev.pole_level
-    return 0 if ev.value > 1 else None
-
-
-def reference_km_good(p, m):
-    b_m = weight_b(p, m)
-    if not b_m < F(1, 4):
-        return False
-    entries = [weight_b(p, j) for j in range(m - 1)]
-    entries.append(weight_b(p, m - 1) * psi_bounds(b_m).upper)
-    return is_good(entries).good
 
 
 def dyadic(bits):
@@ -331,9 +353,10 @@ def near_threshold(draw):
 
 
 def exact_kernels(p, m):
-    """Both kernels' answers from the exact sweep alone: a bound sweep that settles nothing."""
+    """Both kernels' answers from their exact runs alone: a bound sweep that settles nothing, and scale 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ced.contfrac, "_bound_sweep", lambda *args: (0, 0))
+        mp.setattr(ced.contfrac, "_scale", lambda p: 0)  # the forward pass's exact run
         return below_witness(p, m), km_good(p, m)
 
 
@@ -349,8 +372,9 @@ class TestBoundSweeps:
     @pytest.mark.parametrize("scale", [1, 16])
     def test_match_the_exact_sweep_at_a_tiny_scale(self, scale):
         # at scale 1 every tail's bounds straddle 1 from the start, so every
-        # below_witness call falls back; at 16 the bounds give out partway
-        sweep, fell_back = ced.contfrac._sweep, []
+        # below_witness call falls back; at 16 the bounds give out partway.
+        # km_good's forward pass reruns exactly (scale 0) at some depths
+        sweep, run, fell_back, reran = ced.contfrac._sweep, ced.contfrac._pass, [], []
 
         @given(near_threshold())
         @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -360,9 +384,11 @@ class TestBoundSweeps:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ced.contfrac, "_scale", lambda p: scale)
                 mp.setattr(ced.contfrac, "_sweep", lambda *args: ran.append(args) or sweep(*args))
+                mp.setattr(ced.contfrac, "_pass", lambda *args: reran.append(not args[-1]) or run(*args))
                 got = below_witness(p, m)
                 fell_back.append(bool(ran))
                 assert (got, km_good(p, m)) == expected
 
         check()
         assert all(fell_back) if scale == 1 else any(fell_back)
+        assert any(reran)

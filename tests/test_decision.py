@@ -30,7 +30,7 @@ from ced.decision import (
 )
 from ced.params import ModelParams, WindowPosition, growth_bounds, weight_b, window_position
 
-from contfrac_reference import psi_bounds
+from contfrac_reference import psi_bounds, reference_below_witness, reference_km_good
 
 TOL10 = F(1, 2**10)
 
@@ -96,15 +96,15 @@ class TestDecide:
             out = decide(p)
             assert verify_certificate(p, out)
 
-    def test_above_recheck_does_not_call_km_good(self, monkeypatch):
+    def test_above_recheck_does_not_call_the_forward_pass(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the KernelAbove re-check called the kernel that found it")
 
         p = ModelParams(2, F(1), F(15313620919566925415728018207434704617, 1 << 126))
         out = decide(p)
         assert out.certificate == KernelAbove(m=32)
-        monkeypatch.setattr(ced.contfrac, "km_good", refuse)
-        monkeypatch.setattr(ced.decision, "km_good", refuse)
+        for module, name in ((ced.contfrac, "km_good"), (ced.contfrac, "forward_pass"), (ced.decision, "forward_pass")):
+            monkeypatch.setattr(module, name, refuse)
         assert verify_certificate(p, out)
 
     def test_above_certificate_whose_fraction_is_not_good_fails(self):
@@ -182,65 +182,62 @@ class TestDecide:
             assert not (v1 is Verdict.ABOVE and v2 is Verdict.BELOW)
 
 
-def _fake_test(name: str, first: int, calls: list):
-    """A test that passes from depth `first` on; it records name and depth, as "a8", each time it runs."""
+def reference_decide(p, m_max):
+    """`decide` for rho > 0 inside the window from the Fraction references, depth by depth over the schedule."""
+    for m in ced.decision._m_schedule(m_max):
+        level = reference_below_witness(p, m)
+        if level is not None:
+            return DecisionOutcome(Verdict.BELOW, KernelBelow(m, level), m)
+        if reference_km_good(p, m):
+            return DecisionOutcome(Verdict.ABOVE, KernelAbove(m), m)
+    return DecisionOutcome(Verdict.UNDECIDED, None, m_max)
 
-    def test(p, m):
-        calls.append(f"{name}{m}")
-        return DecisionOutcome(Verdict.BELOW, KernelBelow(m, 0), m) if m >= first else None
 
-    return test
+@st.composite
+def decide_cases(draw):
+    """ModelParams: rho in the growth bounds or at a bracket of rho_c, lambda interior or near a window edge."""
+    d = draw(st.sampled_from([2, 3, 5, 17, 64, 1000]))
+    root = math.sqrt(d * d - d)
+    lower, upper = 2 * d - 1 - 2 * root, 2 * d - 1 + 2 * root
+    eps = draw(st.floats(0.01, 0.5))
+    where = draw(st.sampled_from(["lower", "interior", "upper"]))
+    x = {"lower": lower * (1 + eps), "interior": lower + (upper - lower) * eps, "upper": upper * (1 - eps)}[where]
+    lam = F(x).limit_denominator(10**6)
+    assume(window_position(d, lam) is WindowPosition.INSIDE)
+    if draw(st.booleans()):
+        lo, hi = growth_bounds(d, lam)
+        rho = lo + (hi - lo) * F(draw(st.integers(1, 1023)), 1024)
+    else:
+        bracket = critical_rho(d, lam, F(1, 2 ** draw(st.integers(2, 40))))
+        rho = draw(st.sampled_from([bracket.lo, bracket.hi, (bracket.lo + bracket.hi) / 2]))
+    assume(rho > 0)
+    return ModelParams(d, lam, rho)
 
 
-class TestWalk:
-    """A walk from any depth, with the tests in either order, returns decide's outcome."""
+class TestReferenceDecide:
+    """`decide` gives the Fraction references' first verdict over the schedule, with its certificate and depth."""
 
-    @given(
-        st.sampled_from([2, 3, 4, 8, 64]),
-        st.fractions(min_value=F(1, 10), max_value=20, max_denominator=100),
-        st.integers(8, 80),
-        st.sampled_from([1, 2, 3, 5, 8, 64, 100]),
-    )
-    @example(2, F(1), 80, 100)
-    @example(3, F(197, 20), 40, 5)
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    def test_walk_returns_decide(self, d, lam, bits, m_max):
-        assume(window_position(d, lam) is WindowPosition.INSIDE)
-        bracket = critical_rho(d, lam, F(1, 2**bits))
-        tests = (ced.decision._below, ced.decision._above)
-        for rho in (bracket.lo, bracket.hi):
-            p = ModelParams(d, lam, rho)
-            if rho == 0:
-                continue  # decide's short circuit, never walked
-            expected = decide(p, m_max)
-            for near in range(1, 2 * m_max + 1):
-                assert ced.decision._walk(p, tests, m_max, near) == expected
-                assert ced.decision._walk(p, tests[::-1], m_max, near) == expected
+    @pytest.mark.parametrize("scale", [None, 1, 16])  # the real scale, then scales that force the exact rerun
+    def test_forward_pass_against_the_references(self, scale):
+        run, reran = ced.contfrac._pass, []
 
-    @pytest.mark.parametrize(
-        "first_a,first_b,m_max,near,depths,reached",
-        [
-            (4, 99, 64, 7, ["a8", "a4", "a2"], 4),  # 7 is nearer 8 than 4 in log2; walk down to the last pass
-            (4, 99, 64, 5, ["a4", "a2"], 4),
-            (16, 99, 64, 6, ["a8", "b8", "a16"], 16),  # a fail runs the other test, then goes deeper
-            (32, 99, 64, 6, ["a8", "b8", "a16", "b16", "a32"], 32),  # ... never shallower after a deeper pass
-            (99, 2, 64, 8, ["a8", "b8", "b4", "b2", "b1"], 2),  # the second test walks down too
-            (1, 99, 64, 1, ["a1"], 1),
-            (5, 99, 5, 9, ["a5", "a4"], 5),  # the cap ends the schedule
-            (5, 99, 5, 4, ["a4", "b4", "a5"], 5),
-            (99, 99, 5, 1, ["a1", "b1", "a2", "b2", "a4", "b4", "a5", "b5"], None),  # Undecided at m_max
-            (6, 99, 5, 200, ["a5", "b5"], None),
-        ],
-    )
-    def test_depths_tried(self, first_a, first_b, m_max, near, depths, reached):
-        calls = []
-        tests = (_fake_test("a", first_a, calls), _fake_test("b", first_b, calls))
-        out = ced.decision._walk(ModelParams(2, F(1), F(1)), tests, m_max, near)
-        assert calls == depths
-        if reached is None:
-            assert out == DecisionOutcome(Verdict.UNDECIDED, None, m_max)
-        else:
-            assert out.verdict is Verdict.BELOW and out.m_reached == reached
+        @given(decide_cases(), st.sampled_from([1, 2, 3, 5, 100]))
+        @example(ModelParams(20, F(1), F(1)), 1)  # b_1 = 1: a pole at level 0
+        @example(ModelParams(6, F(2), F(1)), 1)  # t_0 = 1 exactly: no witness
+        @example(ModelParams(26, F(4, 5), F(3)), 1)  # b_0 psi(b_1) = 1 exactly: not good
+        @example(ModelParams(2, F(1), F(1, 3)), 1)  # b_1 = 1/4 exactly: no closing at depth 1
+        @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+        def check(p, m_max):
+            expected = reference_decide(p, m_max)
+            with pytest.MonkeyPatch.context() as mp:
+                if scale:
+                    mp.setattr(ced.contfrac, "_scale", lambda p: scale)
+                mp.setattr(ced.contfrac, "_pass", lambda *args: reran.append(not args[-1]) or run(*args))
+                assert decide(p, m_max) == expected
+
+        check()
+        if scale:
+            assert any(reran)
 
 
 class TestFastPath:
@@ -251,10 +248,15 @@ class TestFastPath:
         [(2, F(1), F(1, 2**100)), (3, F(197, 20), F(1, 2**200)), (2**16, F(130939929, 500), F(1, 2**200))],
     )
     def test_no_exact_fallback(self, monkeypatch, d, lam, tol):
-        calls = []
+        calls, run = [], ced.contfrac._pass
         for module, name in ((ced.contfrac, "_sweep"), (ced.certcheck, "_climb")):
             exact = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, exact=exact, name=name: calls.append(name) or exact(*args))
+
+        def recorded(*args):  # the last argument is the scale, and scale 0 the forward pass's exact run
+            return run(*args) if args[-1] else calls.append("_pass") or run(*args)
+
+        monkeypatch.setattr(ced.contfrac, "_pass", recorded)
         bracket = critical_rho(d, lam, tol)
         assert bracket.unresolved_midpoint is None and bracket.hi - bracket.lo <= tol
         assert calls == []
@@ -422,7 +424,7 @@ def _shifted(by):
 
     def guess(d, lam, lo, hi, tol, m_max):
         found = estimate(d, lam, lo, hi, tol, m_max)
-        return None if found is None else (found[0] + by * _cell_width(d, lam, tol), found[1])
+        return None if found is None else found + by * _cell_width(d, lam, tol)
 
     return guess
 
@@ -470,7 +472,8 @@ class TestCellPath:
                     mp.setattr(ced.decision, "_estimate_rho_c", guess)
                     calls = _counting_decide(mp)
                     assert critical_rho(*case) == reference
-                cell = len(calls) <= 2 and reference.unresolved_midpoint is None  # a missed cell adds decides
+                # a missed cell adds decides
+                cell = sorted(calls) == [reference.lo, reference.hi] and reference.unresolved_midpoint is None
                 ends = (reference.lo_outcome.m_reached, reference.hi_outcome.m_reached)
                 runs.append((guess, case[3], cell, case[3] in ends))
 
@@ -481,34 +484,39 @@ class TestCellPath:
         assert any(cell and at_cap for _, m_max, cell, at_cap in runs if m_max < cap), runs
 
     @pytest.mark.parametrize("d,lam", [(2, F(1)), (8, F(1, 21))])
-    def test_no_decide_on_the_cell_path(self, monkeypatch, d, lam):
-        # each end of the cell is settled in at most 3 kernel calls; bisection
-        # makes about 100 decides at this tolerance
+    def test_decide_only_at_the_ends_on_the_cell_path(self, monkeypatch, d, lam):
+        # each end of the cell takes one decide: one forward pass, and one
+        # below_witness at the Below end; bisection makes about 100 decides
+        # at this tolerance
         kernels = []
-        for name in ("below_witness", "km_good"):
+        for name in ("below_witness", "forward_pass"):
             real = getattr(ced.decision, name)
-            monkeypatch.setattr(ced.decision, name, lambda p, m, real=real: kernels.append(p.rho) or real(p, m))
+
+            def counted(p, m, real=real, name=name):
+                return kernels.append((name, p.rho)) or real(p, m)
+
+            monkeypatch.setattr(ced.decision, name, counted)
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**100))
-        assert calls == [] and bracket.unresolved_midpoint is None
-        assert sorted(set(kernels)) == [bracket.lo, bracket.hi]
-        assert kernels.count(bracket.lo) <= 3 and kernels.count(bracket.hi) <= 3
+        assert calls == [bracket.lo, bracket.hi] and bracket.unresolved_midpoint is None
+        ends = [("below_witness", bracket.lo), ("forward_pass", bracket.lo), ("forward_pass", bracket.hi)]
+        assert sorted(kernels) == ends
 
     @pytest.mark.parametrize(
         "d,lam",
         [(2**64, F(97 * (4 * 2**64 - 2) // 100)), (10**30, F(1)), (2**100, F(1)), (10**200, F(1)), (10**300, F(1))],
         ids=["2^64-near-edge", "10^30", "2^100", "10^200", "10^300"],
     )
-    def test_no_decide_at_a_huge_rho_c(self, monkeypatch, d, lam):
+    def test_decide_only_at_the_ends_at_a_huge_rho_c(self, monkeypatch, d, lam):
         # hi has 50-498 integer bits here (the first lambda is 0.97 of the upper
         # window edge): both Newton stages run on rho / 2^(those bits), since in
         # absolute units the float stop tests sink below a float's resolution
         # and the fixed-point slope loses those bits
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, F(1, 2**200))
-        assert calls == [] and bracket.unresolved_midpoint is None
+        assert calls == [bracket.lo, bracket.hi] and bracket.unresolved_midpoint is None
 
-    def test_no_decide_when_the_float_roots_never_agree(self, monkeypatch):
+    def test_decide_only_at_the_ends_when_the_float_roots_never_agree(self, monkeypatch):
         # next to the upper window edge the float roots still differ at M = m_max;
         # the last two of them pick the cell, polished at depth m_max, where
         # bisection took 40 decides
@@ -516,9 +524,10 @@ class TestCellPath:
         m_max = ced.decision.DEFAULT_M_MAX
         assert ced.decision._estimate_rho_c(d, lam, *growth_bounds(d, lam), tol, m_max) is not None
         calls = _counting_decide(monkeypatch)
-        assert repr(critical_rho(d, lam, tol)) == repr(bisection(d, lam, tol)) and calls == []
+        bracket = critical_rho(d, lam, tol)
+        assert repr(bracket) == repr(bisection(d, lam, tol)) and calls == [bracket.lo, bracket.hi]
 
-    def test_no_decide_after_a_pole_in_the_polish(self, monkeypatch):
+    def test_decide_only_at_the_ends_after_a_pole_in_the_polish(self, monkeypatch):
         # a pole sends the polish halfway to the right end of its bracket, and
         # Newton steps back from there to the same cell
         expected = critical_rho(2, F(1), F(1, 2**100))
@@ -530,7 +539,8 @@ class TestCellPath:
 
         monkeypatch.setattr(ced.decision, "_estimate_sweep", pole_first)
         calls = _counting_decide(monkeypatch)
-        assert critical_rho(2, F(1), F(1, 2**100)) == expected and calls == [] and poles == []
+        assert critical_rho(2, F(1), F(1, 2**100)) == expected and poles == []
+        assert calls == [expected.lo, expected.hi]
 
     def test_estimate_cost_on_the_baseline_brackets(self, monkeypatch):
         # the one sweep's levels, float and fixed point: 3039 at this writing (2042 float,
@@ -548,8 +558,9 @@ class TestCellPath:
         for bits in (40, 100):
             for d, lam in [(2, F(1)), (3, F(1, 2)), (4, F(37, 4)), (8, F(1, 21)), (64, F(1)), (2, F(1, 5)), (8, F(3))]:
                 calls.clear()
-                assert critical_rho(d, lam, F(1, 2**bits)).unresolved_midpoint is None
-                assert calls == [], (d, lam, bits, len(calls))
+                bracket = critical_rho(d, lam, F(1, 2**bits))
+                assert bracket.unresolved_midpoint is None
+                assert calls == [bracket.lo, bracket.hi], (d, lam, bits, len(calls))
         assert sum(levels) <= 3480, sum(levels)
 
     @pytest.mark.parametrize("nan", [(0, math.nan, 1.0), (0, 0.5, math.nan)])
@@ -573,7 +584,8 @@ class TestCellPath:
         monkeypatch.setattr(ced.decision, "_exact_closing", lambda p, outcome: True)
         calls = _counting_decide(monkeypatch)
         assert critical_rho(2, F(1), F(1, 2**40)) == expected
-        assert calls and min(calls) > expected.lo
+        # the cell's ends first, then bisection, above the lower end
+        assert calls[:2] == [expected.lo, expected.hi] and len(calls) > 2 and min(calls[2:]) > expected.lo
 
     @pytest.mark.parametrize(
         "d,lam,bits,m_max,by",
@@ -585,7 +597,7 @@ class TestCellPath:
         tol = F(1, 2**bits)
         lo, hi = growth_bounds(d, lam)
         guess = _shifted(by)
-        estimate, _ = guess(d, lam, lo, hi, tol, m_max)
+        estimate = guess(d, lam, lo, hi, tol, m_max)
         w = _cell_width(d, lam, tol)
         k = math.floor((estimate - lo) / w)
         seeds = {rho: decide(ModelParams(d, lam, rho), m_max).verdict for rho in (lo + k * w, lo + (k + 1) * w)}
@@ -596,8 +608,10 @@ class TestCellPath:
         calls = _counting_decide(monkeypatch)
         bracket = critical_rho(d, lam, tol, m_max)
         assert bracket == bisection(d, lam, tol, m_max) and bracket.unresolved_midpoint is not None
-        # an end of the Undecided midpoint's cell may lie past a seed inside that cell
-        assert all(gap_lo < rho < gap_hi or rho in (bracket.lo, bracket.hi) for rho in calls)
+        # the cell's ends first, then bisection; an end of the Undecided
+        # midpoint's cell may lie past a seed inside that cell
+        assert calls[:2] == list(seeds)
+        assert all(gap_lo < rho < gap_hi or rho in (bracket.lo, bracket.hi) for rho in calls[2:])
         assert {lo, hi} & set(calls) <= {bracket.lo, bracket.hi}
 
     # Recorded with plain bisection before the estimate: a midpoint comes back
