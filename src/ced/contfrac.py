@@ -25,32 +25,34 @@ Fraction and no gcd per level.  With lambda = a/b, rho = c/e, G_i = be +
 ae + i bc > 0 and alpha = d a b e^2 (`params.progression`), b_j = alpha /
 (G_{j+1} G_{j+2}).
 
-Backward continuants (`below_witness`).  Set S_{m+1} = 1, S_m = G_{m+2}
-and S_i = G_{i+2} S_{i+1} - alpha S_{i+2} for i = m-1, ..., -1, one
-big-by-small product per level.  Then 1 - t_{i+1} = S_i / (G_{i+2}
-S_{i+1}) by induction down from t_m = b_m, so while S_{i+1}, ..., S_m > 0:
+One recurrence, read in two directions.  `_pass` runs the ratios
 
-* there is a pole at level i (0 <= i < m) exactly when S_i <= 0;
-* t_{i+1} > 1 exactly when S_i < 0, and t_{i+1} = 1 exactly when S_i = 0;
-* t_0 > 1 exactly when S_{-1} < 0 (and t_0 < 1 exactly when S_{-1} > 0).
+    u_{-1} = 1,  u_j = 1 - c_j / u_{j-1},  c_j = alpha / (g_{j+1} g_{j+2}),
 
-Forward continuants (`forward_pass`).  Let F_{-1} = F_0 = 1 and F_{j+1} =
-F_j - b_j F_{j-1}.  Up to positive factors the F_j and the S_i are the
-leading and the trailing minors of one symmetric tridiagonal matrix, and
-by the chain-sequence criterion every tail of K[b_0, ..., b_n] lies below
-1 exactly when F_1, ..., F_{n+1} > 0 (Wall and Wetzel, Duke Math. J. 11,
-1944; Wall, Analytic Theory of Continued Fractions, 1948).  So, with
-`below_witness`'s ties and Y/Z psi's closing bound at b_m,
+over an arithmetic progression g_i > 0, and stops at the first u_j <= 0.
 
-    below(m) <=> F_j <= 0 for some j <= m, or F_{m+1} < 0 (F_{m+1} = 0 is t_0 = 1);
-    above(m) <=> 4 alpha < G_{m+1} G_{m+2}, F_1, ..., F_{m-1} > 0 and
-                 F_{m-1} - b_{m-1} (Y/Z) F_{m-2} > 0.
+* Backward (`below_witness`): g_i = G_{m+3-i}, so c_k = b_{m-k}.  By
+  induction from u_0 = 1 - b_m, u_k = 1 - t_{m-k} while u_0, ..., u_{k-1}
+  > 0, so the first u_k <= 0 over k = 0, ..., m names the deepest tail
+  at or past 1: t_{m-k} > 1 when u_k < 0, and t_{m-k} = 1, a pole at
+  level m - k - 1 (none when k = m), when u_k = 0.
+* Forward (`forward_pass`): g_i = G_i, so c_j = b_j and u_j = F_{j+1} /
+  F_j for the continuants F_{-1} = F_0 = 1, F_{j+1} = F_j - b_j F_{j-1}.
+  The two runs' continuants are, up to positive factors, the leading and
+  the trailing minors of one symmetric tridiagonal matrix, and by the
+  chain-sequence criterion every tail of K[b_0, ..., b_n] lies below 1
+  exactly when F_1, ..., F_{n+1} > 0 (Wall and Wetzel, Duke Math. J. 11,
+  1944; Wall, Analytic Theory of Continued Fractions, 1948).  So, with the
+  backward run's ties and Y/Z psi's closing bound at b_m,
 
-In the ratios u_j = F_{j+1} / F_j, u_{-1} = 1 and u_j = 1 - b_j / u_{j-1}:
-the first u_j <= 0 ends the pass, and depth m's closing test reads
-u_{m-2} > b_{m-1} Y/Z, which makes u_{m-1} > 0 too (Y/Z >= 1).  So one
-pass up j, testing depth m's closing at j = m - 2, returns the first depth
-of a schedule where either test holds.
+    below(m) <=> u_j <= 0 for some j < m, or u_m < 0 (u_m = 0 is t_0 = 1);
+    above(m) <=> 4 alpha < G_{m+1} G_{m+2}, u_0, ..., u_{m-2} > 0 and
+                 u_{m-2} > b_{m-1} Y/Z,
+
+  which makes u_{m-1} > 0 too (Y/Z >= 1).  So one pass up j, testing
+  depth m's closing before it forms u_{m-1}, returns the first depth of a
+  schedule where either test holds: below at the first depth m >= j for
+  the first u_j < 0, and m > j for the first u_j = 0.
 
 Closing factor.  Y/Z bounds psi(b_m) = 2 / (1 + sqrt(1 - 4 b_m)) from
 above, formed from integers for b_m = P/Q unreduced (P = alpha, Q =
@@ -65,25 +67,22 @@ short of psi itself).  Y/Z is left unreduced: the closing test is linear
 in Y and in Z, so a common factor changes nothing.
 
 Bounds first.  Exact continuants gain the bits of a G a level, so an
-exact run to depth m costs about m^2 word operations.  So both kernels
-first run bounds at the fixed scale one = 2^W, W = 64 + the bits of rho's
-denominator, with b_j exact inside each division: one floor and one ceil
-division a level, of numbers that do not grow with m.  Below 1, t_j =
-b_j / (1 - t_{j+1}) rises with t_{j+1}, and above 0, u_j rises with
-u_{j-1}; so from lo <= one t_{j+1} <= hi < one, and from 0 < lo <= one
-u_{j-1} <= hi, with q = alpha one^2 / (G_{j+1} G_{j+2}),
+exact run to depth m costs about m^2 word operations.  So each run is
+first made on bounds at the fixed scale one = 2^W, W = 64 + the bits of
+rho's denominator, with c_j exact inside each division: one floor and one
+ceil division a level, of numbers that do not grow with m.  Above 0, u_j
+rises with u_{j-1}; so from 0 < lo <= one u_{j-1} <= hi, with q = alpha
+one^2 / (g_{j+1} g_{j+2}),
 
-    floor(q / (one - lo)) <= one t_j <= ceil(q / (one - hi)),
     one - ceil(q / lo) <= one u_j <= one - floor(q / hi).
 
-A test whose bounds straddle it (an exact tie among them) runs exactly:
-`below_witness` the continuant sweep, and `forward_pass` the same loop
-again on u_j = T_{j+1} / (G_{j+2} T_j), where T_{-1} = 1, T_0 = G_1 and
-T_{j+1} = G_{j+2} T_j - alpha T_{j-1} = G_1 ... G_{j+2} F_{j+1}, two
-big-by-small products and one exact division by G_{j+1} a level.  So
-every answer is the exact one.  Near the threshold the tails come within
-about rho's grid step of 1 and the ratios of 0; the 64 guard bits leave
-room below that for the rounding that builds up over the levels.
+A test whose bounds straddle it (an exact tie among them) reruns the
+same loop exactly, on u_j = T_{j+1} / (g_{j+2} T_j), where T_{-1} = 1,
+T_0 = g_1 and T_{j+1} = g_{j+2} T_j - alpha T_{j-1} = g_1 ... g_{j+2}
+F_{j+1}: two big-by-small products a level.  So every answer is the exact
+one.  Near the threshold the tails come within about rho's grid step of 1
+and the ratios of 0; the 64 guard bits leave room below that for the
+rounding that builds up over the levels.
 """
 
 from __future__ import annotations
@@ -125,83 +124,56 @@ def _scale(p: ModelParams) -> int:
     return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
 
 
-def _sweep(alpha: int, step: int, g: int, i: int, s_next: int, s: int) -> Optional[tuple[int, int]]:
-    """First (j, S_j) with S_j <= 0 for j = i, i-1, ..., -1, else None.
+def _pass(
+    alpha: int, step: int, g: int, levels: int, depths: Sequence[int], scale: int
+) -> Union[None, bool, tuple[int, bool]]:
+    """The ratios u_0, ..., u_{levels-1} from g = g_0, closing each of depths (module docstring).
 
-    Starts from S_{i+2} = s_next, S_{i+1} = s and g = G_{i+2}.
+    On bounds at the scale `scale`, or exactly if it is 0.  (m, False) at
+    the first depth m whose closing test passes, (j, True) at the first
+    u_j < 0 and (j + 1, True) at the first u_j = 0, False when a test
+    straddles its bounds, else None.
     """
-    for j in range(i, -2, -1):
-        s_next, s = s, g * s - alpha * s_next
-        if s <= 0:
-            return j, s
-        g -= step
+    wanted, one, top = set(depths), scale or g + step, alpha * scale * scale
+    lo = hi = one  # one u_{-1}
+    t = 1  # T_{-1}, for the exact run
+    for j in range(levels):
+        g += step  # g_{j+1}
+        den = g * (g + step)  # alpha / c_j
+        if j + 1 in wanted and 4 * alpha < (q := (g + step) * (g + 2 * step)):  # c_{j+1} < 1/4
+            y, z = _psi_upper(alpha, q)  # depth j + 1's closing test: u_{j-1} > c_j Y/Z
+            if z * den * lo > alpha * y * one:
+                return j + 1, False
+            if z * den * hi > alpha * y * one:  # the bounds straddle it
+                return False
+        if scale:  # den lo = one u_{j-1} / c_j, at each end
+            lo, hi = one + -top // (den * lo), one - top // (den * hi)
+        else:  # lo = T_j, t = T_{j-1} and one = g_{j+1} T_{j-1}, so that u_{j-1} = lo / one
+            one = (g + step) * lo  # g_{j+2} T_j
+            lo, t = one - alpha * t, lo  # T_{j+1} and T_j
+            hi = lo
+        if lo <= 0:
+            return False if lo < hi and hi >= 0 else (j + (hi == 0), True)  # False: the bounds straddle 0
     return None
-
-
-def _bound_sweep(alpha: int, step: int, g: int, j: int, lo: int, hi: int, one: int) -> Optional[tuple[int, int]]:
-    """First (i, lower bound on one t_i) whose upper bound reaches one, for i = j, j-1, ..., 0, else None.
-
-    Starts from lo <= one t_j <= hi and g = G_{j+1} (module docstring).
-    """
-    top = alpha * one * one
-    while hi < one:
-        if not j:
-            return None
-        j, g = j - 1, g - step  # g = G_{j+1}
-        den = g * (g + step)
-        lo, hi = top // (den * (one - lo)), -(-top // (den * (one - hi)))
-    return j, lo
 
 
 def below_witness(p: ModelParams, m: int) -> Optional[int]:
     """Largest i with K[b_i, ..., b_m] > 1 (or infinite), else None.
 
-    One bottom-up sweep of continuants settles every tail value at once.
-    A tail value of exactly 1 makes the level above it +infinity, which
-    counts as a witness at that level: the singularity it creates sits at
-    or before d, and the caller treats the boundary case as below
-    critical.  So the scan returns i+1 at the first S_i < 0, i at the
-    first S_i = 0 with i >= 0, and None when S_{-1} >= 0.  A bound sweep
-    settles it first unless a tail's bounds straddle 1.
+    One backward run of `_pass` settles every tail value at once.  A tail
+    value of exactly 1 makes the level above it +infinity, which counts
+    as a witness at that level: the singularity it creates sits at or
+    before d, and the caller treats the boundary case as below critical.
+    So the first u_k < 0 gives level m - k, the first u_k = 0 level
+    m - k - 1, and None when that is -1 or every u_k > 0.  The run is
+    made on bounds, and once more exactly if they straddle 0.
     """
     alpha, step, g = _integers(p, m)
-    one, den = _scale(p), g * (g + step)
-    bound = _bound_sweep(alpha, step, g, m, alpha * one // den, -(-alpha * one // den), one)
-    if bound is None:
-        return None
-    if bound[1] > one:
-        return bound[0]
-    hit = _sweep(alpha, step, g, m - 1, 1, g + step)
-    if hit is None:
-        return None
-    i, s = hit
-    return i + 1 if s < 0 else (i if i >= 0 else None)
-
-
-def _pass(alpha: int, step: int, g: int, depths: Sequence[int], scale: int) -> Union[None, bool, tuple[int, bool]]:
-    """`forward_pass` from g = G_0, on bounds at the scale `scale`, or exactly if it is 0; False: a test straddles."""
-    wanted, one, top = set(depths), scale or g + step, alpha * scale * scale
-    lo = hi = one  # one u_{-1} = F_0 / F_{-1}
-    for j in range(depths[-1] + 1):
-        g += step  # G_{j+1}
-        den = g * (g + step)  # alpha / b_j
-        if j + 1 in wanted and 4 * alpha < (q := (g + step) * (g + 2 * step)):  # b_{j+1} < 1/4
-            y, z = _psi_upper(alpha, q)  # depth j + 1's closing test: u_{j-1} > b_j Y/Z
-            if z * den * lo > alpha * y * one:
-                return j + 1, False
-            if z * den * hi > alpha * y * one:  # the bounds straddle it
-                return False
-        if scale:  # den lo = one u_{j-1} / b_j, at each end
-            lo, hi = one + -top // (den * lo), one - top // (den * hi)
-        else:  # lo = T_j and one = G_{j+1} T_{j-1}, so that u_j = T_{j+1} / (G_{j+2} T_j)
-            one, t = (g + step) * lo, one // g  # G_{j+2} T_j and T_{j-1}
-            lo = hi = one - alpha * t  # T_{j+1}
-        if lo <= 0:
-            if lo < hi and hi >= 0:  # the bounds straddle 0
-                return False
-            k = bisect.bisect_left(depths, j + (hi == 0))
-            return (depths[k], True) if k < len(depths) else None
-    return None
+    run = (alpha, -step, g + 2 * step, m + 1, ())  # from g_0 = G_{m+3}
+    hit = _pass(*run, _scale(p))
+    if hit is False:
+        hit = _pass(*run, 0)
+    return m - hit[0] if hit and hit[0] <= m else None
 
 
 def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, bool]]:
@@ -214,9 +186,14 @@ def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, b
     test straddles its bounds.
     """
     alpha, step, g = _integers(p, depths[0])
-    g -= (depths[0] + 1) * step  # G_0
-    hit = _pass(alpha, step, g, depths, _scale(p))
-    return _pass(alpha, step, g, depths, 0) if hit is False else hit
+    run = (alpha, step, g - (depths[0] + 1) * step, depths[-1] + 1, depths)  # from g_0 = G_0
+    hit = _pass(*run, _scale(p))
+    if hit is False:
+        hit = _pass(*run, 0)
+    if not hit or not hit[1]:
+        return hit
+    k = bisect.bisect_left(depths, hit[0])
+    return (depths[k], True) if k < len(depths) else None
 
 
 def km_good(p: ModelParams, m: int) -> bool:

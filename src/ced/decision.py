@@ -18,9 +18,10 @@ the schedule misses nothing reachable by m_max.  Undecided is a
 first-class outcome: rho exactly at the threshold can never terminate,
 and bisection callers stop gracefully instead of looping.
 
-Every decision is one forward pass over that schedule
-(`contfrac.forward_pass`), which returns the first depth where either test
-passes; a Below there runs `below_witness` once more for its level.
+Every decision is one run of the kernel loop `contfrac._pass` up that
+schedule (`contfrac.forward_pass`), which returns the first depth where
+either test passes; a Below there runs the same loop once backward
+(`below_witness`) for its level.
 
 `critical_rho` bisects on the grid rho = lo + i w, w = (hi - lo) / 2^n,
 between the closed-form growth bounds, rounded outward onto the grid 2^-30
@@ -171,8 +172,9 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     vacuously; a certificate of the other side's kind never verifies.
 
     Both kernel re-checks run in `ced.certcheck`, on unreduced integer
-    pairs of tail values.  It shares no code with the continuant sweeps of
-    `below_witness` and `km_good` that produced the certificates, and it
+    pairs of tail values.  It shares no code with `contfrac._pass`, the one
+    kernel loop that produced the certificates (run forward by
+    `forward_pass` and `km_good`, backward by `below_witness`), and it
     proves its closing bound on psi(b_m) instead of trusting it.
     """
     cert = outcome.certificate

@@ -21,6 +21,10 @@ TOL_200 = f"1/{2**200}"
 COMMANDS = [
     ["decide", "--d", "2", "--lambda", "1", "--rho", "1"],
     ["decide", "--d", "3", "--lambda", "7/2", "--rho", "1/10", "--json"],
+    # b_1 = 1 exactly: the tie t_1 = 1 puts the pole at level 0
+    ["decide", "--d", "20", "--lambda", "1", "--rho", "1", "--json"],
+    # a Below at depth 4 whose backward run stops inside the fraction: t_1 > 1, level 1
+    ["decide", "--d", "2", "--lambda", "2", "--rho", "25/256", "--json"],
     ["phase", "--d", "2", "--lambda", "1", "--rho", "1/3"],
     ["phase", "--d", "4", "--lambda", "1/2", "--rho", "0", "--json"],
     ["rho-c", "--d", "2", "--lambda", "1", "--tol", TOL_200, "--certs", "--format", "json"],

@@ -235,7 +235,7 @@ class TestForwardPass:
         # at these scales the bounds on u_{m-2} straddle b_{m-1} Y/Z, and only the exact rerun finds depth m good
         monkeypatch.setattr(ced.contfrac, "_scale", lambda p: scale)
         alpha, step, g = ced.contfrac._integers(p, 1)
-        assert ced.contfrac._pass(alpha, step, g - 2 * step, [m], scale) is False
+        assert ced.contfrac._pass(alpha, step, g - 2 * step, m + 1, [m], scale) is False
         assert km_good(p, m) is reference_km_good(p, m) is True
 
 
@@ -353,15 +353,14 @@ def near_threshold(draw):
 
 
 def exact_kernels(p, m):
-    """Both kernels' answers from their exact runs alone: a bound sweep that settles nothing, and scale 0."""
+    """Both kernels' answers from their exact runs alone: `_pass` at scale 0."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ced.contfrac, "_bound_sweep", lambda *args: (0, 0))
-        mp.setattr(ced.contfrac, "_scale", lambda p: 0)  # the forward pass's exact run
+        mp.setattr(ced.contfrac, "_scale", lambda p: 0)
         return below_witness(p, m), km_good(p, m)
 
 
 class TestBoundSweeps:
-    """The bound sweeps with the exact fallback against the exact sweep alone."""
+    """The bound runs with the exact fallback against the exact runs alone."""
 
     @given(near_threshold())
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -372,22 +371,27 @@ class TestBoundSweeps:
     @pytest.mark.parametrize("scale", [1, 16])
     def test_match_the_exact_sweep_at_a_tiny_scale(self, scale):
         # at scale 1 every tail's bounds straddle 1 from the start, so every
-        # below_witness call falls back; at 16 the bounds give out partway.
-        # km_good's forward pass reruns exactly (scale 0) at some depths
-        sweep, run, fell_back, reran = ced.contfrac._sweep, ced.contfrac._pass, [], []
+        # below_witness call falls back to the exact run; at 16 the bounds
+        # give out partway.  km_good's forward pass reruns exactly at some depths
+        run, fell_back, reran = ced.contfrac._pass, [], []
 
         @given(near_threshold())
         @settings(max_examples=60, derandomize=True, deadline=None, database=None)
         def check(case):
             p, m = case
-            expected, ran = exact_kernels(p, m), []
+            expected, exact = exact_kernels(p, m), []
+
+            def recorded(*args):  # scale 0 is an exact run, and one with no closing depths below_witness's
+                if not args[-1]:
+                    exact.append(not args[-2])
+                return run(*args)
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ced.contfrac, "_scale", lambda p: scale)
-                mp.setattr(ced.contfrac, "_sweep", lambda *args: ran.append(args) or sweep(*args))
-                mp.setattr(ced.contfrac, "_pass", lambda *args: reran.append(not args[-1]) or run(*args))
-                got = below_witness(p, m)
-                fell_back.append(bool(ran))
-                assert (got, km_good(p, m)) == expected
+                mp.setattr(ced.contfrac, "_pass", recorded)
+                assert (below_witness(p, m), km_good(p, m)) == expected
+            fell_back.append(True in exact)
+            reran.append(False in exact)
 
         check()
         assert all(fell_back) if scale == 1 else any(fell_back)

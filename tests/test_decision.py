@@ -241,25 +241,33 @@ class TestReferenceDecide:
 
 
 class TestFastPath:
-    """The bound sweeps and bound runs settle these brackets without an exact sweep or climb."""
+    """The bound runs settle these brackets without an exact run or climb."""
 
     @pytest.mark.parametrize(
         "d,lam,tol",
         [(2, F(1), F(1, 2**100)), (3, F(197, 20), F(1, 2**200)), (2**16, F(130939929, 500), F(1, 2**200))],
     )
     def test_no_exact_fallback(self, monkeypatch, d, lam, tol):
-        calls, run = [], ced.contfrac._pass
-        for module, name in ((ced.contfrac, "_sweep"), (ced.certcheck, "_climb")):
-            exact = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, exact=exact, name=name: calls.append(name) or exact(*args))
+        calls, run, climb = [], ced.contfrac._pass, ced.certcheck._climb
+        monkeypatch.setattr(ced.certcheck, "_climb", lambda *args: calls.append("_climb") or climb(*args))
 
-        def recorded(*args):  # the last argument is the scale, and scale 0 the forward pass's exact run
+        def recorded(*args):  # the last argument is the scale, and scale 0 an exact run of either kernel
             return run(*args) if args[-1] else calls.append("_pass") or run(*args)
 
         monkeypatch.setattr(ced.contfrac, "_pass", recorded)
         bracket = critical_rho(d, lam, tol)
         assert bracket.unresolved_midpoint is None and bracket.hi - bracket.lo <= tol
         assert calls == []
+
+    def test_one_loop_serves_both_kernels(self, monkeypatch):
+        # a Below runs the loop up the schedule, then once backward for its level; an Above only up
+        bracket, run, steps = critical_rho(2, F(1), F(1, 2**60)), ced.contfrac._pass, []
+        monkeypatch.setattr(ced.contfrac, "_pass", lambda *args: steps.append(args[1]) or run(*args))
+        for rho, verdict in ((bracket.lo, Verdict.BELOW), (bracket.hi, Verdict.ABOVE)):
+            steps.clear()
+            assert decide(ModelParams(2, F(1), rho)).verdict is verdict
+            assert any(step > 0 for step in steps)
+            assert sum(step < 0 for step in steps) == (verdict is Verdict.BELOW)
 
 
 class TestCriticalRho:
