@@ -301,20 +301,19 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
     red_depth = np.zeros(n, np.int64)
     ren_sum, ren_sumsq = [0] * (cap + 1), [0] * (cap + 1)
     run = [(-1, 0, 0)] * (cap + 1)  # per level: its last drawn trial, that trial's renewals and children so far
-    # Pending vertices, next last: a level and, in (trial, index) order, the slab-local trial, index in its trial's
-    # level, red time and parent's blue time (the seed's is 0).  A piece's children go before the rest of its level.
-    pending = [(0, (np.arange(n), np.zeros(n, np.uint64), np.zeros(n), np.zeros(n)))]
-    leaves = []  # cap vertices, in order: with no children, they wait until they fill a piece
-    while pending or leaves:
-        if not pending or sum(leaf[0].size for leaf in leaves) >= _LIVE_VERTICES:
-            pending.append((cap, tuple(map(np.concatenate, zip(*leaves)))))
-            leaves = []
-        level, live = pending.pop()
+    full = [max(1, _LIVE_VERTICES // ((d + 5) // 4))] * cap + [_LIVE_VERTICES]  # vertices in a full piece, per level
+    # Waiting vertices per level, in (trial, index) order: the slab-local trial, index in its trial's level, red time
+    # and parent's blue time (the seed's is 0).  The deepest level that holds a full piece draws one; when none does,
+    # the shallowest level that holds any vertex draws all it holds.  Its shallower levels are empty then, so no more
+    # vertices reach it: each level ends in one short piece.  A level takes children only while it holds less than a
+    # full piece, so it waits as at most that and one piece's children.
+    waiting = [(np.arange(n), np.zeros(n, np.uint64), np.zeros(n), np.zeros(n))] + [()] * cap
+    while any(held := [w[0].size if w else 0 for w in waiting]):
+        ready = [level for level in range(cap + 1) if held[level] >= full[level]]
+        level = ready[-1] if ready else min(level for level in range(cap + 1) if held[level])
+        trial, index, red, parent_blue = (a[:full[level]] for a in waiting[level])
+        waiting[level] = tuple(a[full[level]:] for a in waiting[level]) if held[level] > full[level] else ()
         blocks = (d + 5) // 4 if level < cap else 1  # cap vertices never spread: death and overtake only
-        size = max(1, _LIVE_VERTICES // blocks)
-        if live[0].size > size:
-            pending.append((level, tuple(a[size:] for a in live)))
-        trial, index, red, parent_blue = (a[:size] for a in live)
         # One call draws the piece's (block, vertex) grid; words[w] is then every vertex's word w.
         keys = np.concatenate((trial.astype(np.uint64) + np.uint64(start),) * blocks)
         block = np.arange(blocks, dtype=np.uint64).repeat(trial.size) if blocks > 1 else 0
@@ -352,11 +351,10 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
         live = (trial[parent], (np.arange(parent.size) - base[local[parent]]).view(np.uint64),
                 spread.ravel()[born], blue[parent])
         red_depth[live[0]] = np.maximum(red_depth[live[0]], level + 1)
-        if level + 1 == cap:
-            kept = live[3] < np.inf  # only cap vertices whose parent turns blue are drawn
-            leaves += [tuple(a[kept] for a in live)] if kept.any() else []
-        elif live[0].size:
-            pending.append((level + 1, live))
+        if level < cap:
+            kept = live[3] < np.inf if level + 1 == cap else slice(None)  # only cap vertices with a blue parent draw
+            live, queue = tuple(a[kept] for a in live), waiting[level + 1]
+            waiting[level + 1] = tuple(map(np.concatenate, zip(queue, live))) if queue else live
     return ren_sum, ren_sumsq, np.bincount(blue_depth + 1).tolist(), np.bincount(red_depth).tolist()
 
 

@@ -511,6 +511,11 @@ GOLDEN = [
     # Supercritical: almost every cap vertex has a parent that never turns blue and
     # draws nothing; recorded while every cap vertex still drew its words.
     ("simulate tree --d 2 --lambda 2 --rho 1/2 --depth 8 --trials 1000 --seed 1", 0, "aac7cd5fb8cb0d8987900a326e1892cd3d4223e36e5ed580b2976e1127a1428c"),
+    # Levels cut into many pieces (22, 51 and 15 Philox calls), recorded while
+    # a piece's children were still drawn before the rest of its level.
+    ("simulate tree --d 3 --lambda 1 --rho 1/2 --depth 6 --trials 2000 --seed 1", 0, "6f814ab5191bacdaa4178012468225b7dd9c093f7682c540445b8272a075aa9a"),
+    ("simulate tree --d 4 --lambda 2 --rho 1/2 --depth 6 --trials 500 --seed 1", 0, "bb6692e5de4eb05c9f8db5dbac6a9c4926cef322b2f950a95cb95695a84aa4e6"),
+    ("simulate tree --d 2 --lambda 1 --rho 0 --depth 6 --trials 3000 --seed 1 --format json", 0, "3d5ad905b826ca2b9450dc7769eb0529f8333a5d06890deb2ddb4c81d53da1cc"),
     ("decide --d 2 --lambda 1 --rho 1/0", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Deep brackets (tol 2^-100, m = 32 and 64), a below witness at level 1
     # and the two exact ties b_1 = 1 and t_0 = 1, recorded with the Fraction

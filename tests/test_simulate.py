@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 from dataclasses import replace
@@ -365,7 +366,7 @@ class TestTreeTrials:
             simulate_tree(ModelParams(2, F(5), F(0)), 12, 100, seed=1)
 
     def test_budget_stop_holds_pieces_not_levels(self):
-        # One trial near the budget: the pending pieces, not whole levels, bound the memory.
+        # One trial near the budget: the waiting pieces, not whole levels, bound the memory.
         tracemalloc.start()
         try:
             with pytest.raises(ResourceBudgetError):
@@ -468,12 +469,40 @@ class TestSimulateTree:
         assert cap_lanes == sum(r.blue_parent_vertices_per_level[cap] for r in records) > 0
         assert summary.red_depth_counts[cap] == sum(r.red_reached_depth == cap for r in records)
         if live_vertices == 5:
-            # Some entry of level cap - 1 has children at the cap, none of which draws: it pushes no entry.
+            # Some piece of level cap - 1 has children at the cap, none of which draws: none of them waits.
             assert any(
                 any(records[t].red_reached_depth == cap for t in trials)
                 and not any(records[t].blue_parent_vertices_per_level[cap] for t in trials)
                 for level, trials in calls if level == cap - 1
             )
+
+    @pytest.mark.parametrize(
+        "p,cap,n_trials,seed,live_vertices,slab,lanes",
+        [
+            (ModelParams(3, F(1), F(1, 2)), 6, 2000, 1, ced.simulate._LIVE_VERTICES, ced.simulate._SLAB, 125_094),
+            (ModelParams(3, F(2), F(1, 2)), 5, 40, 6, 5, 16, 3402),  # test_split_path_equals_scalar_reference's point
+        ],
+    )
+    def test_each_level_ends_in_one_short_piece(self, monkeypatch, p, cap, n_trials, seed, live_vertices, slab, lanes):
+        # A level draws a short piece only once no level holds a full one, and then never receives another vertex.
+        calls = []  # (slab, level, lanes) of each Philox call
+        philox_block = ced.simulate._philox_block
+
+        def recording(counter, trials, seed):
+            calls.append((int(trials[0]) // slab, counter[0] - 1, trials.size))
+            return philox_block(counter, trials, seed)
+
+        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
+        monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
+        monkeypatch.setattr(ced.simulate, "_SLAB", slab)
+        simulate_tree(p, cap, n_trials, seed)
+        short = collections.Counter()
+        for s, level, size in calls:
+            blocks = (p.d + 5) // 4 if level < cap else 1
+            short[s, level] += size < live_vertices // blocks * blocks
+        assert max(short.values()) <= 1
+        assert {s for s, _, _ in calls} == set(range(-(-n_trials // slab)))
+        assert sum(size for _, _, size in calls) == lanes  # set by the vertices drawn, not by their order
 
     def test_split_path_equals_scalar_reference(self, monkeypatch):
         p = ModelParams(3, F(2), F(1, 2))  # supercritical: red survives to the cap
