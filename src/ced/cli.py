@@ -6,6 +6,10 @@ object).  Rationals are written exactly as "p/q"; stdout carries data,
 stderr carries logs (including wall-clock timing, which is kept off
 stdout so replaying a manifest reproduces output byte for byte).
 
+Each flag is defined once, and argparse alone decides which flags a
+subcommand takes: rho-c needs exactly one of --lambda and --lambda-grid,
+catalan exactly one of --k and --k-max.  --json is --format json.
+
 Exit codes for `decide`: 0 below, 1 above, 2 undecided, 64 usage error,
 70 runtime error.  Other subcommands: 0 on success.  Exit 70 covers any
 RuntimeError or ValueError, among them `BracketError` and
@@ -91,7 +95,7 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
 
 
 def _check_rate(flag: str, value: Fraction) -> None:
-    """A spread rate (--lambda) must be positive and a death rate (--rho) nonnegative."""
+    """A spread rate (--lambda) must be positive, a death rate (--rho) and a series point (--z) nonnegative."""
     if value < 0 or (value == 0 and flag == "--lambda"):
         raise UsageError(f"{flag}: must be {'positive' if flag == '--lambda' else 'nonnegative'}, got {value}")
 
@@ -101,7 +105,7 @@ def _rational_arg(flag: str, min_bits: int | None = None):
 
     def convert(text: str) -> Fraction:
         value = parse_rational(text, flag)  # its UsageError names the flag and reaches main as is
-        if flag in ("--lambda", "--rho"):
+        if flag in ("--lambda", "--rho", "--z"):
             _check_rate(flag, value)
         if min_bits is not None and value < Fraction(1, 1 << min_bits):
             raise argparse.ArgumentTypeError(f"must be >= 2^-{min_bits}, got {value}")
@@ -225,7 +229,7 @@ def _cmd_decide(args) -> int:
     _emit(
         "decide",
         {**_model_params(p), "max_m": args.max_m},
-        "json" if args.json else "text",
+        args.format,
         scalars={
             "verdict": outcome.verdict.value,
             "certificate": _certificate_json(outcome),
@@ -289,8 +293,6 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _cmd_rho_c(args) -> int:
-    if (args.lam is None) == (args.lambda_grid is None):
-        raise UsageError("rho-c: give exactly one of --lambda or --lambda-grid")
     if args.lam is not None:
         params, grid = {"lambda": args.lam}, [args.lam]
         try:
@@ -323,19 +325,13 @@ def _cmd_catalan(args) -> int:
         raise UsageError(f"--mode {mode} needs --m")
     if mode == MODE_EXACT and args.m is not None:
         raise UsageError("--m: exact mode takes no cutoff height")
-    if args.z is not None and args.z < 0:
-        raise UsageError(f"--z: must be nonnegative, got {args.z}")
-    if args.k is not None and args.k_max is not None:
-        raise UsageError("catalan: give --k or --k-max, not both")
     params = {**_model_params(p), "mode": mode}
     if args.m is not None:
         params["m"] = args.m
     single = "json" if args.format == "json" else "text"  # one value is never a CSV table
     if args.z is not None:
         # partial sum of the generating function up to k_max
-        k_hi = args.k_max if args.k_max is not None else args.k
-        if k_hi is None:
-            raise UsageError("--z needs --k or --k-max for the truncation order")
+        k_hi = args.k if args.k_max is None else args.k_max
         params.update({"z": args.z, "K": k_hi})
         value = partial_series(p, args.z, k_hi, mode, args.m)
         _emit("catalan", params, single, scalars={"partial_series": value}, text=value)
@@ -343,8 +339,6 @@ def _cmd_catalan(args) -> int:
         params["k_max"] = args.k_max
         seq = weighted_catalan_sequence(p, args.k_max, mode, args.m)
         _emit("catalan", params, args.format, ["k", "value"], list(enumerate(seq)))
-    elif args.k is None:
-        raise UsageError("catalan: give --k or --k-max")
     else:
         params["k"] = args.k
         value = weighted_catalan(p, args.k, mode, args.m).value
@@ -398,7 +392,7 @@ def _cmd_phase(args) -> int:
     p = ModelParams(args.d, args.lam, args.rho)
     label = classify_phase(p, args.max_m).value
     params = {**_model_params(p), "max_m": args.max_m}
-    _emit("phase", params, "json" if args.json else "text", scalars={"phase": label}, text=label)
+    _emit("phase", params, args.format, scalars={"phase": label}, text=label)
     return 0
 
 
@@ -412,42 +406,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ced", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    # decide and phase take the same parameter triple, depth cap and --json
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
-    point.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
-    point.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    point.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
-    point.add_argument("--json", action="store_true")
+    depth = argparse.ArgumentParser(add_help=False)  # decide, phase and rho-c
+    depth.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
+    depth.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
+    rates = argparse.ArgumentParser(add_help=False)  # decide, phase and catalan
+    rates.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
+    rates.add_argument("--rho", type=_rational_arg("--rho"), required=True)
+    table = argparse.ArgumentParser(add_help=False)  # rho-c, catalan and simulate
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    point = argparse.ArgumentParser(add_help=False, parents=[depth, rates])  # decide and phase
+    point.add_argument("--json", action="store_const", dest="format", const="json", default="text")
 
     pd = sub.add_parser("decide", parents=[point], help="decide rho below/above the critical death rate")
     pd.set_defaults(func=_cmd_decide)
 
-    pr = sub.add_parser("rho-c", help="bracket the critical death rate by bisection")
-    pr.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
-    pr.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"))
-    pr.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:N evenly spaced")
+    pr = sub.add_parser("rho-c", parents=[depth, table], help="bracket the critical death rate by bisection")
+    lambdas = pr.add_mutually_exclusive_group(required=True)
+    lambdas.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"))
+    lambdas.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:N evenly spaced")
     pr.add_argument("--tol", type=_rational_arg("--tol", MIN_TOL_BITS), required=True,
                     help=f"at least 2^-{MIN_TOL_BITS}")
-    pr.add_argument("--max-m", dest="max_m", type=_int_arg(1, DEFAULT_M_MAX), default=DEFAULT_M_MAX)
     pr.add_argument("--certs", action="store_true", help="embed endpoint certificates")
-    pr.add_argument("--format", choices=("csv", "json"), default="csv")
     pr.add_argument("--threads", type=_int_arg(1), default=1)
     pr.set_defaults(func=_cmd_rho_c)
 
-    pc = sub.add_parser("catalan", help="exact weighted Catalan numbers and partial series")
+    pc = sub.add_parser("catalan", parents=[rates, table], help="exact weighted Catalan numbers and partial series")
     pc.add_argument("--d", type=_int_arg(2), default=2)
-    pc.add_argument("--lambda", dest="lam", type=_rational_arg("--lambda"), required=True)
-    pc.add_argument("--rho", type=_rational_arg("--rho"), required=True)
-    pc.add_argument("--k", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
-    pc.add_argument("--k-max", dest="k_max", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
+    sizes = pc.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--k", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
+    sizes.add_argument("--k-max", dest="k_max", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
     pc.add_argument("--z", type=_rational_arg("--z"), help="evaluate the partial series at z")
     pc.add_argument("--mode", choices=(MODE_EXACT, MODE_CAPPED, MODE_FLATTENED), default=MODE_EXACT)
     pc.add_argument("--m", type=_int_arg(1), help="cutoff height for capped/flattened modes")
-    pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.set_defaults(func=_cmd_catalan)
 
-    ps = sub.add_parser("simulate", help="Monte Carlo engines")
+    ps = sub.add_parser("simulate", parents=[table], help="Monte Carlo engines")
     ps.add_argument("engine", choices=("line", "tree"))
     ps.add_argument("--d", type=_int_arg(2, MAX_SIMULATE_D), default=2,
                     help=f"branching factor (at most {MAX_SIMULATE_D})")
@@ -461,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"tree: depth cap (at most {MAX_LINE_K})")
     ps.add_argument("--allow-decimal", action="store_true",
                     help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.set_defaults(func=_cmd_simulate)
 
     pp = sub.add_parser("phase", parents=[point], help="classify coexistence / escape / extinction")
@@ -482,14 +474,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    except UsageError as exc:
-        print(f"ced: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    start = time.monotonic()
-    try:
+        args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        start = time.monotonic()
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
     except UsageError as exc:

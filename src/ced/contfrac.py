@@ -76,20 +76,20 @@ one^2 / (g_{j+1} g_{j+2}),
 
     one - ceil(q / lo) <= one u_j <= one - floor(q / hi).
 
-A test whose bounds straddle it (an exact tie among them) reruns the
-same loop exactly, on u_j = T_{j+1} / (g_{j+2} T_j), where T_{-1} = 1,
-T_0 = g_1 and T_{j+1} = g_{j+2} T_j - alpha T_{j-1} = g_1 ... g_{j+2}
-F_{j+1}: two big-by-small products a level.  So every answer is the exact
-one.  Near the threshold the tails come within about rho's grid step of 1
-and the ratios of 0; the 64 guard bits leave room below that for the
-rounding that builds up over the levels.
+A test whose bounds straddle it (an exact tie among them) makes `_pass`
+rerun itself exactly from g_0, on u_j = T_{j+1} / (g_{j+2} T_j), where
+T_{-1} = 1, T_0 = g_1 and T_{j+1} = g_{j+2} T_j - alpha T_{j-1} = g_1 ...
+g_{j+2} F_{j+1}: two big-by-small products a level.  So every answer is
+the exact one.  Near the threshold the tails come within about rho's grid
+step of 1 and the ratios of 0; the 64 guard bits leave room below that for
+the rounding that builds up over the levels.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ced.params import ModelParams, _progression_origin
 
@@ -124,17 +124,16 @@ def _scale(p: ModelParams) -> int:
     return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
 
 
-def _pass(
-    alpha: int, step: int, g: int, levels: int, depths: Sequence[int], scale: int
-) -> Union[None, bool, tuple[int, bool]]:
-    """The ratios u_0, ..., u_{levels-1} from g = g_0, closing each of depths (module docstring).
+def _pass(alpha: int, step: int, g0: int, levels: int, depths: Sequence[int], scale: int) -> Optional[tuple[int, bool]]:
+    """The ratios u_0, ..., u_{levels-1} from g0 = g_0, closing each of depths (module docstring).
 
-    On bounds at the scale `scale`, or exactly if it is 0.  (m, False) at
-    the first depth m whose closing test passes, (j, True) at the first
-    u_j < 0 and (j + 1, True) at the first u_j = 0, False when a test
-    straddles its bounds, else None.
+    On bounds at the scale `scale`, or exactly if it is 0; a test that
+    straddles its bounds reruns the whole pass exactly, where lo = hi and
+    no test can straddle.  (m, False) at the first depth m whose closing
+    test passes, (j, True) at the first u_j < 0 and (j + 1, True) at the
+    first u_j = 0, else None.
     """
-    wanted, one, top = set(depths), scale or g + step, alpha * scale * scale
+    wanted, g, one, top = set(depths), g0, scale or g0 + step, alpha * scale * scale
     lo = hi = one  # one u_{-1}
     t = 1  # T_{-1}, for the exact run
     for j in range(levels):
@@ -145,7 +144,7 @@ def _pass(
             if z * den * lo > alpha * y * one:
                 return j + 1, False
             if z * den * hi > alpha * y * one:  # the bounds straddle it
-                return False
+                return _pass(alpha, step, g0, levels, depths, 0)
         if scale:  # den lo = one u_{j-1} / c_j, at each end
             lo, hi = one + -top // (den * lo), one - top // (den * hi)
         else:  # lo = T_j, t = T_{j-1} and one = g_{j+1} T_{j-1}, so that u_{j-1} = lo / one
@@ -153,7 +152,9 @@ def _pass(
             lo, t = one - alpha * t, lo  # T_{j+1} and T_j
             hi = lo
         if lo <= 0:
-            return False if lo < hi and hi >= 0 else (j + (hi == 0), True)  # False: the bounds straddle 0
+            if lo < hi and hi >= 0:  # the bounds straddle 0
+                return _pass(alpha, step, g0, levels, depths, 0)
+            return j + (hi == 0), True
     return None
 
 
@@ -165,14 +166,10 @@ def below_witness(p: ModelParams, m: int) -> Optional[int]:
     as a witness at that level: the singularity it creates sits at or
     before d, and the caller treats the boundary case as below critical.
     So the first u_k < 0 gives level m - k, the first u_k = 0 level
-    m - k - 1, and None when that is -1 or every u_k > 0.  The run is
-    made on bounds, and once more exactly if they straddle 0.
+    m - k - 1, and None when that is -1 or every u_k > 0.
     """
     alpha, step, g = _integers(p, m)
-    run = (alpha, -step, g + 2 * step, m + 1, ())  # from g_0 = G_{m+3}
-    hit = _pass(*run, _scale(p))
-    if hit is False:
-        hit = _pass(*run, 0)
+    hit = _pass(alpha, -step, g + 2 * step, m + 1, (), _scale(p))  # from g_0 = G_{m+3}
     return m - hit[0] if hit and hit[0] <= m else None
 
 
@@ -182,14 +179,9 @@ def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, b
     depths ascend from 1.  The pass (module docstring) stops at the first
     u_j <= 0, which is below(m) at the first depth m >= j (m > j when u_j
     = 0), or at the first depth m whose closing test passes, before u_{m-1}.
-    It runs on bounds at the scale `_scale(p)`, and once more exactly if a
-    test straddles its bounds.
     """
     alpha, step, g = _integers(p, depths[0])
-    run = (alpha, step, g - (depths[0] + 1) * step, depths[-1] + 1, depths)  # from g_0 = G_0
-    hit = _pass(*run, _scale(p))
-    if hit is False:
-        hit = _pass(*run, 0)
+    hit = _pass(alpha, step, g - (depths[0] + 1) * step, depths[-1] + 1, depths, _scale(p))  # from g_0 = G_0
     if not hit or not hit[1]:
         return hit
     k = bisect.bisect_left(depths, hit[0])

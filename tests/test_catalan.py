@@ -72,6 +72,10 @@ class TestWeightTable:
         with pytest.raises(ValueError):
             step_weights(P211, 4, MODE_EXACT, m=3)
 
+    def test_negative_height_rejected(self):
+        with pytest.raises(ValueError, match="height"):
+            step_weights(P211, -1)
+
 
 class TestWeightedCatalan:
     def test_k0_is_one(self):
@@ -166,6 +170,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             weighted_catalan_bruteforce(P211, 13)
 
+    @pytest.mark.parametrize("table", [weighted_catalan_sequence, weighted_catalan, weighted_catalan_bruteforce])
+    def test_negative_k_rejected(self, table):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            table(P211, -1)
+
     def test_step_profiles_group_every_path(self):
         # matched rise/fall pairs make e[2j] = e[2j+1], so a group is a
         # composition of k: 2^(k-1) of them
@@ -236,6 +245,10 @@ class TestPartialSeries:
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
             partial_series(P211, F(-1), 3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            partial_series(P211, F(1), -1)
 
 
 # rho = 0 (closed form), small rho, dyadic rho as in the bisection brackets,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -215,8 +216,12 @@ class TestArgumentRanges:
             ("rho-c --d 2 --lambda-grid=-1:1:3 --tol 1/8", "--lambda-grid: LO must be positive"),
             ("rho-c --d 2 --lambda-grid 1:2 --tol 1/8", "--lambda-grid: expected LO:HI:N"),
             ("rho-c --d 2 --lambda-grid 1:2:x --tol 1/8", "--lambda-grid: N must be an integer"),
-            ("catalan --lambda 1 --rho 1 --z 1", "--z needs --k or --k-max"),
-            ("catalan --lambda 1 --rho 1", "catalan: give --k or --k-max"),
+            # exactly one flag of each exclusive pair is required, and the message names both
+            ("catalan --lambda 1 --rho 1 --z 1", "one of the arguments --k --k-max is required"),
+            ("catalan --lambda 1 --rho 1", "one of the arguments --k --k-max is required"),
+            ("catalan --lambda 1 --rho 1 --k 1 --k-max 2", "--k-max: not allowed with argument --k"),
+            ("rho-c --d 2 --tol 1/8", "one of the arguments --lambda --lambda-grid is required"),
+            ("rho-c --d 2 --lambda 1 --lambda-grid 1:2:2 --tol 1/8", "--lambda-grid: not allowed with argument --lambda"),
             ("simulate line --lambda 0 --rho 1 --trials 1 --seed 1", "--lambda: must be positive"),
             ("simulate tree --lambda 1 --rho -1 --trials 1 --seed 1", "--rho: must be nonnegative"),
             ("rho-c --d 2 --lambda-grid 1:2:2 --tol 1/4 --threads 0", "--threads"),
@@ -543,6 +548,32 @@ GOLDEN = [
 def test_golden_replay(capsys, argv, code, digest):
     got, out, _ = run(capsys, *argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+#: Every option string each subcommand accepts: a flag shared through a parent
+#: parser must reach exactly the subcommands listed here.
+OPTIONS = {
+    "decide": {"-h", "--help", "--d", "--lambda", "--rho", "--max-m", "--json"},
+    "rho-c": {"-h", "--help", "--d", "--lambda", "--lambda-grid", "--tol", "--max-m", "--certs", "--format",
+              "--threads"},
+    "catalan": {"-h", "--help", "--d", "--lambda", "--rho", "--k", "--k-max", "--z", "--mode", "--m", "--format"},
+    "simulate": {"-h", "--help", "--d", "--lambda", "--rho", "--trials", "--seed", "--k-max", "--depth",
+                 "--allow-decimal", "--format"},
+    "phase": {"-h", "--help", "--d", "--lambda", "--rho", "--max-m", "--json"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    (subparsers,) = (a for a in ced.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {s for a in sub._actions for s in a.option_strings} for name, sub in subparsers.choices.items()}
+    assert taken == OPTIONS
+
+
+@pytest.mark.parametrize("subcommand", ["", *OPTIONS])
+def test_help_exits_0(capsys, subcommand):
+    with pytest.raises(SystemExit) as stop:
+        main([subcommand, "--help"] if subcommand else ["--help"])
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith(f"usage: ced {subcommand}".rstrip())
 
 
 @pytest.mark.parametrize(

@@ -233,10 +233,11 @@ class TestForwardPass:
     )
     def test_a_closing_test_the_bounds_straddle_reruns_exactly(self, monkeypatch, p, m, scale):
         # at these scales the bounds on u_{m-2} straddle b_{m-1} Y/Z, and only the exact rerun finds depth m good
+        run, scales = ced.contfrac._pass, []
         monkeypatch.setattr(ced.contfrac, "_scale", lambda p: scale)
-        alpha, step, g = ced.contfrac._integers(p, 1)
-        assert ced.contfrac._pass(alpha, step, g - 2 * step, m + 1, [m], scale) is False
+        monkeypatch.setattr(ced.contfrac, "_pass", lambda *args: scales.append(args[-1]) or run(*args))
         assert km_good(p, m) is reference_km_good(p, m) is True
+        assert scales == [scale, 0]
 
 
 class TestTailMonotonicity:

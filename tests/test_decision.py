@@ -348,6 +348,23 @@ class TestCriticalRho:
         with pytest.raises(ValueError):
             critical_rho(2, F(1), F(0))
 
+    def test_depth_cap_validation(self):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            decide(ModelParams(2, F(1), F(1)), 0)
+
+    @pytest.mark.parametrize("m_max", range(1, 8))
+    def test_shallow_cap_bisects_without_an_estimate(self, monkeypatch, m_max):
+        # the estimate needs m_max >= 8; below that, bisection alone brackets rho_c, more coarsely
+        tol = F(1, 2**20)
+        deep, estimate, estimates = critical_rho(2, F(1), tol), ced.decision._estimate_rho_c, []
+        monkeypatch.setattr(ced.decision, "_estimate_rho_c", lambda *args: estimates.append(estimate(*args)))
+        bracket = critical_rho(2, F(1), tol, m_max)
+        assert estimates == [None]
+        for rho, out in ((bracket.lo, bracket.lo_outcome), (bracket.hi, bracket.hi_outcome)):
+            assert verify_certificate(ModelParams(2, F(1), rho), out)
+        # both brackets are dyadic cells of one grid, so the coarser one holds the deeper one
+        assert bracket.lo <= deep.lo and deep.hi <= bracket.hi
+
 
 @st.composite
 def inside_window(draw):
