@@ -73,7 +73,7 @@ if TYPE_CHECKING:
 DEFAULT_MAX_VERTICES = 2_000_000
 
 #: Trials either engine steps together: it bounds their arrays, never the result.  Each slab ends in a tail on a
-#: few live trials, paid in numpy calls: 20 000 line trials took 11 ms in 5 slabs of 4096, 5.8 ms in 1 of 2^15 (Xeon).
+#: few live trials, paid in numpy calls: 20 000 line trials took 5.6 ms in 5 slabs of 4096, 3.5 ms in 1 of 2^15 (Xeon).
 _SLAB = 1 << 15
 
 #: Philox blocks one piece of a tree level draws, in one `_philox_block` call: it bounds the engine's arrays, never
@@ -141,14 +141,21 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constant
 
 @functools.cache
 def _u64() -> tuple:
-    """np.uint64 constants made on first use: 11, the key's low-word bump, and the multipliers' `_mulhi` operands."""
+    """0-d uint64 arrays made on first use: 11, the key's low-word bump, and the multipliers' `_mulhi` operands.
+
+    numpy takes a 0-d array operand 0.25-0.45 us a call faster than an np.uint64 scalar, and promotes both alike.
+    """
     import numpy as np
-    chains = (tuple(map(np.uint64, (m, m & 0xFFFFFFFF, m >> 32, 0xFFFFFFFF, 32))) for m in _PHILOX_M)
-    return (np.uint64(11), np.uint64(_PHILOX_W[0]), *chains)
+    u64 = functools.partial(np.array, dtype=np.uint64)
+    chains = (tuple(map(u64, (m, m & 0xFFFFFFFF, m >> 32, 0xFFFFFFFF, 32))) for m in _PHILOX_M)
+    return (u64(11), u64(_PHILOX_W[0]), *chains)
 
 
 def _mulhi(a: np.ndarray, m, m_lo, m_hi, mask, shift, hi: np.ndarray, lo: np.ndarray, x, y, z) -> np.ndarray:
-    """Writes the high and low words of a * m into hi and lo (lo may be a) and returns lo; x, y, z are scratch."""
+    """Writes the high and low words of a * m into hi and lo (lo may be a) and returns lo; x, y, z are scratch.
+
+    Its 15 ufuncs meet a with uint64 arrays only: the scratch and `_u64`'s 0-d m, m_lo, m_hi, mask and shift.
+    """
     import numpy as np
     np.multiply(np.bitwise_and(a, mask, out=x), m_lo, out=hi)
     hi >>= shift  # p
@@ -173,13 +180,15 @@ def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
     (4, len(trials)) array and writes into no argument: each round's array words live in
     its rows, a new word in the row of the word it replaces.  A word that is the same
     for every lane stays a Python int with exact products until a per-lane word (the
-    key's trial word or an array counter word) is xored into it as an np.uint64, so
-    numpy 1.x and 2.x promote alike; the engines' int words 0, 2 and 3 save 3 of the 20
+    key's trial word or an array counter word) is xored into it as a 0-d uint64 array, so
+    numpy 1.x and 2.x promote alike and no ufunc here takes a numpy scalar, which costs
+    more per call than a 0-d array; the engines' int words 0, 2 and 3 save 3 of the 20
     `_mulhi` calls, which form high words from 32-bit limbs: p = (a_lo m_lo) >> 32,
     u = a_hi m_lo + p, v = a_lo m_hi + (u mod 2^32), high a_hi m_hi + (u >> 32) + (v >> 32).
     """
     import numpy as np
     bump, m0, m1 = _u64()[1:]
+    u64 = functools.partial(np.array, dtype=np.uint64)
     c0, c1, c2, c3 = [c if isinstance(c, np.ndarray) else int(c) for c in counter]
     k0 = trials.astype(np.uint64)  # a copy: the key's low word, bumped in place each round
     hi, x, y, z = (np.empty_like(k0) for _ in range(4))
@@ -189,13 +198,13 @@ def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
         # new words 2 and 3 are hi0 ^ c3 ^ k1 and lo0, 0 and 1 are hi1 ^ c1 ^ k0 and lo1
         h, c0 = divmod(c0 * _PHILOX_M[0], 1 << 64) if type(c0) is int else (hi, _mulhi(c0, *m0, hi, r0, x, y, z))
         if type(c3) is int:
-            c3 = c3 ^ k1 ^ h if h is not hi else np.bitwise_xor(hi, np.uint64(c3 ^ k1), out=r3)
+            c3 = c3 ^ k1 ^ h if h is not hi else np.bitwise_xor(hi, u64(c3 ^ k1), out=r3)
         else:
-            c3 = np.bitwise_xor(c3, np.uint64(k1), out=r3)
-            c3 ^= hi if h is hi else np.uint64(h)
+            c3 = np.bitwise_xor(c3, u64(k1), out=r3)
+            c3 ^= hi if h is hi else u64(h)
         h, c2 = divmod(c2 * _PHILOX_M[1], 1 << 64) if type(c2) is int else (hi, _mulhi(c2, *m1, hi, r2, x, y, z))
-        c1 = np.bitwise_xor(k0, np.uint64(c1) if type(c1) is int else c1, out=r1)
-        c1 ^= hi if h is hi else np.uint64(h)
+        c1 = np.bitwise_xor(k0, u64(c1) if type(c1) is int else c1, out=r1)
+        c1 ^= hi if h is hi else u64(h)
         c0, c1, c2, c3, r0, r1, r2, r3 = c1, c2, c3, c0, r1, r2, r3, r0
         k0 += bump
     return block

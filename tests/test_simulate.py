@@ -118,18 +118,19 @@ def numpy_philox_words(counter, trials, seed):
 
 
 class NoBareNumbers(np.ndarray):
-    """An array whose ufuncs refuse a bare Python int or float beside a uint64 operand.
+    """An array whose ufuncs refuse a Python or numpy scalar beside a uint64 operand.
 
-    numpy 1.x and 2.x promote such a mix differently (NEP 50); with uint64
-    arrays and np.uint64 scalars only, both give the same dtypes.  Results
-    and views stay of this class, so scratch made by np.empty_like is checked too.
+    numpy 1.x and 2.x promote a bare Python number mixed with uint64 differently
+    (NEP 50), and a numpy scalar operand costs more per call than a 0-d array; with
+    uint64 arrays only, 0-d ones included, both versions give the same dtypes.
+    Results and views stay of this class, so scratch made by np.empty_like is checked too.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        if any(type(v) in (bool, int, float) for v in inputs) and any(
+        if any(type(v) in (bool, int, float) or isinstance(v, np.generic) for v in inputs) and any(
             getattr(v, "dtype", None) == np.uint64 for v in inputs
         ):
-            raise TypeError(f"{ufunc.__name__} meets a bare Python number with a uint64 operand")
+            raise TypeError(f"{ufunc.__name__} meets a scalar with a uint64 operand")
         inputs = tuple(v.view(np.ndarray) if isinstance(v, NoBareNumbers) else v for v in inputs)
         if out is not None:
             kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, NoBareNumbers) else o for o in out)
@@ -227,6 +228,8 @@ class TestPhiloxKernel:
         strict = trials.view(NoBareNumbers)
         with pytest.raises(TypeError):
             strict >> 11
+        with pytest.raises(TypeError):
+            strict >> np.uint64(11)
         for counter in counter_shapes(trials.size):
             checked = tuple(c.view(NoBareNumbers) if isinstance(c, np.ndarray) else c for c in counter)
             words = ced.simulate._philox_block(checked, strict, -1)
@@ -235,6 +238,11 @@ class TestPhiloxKernel:
             plain = words.view(np.ndarray)
             assert np.array_equal(ced.simulate._uniforms(words[0]), ced.simulate._uniforms(plain[0]))
             assert np.array_equal(ced.simulate._exp_delays(words[1], 2.5), ced.simulate._exp_delays(plain[1], 2.5))
+
+    def test_constants_are_0d_uint64_arrays(self):
+        entries = [e for entry in ced.simulate._u64() for e in (entry if isinstance(entry, tuple) else (entry,))]
+        assert len(entries) == 12
+        assert all(type(e) is np.ndarray and e.shape == () and e.dtype == np.uint64 for e in entries)
 
     @pytest.mark.parametrize(
         "arrays,calls",
