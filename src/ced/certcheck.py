@@ -18,15 +18,17 @@ between the quadratic's roots, psi(x) and a root of at least 2, and every
 y built here lies in [1, 2].
 
 Bound runs.  D gains the bits of one G a level, so an exact climb of m
-levels costs about m^2 word operations.  Each check first climbs bounds on
-the tails at the fixed scale 2^W, W = 64 + the bits of rho's denominator.
-For t_{j+1} < 1, t_j = b_j / (1 - t_{j+1}) rises with t_{j+1}, so a lower
-bound lo on 2^W t_{j+1} gives floor(alpha 2^(2W) / (G_{j+1} G_{j+2} (2^W -
-lo))) <= 2^W t_j, and an upper bound hi < 2^W gives the ceil of the same
-quotient as an upper bound.  check_below accepts when its floor run reaches
-2^W on the way up (a tail >= 1 there, or one lower down) or ends above 2^W;
-check_above accepts when its ceil run stays below 2^W at every level.  Any
-other case runs the exact climb, and so does every rejection.
+levels costs about m^2 word operations.  One loop, `_climb`, climbs
+either the exact pairs (sign 0) or floor (sign 1) or ceil (sign -1)
+bounds on 2^W t_j, with D fixed at the scale 2^W, W = 64 + the bits of
+rho's denominator.  For t_{j+1} < 1, t_j = b_j / (1 - t_{j+1}) rises with
+t_{j+1}, so a lower bound lo on 2^W t_{j+1} gives floor(alpha 2^(2W) /
+(G_{j+1} G_{j+2} (2^W - lo))) <= 2^W t_j, and an upper bound hi < 2^W
+gives the ceil of the same quotient as an upper bound.  Each check climbs
+its bounds first: check_below accepts when its floor run reaches 2^W on
+the way up (a tail >= 1 there, or one lower down) or ends above 2^W, and
+check_above when its ceil run stays below 2^W at every level.  Any other
+case climbs exactly, and so does every rejection.
 """
 
 from __future__ import annotations
@@ -68,28 +70,22 @@ def _scale(p: ModelParams) -> int:
     return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
 
 
-def _climb(alpha: int, step: int, g: int, n: int, d: int, levels: int) -> Optional[tuple[int, int]]:
-    """The pair of t_{j-levels} from t_j = n/d, g = G_{j+1} dividing d; None at a tail >= 1 on the way."""
+def _climb(alpha: int, step: int, g: int, n: int, d: int, levels: int, sign: int = 0) -> Optional[tuple[int, int]]:
+    """The pair of t_{j-levels} from t_j = n/d, g = G_{j+1}; None at a tail >= 1 on the way.
+
+    sign = 0 climbs exactly, g dividing d; sign = 1 climbs floor and
+    sign = -1 ceil bounds n on d t_j, d fixed at the scale.
+    """
+    top = sign * alpha * d * d
     for _ in range(levels):
         if d <= n:
             return None
-        n, d = alpha * (d // g), (g - step) * (d - n)
+        if sign:
+            n = sign * (top // ((g - step) * g * (d - n)))
+        else:
+            n, d = alpha * (d // g), (g - step) * (d - n)
         g -= step
     return n, d
-
-
-def _bound_run(alpha: int, step: int, g: int, t: int, levels: int, one: int, sign: int) -> Optional[int]:
-    """The bound on one t_{j-levels} from a bound t on one t_j, g = G_{j+1}; None at a bound >= one on the way.
-
-    sign = 1 climbs lower bounds (floor), sign = -1 upper bounds (ceil).
-    """
-    top = sign * alpha * one * one
-    for _ in range(levels):
-        if t >= one:
-            return None
-        g -= step
-        t = sign * (top // (g * (g + step) * (one - t)))
-    return t
 
 
 def check_below(p: ModelParams, m: int, level: int) -> bool:
@@ -99,11 +95,11 @@ def check_below(p: ModelParams, m: int, level: int) -> bool:
     alpha, g0, step = _integers(p)
     g = g0 + (m + 1) * step
     one = _scale(p)
-    low = _bound_run(alpha, step, g, alpha * one // (g * (g + step)), m - level, one, 1)
-    if low is None or low > one:
-        return True
-    top = _climb(alpha, step, g, alpha, g * (g + step), m - level)
-    return top is None or top[0] > top[1]
+    for sign, n, d in ((1, alpha * one // (g * (g + step)), one), (0, alpha, g * (g + step))):
+        top = _climb(alpha, step, g, n, d, m - level, sign)
+        if top is None or top[0] > top[1]:
+            return True
+    return False
 
 
 def check_above(p: ModelParams, m: int) -> bool:
@@ -119,8 +115,8 @@ def check_above(p: ModelParams, m: int) -> bool:
     if not bounds_psi(alpha, x_den, y, z):
         return False
     one = _scale(p)
-    high = _bound_run(alpha, step, g, -(-alpha * y * one // (g * (g + step) * z)), m - 1, one, -1)
-    if high is not None and high < one:
-        return True
-    top = _climb(alpha, step, g, alpha * y, g * (g + step) * z, m - 1)
-    return top is not None and top[0] < top[1]
+    for sign, n, d in ((-1, -(-alpha * y * one // (g * (g + step) * z)), one), (0, alpha * y, g * (g + step) * z)):
+        top = _climb(alpha, step, g, n, d, m - 1, sign)
+        if top is not None and top[0] < top[1]:
+            return True
+    return False

@@ -222,8 +222,13 @@ class TestIndependence:
 
 def exact_only(check, *args):
     """A check's verdict from the exact climb alone: bound runs that settle nothing."""
+    climb = ced.certcheck._climb
+
+    def unsettled(alpha, step, g, n, d, levels, sign=0):  # a bound run ends at 2^W = d, settling neither check
+        return (d, d) if sign else climb(alpha, step, g, n, d, levels)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ced.certcheck, "_bound_run", lambda alpha, step, g, t, levels, one, sign: one)
+        mp.setattr(ced.certcheck, "_climb", unsettled)
         return check(*args)
 
 
@@ -248,3 +253,23 @@ class TestBoundRuns:
                         mp.setattr(ced.certcheck, "_scale", lambda p: scale)
                     got = check(*args)
                 assert got == exact_only(check, *args) == oracle(*args), cert
+
+    @given(points_around_rho_c())
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_bound_climbs_bracket_the_exact_climb(self, points):
+        climb = ced.certcheck._climb
+        for p in points:
+            alpha, g0, step = ced.certcheck._integers(p)
+            one = ced.certcheck._scale(p)
+            for levels in (1, 16, 256):
+                g = g0 + (levels + 1) * step  # G_{m+1} for m = levels
+                n, d = alpha, g * (g + step)  # t_m = b_m
+                exact = climb(alpha, step, g, n, d, levels)
+                low, high = (climb(alpha, step, g, sign * (sign * n * one // d), one, levels, sign) for sign in (1, -1))
+                if low is None:  # a floor run stops only at a tail >= 1
+                    assert exact is None
+                if exact is None:  # and an exact climb only where the ceil run stops too
+                    assert high is None
+                if None not in (low, exact, high):
+                    assert low[1] == high[1] == one
+                    assert low[0] * exact[1] <= one * exact[0] <= high[0] * exact[1]

@@ -249,7 +249,13 @@ class TestFastPath:
     )
     def test_no_exact_fallback(self, monkeypatch, d, lam, tol):
         calls, run, climb = [], ced.contfrac._pass, ced.certcheck._climb
-        monkeypatch.setattr(ced.certcheck, "_climb", lambda *args: calls.append("_climb") or climb(*args))
+
+        def climbed(alpha, step, g, n, den, levels, sign=0):
+            if not sign:  # an exact climb; a bound run has sign 1 or -1
+                calls.append("_climb")
+            return climb(alpha, step, g, n, den, levels, sign)
+
+        monkeypatch.setattr(ced.certcheck, "_climb", climbed)
 
         def recorded(*args):  # the last argument is the scale, and scale 0 an exact run of either kernel
             return run(*args) if args[-1] else calls.append("_pass") or run(*args)
