@@ -30,29 +30,38 @@ continued fractions", 1980)
     sum_k C_k z^k = 0F1(; s+2; w) / 0F1(; s+1; w),
     s = (1 + lambda)/rho,  w = -lambda z / rho^2.
 
-In integers: with T_n = n! G_1 ... G_n, r = -ae^2/c and x = r z, the two
-series are A(x) = sum_n x^n / T_n and B(x) = sum_n (G_1/G_{n+1}) x^n / T_n.
+The G_i share the content g = gcd(G_0, bc); write H_i = G_i / g.  In
+integers: with T_n = n! H_1 ... H_n, r = -ae^2/(cg) and x = r z, the two
+series are A(x) = sum_n x^n / T_n and B(x) = sum_n (H_1/H_{n+1}) x^n / T_n.
 So C_k = r^k gamma_k, where gamma = B/A has gamma_0 = 1 and
 
-    T_k gamma_k = G_1/G_{k+1} - sum_{i=1..k} (T_k/T_i) gamma_{k-i}.      (R)
+    T_k gamma_k = H_1/H_{k+1} - sum_{i=1..k} (T_k/T_i) gamma_{k-i}.      (R)
 
-Lemma.  With D_k = k! prod_{l=1..k+1} G_l^floor((k+1)/l), D_k gamma_j is an
-integer for every j <= k.  Proof by induction on k; D_0 gamma_0 = G_1.
-Multiply (R) by D_k/T_k.  The first term becomes D_k G_1/(G_{k+1} T_k) =
-G_1 prod_{l<=k+1} G_l^(floor((k+1)/l) - 1), an integer.  The i-th term of
-the sum becomes (D_{k-i} gamma_{k-i}) D_k/(D_{k-i} T_i).  Its first factor
-is an integer by induction.  D_{k-i} T_i divides D_k: (k-i)! i! divides k!,
-and the exponent of G_l goes from floor((k-i+1)/l) to at most
-floor((k+1)/l), with one more for l <= i, where floor((k-i+1)/l) + 1 =
-floor((k-i+1+l)/l) <= floor((k+1)/l).  Finally D_k divides D_K for k <= K.
+The same ratio obeys a quadratic recurrence.  Q = 0F1(; s+2; w) /
+0F1(; s+1; w) satisfies the Riccati equation
+w Q' = (s+1)(1 - Q) - w Q^2 / (s+1), as ratios of contiguous Bessel
+functions do (Watson, "A Treatise on the Theory of Bessel Functions",
+1944).  With s + 1 = G_1/(bc), its coefficient of z^n reads
+
+    C_n G_1 G_{n+1} = alpha sum_{i+j=n-1} C_i C_j,   alpha = ab e^2.
+
+Lemma.  With D_n = H_1^n prod_{l=2..n+1} H_l^floor((n+1)/l), D_n gamma_n is
+an integer.  Proof: Z_n = C_n D_n g^(2n) / alpha^n has Z_0 = 1 and
+Z_n = sum_{i+j=n-1} Z_i Z_j D_n / (D_i D_j H_1 H_{n+1}).  Each quotient is a
+monomial in the H_l with nonnegative exponents: H_1 appears n - i - j - 1 =
+0 times, and H_l for l >= 2 floor((n+1)/l) - floor((i+1)/l) -
+floor((j+1)/l) - [l = n+1] >= 0 times, since (i+1) + (j+1) = n+1 and
+i+1, j+1 < n+1.  So every Z_n is an integer, and D_n gamma_n =
+(alpha/g^2)^n Z_n / r^n = (-bc/g)^n Z_n is one too, g dividing bc.  D_k
+divides D_K for k <= K.
 
 So W_k = gamma_k D_K is an integer for every k <= K, and (R) times D_K is a
 recurrence on integers.  Horner's rule builds its sum as
-acc = acc (l G_l) + W_{k-l}, each step a big integer times a small one,
-and one exact division gives W_k = (D_K G_1 - G_{k+1} acc) / (T_k G_{k+1}).
+acc = acc (l H_l) + W_{k-l}, each step a big integer times a small one,
+and one exact division gives W_k = (D_K H_1 - H_{k+1} acc) / (T_k H_{k+1}).
 A nonzero remainder would mean the lemma failed; it raises ArithmeticError
 instead of rounding.  One check suffices: an exact quotient is the value
-of (R) times D_K, whether or not G_{k+1} alone divides D_K G_1.  Since the
+of (R) times D_K, whether or not H_{k+1} alone divides D_K H_1.  Since the
 recurrence is linear, a run whose divisions leave no remainder is exact
 whatever D_K it used.
 
@@ -68,7 +77,7 @@ size.  It reduces the one sum once.
 
 A path's weight depends only on its matched pairs (Flajolet, 1980): the
 rise from height j and the fall back to j weigh u(j) v(j) = alpha / beta_j
-with alpha = ab e^2 and beta_j = G_{j+1} G_{j+2}.  So the modified modes
+with beta_j = G_{j+1} G_{j+2}.  So the modified modes
 run a height DP where a rise weighs 1 and a fall to height j 1/beta_j: 0
 above m when capped, 1/beta_m above m when flattened.  The cells share one
 integer denominator, and a step multiplies it only by the lcm of the parts
@@ -153,12 +162,16 @@ def _exact_div(n: int, d: int) -> int:
     return q
 
 
-def _denominator_steps(g: list[int], k_max: int) -> list[int]:
-    """D_0 = G_1 and the ratios D_k / D_{k-1} = k prod_{l | k+1} G_l for k = 1..k_max."""
-    steps = [max(k, 1) for k in range(k_max + 1)]
-    for l in range(1, k_max + 2):
+def _denominator_steps(h: list[int], k_max: int) -> list[int]:
+    """D_0 = 1 and the ratios D_k / D_{k-1} = prod_{l | k+1} H_l for k = 1..k_max.
+
+    Their product is the lemma's D_k = H_1^k prod_{l=2..k+1} H_l^floor((k+1)/l):
+    l = 1 divides every k + 1, and l >= 2 divides floor((k+1)/l) of 2 .. k + 1.
+    """
+    steps = [1] + [h[1]] * k_max
+    for l in range(2, k_max + 2):
         for n in range(l, k_max + 2, l):
-            steps[n - 1] *= g[l]
+            steps[n - 1] *= h[l]
     return steps
 
 
@@ -181,20 +194,21 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
     if c == 0:
         cat = [math.comb(2 * k, k) // (k + 1) for k in range(k_max + 1)]
         return _ExactTerms(cat, [1] * (k_max + 1), a * b, (a + b) ** 2)
-    g = progression(p, k_max + 1)
-    steps = _denominator_steps(g, k_max)
+    content = math.gcd(e * (a + b), b * c)  # g = gcd(G_0, bc), which divides every G_i
+    h = [g_i // content for g_i in progression(p, k_max + 1)]
+    steps = _denominator_steps(h, k_max)
     d_top = math.prod(steps)
-    top = d_top * g[1]
-    lg = [l * g[l] for l in range(k_max + 1)]
+    top = d_top * h[1]
+    lh = [l * h[l] for l in range(k_max + 1)]
     w = [d_top]
     t = 1
     for k in range(1, k_max + 1):
-        t *= lg[k]  # T_k
+        t *= lh[k]  # T_k
         acc = w[k - 1]
         for l in range(2, k + 1):
-            acc = acc * lg[l] + w[k - l]
-        w.append(_exact_div(top - g[k + 1] * acc, t * g[k + 1]))
-    return _ExactTerms(w, steps, -a * e * e, c)
+            acc = acc * lh[l] + w[k - l]
+        w.append(_exact_div(top - h[k + 1] * acc, t * h[k + 1]))
+    return _ExactTerms(w, steps, -a * e * e, c * content)
 
 
 def _pair_step(up: list[int], down: list[int], beta: list[int]) -> tuple[list[int], int]:

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ced.catalan
@@ -23,7 +23,7 @@ from ced.catalan import (
 )
 from ced.params import ModelParams, progression, weight_b
 
-from catalan_reference import height_dp
+from catalan_reference import height_dp, quadratic_recurrence
 from sqrt_reference import sqrt_enclosure
 
 P211 = ModelParams(2, F(1), F(1))
@@ -293,6 +293,40 @@ class TestExactRecurrence:
             assert F(a * e, g[j + 1]) == rise(p, j)
             assert F(b * e, g[j + 2]) == fall(p, j)
             assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j)
+
+    # short and 2^30 denominators and rho = 0; with b and e both even, the G_i share a content g >= 2
+    @given(
+        lam=st.one_of(small_rationals, st.integers(1, 2**33).map(lambda n: F(n, 2**30))),
+        rho=st.one_of(st.just(F(0)), small_rationals, st.integers(1, 2**31).map(lambda n: F(n, 2**30))),
+        K=st.integers(0, 40),
+    )
+    @example(lam=F(5, 2), rho=F(300000001, 2**30), K=40)  # g = 14
+    @example(lam=F(7, 3), rho=F(5, 11), K=40)  # g = 5
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_quadratic_recurrence(self, lam, rho, K):
+        p = ModelParams(2, lam, rho)
+        assert weighted_catalan_sequence(p, K) == quadratic_recurrence(p, K)
+
+    @pytest.mark.parametrize(
+        "lam,rho,K,g",
+        [
+            (F(1), F(1, 3), 30, 1),
+            (F(3, 2), F(8, 9), 180, 1),
+            (F(5, 2), F(80000003, 2**30), 120, 2),
+            (F(5, 2), F(300000001, 2**30), 40, 14),
+            (F(7, 3), F(5, 11), 40, 5),
+        ],
+    )
+    def test_common_denominator(self, lam, rho, K, g):
+        # D_K = H_1^K prod_{l=2..K+1} H_l^floor((K+1)/l) with H_l = G_l / g, g the gcd of the G_l,
+        # and C_k = W_k r^k / D_K with r = -ae^2 / (cg)
+        p = ModelParams(2, lam, rho)
+        G = progression(p, K + 1)
+        assert math.gcd(*G) == g
+        h = [g_l // g for g_l in G]
+        t = ced.catalan._exact_terms(p, K)
+        assert t.w[0] == h[1] ** K * math.prod(h[l] ** ((K + 1) // l) for l in range(2, K + 2))
+        assert (t.r_num, t.r_den) == (-lam.numerator * rho.denominator**2, rho.numerator * g)
 
     def test_wrong_denominator_raises(self, monkeypatch):
         # drop the one factor G_{K+1} from D_K: the first term of the

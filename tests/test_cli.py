@@ -541,6 +541,15 @@ GOLDEN = [
     # A midpoint comes back Undecided at --max-m 8, so the bracket stops short
     # of the tolerance; recorded with plain bisection before the estimate.
     ("rho-c --d 2 --lambda 1 --tol 1/1099511627776 --max-m 8 --certs --format json", 0, "6bca5b9344ac962e7202289fdd44e126879f789289b39159f31fa873e6d4d321"),
+    # The exact recurrence at depth through each caller (tables, one C_k, partial series,
+    # the tree's float column), on progressions G_i with content 1, 14, 14, 2, 2 and 1;
+    # recorded while its common denominator still carried K! and an extra G_1.
+    ("catalan --lambda 3/2 --rho 8/9 --k-max 180", 0, "27c76a469e7d6bd866b28d890ba7f6b1a5d108b963702002899c5ed11f184718"),
+    ("catalan --lambda 5/2 --rho 300000001/1073741824 --k-max 60 --format json", 0, "e05e46e0e0c5321d4cdb98ee1083da68e477ea7f394fb63dfb62b1affb6c4475"),
+    ("catalan --lambda 5/2 --rho 300000001/1073741824 --k 40 --format json", 0, "058a4753f8df01d914a8f3a6520563f066cf9dbca0a6c8cc20ce8ca49efa2b2f"),
+    ("catalan --lambda 5/2 --rho 80000003/1073741824 --z 3 --k-max 120 --format json", 0, "d847db07bcd6730f363fb4328a12addcb520d026c196ed058a4a3dc9220fbe8a"),
+    ("catalan --lambda 1 --rho 8/9 --z 1/2 --k-max 100", 0, "f817d53cf217a962ffbff8088e2488809d12b385dc9eaa2028d58ace18ef9ec9"),
+    ("simulate tree --lambda 1 --rho 3 --depth 200 --trials 1 --seed 1", 0, "9cb6ed42958774b341ba4a17b942acae3d12bb8b2390ea588681e60ef402bd81"),
 ]
 
 
