@@ -49,7 +49,7 @@ Lemma.  With D_n = H_1^n prod_{l=2..n+1} H_l^floor((n+1)/l), D_n gamma_n is
 an integer.  Proof: Z_n = C_n D_n g^(2n) / alpha^n has Z_0 = 1 and
 Z_n = sum_{i+j=n-1} Z_i Z_j D_n / (D_i D_j H_1 H_{n+1}).  Each quotient is a
 monomial in the H_l with nonnegative exponents: H_1 appears n - i - j - 1 =
-0 times, and H_l for l >= 2 floor((n+1)/l) - floor((i+1)/l) -
+0 times, and each H_l with l >= 2 appears floor((n+1)/l) - floor((i+1)/l) -
 floor((j+1)/l) - [l = n+1] >= 0 times, since (i+1) + (j+1) = n+1 and
 i+1, j+1 < n+1.  So every Z_n is an integer, and D_n gamma_n =
 (alpha/g^2)^n Z_n / r^n = (-bc/g)^n Z_n is one too, g dividing bc.  D_k
@@ -166,7 +166,7 @@ def _denominator_steps(h: list[int], k_max: int) -> list[int]:
     """D_0 = 1 and the ratios D_k / D_{k-1} = prod_{l | k+1} H_l for k = 1..k_max.
 
     Their product is the lemma's D_k = H_1^k prod_{l=2..k+1} H_l^floor((k+1)/l):
-    l = 1 divides every k + 1, and l >= 2 divides floor((k+1)/l) of 2 .. k + 1.
+    l = 1 divides every k + 1, and l >= 2 divides floor((k+1)/l) of the numbers 2 .. k + 1.
     """
     steps = [1] + [h[1]] * k_max
     for l in range(2, k_max + 2):

@@ -244,12 +244,12 @@ MAX_GRID_POINTS = 10_000
 
 #: Largest K of any exact C_k table: `catalan --k`/`--k-max`, and the float
 #: column of `simulate line --k-max` and of `simulate tree --depth`.  The
-#: cost grows about as K^3: at lambda = 1, rho = 1/3, K = 800 takes 2.5-2.9 s
-#: exact (5 s at K = 1000), 0.4 s capped and 1.4 s flattened at m = 8, 3.5 s
-#: flattened at m = 400, and 1.0 s as floats (`simulate line`: 1.4-1.9 s).
-#: Long denominators of rho or lambda cost more: 98 s exact at
-#: rho = 12360736211/2^36, and 121 s at K = 400 (13 s at K = 200) for
-#: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.8 s.
+#: cost grows about as K^3: at lambda = 1, rho = 1/3, K = 800 takes 1.6-2.2 s
+#: exact (4.6-5.1 s at K = 1000), 0.2 s capped and 1.1 s flattened at m = 8,
+#: 3.1 s flattened at m = 400, and 0.9-1.4 s as floats (`simulate line`:
+#: 1.1-1.6 s).  Long denominators of rho or lambda cost more: 103 s exact at
+#: rho = 12360736211/2^36, and 128 s at K = 400 (10 s at K = 200) for
+#: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.9 s.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when

@@ -40,7 +40,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("certify", "catalan", "montecarlo")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 #: HEAD wins a claim only in at least this share of the pairs.
 WIN_SHARE = 0.9
 
@@ -49,7 +50,7 @@ def parse_run(stdout: str) -> dict:
     """The machine line, output digest and end-to-end metrics of one single-workload run.py report."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
-    machine = next((line.strip() for line in lines if line.strip().startswith("machine:")), "")
+    machine = next((line.split(":", 1)[1].strip() for line in lines if line.strip().startswith("machine:")), "")
     digest = next((line.split("sha256:", 1)[1].strip() for line in lines if "output digest sha256:" in line), "")
     return {
         "machine": machine,
@@ -182,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in (("base", args.base), ("head", args.head))}
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -197,16 +197,15 @@ def main(argv: list[str] | None = None) -> int:
                     order = ("base", "head") if (s * args.pairs + i) % 2 == 0 else ("head", "base")
                     got = {side: bench(checkouts[side], workload, args.seed, args.seconds) for side in order}
                     pairs.append((got["base"], got["head"]))
-                print("\n".join(report(f"{workload}, set {s + 1} of {args.sets}:", summarize(pairs, spec))), flush=True)
+                print("\n".join(report(f"{workload}, set {s + 1} of {args.sets}:", summarize(pairs, SPEC["end_to_end"]))), flush=True)
                 everything += pairs
-            print("\n".join(report(f"{workload}, all {len(everything)} pairs:", summarize(everything, spec))))
+            print("\n".join(report(f"{workload}, all {len(everything)} pairs:", summarize(everything, SPEC["end_to_end"]))))
             print("\n".join(digests(everything) or [f"  every pair agrees on the output digest {everything[0][0]['digest'][:16]}"]))
-            for b, h in everything:
-                runs["base"].append(b)
-                runs["head"].append(h)
+            runs["base"] += [b for b, _ in everything]
+            runs["head"] += [h for _, h in everything]
     print(f"machine: {runs['base'][0]['machine']}")
     if args.record:
-        day = datetime.date.today().isoformat()
+        day = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
         for side, other in (("base", "head"), ("head", "base")):
             rev = revs[side]
             point = record(runs[side], rev, git("rev-parse", f"{rev}:src"), args, revs[other])

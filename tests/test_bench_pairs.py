@@ -2,13 +2,13 @@
 
 import json
 from argparse import Namespace
-from pathlib import Path
 
 import pytest
 
+import bench_pairs
 from bench_pairs import compare, digests, parse_run, record, report, summarize
 
-SPEC = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+SPEC = bench_pairs.SPEC["end_to_end"]
 
 DIGEST = "4daf4d254a8502f2c11606535251a56d535fbbc66917adc3e7d56f53b71a8cb6"
 
@@ -36,7 +36,7 @@ def run(wall_s, **kw):
 
 def test_parse_run_reads_the_report_and_the_json_line():
     r = parse_run(canned(1.11))
-    assert r["machine"].startswith("machine: nproc=2 cpu='Intel(R) Xeon(R) Processor' python=3.11.7")
+    assert r["machine"].startswith("nproc=2 cpu='Intel(R) Xeon(R) Processor' python=3.11.7")
     assert r["digest"] == DIGEST
     assert (r["correct"], r["failed"]) == (True, 0)
     assert r["metrics"]["wall_s"] == 1.11 and set(r["metrics"]) == {m["name"] for m in SPEC}

@@ -317,7 +317,7 @@ class TestExactRecurrence:
             (F(7, 3), F(5, 11), 40, 5),
         ],
     )
-    def test_common_denominator(self, lam, rho, K, g):
+    def test_d_k_and_r_of_the_lemma(self, lam, rho, K, g):
         # D_K = H_1^K prod_{l=2..K+1} H_l^floor((K+1)/l) with H_l = G_l / g, g the gcd of the G_l,
         # and C_k = W_k r^k / D_K with r = -ae^2 / (cg)
         p = ModelParams(2, lam, rho)
