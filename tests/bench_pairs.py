@@ -93,7 +93,6 @@ def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> dict:
         m["name"]: compare([b["metrics"][m["name"]] for b, _ in pairs],
                            [h["metrics"][m["name"]] for _, h in pairs], m["better"], m["bound"])
         for m in spec
-        if all(m["name"] in side["metrics"] for pair in pairs for side in pair)
     }
 
 

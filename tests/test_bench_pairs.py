@@ -1,4 +1,4 @@
-"""The pairs driver's summarizer on canned perfbench/run.py output; nothing runs perfbench here."""
+"""tests/bench_pairs.py's summarizer on canned perfbench/run.py output; nothing runs perfbench here."""
 
 import json
 from argparse import Namespace
