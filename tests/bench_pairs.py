@@ -1,23 +1,26 @@
 """Compare two revisions on perfbench in alternating pairs of runs.
 
-    python3 tests/bench_pairs.py BASE HEAD [--workload catalan] [--sets 2] [--pairs 6]
-                                 [--seed 1] [--seconds 20] [--record]
+    python3 tests/bench_pairs.py BASE HEAD [--workload catalan] [--seed 1] [--record]
 
 BASE and HEAD are git revisions of this repository.  Each is exported with
 `git archive` into a temporary directory, and `perfbench/run.py --workload W
---seed S --seconds T` runs from each checkout in turn: pair i runs BASE first
-when i is even and HEAD first when it is odd, so neither side always meets the
-other's warm caches or the machine's drift in the same order.  --workload all
-runs each workload as its own pair.
+--seed S` runs from each checkout in turn, at run.py's own run length, for
+SETS sets of PAIRS pairs: pair i runs BASE first when i is even and HEAD first
+when it is odd, so neither side always meets the other's warm caches or the
+machine's drift in the same order.  --workload all runs each workload as its
+own pair.
 
 For every workload and end-to-end metric of BENCHMARK.json it prints, per set
 and over all pairs, the median and quartiles on each side, the change of the
 medians, and the pairs won.  The verdict applies one rule over all pairs: HEAD
-is better when it wins at least nine pairs in ten and its median beats BASE's
-by more than BASE's interquartile range; it is worse when its median is worse
-than BASE's by more than the metric's bound.  A run whose output digest differs
-from the other side's is reported, since the two revisions then did not do
-the same work.
+is better when it wins at least nine pairs in ten, its median beats BASE's by
+more than BASE's interquartile range, and its runs failed no more operations
+than BASE's; it is worse when its median is worse than BASE's by more than the
+metric's bound; it is unresolved when BASE's interquartile range, relative to
+its median, is wider than that bound and the two sides' runs overlap, since
+then a change as large as the bound could hide in the spread.  A run whose
+output digest differs from the other side's is reported, since the two
+revisions then did not do the same work.
 
 --record writes BENCH_<date>_<rev>.json at the repository root for each side:
 the machine line of run.py's report, the per-workload medians and quartiles
@@ -44,6 +47,8 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 #: HEAD wins a claim only in at least this share of the pairs.
 WIN_SHARE = 0.9
+#: Sets of pairs per workload, and pairs per set.
+SETS, PAIRS = 2, 6
 
 
 def parse_run(stdout: str) -> dict:
@@ -69,29 +74,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(base: list[float], head: list[float], better: str, bound: float) -> dict:
-    """Medians, quartiles, change and pairs won for one metric over paired runs base[i], head[i]."""
+def compare(base: list[float], head: list[float], better: str, bound: float, failed: tuple[int, int] = (0, 0)) -> dict:
+    """Medians, quartiles, change and pairs won for one metric over paired runs base[i], head[i].
+
+    `failed` is the operations failed over all of BASE's runs and over all of HEAD's.
+    """
     sign = 1 if better == "lower" else -1
     b1, b2, b3 = quartiles(base)
     h1, h2, h3 = quartiles(head)
     won = sum(sign * (b - h) > 0 for b, h in zip(base, head))
     change = (h2 - b2) / b2 if b2 else 0.0
+    apart = all(sign * (b - h) > 0 for b in base for h in head)  # every HEAD run beats every BASE run
     return {
         "base": (b1, b2, b3),
         "head": (h1, h2, h3),
         "change": change,
         "won": won,
         "pairs": len(base),
-        "better": won >= WIN_SHARE * len(base) and sign * (b2 - h2) > b3 - b1,
+        "better": won >= WIN_SHARE * len(base) and sign * (b2 - h2) > b3 - b1 and failed[1] <= failed[0],
         "worse": sign * change > bound,
+        "unresolved": (b3 - b1) > bound * abs(b2) and not apart,
     }
 
 
 def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> dict:
     """compare() for every metric of `spec` (BENCHMARK.json's end_to_end list) over (base, head) runs."""
+    failed = (sum(b["failed"] for b, _ in pairs), sum(h["failed"] for _, h in pairs))
     return {
         m["name"]: compare([b["metrics"][m["name"]] for b, _ in pairs],
-                           [h["metrics"][m["name"]] for _, h in pairs], m["better"], m["bound"])
+                           [h["metrics"][m["name"]] for _, h in pairs], m["better"], m["bound"], failed)
         for m in spec
     }
 
@@ -99,7 +110,9 @@ def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> dict:
 def verdict(c: dict) -> str:
     if c["better"]:
         return "better"
-    return "WORSE beyond bound" if c["worse"] else "no claim"
+    if c["worse"]:
+        return "WORSE beyond bound"
+    return "unresolved: base spread wider than bound" if c["unresolved"] else "no claim"
 
 
 def report(title: str, summary: dict) -> list[str]:
@@ -125,14 +138,14 @@ def digests(pairs: list[tuple[dict, dict]]) -> list[str]:
     return out
 
 
-def record(runs: list[dict], rev: str, src_tree: str, args: argparse.Namespace, other: str) -> dict:
+def record(runs: list[dict], rev: str, src_tree: str, seed: int, other: str) -> dict:
     """The BENCH point of one side: medians and quartiles per workload and metric over its runs."""
     point = {
         "revision": rev,
         "src_tree": src_tree,
         "compared_with": other,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds}",
+        "command": f"python3 perfbench/run.py --workload W --seed {seed}",
         "machine": runs[0]["machine"],
         "workloads": {},
     }
@@ -159,9 +172,9 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -174,10 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base")
     parser.add_argument("head")
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="catalan")
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)
 
@@ -190,13 +200,13 @@ def main(argv: list[str] | None = None) -> int:
             export(rev, checkouts[side])
         for workload in names:
             everything = []
-            for s in range(args.sets):
+            for s in range(SETS):
                 pairs = []
-                for i in range(args.pairs):
-                    order = ("base", "head") if (s * args.pairs + i) % 2 == 0 else ("head", "base")
-                    got = {side: bench(checkouts[side], workload, args.seed, args.seconds) for side in order}
+                for i in range(PAIRS):
+                    order = ("base", "head") if (s * PAIRS + i) % 2 == 0 else ("head", "base")
+                    got = {side: bench(checkouts[side], workload, args.seed) for side in order}
                     pairs.append((got["base"], got["head"]))
-                print("\n".join(report(f"{workload}, set {s + 1} of {args.sets}:", summarize(pairs, SPEC["end_to_end"]))), flush=True)
+                print("\n".join(report(f"{workload}, set {s + 1} of {SETS}:", summarize(pairs, SPEC["end_to_end"]))), flush=True)
                 everything += pairs
             print("\n".join(report(f"{workload}, all {len(everything)} pairs:", summarize(everything, SPEC["end_to_end"]))))
             print("\n".join(digests(everything) or [f"  every pair agrees on the output digest {everything[0][0]['digest'][:16]}"]))
@@ -207,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         day = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
         for side, other in (("base", "head"), ("head", "base")):
             rev = revs[side]
-            point = record(runs[side], rev, git("rev-parse", f"{rev}:src"), args, revs[other])
+            point = record(runs[side], rev, git("rev-parse", f"{rev}:src"), args.seed, revs[other])
             path = ROOT / f"BENCH_{day}_{rev[:7]}.json"
             path.write_text(json.dumps(point, indent=2) + "\n")
             print(f"wrote {path.name}")

@@ -1,12 +1,11 @@
 """tests/bench_pairs.py's summarizer on canned perfbench/run.py output; nothing runs perfbench here."""
 
 import json
-from argparse import Namespace
 
 import pytest
 
 import bench_pairs
-from bench_pairs import compare, digests, parse_run, record, report, summarize
+from bench_pairs import compare, digests, parse_run, record, report, summarize, verdict
 
 SPEC = bench_pairs.SPEC["end_to_end"]
 
@@ -79,6 +78,31 @@ def test_worse_beyond_the_bound_and_higher_is_better():
     assert compare([1.0] * 6, [0.9] * 6, "higher", 0.02)["worse"]
 
 
+def test_more_failed_operations_on_head_is_no_gain():
+    head = [0.98, 0.97, 0.99, 0.96, 1.00, 0.98, 0.97, 0.99, 0.98, 0.97]
+    pairs = pairs_of(BASE, head)
+    assert summarize(pairs, SPEC)["wall_s"]["better"]
+    pairs[3] = (pairs[3][0], run(head[3], failed=1))
+    c = summarize(pairs, SPEC)["wall_s"]
+    assert (c["won"], c["better"], c["worse"]) == (10, False, False)
+    # as many failures on both sides leaves the gain standing
+    pairs[5] = (run(BASE[5], failed=1), pairs[5][1])
+    assert summarize(pairs, SPEC)["wall_s"]["better"]
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    base = [1.0, 1.5, 1.0, 1.5, 1.0, 1.5]  # interquartile range 0.5 on a median of 1.25, bound 0.2
+    c = compare(base, [1.2] * 6, "lower", 0.2)
+    assert (c["better"], c["worse"], c["unresolved"]) == (False, False, True)
+    assert verdict(c) == "unresolved: base spread wider than bound"
+    # every HEAD run beats every BASE run: resolved, though the gain is inside the base's spread
+    c = compare(base, [0.9] * 6, "lower", 0.2)
+    assert (c["unresolved"], verdict(c)) == (False, "no claim")
+    assert verdict(compare(base, [0.5] * 6, "lower", 0.2)) == "better"
+    # a narrow base spread never reads as unresolved
+    assert verdict(compare(BASE, BASE, "lower", 0.2)) == "no claim"
+
+
 def test_digest_and_failure_lines():
     pairs = [(run(1.1), run(1.0)), (run(1.1), run(1.0, digest="0" * 64)), (run(1.1, failed=1), run(1.0))]
     lines = digests(pairs)
@@ -90,9 +114,9 @@ def test_digest_and_failure_lines():
 
 def test_record_keeps_the_quartiles_digests_and_revision():
     runs = [run(w) for w in (1.0, 1.2, 1.1, 1.3, 1.4)]
-    args = Namespace(seed=1, seconds=20)
-    point = record(runs, "a" * 40, "b" * 40, args, "c" * 40)
+    point = record(runs, "a" * 40, "b" * 40, 1, "c" * 40)
     assert (point["revision"], point["src_tree"], point["compared_with"]) == ("a" * 40, "b" * 40, "c" * 40)
+    assert point["command"] == "python3 perfbench/run.py --workload W --seed 1"
     assert point["machine"] == runs[0]["machine"]
     cat = point["workloads"]["catalan"]
     assert cat["runs"] == 5 and cat["digests"] == [DIGEST]
