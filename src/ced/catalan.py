@@ -65,15 +65,22 @@ of (R) times D_K, whether or not H_{k+1} alone divides D_K H_1.  Since the
 recurrence is linear, a run whose divisions leave no remainder is exact
 whatever D_K it used.
 
-Nothing is reduced to lowest terms until the end: the sequence divides W_k
-by D_K/D_k and reduces each C_k = (W_k / (D_K/D_k)) r^k / D_k once, and
-`weighted_catalan` reduces its one C_k.  `weighted_catalan_floats` reduces
-nothing: the double nearest C_k is one correctly rounded int division of
-W_k r^k by D_K, whatever their common factors.  `partial_series` needs
+Nothing is reduced to lowest terms until the end, and each reduction first
+divides out the lemma's lead (-bc/g)^k: W_k = (D_K/D_k) (-bc/g)^k Z_k.  The
+sequence divides W_k by (D_K/D_k) (-bc/g)^k in its one exact division and
+reduces each C_k = Z_k (abe^2/g^2)^k / D_k once, the ratio
+abe^2/g^2 = (-bc/g) r itself reduced once; `weighted_catalan` does the same
+for its one C_k.  So no gcd has to find again the c^k that the lead and r's
+denominator share.  `weighted_catalan_floats` reduces nothing: the double
+nearest C_k is one correctly rounded int division of W_k r^k by D_K,
+whatever their common factors.  `partial_series` needs
 sum_k W_k n^k q^(K-k) for z r = n/q.  Instead of Horner's rule, where
 each term meets a growing power of q, it merges neighbouring runs of terms
 pairwise, round by round, so each product pairs integers of about the same
-size.  It reduces the one sum once.
+size.  Its term W_k n^k q^(K-k) is (W_k / lead^k) (lead n)^k q^(K-k), a
+multiple of u^K for u = gcd(lead n, q); the sum is divided by u^K, its
+denominator D_K q^K too, and then reduced once.  (lead^K itself need not
+divide the sum: at lambda = 1/3, rho = 1 lead = -3 and q is z's denominator.)
 
 A path's weight depends only on its matched pairs (Flajolet, 1980): the
 rise from height j and the fall back to j weigh u(j) v(j) = alpha / beta_j
@@ -178,13 +185,20 @@ def _denominator_steps(h: list[int], k_max: int) -> list[int]:
 class _ExactTerms(NamedTuple):
     """C_k = w[k] r_num^k / (D_K r_den^k) for k <= K, where D_k = steps[0] ... steps[k].
 
-    w[0] = gamma_0 D_K = D_K.  The pair-weight DP has r_den = 1.
+    w[0] = gamma_0 D_K = D_K.  lead^k D_K / D_k divides w[k]: lead is the
+    lemma's -bc/g in exact mode with rho > 0, and 1 at rho = 0 and in the
+    pair-weight DP, which has r_den = 1.
     """
 
     w: list[int]
     steps: list[int]
     r_num: int
     r_den: int
+    lead: int = 1
+
+    def ratio(self) -> Fraction:
+        """lead r_num / r_den in lowest terms: C_k = (w[k] / lead^k) ratio^k / D_K."""
+        return Fraction(self.lead * self.r_num, self.r_den)
 
 
 def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
@@ -208,7 +222,7 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
         for l in range(2, k + 1):
             acc = acc * lh[l] + w[k - l]
         w.append(_exact_div(top - h[k + 1] * acc, t * h[k + 1]))
-    return _ExactTerms(w, steps, -a * e * e, c * content)
+    return _ExactTerms(w, steps, -a * e * e, c * content, -(b * c // content))
 
 
 def _pair_step(up: list[int], down: list[int], beta: list[int]) -> tuple[list[int], int]:
@@ -255,16 +269,18 @@ def weighted_catalan_sequence(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     t = _terms(p, k_max, mode, m)
+    ratio = t.ratio()
     scale = [1] * (k_max + 1)  # scale[k] = D_K / D_k
     for k in range(k_max, 0, -1):
         scale[k - 1] = scale[k] * t.steps[k]
     out = []
-    d_k = num_pow = den_pow = 1
+    d_k = num_pow = den_pow = lead_pow = 1
     for w_k, step, s in zip(t.w, t.steps, scale):
         d_k *= step
-        out.append(Fraction(_exact_div(w_k, s) * num_pow, d_k * den_pow))
-        num_pow *= t.r_num
-        den_pow *= t.r_den
+        out.append(Fraction(_exact_div(w_k, s * lead_pow) * num_pow, d_k * den_pow))
+        num_pow *= ratio.numerator
+        den_pow *= ratio.denominator
+        lead_pow *= t.lead
     return out
 
 
@@ -278,7 +294,8 @@ def weighted_catalan(
     if k < 0:
         raise ValueError("k must be nonnegative")
     t = _terms(p, k, mode, m)
-    return CatalanValue(k, Fraction(t.w[k] * t.r_num**k, t.w[0] * t.r_den**k))
+    ratio = t.ratio()
+    return CatalanValue(k, Fraction(_exact_div(t.w[k], t.lead**k) * ratio.numerator**k, t.w[0] * ratio.denominator**k))
 
 
 def weighted_catalan_floats(p: ModelParams, k_max: int, scale: int = 1) -> list[float]:
@@ -391,5 +408,6 @@ def partial_series(
     while len(seg) > 1:
         odd = seg[-1:] if len(seg) % 2 else []
         seg = [(v0 * q1 + n0 * v1, n0 * n1, q0 * q1) for (v0, n0, q0), (v1, n1, q1) in zip(seg[::2], seg[1::2])] + odd
-    acc, _, q_pow = seg[0]  # q_pow = q^(K+1)
-    return Fraction(acc, t.w[0] * (q_pow // q))
+    # acc = sum_k (w[k] / lead^k) (lead n)^k q^(K-k), so u^K divides it for u = gcd(lead n, q)
+    u = math.gcd(t.lead * n, q)
+    return Fraction(_exact_div(seg[0][0], u**K), t.w[0] * (q // u) ** K)

@@ -20,7 +20,6 @@ ValueError), and a stdout closed before the output was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -152,6 +151,14 @@ def _text_cell(value) -> str:
     return str(value)  # Fraction -> p/q, float -> its repr
 
 
+def _csv_cell(value) -> str:
+    """A cell as RFC 4180 writes it: quoted, its quotes doubled, only when it holds , " CR or LF."""
+    text = _text_cell(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(
     subcommand: str, params: dict, format: str, header=(), rows=(), scalars=None, text=None, seed: Optional[int] = None
 ) -> None:
@@ -163,7 +170,11 @@ def _emit(
     json: one object with the manifest, `rows` (one object per row, keyed by
     the header) when there is a header, and the named scalars.
     csv: the manifest as # comments, the header and rows, then one
-    `# name value` trailer per scalar.
+    `# name value` trailer per scalar.  Rows are written here, not by the
+    csv module: fields are joined by commas and end in a newline, and a
+    field is quoted, with its quotes doubled, only when it holds a comma, a
+    double quote, CR or LF (RFC 4180).  Every row has at least 2 fields,
+    so no row is a lone empty field, which the csv module writes as "".
     text: the manifest as # comments, then `text`, or else one
     `name: value` line per scalar.
 
@@ -188,9 +199,9 @@ def _emit(
         if seed is not None:
             print(f"# seed {seed}")
         if format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_text_cell(v) for v in row] for row in rows)
+            write = sys.stdout.write
+            for row in [header, *rows]:  # one write a row; the table is never joined into one string
+                write(",".join(map(_csv_cell, row)) + "\n")
             for name, value in scalars.items():
                 print(f"# {name} {_text_cell(value)}")
         elif text is not None:

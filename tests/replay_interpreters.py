@@ -30,6 +30,8 @@ COMMANDS = [
     ["rho-c", "--d", "2", "--lambda", "1", "--tol", TOL_200, "--certs", "--format", "json"],
     ["rho-c", "--d", "3", "--lambda", "197/20", "--tol", TOL_200, "--certs", "--format", "json"],
     ["rho-c", "--d", "2", "--lambda-grid", "1/4:5:5", "--tol", TOL_200],
+    # CSV cells holding , and ": the certificates' JSON, quoted by the emitter
+    ["rho-c", "--d", "2", "--lambda", "1", "--tol", "1/8", "--certs"],
     ["catalan", "--lambda", "3/2", "--rho", "1/3", "--k-max", "40"],
     # the partial series' value has more than 4300 digits, Python's default int-to-str limit
     ["catalan", "--lambda", "3/2", "--rho", "300000001/1073741824", "--z", "2", "--k-max", "110", "--format", "json"],

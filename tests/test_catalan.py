@@ -262,6 +262,11 @@ recurrence_rhos = st.one_of(
 )
 
 
+# short and 2^30 denominators and rho = 0; with b and e both even, the G_i share a content g >= 2
+lemma_lams = st.one_of(small_rationals, st.integers(1, 2**33).map(lambda n: F(n, 2**30)))
+lemma_rhos = st.one_of(st.just(F(0)), small_rationals, st.integers(1, 2**31).map(lambda n: F(n, 2**30)))
+
+
 class TestExactRecurrence:
     @given(
         lam=st.fractions(min_value=F(1, 64), max_value=64, max_denominator=64),
@@ -294,18 +299,39 @@ class TestExactRecurrence:
             assert F(b * e, g[j + 2]) == fall(p, j)
             assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j)
 
-    # short and 2^30 denominators and rho = 0; with b and e both even, the G_i share a content g >= 2
-    @given(
-        lam=st.one_of(small_rationals, st.integers(1, 2**33).map(lambda n: F(n, 2**30))),
-        rho=st.one_of(st.just(F(0)), small_rationals, st.integers(1, 2**31).map(lambda n: F(n, 2**30))),
-        K=st.integers(0, 40),
-    )
+    @given(lam=lemma_lams, rho=lemma_rhos, K=st.integers(0, 40))
     @example(lam=F(5, 2), rho=F(300000001, 2**30), K=40)  # g = 14
     @example(lam=F(7, 3), rho=F(5, 11), K=40)  # g = 5
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_equals_quadratic_recurrence(self, lam, rho, K):
         p = ModelParams(2, lam, rho)
         assert weighted_catalan_sequence(p, K) == quadratic_recurrence(p, K)
+
+    @given(
+        lam=lemma_lams,
+        rho=lemma_rhos,
+        K=st.integers(0, 40),
+        z=st.one_of(st.fractions(min_value=0, max_value=16, max_denominator=1000),
+                    st.integers(0, 2**34).map(lambda n: F(n, 2**30))),
+    )
+    @example(lam=F(5, 2), rho=F(300000001, 2**30), K=40, z=F(3))  # g = 14
+    @example(lam=F(7, 3), rho=F(5, 11), K=40, z=F(2, 3))  # g = 5
+    @example(lam=F(1, 3), rho=F(1), K=6, z=F(1))  # lead^K does not divide the series' numerator
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_lead_of_the_lemma(self, lam, rho, K, z):
+        # D_k gamma_k = (-bc/g)^k Z_k, so lead^k D_K / D_k divides W_k = gamma_k D_K; the
+        # sequence, one C_k and the series divide it out before reducing, and must stay exact
+        p = ModelParams(2, lam, rho)
+        b, c = lam.denominator, rho.numerator
+        t = ced.catalan._exact_terms(p, K)
+        assert t.lead == (-(b * c // math.gcd(*progression(p, K + 1))) if c else 1)
+        d_k = 1
+        for k, (w_k, step) in enumerate(zip(t.w, t.steps)):
+            d_k *= step
+            assert w_k % (t.lead**k * (t.w[0] // d_k)) == 0
+        reference = quadratic_recurrence(p, K)
+        assert weighted_catalan(p, K).value == reference[K]
+        assert partial_series(p, z, K) == sum(c_k * z**k for k, c_k in enumerate(reference))
 
     @pytest.mark.parametrize(
         "lam,rho,K,g",

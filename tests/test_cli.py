@@ -1,8 +1,11 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 import time
@@ -11,6 +14,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ced.cli
 from ced.catalan import weighted_catalan_sequence
@@ -356,6 +361,32 @@ class TestExactOutputLength:
         seq = weighted_catalan_sequence(ModelParams(2, F(3, 2), F(300000001, 1073741824)), 110)
         assert value == sum(c * 2**k for k, c in enumerate(seq))
         assert value.denominator > 10**4300  # past the default int-to-str limit
+
+
+def _csv_body(capsys, header, rows):
+    """What _emit writes for a CSV table after its two manifest lines."""
+    ced.cli._emit("catalan", {}, "csv", header, rows)
+    return capsys.readouterr().out.split("\n", 2)[2]
+
+
+#: Cell text drawn from what the CLI prints (digits, signs, p/q, JSON
+#: certificates) and the characters that need quoting, CR aside.
+_cells = st.text(alphabet=string.digits + string.ascii_letters + '-/,"\n {}:', max_size=12)
+
+
+class TestCsvEmitter:
+    @given(rows=st.lists(st.lists(_cells, min_size=2, max_size=6), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_csv_writer(self, capsys, rows):
+        # every CSV row of the CLI has at least 2 fields: csv writes a lone empty field as ""
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert _csv_body(capsys, rows[0], rows[1:]).encode() == expected.getvalue().encode()
+
+    def test_carriage_return_is_quoted(self, capsys):
+        # RFC 4180; the csv module leaves a\rb unquoted before Python 3.13 and quotes it from 3.13 on
+        assert _csv_body(capsys, ["a\rb", 'say "hi"'], [["1,2", ""]]) == '"a\rb","say ""hi"""\n"1,2",\n'
 
 
 class TestSimulateCommand:
