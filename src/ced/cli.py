@@ -89,7 +89,7 @@ def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) 
             raise UsageError(f"{flag}: zero denominator in {text!r}") from None
         except ValueError:  # an integer past Python's int-to-str digit limit
             raise UsageError(f"{flag}: more than {sys.get_int_max_str_digits()} digits") from None
-    hint = " (decimals need --allow-decimal)" if _DECIMAL_RE.match(text) else ""
+    hint = " (decimals only with simulate --allow-decimal)" if _DECIMAL_RE.match(text) else ""
     raise UsageError(f"{flag}: expected an exact rational like 3/7, got {text!r}{hint}")
 
 
