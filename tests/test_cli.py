@@ -100,6 +100,12 @@ class TestDecideCommand:
         code, _, err = run(capsys, "decide", "--d", "2", "--lambda", "1", "--nope", "1")
         assert code == 64
 
+    def test_replay_is_byte_identical(self, capsys):
+        args = ("decide", "--d", "2", "--lambda", "1", "--rho", "1", "--json")
+        _, out1, _ = run(capsys, *args)
+        _, out2, _ = run(capsys, *args)
+        assert out1 == out2
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run(capsys, "decide", "--d", "2", "--lambda", "1", "--rho", "1")
         assert "s" in err and "0.0" not in out
@@ -162,6 +168,20 @@ class TestRhoCCommand:
         )
         assert code == 64 and "--lambda-grid" in err
         assert time.monotonic() - start < 1.0
+
+    def test_certs_embedded(self, capsys):
+        code, out, _ = run(
+            capsys, "rho-c", "--d", "2", "--lambda", "1", "--tol", "1/32",
+            "--certs", "--format", "json",
+        )
+        payload = json.loads(out)
+        row = payload["rows"][0]
+        assert row["lo_certificate"]["type"] in ("kernel-below", "zero-rho")
+        assert row["hi_certificate"]["type"] == "kernel-above"
+
+    def test_requires_exactly_one_lambda_mode(self, capsys):
+        code, _, err = run(capsys, "rho-c", "--d", "2", "--tol", "1/64")
+        assert code == 64
 
 
 class TestArgumentRanges:
@@ -332,6 +352,10 @@ class TestCatalanCommand:
             "--mode", "capped",
         )
         assert code == 64 and "--m" in err
+
+    def test_k_with_k_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "catalan", "--lambda", "1", "--rho", "1", "--k", "2", "--k-max", "4")
+        assert code == 64 and "--k-max" in err and out == ""
 
     def test_flattened_table_is_quick(self, capsys):
         # in process on a 2-core Xeon: 1.9-2.3 s with the Fraction height DP, 0.13-0.15 s on integers
