@@ -35,6 +35,7 @@ from ced.catalan import (
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
+    check_table_size,
     partial_series,
     weighted_catalan,
     weighted_catalan_floats,
@@ -261,6 +262,9 @@ MAX_GRID_POINTS = 10_000
 #: 1.1-1.6 s).  Long denominators of rho or lambda cost more: 103 s exact at
 #: rho = 12360736211/2^36, and 128 s at K = 400 (10 s at K = 200) for
 #: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.9 s.
+#: Those tables need at most 21 MiB; one that could pass
+#: `catalan.EXACT_TABLE_BYTES` (a 4300-digit denominator at K = 800 would
+#: need 7.5 GiB) exits 70 before it starts, `simulate` before any trial.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
@@ -376,6 +380,7 @@ def _cmd_simulate(args) -> int:
         if rate and _float(rate) * sys.float_info.max < 53 * math.log(2):
             raise UsageError(f"{flag}: so close to 0 that a delay would overflow the float range")
     p = ModelParams(args.d, lam, rho)
+    check_table_size(p, args.k_max if args.engine == "line" else args.depth)  # the exact column's, before any trial
     if args.engine == "line":
         size = {"k_max": args.k_max}
         summary = simulate_line(p, args.trials, args.k_max, args.seed)

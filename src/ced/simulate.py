@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from ced.catalan import weighted_catalan_floats
+from ced.catalan import ResourceBudgetError, weighted_catalan_floats
 from ced.params import ModelParams
 
 # numpy is imported by the functions that compute with it, not by this
@@ -85,10 +85,6 @@ ABSORB_DEATH = "death"
 ABSORB_CAUGHT = "caught"
 ABSORB_TRUNCATED = "truncated"
 _ABSORPTIONS = tuple(sorted((ABSORB_DEATH, ABSORB_CAUGHT, ABSORB_TRUNCATED)))  # tally order
-
-
-class ResourceBudgetError(RuntimeError):
-    """A tree trial materialized more than DEFAULT_MAX_VERTICES vertices."""
 
 
 # Each summary stores integer tallies only; frequencies and standard errors

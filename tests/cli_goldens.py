@@ -1,9 +1,10 @@
 """The command-line contract: argv, exit code and stdout sha256 of each `ced` command.
 
-tests/test_cli.py replays every row in process, and tests/replay_interpreters.py
-through a command such as `python3.10 -m ced.cli` or the installed `ced`.  Only
-the standard library is imported, so an interpreter without numpy, pytest or
-hypothesis can read the table.  Each argv is split on whitespace.
+Two tables: `GOLDEN`, which tests/test_cli.py replays in process, and `SLOW`,
+rows of a second or more that tier-1 does not replay.  tests/replay_interpreters.py
+replays both through a command such as `python3.10 -m ced.cli` or the installed
+`ced`.  Only the standard library is imported, so an interpreter without numpy,
+pytest or hypothesis can read the tables.  Each argv is split on whitespace.
 """
 
 import math
@@ -98,4 +99,43 @@ GOLDEN = [
     ("catalan --lambda 3/2 --rho 1/3 --k-max 40", 0, "5ac6fc27e7fdae27c03fe26789ed9f4b3f233f9c2e38fa8b850cac44b6ae8657"),
     # the partial series' value has more than 4300 digits, Python's default int-to-str limit
     ("catalan --lambda 3/2 --rho 300000001/1073741824 --z 2 --k-max 110 --format json", 0, "e933653191181b3cc0df38277f58f720120ee9c1e2102f894bd29980fd295d50"),
+]
+
+
+#: argv -> (exit code, sha256 of stdout, time limit in seconds), each a process of
+#: up to about 1.6 s on a 2-core Xeon.  Recorded when the installed-script CI
+#: step's own checks were folded into this table, with the limits those checks had
+#: (60 s where one had none); a row past its limit reads `timed out`.
+SLOW = [
+    # next to the upper edge at d = 1000 the float roots still differ at m = 4096: the last two pick the cell
+    (f"rho-c --d 1000 --lambda 2467749743/617319 --tol 1/{2**200} --certs --format json", 0,
+     "d8fa36c28ce5e2b40542d0653ab138e9f07a1e2e50b28954c266c8a84f87c2d4", 30),
+    # lambda = floor(0.97 (4d - 2)) next to the upper edge: hi has 28 integer bits, so the estimate runs on rho / 2^28
+    (f"rho-c --d 4294967296 --lambda 16664473106 --tol 1/{2**200} --certs --format json", 0,
+     "f9bf4e338f1b8341d5d76041506423048a11c7da2f40af50e519f27e369b5071", 30),
+    # one end of the estimated cell certifies, and bisection in the gap it leaves stops on an Undecided
+    # midpoint: "status": "unresolved"
+    (f"rho-c --d 1000 --lambda 399799/100 --tol 1/{2**200} --certs --format json", 0,
+     "5e5428fcfbc59e491a63025a94c509d4f798d4f86a1a9e3d736150877ac1d6de", 30),
+    # a little further from that edge: 159 decides, 103 of them at depth 4096, before an Undecided midpoint
+    (f"rho-c --d 1000 --lambda 399777/100 --tol 1/{2**200} --certs --format json", 0,
+     "046ad5cff1a7e46e73415632cfcfcf126cc48f5b613139608bd2b54a1bf1d179", 15),
+    # the process pool pickles each grid point's bracket: the same stdout at one and two threads,
+    # at 1/32 and at 2^-200, where the estimate's fixed-point polish runs on about 240 bits
+    ("rho-c --d 2 --lambda-grid 1/10:6:5 --tol 1/32 --threads 1", 0,
+     "1a6559b3a3b2433a3d0b659c913bad6381ed769f3e396eb5e17152403d4a329f", 60),
+    ("rho-c --d 2 --lambda-grid 1/10:6:5 --tol 1/32 --threads 2", 0,
+     "1a6559b3a3b2433a3d0b659c913bad6381ed769f3e396eb5e17152403d4a329f", 60),
+    (f"rho-c --d 2 --lambda-grid 1/4:5:40 --tol 1/{2**200} --threads 1", 0,
+     "55fd7e48bdef0a61470c175b85ee592382bf317f1cf4937db05c2414bb104a8e", 60),
+    (f"rho-c --d 2 --lambda-grid 1/4:5:40 --tol 1/{2**200} --threads 2", 0,
+     "55fd7e48bdef0a61470c175b85ee592382bf317f1cf4937db05c2414bb104a8e", 60),
+    # the three K = 800 paths through the exact recurrence: the line's float column, the exact
+    # table and the tree's float column
+    ("simulate line --lambda 1 --rho 1/3 --k-max 800 --trials 1000 --seed 1", 0,
+     "e88e006eedaa7f2c15c6d4c9d7db9ee5e6e5c810ce9a36f5daf662e57a08c7b6", 60),
+    ("catalan --lambda 1 --rho 1/3 --k-max 800", 0,
+     "7052643a46e3508b4739dbaf1875f7b9515d4833f49b3ce86136723fc9cab272", 60),
+    ("simulate tree --lambda 1 --rho 3 --depth 800 --trials 1 --seed 1", 0,
+     "d00496e6b9417633ceff3e3017854047a002515eb060bd1db8ed4419c32c3c1b", 60),
 ]

@@ -1,4 +1,4 @@
-"""Replay every GOLDEN row of tests/cli_goldens.py through one or more `ced` commands.
+"""Replay every GOLDEN row, then every SLOW row, of tests/cli_goldens.py through one or more `ced` commands.
 
     python3 tests/replay_interpreters.py COMMAND [COMMAND ...]
 
@@ -6,10 +6,11 @@ Each COMMAND is a shell-quoted prefix such as "python3.10 -m ced.cli", or `ced`
 for the installed script, run in the caller's environment: `PYTHONPATH=src`
 replays this checkout's src/, its absence the installed package.  One line per
 row and command reads `equal` (the recorded exit code and stdout sha256),
-`different (...)`, `failed to run` (`COMMAND --help` does not exit 0) or
-`skipped (no numpy)` (a `simulate` row where a one-trial simulation fails on
-the numpy import).  Exits 1 if any row is different or failed to run.  pytest
-does not collect this file.
+`different (...)`, `timed out` (a SLOW row past its time limit), `failed to
+run` (`COMMAND --help` does not exit 0) or `skipped (no numpy)` (a `simulate`
+row where a one-trial simulation fails on the numpy import).  Exits 1 if any
+row is different, timed out or failed to run.  pytest does not collect this
+file, and tier-1 replays GOLDEN only, in process.
 """
 
 import functools
@@ -18,28 +19,35 @@ import shlex
 import subprocess
 import sys
 
-from cli_goldens import GOLDEN
+from cli_goldens import GOLDEN, SLOW
 
 NUMPY_PROBE = "simulate line --lambda 1 --rho 1 --trials 1 --seed 1"
 
 
-def run(prefix: list[str], argv: str) -> tuple[int, bytes, bytes]:
-    """(exit code, stdout, stderr) of the command with argv appended; a command not found exits 127."""
+def run(prefix: list[str], argv: str, limit: float | None = None) -> tuple[int | None, bytes, bytes]:
+    """(exit code, stdout, stderr) of the command with argv appended; a command not found exits 127.
+
+    The exit code is None when the command is still running after `limit` seconds, and is then killed.
+    """
     try:
-        proc = subprocess.run([*prefix, *argv.split()], capture_output=True)
+        proc = subprocess.run([*prefix, *argv.split()], capture_output=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        return None, b"", b""
     except OSError as exc:
         return 127, b"", str(exc).encode()
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def verdict(row: tuple[str, int, str], run) -> str:
-    """One GOLDEN row's verdict for a command, where run(argv) gives the command's (exit code, stdout, stderr)."""
-    argv, code, digest = row
+def verdict(row: tuple, run) -> str:
+    """One GOLDEN or SLOW row's verdict for a command, where run(argv[, limit]) gives its (exit code, stdout, stderr)."""
+    argv, code, digest, *limit = row
     if run("--help")[0] != 0:
         return "failed to run"
     if argv.startswith("simulate ") and b"No module named 'numpy'" in run(NUMPY_PROBE)[2]:
         return "skipped (no numpy)"
-    got, out, _ = run(argv)
+    got, out, _ = run(argv, *limit)
+    if got is None:
+        return "timed out"
     if got != code:
         return f"different (exit {got}, recorded {code})"
     if hashlib.sha256(out).hexdigest() != digest:
@@ -54,9 +62,9 @@ def main(commands: list[str]) -> int:
     bad = 0
     for command in commands:
         runner = functools.cache(functools.partial(run, shlex.split(command)))
-        for row in GOLDEN:
+        for row in GOLDEN + SLOW:
             word = verdict(row, runner)
-            bad += word.startswith(("different", "failed"))
+            bad += word.startswith(("different", "failed", "timed"))
             shown = " ".join(a if len(a) < 40 else a[:12] + "..." for a in row[0].split())
             print(f"{word}  {command}  ced {shown}", flush=True)
     return 1 if bad else 0

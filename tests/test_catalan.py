@@ -13,7 +13,10 @@ from ced.catalan import (
     MODE_EXACT,
     MODE_FLATTENED,
     _dyck_step_profiles,
+    EXACT_TABLE_BYTES,
+    ResourceBudgetError,
     _pair_terms,
+    check_table_size,
     partial_series,
     step_weights,
     weighted_catalan,
@@ -353,6 +356,25 @@ class TestExactRecurrence:
         t = ced.catalan._exact_terms(p, K)
         assert t.w[0] == h[1] ** K * math.prod(h[l] ** ((K + 1) // l) for l in range(2, K + 2))
         assert (t.r_num, t.r_den) == (-lam.numerator * rho.denominator**2, rho.numerator * g)
+
+    @given(lam=lemma_lams, rho=lemma_rhos, K=st.integers(1, 120))
+    @example(lam=F(1, 10**48), rho=F(1), K=60)
+    @example(lam=F(5, 2), rho=F(300000001, 2**30), K=120)  # g = 14
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_table_size_bounds_d_k(self, lam, rho, K):
+        # the budget's bound on bits(D_K) holds for the D_K = w[0] that the recurrence runs on
+        p = ModelParams(2, lam, rho)
+        bound = check_table_size(p, K)
+        assert bound >= ced.catalan._exact_terms(p, K).w[0].bit_length() if rho else bound == 0
+
+    @pytest.mark.parametrize("lam,rho", [(F(1, 10**4299), F(1)), (F(1), F(10**4299 + 1, 10**4299))])
+    def test_table_past_the_budget_raises_before_it_starts(self, monkeypatch, lam, rho):
+        # 801 integers of the bound's 78 386 431 bits: about 7.5 GiB
+        monkeypatch.setattr(ced.catalan, "_denominator_steps", None)  # never reached
+        p = ModelParams(2, lam, rho)
+        for call in (weighted_catalan_sequence, weighted_catalan_floats, lambda p, K: partial_series(p, 2, K)):
+            with pytest.raises(ResourceBudgetError, match=f"K = 800 may need 7484 MiB, over the {EXACT_TABLE_BYTES >> 20}"):
+                call(p, 800)
 
     def test_wrong_denominator_raises(self, monkeypatch):
         # drop the one factor G_{K+1} from D_K: the first term of the

@@ -24,7 +24,7 @@ from ced.decision import BracketError, OutsideWindowError
 from ced.params import ModelParams
 from ced.simulate import ResourceBudgetError
 
-from cli_goldens import GOLDEN
+from cli_goldens import GOLDEN, SLOW
 from replay_interpreters import NUMPY_PROBE, verdict
 
 
@@ -357,6 +357,25 @@ class TestCatalanCommand:
         code, out, err = run(capsys, "catalan", "--lambda", "1", "--rho", "1", "--k", "2", "--k-max", "4")
         assert code == 64 and "--k-max" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"catalan --lambda 1/1{'0' * 4299} --rho 1 --k-max 800",
+            f"simulate line --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --k-max 800 --trials 1 --seed 1",
+            f"simulate tree --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --depth 800 --trials 1 --seed 1",
+        ],
+        ids=["catalan", "simulate-line", "simulate-tree"],
+    )
+    def test_table_past_the_memory_budget_exits_70_quickly(self, capsys, monkeypatch, argv):
+        # by the lemma's bound, 801 integers of 78 386 431 bits: about 7.5 GiB; simulate refuses before any trial
+        monkeypatch.setattr(ced.cli, "simulate_line", None)
+        monkeypatch.setattr(ced.cli, "simulate_tree", None)
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv.split())
+        assert time.monotonic() - start < 1
+        assert code == 70 and out == "" and "K = 800" in err and "denominators of lambda and rho" in err
+        assert "(14281 and 1 bits)" in err if "catalan" in argv else "(1 and 14281 bits)" in err
+
     def test_flattened_table_is_quick(self, capsys):
         # in process on a 2-core Xeon: 1.9-2.3 s with the Fraction height DP, 0.13-0.15 s on integers
         start = time.monotonic()
@@ -544,6 +563,7 @@ def test_golden_replay(capsys, argv, code, digest):
 _OUT = b"verdict: above\n"
 _ROW = ("decide --d 2 --lambda 1 --rho 1", 1, hashlib.sha256(_OUT).hexdigest())
 _SIMULATE_ROW = ("simulate line --lambda 1 --rho 1 --trials 9 --seed 1", 0, hashlib.sha256(_OUT).hexdigest())
+_SLOW_ROW = (*_ROW, 30)
 _NO_NUMPY = (1, b"", b"Traceback (most recent call last):\nModuleNotFoundError: No module named 'numpy'\n")
 
 
@@ -558,13 +578,33 @@ _NO_NUMPY = (1, b"", b"Traceback (most recent call last):\nModuleNotFoundError: 
         (_SIMULATE_ROW, {NUMPY_PROBE: _NO_NUMPY}, "skipped (no numpy)"),
         (_SIMULATE_ROW, {_SIMULATE_ROW[0]: (0, _OUT, b"")}, "equal"),
         (_ROW, {NUMPY_PROBE: _NO_NUMPY, _ROW[0]: (1, _OUT, b"")}, "equal"),
+        # a SLOW row: the exit code is None when the run passed the row's limit
+        (_SLOW_ROW, {(_ROW[0], 30): (None, b"", b"")}, "timed out"),
+        (_SLOW_ROW, {(_ROW[0], 30): (1, _OUT, b"")}, "equal"),
     ],
     ids=["equal", "exit-differs", "digest-differs", "help-fails", "no-numpy", "simulate-with-numpy",
-         "numpy-free-without-numpy"],
+         "numpy-free-without-numpy", "slow-timed-out", "slow-equal"],
 )
 def test_replay_verdict(row, results, expected):
-    # canned (exit code, stdout, stderr) for each argv; any other argv exits 0 with a usage text
-    assert verdict(row, lambda argv: results.get(argv, (0, b"usage: ced\n", b""))) == expected
+    # canned (exit code, stdout, stderr) for each argv, or (argv, limit); any other exits 0 with a usage text
+    def run(argv, *limit):
+        return results.get((argv, *limit) if limit else argv, (0, b"usage: ced\n", b""))
+    assert verdict(row, run) == expected
+
+
+def test_slow_rows_are_replayable():
+    """Every SLOW argv parses, none is also a GOLDEN row, and rows that differ only in --threads agree."""
+    parser = ced.cli.build_parser()
+    for argv, *_ in SLOW:
+        parser.parse_args(ced.cli._attach_negative_values(argv.split()))
+    assert not {row[0] for row in SLOW} & {row[0] for row in GOLDEN}
+    by_threads = {}
+    for argv, code, digest, _ in SLOW:
+        words = argv.split()
+        if "--threads" in words:
+            at = words.index("--threads")
+            by_threads.setdefault(" ".join(words[:at] + words[at + 2:]), set()).add((code, digest))
+    assert len(by_threads) == 2 and all(len(results) == 1 for results in by_threads.values())
 
 
 #: Every option string each subcommand accepts: a flag shared through a parent
