@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import ced.catalan
 from ced.catalan import (
+    EXACT_TABLE_BYTES,
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
-    _dyck_step_profiles,
-    EXACT_TABLE_BYTES,
     ResourceBudgetError,
+    _dyck_step_profiles,
     _pair_terms,
     check_table_size,
     partial_series,
