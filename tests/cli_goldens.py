@@ -99,6 +99,10 @@ GOLDEN = [
     ("catalan --lambda 3/2 --rho 1/3 --k-max 40", 0, "5ac6fc27e7fdae27c03fe26789ed9f4b3f233f9c2e38fa8b850cac44b6ae8657"),
     # the partial series' value has more than 4300 digits, Python's default int-to-str limit
     ("catalan --lambda 3/2 --rho 300000001/1073741824 --z 2 --k-max 110 --format json", 0, "e933653191181b3cc0df38277f58f720120ee9c1e2102f894bd29980fd295d50"),
+    # lambda outside the d = 2 window on each side: the outside-window certificate, recorded
+    # before each certificate class named its own JSON kind
+    ("decide --d 2 --lambda 6 --rho 1 --json", 1, "794308c0bfd22abe849d40b1f8dd953da4aa5c029d0117a342c19ad3332ef9b9"),
+    ("decide --d 2 --lambda 1/10 --rho 1", 1, "e84bac10a6134820ab19d014740abcfe2ede691ff288777f67dee88ab7bb0aca"),
 ]
 
 

@@ -153,6 +153,23 @@ class TestDecide:
         other = Verdict.ABOVE if out.verdict is Verdict.BELOW else Verdict.BELOW
         assert not verify_certificate(p, replace(out, verdict=other))
 
+    @pytest.mark.parametrize(
+        "lam,rho,verdict,cert",
+        [
+            (F(6), F(1), Verdict.ABOVE, OutsideWindowAbove("left")),  # lambda = 6 lies right of the window
+            (F(6), F(0), Verdict.ABOVE, OutsideWindowAbove("right")),  # the right side, but rho = 0
+            (F(1), F(1, 3), Verdict.BELOW, ZeroRhoBelow()),
+            (F(6), F(0), Verdict.BELOW, ZeroRhoBelow()),  # rho = 0, but lambda outside the window
+            (F(1), F(1), Verdict.UNDECIDED, KernelAbove(1)),
+            (F(1), F(1, 1000), Verdict.BELOW, None),
+            (F(1), F(1), Verdict.ABOVE, None),
+        ],
+        ids=["wrong-side", "outside-at-zero-rho", "zero-rho-at-positive-rho", "zero-rho-outside",
+             "certificate-under-undecided", "below-without-certificate", "above-without-certificate"],
+    )
+    def test_certificate_that_does_not_hold_fails(self, lam, rho, verdict, cert):
+        assert not verify_certificate(ModelParams(2, lam, rho), DecisionOutcome(verdict, cert, 0))
+
     def test_kernels_mutually_exclusive_at_certificate_depth(self):
         grid = [
             ModelParams(2, F(1), F(1)),
