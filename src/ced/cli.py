@@ -44,9 +44,6 @@ from ced.catalan import (
 from ced.decision import (
     DEFAULT_M_MAX,
     DecisionOutcome,
-    KernelAbove,
-    KernelBelow,
-    OutsideWindowAbove,
     OutsideWindowError,
     Verdict,
     classify_phase,
@@ -216,15 +213,7 @@ def _emit(
 
 def _certificate_json(outcome: DecisionOutcome):
     cert = outcome.certificate
-    if cert is None:
-        return _NO_CERTIFICATE
-    if isinstance(cert, KernelBelow):
-        return {"type": "kernel-below", "m": cert.m, "level": cert.level}
-    if isinstance(cert, KernelAbove):
-        return {"type": "kernel-above", "m": cert.m}
-    if isinstance(cert, OutsideWindowAbove):
-        return {"type": "outside-window", "side": cert.side}
-    return {"type": "zero-rho"}  # ZeroRhoBelow, the last kind of Certificate
+    return _NO_CERTIFICATE if cert is None else {"type": cert.kind, **vars(cert)}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from ced.certcheck import check_above, check_below
 from ced.contfrac import below_witness, forward_pass
@@ -88,27 +88,49 @@ class Phase(enum.Enum):
 class KernelBelow:
     """K[b_level, ..., b_m] exceeds 1 or blows up."""
 
+    kind: ClassVar[str] = "kernel-below"
+    verdict: ClassVar[Verdict] = Verdict.BELOW
     m: int
     level: int
+
+    def holds(self, p: ModelParams) -> bool:
+        return check_below(p, self.m, self.level)
 
 
 @dataclass(frozen=True)
 class KernelAbove:
     """b_m < 1/4 and the flattened kernel at depth m is good."""
 
+    kind: ClassVar[str] = "kernel-above"
+    verdict: ClassVar[Verdict] = Verdict.ABOVE
     m: int
+
+    def holds(self, p: ModelParams) -> bool:
+        return check_above(p, self.m)
 
 
 @dataclass(frozen=True)
 class OutsideWindowAbove:
     """lambda certified outside the coexistence window (zero threshold), rho > 0."""
 
+    kind: ClassVar[str] = "outside-window"
+    verdict: ClassVar[Verdict] = Verdict.ABOVE
     side: str  # "left" | "right"
+
+    def holds(self, p: ModelParams) -> bool:
+        expected = WindowPosition.OUTSIDE_LEFT if self.side == "left" else WindowPosition.OUTSIDE_RIGHT
+        return p.rho > 0 and window_position(p.d, p.lam) is expected
 
 
 @dataclass(frozen=True)
 class ZeroRhoBelow:
     """rho = 0 with lambda certified inside the window (positive threshold)."""
+
+    kind: ClassVar[str] = "zero-rho"
+    verdict: ClassVar[Verdict] = Verdict.BELOW
+
+    def holds(self, p: ModelParams) -> bool:
+        return p.rho == 0 and window_position(p.d, p.lam) is WindowPosition.INSIDE
 
 
 Certificate = Union[KernelBelow, KernelAbove, OutsideWindowAbove, ZeroRhoBelow]
@@ -165,11 +187,11 @@ def decide(p: ModelParams, m_max: int = DEFAULT_M_MAX) -> DecisionOutcome:
 def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     """Independently re-check the certificate attached to an outcome.
 
-    Below witnesses are re-evaluated on the tail slice they name; above
-    certificates re-run the b_m < 1/4 check and the good test of the
-    flattened fraction; short-circuit certificates re-derive the window
-    position.  Undecided outcomes carry no certificate and verify
-    vacuously; a certificate of the other side's kind never verifies.
+    With no certificate, only an Undecided outcome verifies.  Otherwise the
+    certificate must be of its verdict's kind, and the `holds` of its class
+    re-checks it: `KernelBelow` re-evaluates its tail slice, `KernelAbove` the
+    b_m < 1/4 check and the good test of the flattened fraction; the two
+    short-circuit kinds re-derive the window position and the sign of rho.
 
     Both kernel re-checks run in `ced.certcheck`, on unreduced integer
     pairs of tail values.  It shares no code with `contfrac._pass`, the one
@@ -178,23 +200,9 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     proves its closing bound on psi(b_m) instead of trusting it.
     """
     cert = outcome.certificate
-    if outcome.verdict is Verdict.UNDECIDED:
-        return cert is None
-    if isinstance(cert, (KernelBelow, ZeroRhoBelow)) != (outcome.verdict is Verdict.BELOW):
-        return False
-    if isinstance(cert, KernelBelow):
-        return check_below(p, cert.m, cert.level)
-    if isinstance(cert, KernelAbove):
-        return check_above(p, cert.m)
-    if isinstance(cert, OutsideWindowAbove):
-        pos = window_position(p.d, p.lam)
-        expected = (
-            WindowPosition.OUTSIDE_LEFT if cert.side == "left" else WindowPosition.OUTSIDE_RIGHT
-        )
-        return pos is expected and p.rho > 0
-    if isinstance(cert, ZeroRhoBelow):
-        return p.rho == 0 and window_position(p.d, p.lam) is WindowPosition.INSIDE
-    return False
+    if cert is None:
+        return outcome.verdict is Verdict.UNDECIDED
+    return cert.verdict is outcome.verdict and cert.holds(p)
 
 
 @dataclass(frozen=True)
