@@ -115,10 +115,11 @@ _MODES = (MODE_EXACT, MODE_CAPPED, MODE_FLATTENED)
 #: Plain enumeration is capped here; Catalan growth makes larger k explode.
 BRUTE_FORCE_MAX_K = 12
 
-#: Most memory the K + 1 integers W_k of an exact table may take, by the lemma's
-#: bound on bits(D_K).  The largest table the command line accepts with short
-#: denominators, rho = 12360736211/2^36 at K = 800, needs at most 20.7 MiB; a
-#: 4300-digit denominator at K = 800 would need about 7.5 GiB.
+#: Most memory the K + 1 integers of an exact table may take, by
+#: `check_table_size`'s bound.  The largest table the command line accepts with
+#: short denominators, rho = 12360736211/2^36 at K = 800, needs at most 20.7 MiB;
+#: a 4300-digit denominator at K = 800 would need about 7.5 GiB, and a 4300-digit
+#: lambda at rho = 0 about 4.3 GiB.
 EXACT_TABLE_BYTES = 256 << 20
 
 _ZERO = Fraction(0)
@@ -220,34 +221,41 @@ def _scaled_progression(p: ModelParams, n: int) -> tuple[int, list[int]]:
 
 
 def check_table_size(p: ModelParams, k_max: int) -> int:
-    """The lemma's bound on bits(D_K) for the exact table to K = k_max; 0 at rho = 0, which has no D_K.
+    """A bound on the bits of each integer of the exact table to K = k_max.
 
-    The bound is K bits(H_1) + sum_{l=2..K+1} floor((K+1)/l) bits(H_l), the
-    bits of the lemma's factors of D_K; it holds for K >= 1 (D_0 = 1).  Raises
-    ResourceBudgetError if the table's K + 1 integers W_k, each of at most that
-    many bits, could pass EXACT_TABLE_BYTES.
+    rho > 0: the lemma's bound on bits(D_K), K bits(H_1) + sum_{l=2..K+1}
+    floor((K+1)/l) bits(H_l), the bits of the lemma's factors of D_K; it holds
+    for K >= 1 (D_0 = 1).  rho = 0: K bits(ab) + 2K bits(a+b), which bounds the
+    numerator and the denominator of each closed-form C_k, as Cat_k < 4^k and
+    a + b >= 2.  Raises ResourceBudgetError if the table's K + 1 integers, each
+    of at most that many bits, could pass EXACT_TABLE_BYTES.
     """
-    if not p.rho:
-        return 0
-    h = _scaled_progression(p, k_max + 1)[1]
-    bits = k_max * h[1].bit_length() + sum((k_max + 1) // l * h[l].bit_length() for l in range(2, k_max + 2))
+    if p.rho:
+        h = _scaled_progression(p, k_max + 1)[1]
+        bits = k_max * h[1].bit_length() + sum((k_max + 1) // l * h[l].bit_length() for l in range(2, k_max + 2))
+    else:
+        a, b = p.lam.numerator, p.lam.denominator
+        bits = k_max * (a * b).bit_length() + 2 * k_max * (a + b).bit_length()
     if (k_max + 1) * bits > 8 * EXACT_TABLE_BYTES:
+        (lam_part, lam_int), (rho_part, rho_int) = (  # the longer of numerator and denominator
+            ("numerator", x.numerator) if x > 1 else ("denominator", x.denominator) for x in (p.lam, p.rho)
+        )
         raise ResourceBudgetError(
             f"the exact table to K = {k_max} may need {(k_max + 1) * bits >> 23} MiB, over the "
-            f"{EXACT_TABLE_BYTES >> 20} MiB budget: lower K, or shorten the denominators of lambda and rho "
-            f"({p.lam.denominator.bit_length()} and {p.rho.denominator.bit_length()} bits)"
+            f"{EXACT_TABLE_BYTES >> 20} MiB budget: lower K, or shorten lambda's {lam_part} and rho's {rho_part} "
+            f"({lam_int.bit_length()} and {rho_int.bit_length()} bits)"
         )
     return bits
 
 
 def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
     """The integers W_0, ..., W_{k_max} of recurrence (R), exact weights; `check_table_size` runs first."""
+    check_table_size(p, k_max)
     a, b = p.lam.numerator, p.lam.denominator
     c, e = p.rho.numerator, p.rho.denominator
     if c == 0:
         cat = [math.comb(2 * k, k) // (k + 1) for k in range(k_max + 1)]
         return _ExactTerms(cat, [1] * (k_max + 1), a * b, (a + b) ** 2)
-    check_table_size(p, k_max)
     content, h = _scaled_progression(p, k_max + 1)
     steps = _denominator_steps(h, k_max)
     d_top = math.prod(steps)

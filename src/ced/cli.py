@@ -253,7 +253,8 @@ MAX_GRID_POINTS = 10_000
 #: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.9 s.
 #: Those tables need at most 21 MiB; one that could pass
 #: `catalan.EXACT_TABLE_BYTES` (a 4300-digit denominator at K = 800 would
-#: need 7.5 GiB) exits 70 before it starts, `simulate` before any trial.
+#: need 7.5 GiB, a 4300-digit lambda at rho = 0 4.3 GiB) exits 70 before it
+#: starts, `simulate` before any trial.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when

@@ -1,14 +1,14 @@
 """Compare two revisions on perfbench in alternating pairs of runs.
 
-    python3 tests/bench_pairs.py BASE HEAD [--workload catalan] [--seed 1] [--record]
+    python3 tests/bench_pairs.py BASE HEAD [--workload all] [--seed 1] [--record]
 
 BASE and HEAD are git revisions of this repository.  Each is exported with
 `git archive` into a temporary directory, and `perfbench/run.py --workload W
 --seed S` runs from each checkout in turn, at run.py's own run length, for
 SETS sets of PAIRS pairs: pair i runs BASE first when i is even and HEAD first
 when it is odd, so neither side always meets the other's warm caches or the
-machine's drift in the same order.  --workload all runs each workload as its
-own pair.
+machine's drift in the same order.  --workload all, the default, runs each
+workload as its own pair.
 
 For every workload and end-to-end metric of BENCHMARK.json it prints, per set
 and over all pairs, the median and quartiles on each side, the change of the
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("head")
-    parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="catalan")
+    parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)

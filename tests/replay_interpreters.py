@@ -8,9 +8,10 @@ replays this checkout's src/, its absence the installed package.  One line per
 row and command reads `equal` (the recorded exit code and stdout sha256),
 `different (...)`, `timed out` (a SLOW row past its time limit), `failed to
 run` (`COMMAND --help` does not exit 0) or `skipped (no numpy)` (a `simulate`
-row where a one-trial simulation fails on the numpy import).  Exits 1 if any
-row is different, timed out or failed to run.  pytest does not collect this
-file, and tier-1 replays GOLDEN only, in process.
+row where a one-trial simulation fails on the numpy import).  A SLOW row that
+ran also shows its wall time next to its limit, as in `equal (1.4 s of 30 s)`.
+Exits 1 if any row is different, timed out or failed to run.  pytest does not
+collect this file, and tier-1 replays GOLDEN only, in process.
 """
 
 import functools
@@ -18,6 +19,7 @@ import hashlib
 import shlex
 import subprocess
 import sys
+import time
 
 from cli_goldens import GOLDEN, SLOW
 
@@ -63,8 +65,11 @@ def main(commands: list[str]) -> int:
     for command in commands:
         runner = functools.cache(functools.partial(run, shlex.split(command)))
         for row in GOLDEN + SLOW:
+            start = time.monotonic()
             word = verdict(row, runner)
             bad += word.startswith(("different", "failed", "timed"))
+            if len(row) > 3 and not word.startswith(("failed", "skipped")):  # a SLOW row: its margin
+                word += f" ({time.monotonic() - start:.1f} s of {row[3]} s)"
             shown = " ".join(a if len(a) < 40 else a[:12] + "..." for a in row[0].split())
             print(f"{word}  {command}  ced {shown}", flush=True)
     return 1 if bad else 0

@@ -362,10 +362,15 @@ class TestExactRecurrence:
     @example(lam=F(5, 2), rho=F(300000001, 2**30), K=120)  # g = 14
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_table_size_bounds_d_k(self, lam, rho, K):
-        # the budget's bound on bits(D_K) holds for the D_K = w[0] that the recurrence runs on
+        # the budget's bound on bits(D_K) holds for the D_K = w[0] that the recurrence runs on;
+        # at rho = 0 it bounds the numerator and the denominator of each closed-form C_k
         p = ModelParams(2, lam, rho)
         bound = check_table_size(p, K)
-        assert bound >= ced.catalan._exact_terms(p, K).w[0].bit_length() if rho else bound == 0
+        if rho:
+            assert bound >= ced.catalan._exact_terms(p, K).w[0].bit_length()
+        else:
+            for c in weighted_catalan_sequence(p, K):
+                assert bound >= max(c.numerator.bit_length(), c.denominator.bit_length())
 
     @pytest.mark.parametrize("lam,rho", [(F(1, 10**4299), F(1)), (F(1), F(10**4299 + 1, 10**4299))])
     def test_table_past_the_budget_raises_before_it_starts(self, monkeypatch, lam, rho):

@@ -358,23 +358,32 @@ class TestCatalanCommand:
         assert code == 64 and "--k-max" in err and out == ""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,advice",
         [
-            f"catalan --lambda 1/1{'0' * 4299} --rho 1 --k-max 800",
-            f"simulate line --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --k-max 800 --trials 1 --seed 1",
-            f"simulate tree --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --depth 800 --trials 1 --seed 1",
+            (f"catalan --lambda 1/1{'0' * 4299} --rho 1 --k-max 800",
+             "lambda's denominator and rho's denominator (14281 and 1 bits)"),
+            (f"simulate line --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --k-max 800 --trials 1 --seed 1",
+             "lambda's denominator and rho's numerator (1 and 14281 bits)"),
+            (f"simulate tree --lambda 1 --rho 1{'0' * 4298}1/1{'0' * 4299} --depth 800 --trials 1 --seed 1",
+             "lambda's denominator and rho's numerator (1 and 14281 bits)"),
+            (f"catalan --lambda 1{'0' * 4299} --rho 1 --k-max 800",
+             "lambda's numerator and rho's denominator (14281 and 1 bits)"),
+            # the rho = 0 closed form: each C_k within 800 bits(ab) + 1600 bits(a+b), about 4.3 GiB for 801
+            (f"catalan --lambda 1{'0' * 4298}1/1{'0' * 4299} --rho 0 --k 800",
+             "lambda's numerator and rho's denominator (14281 and 1 bits)"),
+            (f"simulate line --lambda 1{'0' * 4298}1/1{'0' * 4299} --rho 0 --k-max 800 --trials 1 --seed 1",
+             "lambda's numerator and rho's denominator (14281 and 1 bits)"),
         ],
-        ids=["catalan", "simulate-line", "simulate-tree"],
+        ids=["catalan", "simulate-line", "simulate-tree", "catalan-long-numerator", "catalan-rho-0", "simulate-line-rho-0"],
     )
-    def test_table_past_the_memory_budget_exits_70_quickly(self, capsys, monkeypatch, argv):
-        # by the lemma's bound, 801 integers of 78 386 431 bits: about 7.5 GiB; simulate refuses before any trial
+    def test_table_past_the_memory_budget_exits_70_quickly(self, capsys, monkeypatch, argv, advice):
+        # rho > 0: by the lemma's bound, 801 integers of 78 386 431 bits, about 7.5 GiB; simulate refuses before any trial
         monkeypatch.setattr(ced.cli, "simulate_line", None)
         monkeypatch.setattr(ced.cli, "simulate_tree", None)
         start = time.monotonic()
         code, out, err = run(capsys, *argv.split())
         assert time.monotonic() - start < 1
-        assert code == 70 and out == "" and "K = 800" in err and "denominators of lambda and rho" in err
-        assert "(14281 and 1 bits)" in err if "catalan" in argv else "(1 and 14281 bits)" in err
+        assert code == 70 and out == "" and "K = 800" in err and f"lower K, or shorten {advice}" in err
 
     def test_flattened_table_is_quick(self, capsys):
         # in process on a 2-core Xeon: 1.9-2.3 s with the Fraction height DP, 0.13-0.15 s on integers
