@@ -7,8 +7,10 @@ stderr carries logs (including wall-clock timing, which is kept off
 stdout so replaying a manifest reproduces output byte for byte).
 
 Each flag is defined once, and argparse alone decides which flags a
-subcommand takes: rho-c needs exactly one of --lambda and --lambda-grid,
-catalan exactly one of --k and --k-max.  --json is --format json.
+subcommand, or a `simulate` engine, takes: rho-c needs exactly one of
+--lambda and --lambda-grid, catalan exactly one of --k and --k-max;
+`simulate line` takes --k-max, `simulate tree` --d and --depth.  --json is
+--format json.
 
 Exit codes for `decide`: 0 below, 1 above, 2 undecided, 64 usage error,
 70 runtime error.  Other subcommands: 0 on success.  Exit 70 covers any
@@ -35,7 +37,6 @@ from ced.catalan import (
     MODE_CAPPED,
     MODE_EXACT,
     MODE_FLATTENED,
-    check_table_size,
     partial_series,
     weighted_catalan,
     weighted_catalan_floats,
@@ -273,7 +274,7 @@ MAX_DECISION_D = 1 << 32
 #: k <= 800 take 176 us each: about half an hour at the cap.
 MAX_TRIALS = 10**7
 
-#: Largest `simulate --d`, kept as a spec decision: the tree engine's memory no
+#: Largest `simulate tree --d`, kept as a spec decision: the tree engine's memory no
 #: longer grows with d.  At rho = 0, depth 2 and one trial, in process, d = 1024 takes
 #: 0.3-0.4 s at 32 MB, and d = 100000 stops on the vertex budget after 1.0-1.2 s at 45 MB.
 MAX_SIMULATE_D = 1024
@@ -351,40 +352,33 @@ def _cmd_catalan(args) -> int:
     return 0
 
 
-def _float(value: Fraction) -> float:
-    """A nonnegative value as a float, inf past the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _cmd_simulate(args) -> int:
     lam = parse_rational(args.lam, "--lambda", allow_decimal=args.allow_decimal)
     rho = parse_rational(args.rho, "--rho", allow_decimal=args.allow_decimal)
     for flag, rate in (("--lambda", lam), ("--rho", rho)):
         _check_rate(flag, rate)
         # the engines draw their delays -log(1 - u) / rate in floats, and -log(1 - u) <= 53 ln 2
-        if _float(rate) == math.inf:
-            raise UsageError(f"{flag}: past the float range")
-        if rate and _float(rate) * sys.float_info.max < 53 * math.log(2):
+        try:
+            value = float(rate)
+        except OverflowError:
+            raise UsageError(f"{flag}: past the float range") from None
+        if rate and value * sys.float_info.max < 53 * math.log(2):
             raise UsageError(f"{flag}: so close to 0 that a delay would overflow the float range")
     p = ModelParams(args.d, lam, rho)
-    check_table_size(p, args.k_max if args.engine == "line" else args.depth)  # the exact column's, before any trial
+    k_max, scale = (args.k_max, 1) if args.engine == "line" else (args.depth, args.d)
+    exact = weighted_catalan_floats(p, k_max, scale)  # first: a table over budget stops the run before any trial
     if args.engine == "line":
-        size = {"k_max": args.k_max}
-        summary = simulate_line(p, args.trials, args.k_max, args.seed)
-        renewals = compare_renewals(summary)
+        size = {"k_max": k_max}
+        summary = simulate_line(p, args.trials, k_max, args.seed)
+        renewals = compare_renewals(summary, exact)
         header = ["k", "count", "frequency", "stderr", "exact", "z"]
         rows = [(r.k, summary.renewal_counts[r.k], r.observed, r.stderr, r.expected, r.z) for r in renewals]
         scalars = {"max_abs_z": max_abs_z(renewals), "absorption": dict(summary.absorption_counts)}
     else:
-        size = {"depth": args.depth}
-        summary = simulate_tree(p, args.depth, args.trials, args.seed)
-        exact = weighted_catalan_floats(p, args.depth, args.d)
+        size = {"depth": k_max}
+        summary = simulate_tree(p, k_max, args.trials, args.seed)
         header = ["level", "mean", "stderr", "exact"]
-        rows = [(k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), exact[k])
-                for k in range(args.depth + 1)]
+        rows = [(k, summary.level_renewal_mean(k), summary.level_renewal_stderr(k), e) for k, e in enumerate(exact)]
         scalars = {
             "blue_reach_cap_frequency": summary.blue_reach_cap_frequency(),
             "red_reach_cap_frequency": summary.red_reach_cap_frequency(),
@@ -446,21 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--m", type=_int_arg(1), help="cutoff height for capped/flattened modes")
     pc.set_defaults(func=_cmd_catalan)
 
-    ps = sub.add_parser("simulate", parents=[table], help="Monte Carlo engines")
-    ps.add_argument("engine", choices=("line", "tree"))
-    ps.add_argument("--d", type=_int_arg(2, MAX_SIMULATE_D), default=2,
-                    help=f"branching factor (at most {MAX_SIMULATE_D})")
-    ps.add_argument("--lambda", dest="lam", required=True)
-    ps.add_argument("--rho", required=True)
-    ps.add_argument("--trials", type=_int_arg(1, MAX_TRIALS), required=True, help=f"at most {MAX_TRIALS}")
-    ps.add_argument("--seed", type=_int_arg(0, 2**64 - 1), required=True, help="required: no silent nondeterminism")
-    ps.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
-                    help=f"line: stop at this blue position (at most {MAX_LINE_K})")
-    ps.add_argument("--depth", type=_int_arg(1, MAX_LINE_K), default=6,
-                    help=f"tree: depth cap (at most {MAX_LINE_K})")
-    ps.add_argument("--allow-decimal", action="store_true",
-                    help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
+    ps = sub.add_parser("simulate", help="Monte Carlo engines")
     ps.set_defaults(func=_cmd_simulate)
+    engines = ps.add_subparsers(dest="engine", required=True)
+    trials = argparse.ArgumentParser(add_help=False, parents=[table])  # simulate line and simulate tree
+    trials.add_argument("--lambda", dest="lam", required=True)
+    trials.add_argument("--rho", required=True)
+    trials.add_argument("--trials", type=_int_arg(1, MAX_TRIALS), required=True, help=f"at most {MAX_TRIALS}")
+    trials.add_argument("--seed", type=_int_arg(0, 2**64 - 1), required=True, help="required: no silent nondeterminism")
+    trials.add_argument("--allow-decimal", action="store_true",
+                        help="accept decimal rates (exact: 0.1 means 1/10); simulation only")
+    pl = engines.add_parser("line", parents=[trials], help="renewals of the front gap's jump chain")
+    pl.add_argument("--k-max", dest="k_max", type=_int_arg(1, MAX_LINE_K), default=8,
+                    help=f"stop at this blue position (at most {MAX_LINE_K})")
+    pl.set_defaults(d=2)  # the line is d-free; its manifest reads d=2
+    pt = engines.add_parser("tree", parents=[trials], help="level renewals on the depth-capped d-ary tree")
+    pt.add_argument("--d", type=_int_arg(2, MAX_SIMULATE_D), default=2,
+                    help=f"branching factor (at most {MAX_SIMULATE_D})")
+    pt.add_argument("--depth", type=_int_arg(1, MAX_LINE_K), default=6, help=f"depth cap (at most {MAX_LINE_K})")
 
     pp = sub.add_parser("phase", parents=[point], help="classify coexistence / escape / extinction")
     pp.set_defaults(func=_cmd_phase)

@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from ced.catalan import ResourceBudgetError, weighted_catalan_floats
+from ced.catalan import ResourceBudgetError
 from ced.params import ModelParams
 
 # numpy is imported by the functions that compute with it, not by this
@@ -387,20 +387,21 @@ class RenewalZ(NamedTuple):
     z: Optional[float]  # None for the k = 0 row, which matches exactly
 
 
-def compare_renewals(summary: LineSummary) -> list[RenewalZ]:
-    """Per-k z-scores of observed renewal frequencies against exact values.
+def compare_renewals(summary: LineSummary, exact: list[float]) -> list[RenewalZ]:
+    """Per-k z-scores of observed renewal frequencies against exact[k] = C_k, one per count.
 
+    The command line takes `exact` from `ced.catalan.weighted_catalan_floats` before any trial.
     z_k = (phat_k - C_k) / sqrt(phat_k (1 - phat_k) / n).  The k = 0 row is
     a renewal by construction and is reported as an exact match.  A row
     with stderr 0 (frequency 0 or 1) gets z = 0 if phat_k = C_k and else
     an infinity with the sign of phat_k - C_k.
     """
-    exact = weighted_catalan_floats(summary.params, len(summary.renewal_counts) - 1)
+    if len(exact) != len(summary.renewal_counts):
+        raise ValueError(f"{len(exact)} exact values for {len(summary.renewal_counts)} renewal counts")
     n = summary.n_trials
     rows: list[RenewalZ] = []
-    for k, count in enumerate(summary.renewal_counts):
+    for k, (count, expected) in enumerate(zip(summary.renewal_counts, exact)):
         phat = count / n
-        expected = exact[k]
         if k == 0:
             rows.append(RenewalZ(0, phat, expected, 0.0, None))
             continue

@@ -20,12 +20,13 @@ metric's bound; it is unresolved when BASE's interquartile range, relative to
 its median, is wider than that bound and the two sides' runs overlap, since
 then a change as large as the bound could hide in the spread.  A run whose
 output digest differs from the other side's is reported, since the two
-revisions then did not do the same work.
+revisions then did not do the same work.  Last it prints the lines of
+`src/ced/*.py` in each checkout, as `wc -l` counts them.
 
 --record writes BENCH_<date>_<rev>.json at the repository root for each side:
 the machine line of run.py's report, the per-workload medians and quartiles
-over the runs, the output digests, the revision, and the tree hash of its
-`src/`, which survives a rebase that leaves `src/` alone.
+over the runs, the output digests, the revision, the tree hash of its `src/`,
+which survives a rebase that leaves `src/` alone, and its `src/` lines.
 
 pytest does not collect this file; tests/test_bench_pairs.py runs the
 summarizer on canned run.py output.
@@ -138,11 +139,12 @@ def digests(pairs: list[tuple[dict, dict]]) -> list[str]:
     return out
 
 
-def record(runs: list[dict], rev: str, src_tree: str, seed: int, other: str) -> dict:
+def record(runs: list[dict], rev: str, src_tree: str, src_lines: int, seed: int, other: str) -> dict:
     """The BENCH point of one side: medians and quartiles per workload and metric over its runs."""
     point = {
         "revision": rev,
         "src_tree": src_tree,
+        "src_lines": src_lines,
         "compared_with": other,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "command": f"python3 perfbench/run.py --workload W --seed {seed}",
@@ -172,6 +174,11 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
+def src_lines(checkout: Path) -> int:
+    """The lines of src/ced/*.py in a checkout, as `wc -l` counts them: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "ced").glob("*.py"))
+
+
 def bench(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
@@ -198,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             export(rev, checkouts[side])
+        lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         for workload in names:
             everything = []
             for s in range(SETS):
@@ -213,11 +221,12 @@ def main(argv: list[str] | None = None) -> int:
             runs["base"] += [b for b, _ in everything]
             runs["head"] += [h for _, h in everything]
     print(f"machine: {runs['base'][0]['machine']}")
+    print(f"src lines: base {lines['base']}, head {lines['head']}")
     if args.record:
         day = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
         for side, other in (("base", "head"), ("head", "base")):
             rev = revs[side]
-            point = record(runs[side], rev, git("rev-parse", f"{rev}:src"), args.seed, revs[other])
+            point = record(runs[side], rev, git("rev-parse", f"{rev}:src"), lines[side], args.seed, revs[other])
             path = ROOT / f"BENCH_{day}_{rev[:7]}.json"
             path.write_text(json.dumps(point, indent=2) + "\n")
             print(f"wrote {path.name}")

@@ -17,6 +17,7 @@ from ced.catalan import (
     partial_series,
     step_weights,
     weighted_catalan_bruteforce,
+    weighted_catalan_floats,
     weighted_catalan_sequence,
 )
 from ced.contfrac import km_good
@@ -181,7 +182,7 @@ def test_acceptance_06_sqrt_d_scaling():
 def test_acceptance_07_line_simulation_vs_analytics():
     start = time.monotonic()
     summary = simulate_line(P211, 1_000_000, 6, seed=1)  # seed pinned once
-    rows = compare_renewals(summary)
+    rows = compare_renewals(summary, weighted_catalan_floats(P211, 6))
     worst = max_abs_z(rows)
     assert worst <= 4.0, [(r.k, r.z) for r in rows]
     elapsed = time.monotonic() - start

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import bench_pairs
-from bench_pairs import compare, digests, parse_run, record, report, summarize, verdict
+from bench_pairs import compare, digests, parse_run, record, report, src_lines, summarize, verdict
 
 SPEC = bench_pairs.SPEC["end_to_end"]
 
@@ -114,11 +114,23 @@ def test_digest_and_failure_lines():
 
 def test_record_keeps_the_quartiles_digests_and_revision():
     runs = [run(w) for w in (1.0, 1.2, 1.1, 1.3, 1.4)]
-    point = record(runs, "a" * 40, "b" * 40, 1, "c" * 40)
+    point = record(runs, "a" * 40, "b" * 40, 2316, 1, "c" * 40)
     assert (point["revision"], point["src_tree"], point["compared_with"]) == ("a" * 40, "b" * 40, "c" * 40)
+    assert point["src_lines"] == 2316
     assert point["command"] == "python3 perfbench/run.py --workload W --seed 1"
     assert point["machine"] == runs[0]["machine"]
     cat = point["workloads"]["catalan"]
     assert cat["runs"] == 5 and cat["digests"] == [DIGEST]
     assert cat["metrics"]["wall_s"] == pytest.approx({"q1": 1.1, "median": 1.2, "q3": 1.3})
     assert json.loads(json.dumps(point)) == point
+
+
+def test_src_lines_counts_the_newlines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "ced"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('__version__ = "0"\n')
+    (package / "cli.py").write_text("import sys\n\n\ndef main():\n    pass\n")
+    (package / "notes.txt").write_text("not a module\n")  # only *.py counts, as in `wc -l src/ced/*.py`
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_cli.py").write_text("x = 1\n")
+    assert src_lines(tmp_path) == 6

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ced.cli
-from ced.catalan import weighted_catalan_sequence
+from ced.catalan import weighted_catalan_floats, weighted_catalan_sequence
 from ced.cli import main, parse_rational, UsageError
 from ced.decision import BracketError, OutsideWindowError
 from ced.params import ModelParams
@@ -184,6 +184,10 @@ class TestRhoCCommand:
         assert code == 64
 
 
+#: The refusal of a rate whose delays would overflow the float range.
+NEAR_ZERO = "so close to 0 that a delay would overflow the float range"
+
+
 class TestArgumentRanges:
     # values the library rejects with ValueError, which the CLI refuses
     # first, and --threads, which simulate does not take
@@ -245,17 +249,21 @@ class TestArgumentRanges:
             # Philox keys on the seed mod 2^64: a seed outside [0, 2^64) would alias one inside
             ("simulate line --lambda 1 --rho 1 --trials 1 --seed -1", "--seed: must be >= 0, got -1"),
             (f"simulate tree --lambda 1 --rho 1 --trials 1 --seed {2**64}", f"--seed: must be <= {2**64 - 1}"),
+            # each engine takes only its own flags: the line is d-free and has no depth, the tree no k_max
+            ("simulate line --lambda 1 --rho 1 --trials 1 --seed 1 --depth 5", "unrecognized arguments: --depth 5"),
+            ("simulate line --d 3 --lambda 1 --rho 1 --trials 1 --seed 1", "unrecognized arguments: --d 3"),
+            ("simulate tree --lambda 1 --rho 1 --trials 1 --seed 1 --k-max 5", "unrecognized arguments: --k-max 5"),
             # after the bare --, a negative word is left to argparse
             ("decide --d 2 --lambda 1 --rho 1 -- -1", "unrecognized arguments:"),
             # the engines draw their delays in floats, and these rates lie past the float range
-            (f"simulate line --lambda 1 --rho 1{'0' * 400} --trials 10 --seed 1", "--rho"),
-            (f"simulate tree --lambda 1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
+            (f"simulate line --lambda 1 --rho 1{'0' * 400} --trials 10 --seed 1", "--rho: past the float range"),
+            (f"simulate tree --lambda 1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda: past the float range"),
             # ... or so close to 0 that a delay would overflow: 1/10^400 is 0.0 as a float,
             # and 3/10^308, above the smallest normal float, still overflowed in numpy
-            (f"simulate tree --lambda 1/1{'0' * 400} --rho 1 --trials 10 --seed 1", "--lambda"),
-            (f"simulate tree --lambda 1 --rho 3/1{'0' * 308} --trials 10 --seed 1", "--rho"),
-            (f"simulate line --lambda 3/1{'0' * 308} --rho 1 --trials 10 --seed 1", "--lambda"),
-            (f"simulate line --lambda 1 --rho 1/1{'0' * 400} --trials 10 --seed 1", "--rho"),
+            (f"simulate tree --lambda 1/1{'0' * 400} --rho 1 --trials 10 --seed 1", f"--lambda: {NEAR_ZERO}"),
+            (f"simulate tree --lambda 1 --rho 3/1{'0' * 308} --trials 10 --seed 1", f"--rho: {NEAR_ZERO}"),
+            (f"simulate line --lambda 3/1{'0' * 308} --rho 1 --trials 10 --seed 1", f"--lambda: {NEAR_ZERO}"),
+            (f"simulate line --lambda 1 --rho 1/1{'0' * 400} --trials 10 --seed 1", f"--rho: {NEAR_ZERO}"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv, flag):
@@ -503,6 +511,34 @@ class TestSimulateCommand:
         code, out, _ = run(capsys, *args, "--format", "json")
         assert code == 0 and json.loads(out)["rows"][-1]["exact"] == math.inf
 
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            ("simulate line --lambda 1 --rho 1 --k-max 5 --trials 10 --seed 1", (5, 1)),
+            ("simulate tree --d 3 --lambda 1 --rho 1 --depth 4 --trials 10 --seed 1", (4, 3)),
+        ],
+        ids=["line", "tree"],
+    )
+    def test_one_exact_column_before_any_trial(self, capsys, monkeypatch, argv, column):
+        # (K, scale) of each weighted_catalan_floats call: a table over budget must stop the run before its trials
+        columns = []
+
+        def recorder(p, k_max, scale=1):
+            columns.append((k_max, scale))
+            return weighted_catalan_floats(p, k_max, scale)
+
+        def after_the_column(engine):
+            def run_engine(*args):
+                assert columns, "an engine ran before the exact column"
+                return engine(*args)
+            return run_engine
+
+        monkeypatch.setattr(ced.cli, "weighted_catalan_floats", recorder)
+        for name in ("simulate_line", "simulate_tree"):
+            monkeypatch.setattr(ced.cli, name, after_the_column(getattr(ced.cli, name)))
+        assert run(capsys, *argv.split())[0] == 0
+        assert columns == [column]
+
     def test_line_table_and_replay(self, capsys):
         args = (
             "simulate", "line", "--lambda", "1", "--rho", "1",
@@ -623,22 +659,34 @@ OPTIONS = {
     "rho-c": {"-h", "--help", "--d", "--lambda", "--lambda-grid", "--tol", "--max-m", "--certs", "--format",
               "--threads"},
     "catalan": {"-h", "--help", "--d", "--lambda", "--rho", "--k", "--k-max", "--z", "--mode", "--m", "--format"},
-    "simulate": {"-h", "--help", "--d", "--lambda", "--rho", "--trials", "--seed", "--k-max", "--depth",
-                 "--allow-decimal", "--format"},
+    "simulate": {"-h", "--help"},
+    "simulate line": {"-h", "--help", "--lambda", "--rho", "--trials", "--seed", "--k-max", "--allow-decimal",
+                      "--format"},
+    "simulate tree": {"-h", "--help", "--d", "--lambda", "--rho", "--trials", "--seed", "--depth",
+                      "--allow-decimal", "--format"},
     "phase": {"-h", "--help", "--d", "--lambda", "--rho", "--max-m", "--json"},
 }
 
 
+def _options(parser, prefix=""):
+    """Every (sub)command under parser, `simulate line` included, with the option strings it takes."""
+    taken = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                taken[prefix + name] = {s for a in sub._actions for s in a.option_strings}
+                taken.update(_options(sub, prefix + name + " "))
+    return taken
+
+
 def test_each_subcommand_takes_exactly_its_options():
-    (subparsers,) = (a for a in ced.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    taken = {name: {s for a in sub._actions for s in a.option_strings} for name, sub in subparsers.choices.items()}
-    assert taken == OPTIONS
+    assert _options(ced.cli.build_parser()) == OPTIONS
 
 
 @pytest.mark.parametrize("subcommand", ["", *OPTIONS])
 def test_help_exits_0(capsys, subcommand):
     with pytest.raises(SystemExit) as stop:
-        main([subcommand, "--help"] if subcommand else ["--help"])
+        main([*subcommand.split(), "--help"])
     assert stop.value.code == 0 and capsys.readouterr().out.startswith(f"usage: ced {subcommand}".rstrip())
 
 

@@ -1,7 +1,6 @@
 import collections
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ced.simulate
-from ced.catalan import weighted_catalan_sequence
+from ced.catalan import weighted_catalan_floats, weighted_catalan_sequence
 from ced.decision import Verdict, critical_rho, decide
 from ced.params import ModelParams
 from ced.simulate import (
@@ -302,13 +301,13 @@ class TestSimulateLine:
 
     def test_frequencies_match_exact_values(self):
         s = simulate_line(P211, 200_000, 4, seed=1)
-        rows = compare_renewals(s)
+        rows = compare_renewals(s, weighted_catalan_floats(P211, 4))
         assert max_abs_z(rows) <= 4.0
 
     def test_no_death_reduction_to_classic_values(self):
         p = ModelParams(2, F(1), F(0))
         s = simulate_line(p, 200_000, 4, seed=1)
-        rows = compare_renewals(s)
+        rows = compare_renewals(s, weighted_catalan_floats(p, 4))
         # exact values collapse to C_k / 4^k here
         assert [r.expected for r in rows] == [1.0, 0.25, 0.125, 5 / 64, 14 / 256]
         assert max_abs_z(rows) <= 4.0
@@ -338,22 +337,28 @@ class TestSimulateLine:
 class TestCompareRenewals:
     def test_k0_exact_row(self):
         s = simulate_line(P211, 5_000, 3, seed=2)
-        rows = compare_renewals(s)
+        rows = compare_renewals(s, weighted_catalan_floats(P211, 3))
         assert rows[0].z is None and rows[0].observed == 1.0
 
     def test_miswired_rates_detected(self):
-        # pretend a rho=1 run came from rho=1/2: the z-scores blow up
+        # compare a rho=1 run with the rho=1/2 column: the z-scores blow up
         s = simulate_line(P211, 200_000, 3, seed=1)
-        forged = replace(s, params=ModelParams(2, F(1), F(1, 2)))
-        rows = compare_renewals(forged)
+        rows = compare_renewals(s, weighted_catalan_floats(ModelParams(2, F(1), F(1, 2)), 3))
         assert max_abs_z(rows) > 6.0
+
+    def test_a_column_of_another_length_is_refused(self):
+        # zip would drop the rows past the shorter one
+        s = simulate_line(P211, 100, 3, seed=2)
+        with pytest.raises(ValueError, match="3 exact values for 4 renewal counts"):
+            compare_renewals(s, weighted_catalan_floats(P211, 2))
 
     def test_zero_stderr_z_takes_the_sign_of_the_miss(self):
         # se = 0 at frequency 0 or 1: an unseen k lies below C_k, a certain one above it
         absorb = (("caught", 0), ("death", 10), ("truncated", 0))
-        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 0, 0), absorb))]
+        exact = weighted_catalan_floats(P211, 2)
+        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 0, 0), absorb), exact)]
         assert z == [None, -math.inf, -math.inf]
-        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 10), absorb))]
+        z = [r.z for r in compare_renewals(LineSummary(P211, 10, 1, (10, 10), absorb), exact[:2])]
         assert z == [None, math.inf]
 
 
