@@ -69,8 +69,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    names = None  # the subcommand or engine argument, on a parser that has one (`build_parser`)
+
     def error(self, message):  # argparse would exit(2), which collides with Undecided
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        flag = (args[0] if args else "").split("=")[0]  # a flag here would lend its value to the name
+        if self.names and flag.startswith("-") and flag not in ("-h", "--help"):
+            raise UsageError(f"{flag} must follow the {self.names.dest} ({', '.join(self.names.choices)})")
+        return super().parse_known_args(args, namespace)
 
 
 def parse_rational(text: str, flag: str = "value", allow_decimal: bool = False) -> Fraction:
@@ -404,7 +412,7 @@ def _cmd_phase(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The `ced` argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="ced", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.names = parser.add_subparsers(dest="subcommand", required=True)
 
     depth = argparse.ArgumentParser(add_help=False)  # decide, phase and rho-c
     depth.add_argument("--d", type=_int_arg(2, MAX_DECISION_D), required=True, help=f"at most {MAX_DECISION_D}")
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="Monte Carlo engines")
     ps.set_defaults(func=_cmd_simulate)
-    engines = ps.add_subparsers(dest="engine", required=True)
+    engines = ps.names = ps.add_subparsers(dest="engine", required=True)
     trials = argparse.ArgumentParser(add_help=False, parents=[table])  # simulate line and simulate tree
     trials.add_argument("--lambda", dest="lam", required=True)
     trials.add_argument("--rho", required=True)

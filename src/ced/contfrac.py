@@ -12,7 +12,7 @@ The decision module's two tests at a truncation depth m:
   weighted Catalan generating function already has a singularity at or
   before d: the death rate is below critical.  `below_witness` returns
   the deepest such level.
-* above(m), `km_good`: b_m < 1/4 and the flattened upper-bound fraction
+* above(m): b_m < 1/4 and the flattened upper-bound fraction
   K[1, b_0, ..., b_{m-2}, b_{m-1} psi(b_m)] is good (every tail below 1),
   with psi(x) = (1 - sqrt(1 - 4x)) / (2x) the plain Catalan generating
   function closing off the flattened tail: convergence strictly beyond
@@ -186,14 +186,3 @@ def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, b
         return hit
     k = bisect.bisect_left(depths, hit[0])
     return (depths[k], True) if k < len(depths) else None
-
-
-def km_good(p: ModelParams, m: int) -> bool:
-    """Goodness of the flattened upper-bound fraction K[b_0, ..., b_{m-2}, b_{m-1} psi(b_m)] at depth m.
-
-    False whenever b_m >= 1/4.  The tail is closed off by psi's upper bound
-    at b_m: goodness is monotone decreasing in every entry, so good with the
-    inflated last entry implies good with the true value.  Answered by the
-    forward pass at the single depth m.
-    """
-    return forward_pass(p, [m]) == (m, False)

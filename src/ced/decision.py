@@ -41,7 +41,8 @@ as its entries shrink, and psi's upper bound is monotone in b_m unless
 nothing).  So each midpoint bisection would visit beyond a settled index
 decides that index's side, and none is Undecided: skipping them leaves
 bisection's other midpoints, its last cell and, as `decide` is
-deterministic, that cell's outcomes.
+deterministic, that cell's outcomes.  A midpoint needs only its verdict:
+its rho > 0, so its `forward_pass` gives `decide`'s.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def verify_certificate(p: ModelParams, outcome: DecisionOutcome) -> bool:
     Both kernel re-checks run in `ced.certcheck`, on unreduced integer
     pairs of tail values.  It shares no code with `contfrac._pass`, the one
     kernel loop that produced the certificates (run forward by
-    `forward_pass` and `km_good`, backward by `below_witness`), and it
-    proves its closing bound on psi(b_m) instead of trusting it.
+    `forward_pass`, backward by `below_witness`), and it proves its
+    closing bound on psi(b_m) instead of trusting it.
     """
     cert = outcome.certificate
     if cert is None:
@@ -328,14 +329,15 @@ def critical_rho(
     * lo = 0 by the rho = 0 short circuit.  For lo > 0, b_0 >= 1, so b_1 >= 1
       (a pole) or K[b_0, b_1] = b_0 / (1 - b_1) > 1: `below_witness` fires.
     * hi > 0, as b_0(0) = d lambda / (1 + lambda)^2 > 1/4 in the window.  As
-      b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and
-      `km_good` is good: psi's closing bound is at most 2, so b_0 times it
-      is at most 1/2.
+      b_1 < b_0 <= 1/4 there, b_0 / (1 - b_1) < 1/3 is no witness, and the
+      closing test at depth 1 passes: psi's closing bound is at most 2, so
+      b_0 times it is at most 1/2.
     `decide` runs at each end of the estimated cell not yet settled (module
-    docstring), then at the midpoint of the least bisection cell holding
-    the settled indices; an Undecided one stops the loop, is flagged, and
-    its cell is returned.  Each rho is decided once, the result's ends when
-    first needed; each needs its side's verdict and a certificate that
+    docstring); each midpoint of the least bisection cell holding the
+    settled indices takes only its verdict, from `forward_pass`.  An
+    Undecided one stops the loop, is flagged, and its cell is returned.
+    The returned ends are decided once, so they run `below_witness` once;
+    each needs its side's verdict and a certificate that
     `verify_certificate` re-checks on integers, sharing no code with the
     kernels; else BracketError is raised instead of an unproven bracket.
     """
@@ -375,11 +377,11 @@ def critical_rho(
     while above - below > 1:
         h = (below ^ (above - 1)).bit_length() - 1  # the least bisection cell holding both is 2^(h+1) wide
         mid = (below >> h | 1) << h
-        verdict = settle(mid)[1].verdict
-        if verdict is Verdict.UNDECIDED:
+        hit = forward_pass(ModelParams(d, lam, lo + mid * w), _m_schedule(m_max))  # (m, Below?) or None
+        if hit is None:
             unresolved, below, above = lo + mid * w, mid - (1 << h), mid + (1 << h)
             break
-        below, above = (mid, above) if verdict is Verdict.BELOW else (below, mid)
+        below, above = (mid, above) if hit[1] else (below, mid)
     (p_lo, lo_out), (p_hi, hi_out) = settle(below), settle(above)
     for p, out, side in ((p_lo, lo_out, Verdict.BELOW), (p_hi, hi_out, Verdict.ABOVE)):
         if out.verdict is not side or not verify_certificate(p, out):

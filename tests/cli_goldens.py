@@ -3,8 +3,9 @@
 Two tables: `GOLDEN`, which tests/test_cli.py replays in process, and `SLOW`,
 rows of a second or more that tier-1 does not replay.  tests/replay_interpreters.py
 replays both through a command such as `python3.10 -m ced.cli` or the installed
-`ced`.  Only the standard library is imported, so an interpreter without numpy,
-pytest or hypothesis can read the tables.  Each argv is split on whitespace.
+`ced`, and `tests/bench_pairs.py --cli` times `SLOW` rows on two revisions.  Only
+the standard library is imported, so an interpreter without numpy, pytest or
+hypothesis can read the tables.  Each argv is split on whitespace.
 """
 
 import math
@@ -12,6 +13,9 @@ from fractions import Fraction as F
 
 #: Within 10^-200 of the lower window end 3 - 2 sqrt(2) for d = 2, on the inside.
 NEAR_EDGE_LAMBDA = F(3 * 10**200 - math.isqrt(8 * 10**400), 10**200)
+
+#: Within 10^-100 of the same end: at rho = 10^-D, `decide` runs every depth up to 4096.
+EDGE_LAMBDA_100 = F(3 * 10**100 - math.isqrt(8 * 10**200), 10**100)
 
 
 #: argv -> (exit code, sha256 of stdout), recorded before the output code was
@@ -107,9 +111,9 @@ GOLDEN = [
 
 
 #: argv -> (exit code, sha256 of stdout, time limit in seconds), each a process of
-#: up to about 1.6 s on a 2-core Xeon.  Recorded when the installed-script CI
-#: step's own checks were folded into this table, with the limits those checks had
-#: (60 s where one had none); a row past its limit reads `timed out`.
+#: up to about 11 s on a 2-core Xeon; a row past its limit reads `timed out`.  The first
+#: eleven were recorded when the installed-script CI step's own checks were folded
+#: into this table, with the limits those checks had (60 s where one had none).
 SLOW = [
     # next to the upper edge at d = 1000 the float roots still differ at m = 4096: the last two pick the cell
     (f"rho-c --d 1000 --lambda 2467749743/617319 --tol 1/{2**200} --certs --format json", 0,
@@ -142,4 +146,33 @@ SLOW = [
      "7052643a46e3508b4739dbaf1875f7b9515d4833f49b3ce86136723fc9cab272", 60),
     ("simulate tree --lambda 1 --rho 3 --depth 800 --trials 1 --seed 1", 0,
      "d00496e6b9417633ceff3e3017854047a002515eb060bd1db8ed4419c32c3c1b", 60),
+    # The Baseline's other slow paths, each limit at least 3 times its recorded time (in
+    # brackets, one fresh process each on a 2-core Xeon).  Ten near-edge brackets at
+    # d = 1000, three of them unresolved; the bisection's bytes (3.4 s).
+    (f"rho-c --d 1000 --lambda-grid 3997:399799/100:10 --tol 1/{2**200}", 0,
+     "56f99b864eb801d465f910717a5faa6387240a4a6c8c17a105cde4bc9e1aab0f", 30),
+    # Undecided after every depth up to 4096 at a 1000- and a 3000-digit denominator (1.3 s, 7.1 s)
+    (f"decide --d 2 --lambda {EDGE_LAMBDA_100} --rho 1/{10**1000} --max-m 4096", 2,
+     "bedf1806f83743700e0776e68f6c07e9091f951357b0ed1c7e81fe4c72b305d9", 15),
+    (f"decide --d 2 --lambda {EDGE_LAMBDA_100} --rho 1/{10**3000} --max-m 4096", 2,
+     "c5a216e7fb9f67654061c05726545eec4f21e4a5b44769a0c4fa0ed3325d85a9", 30),
+    # exact tables whose reductions and printing outweigh the recurrence: a deep rho (7.2 s)
+    # and lambda = 10^-48, where D_K has 179 485 bits (11.0 s)
+    ("catalan --lambda 1 --rho 12360736211/68719476736 --k-max 400", 0,
+     "711826972cfca5270a95171a95551a285f5e2254bc5de7ecf8bbc35f07c16c62", 60),
+    (f"catalan --lambda 1/{10**48} --rho 1 --k-max 200", 0,
+     "823161e4d48b6293c5d285f6b3b5e2ef6cd93bd975eff96fe4915e1bc9471fda", 60),
+    # long line trials: k_max 800 at lambda = 5, rho = 0 (1.8 s)
+    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 10000 --seed 1", 0,
+     "5cbc9f48b0fa101900abceb2302f1f015b855f64f2bfeefa2310d2108396d749", 15),
+    # a 1000-point grid at 2^-200 on one and on two processes (2.3 s, 1.4 s)
+    (f"rho-c --d 2 --lambda-grid 1/4:5:1000 --tol 1/{2**200} --threads 1", 0,
+     "e1e565ebc4485c52946851c7a3241bcddadf65ed580f07ef90199177d314fb03", 30),
+    (f"rho-c --d 2 --lambda-grid 1/4:5:1000 --tol 1/{2**200} --threads 2", 0,
+     "e1e565ebc4485c52946851c7a3241bcddadf65ed580f07ef90199177d314fb03", 30),
 ]
+
+
+def shown(argv: str) -> str:
+    """An argv with each word of 40 characters or more cut to its first 12, for a report line."""
+    return " ".join(a if len(a) < 40 else a[:12] + "..." for a in argv.split())

@@ -129,7 +129,7 @@ def reference_below_witness(p, m: int) -> Optional[int]:
 
 
 def reference_km_good(p, m: int) -> bool:
-    """`ced.contfrac.km_good` from `is_good` and `psi_bounds` over the Fraction weights."""
+    """above(m) of `ced.contfrac.forward_pass`, from `is_good` and `psi_bounds` over the Fraction weights."""
     b_m = weight_b(p, m)
     if not b_m < Fraction(1, 4):
         return False

@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 
-from cli_goldens import GOLDEN, SLOW
+from cli_goldens import GOLDEN, SLOW, shown
 
 NUMPY_PROBE = "simulate line --lambda 1 --rho 1 --trials 1 --seed 1"
 
@@ -70,8 +70,7 @@ def main(commands: list[str]) -> int:
             bad += word.startswith(("different", "failed", "timed"))
             if len(row) > 3 and not word.startswith(("failed", "skipped")):  # a SLOW row: its margin
                 word += f" ({time.monotonic() - start:.1f} s of {row[3]} s)"
-            shown = " ".join(a if len(a) < 40 else a[:12] + "..." for a in row[0].split())
-            print(f"{word}  {command}  ced {shown}", flush=True)
+            print(f"{word}  {command}  ced {shown(row[0])}", flush=True)
     return 1 if bad else 0
 
 

@@ -20,7 +20,7 @@ from ced.catalan import (
     weighted_catalan_floats,
     weighted_catalan_sequence,
 )
-from ced.contfrac import km_good
+from ced.contfrac import forward_pass
 from ced.decision import KernelAbove, Verdict, critical_rho, decide, rho_c_curve, verify_certificate
 from ced.params import ModelParams, growth_bounds, weight_b
 from ced.simulate import compare_renewals, max_abs_z, simulate_line, simulate_tree
@@ -268,7 +268,7 @@ def test_acceptance_10_dichotomy_proxy():
     out = decide(p_hi)
     assert isinstance(out.certificate, KernelAbove)
     m = out.certificate.m
-    assert km_good(p_hi, m)
+    assert forward_pass(p_hi, [m]) == (m, False)
     tail = psi_bounds(weight_b(p_hi, m)).upper
     entries = [F(1)] + [weight_b(p_hi, j) for j in range(m - 1)] + [weight_b(p_hi, m - 1) * tail]
     ev = eval_finite(entries)

@@ -1,11 +1,14 @@
-"""tests/bench_pairs.py's summarizer on canned perfbench/run.py output; nothing runs perfbench here."""
+"""tests/bench_pairs.py's summarizers on canned perfbench/run.py output and CLI timings; nothing runs here."""
 
 import json
 
 import pytest
 
 import bench_pairs
-from bench_pairs import compare, digests, parse_run, record, report, src_lines, summarize, verdict
+from bench_pairs import (
+    compare, digests, mismatches, parse_run, record, report, select, src_lines, summarize, summarize_cli, verdict,
+)
+from cli_goldens import SLOW
 
 SPEC = bench_pairs.SPEC["end_to_end"]
 
@@ -134,3 +137,70 @@ def test_src_lines_counts_the_newlines_of_the_package_modules(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_cli.py").write_text("x = 1\n")
     assert src_lines(tmp_path) == 6
+
+
+ROWS = [
+    ("rho-c --d 1000 --lambda 399777/100 --tol 1/8", 0, "a" * 64, 15),
+    ("rho-c --d 1000 --lambda-grid 3997:4:10 --tol 1/8", 0, "b" * 64, 30),
+    ("rho-c --d 10000 --lambda 1 --tol 1/8", 0, "c" * 64, 30),
+    ("decide --d 2 --lambda 1 --rho 1", 1, "d" * 64, 15),
+]
+
+
+def test_select_matches_whole_words_of_any_prefix():
+    assert select(ROWS, ["rho-c --d 1000"]) == ROWS[:2]
+    assert select(ROWS, ["rho-c  --d   1000 --lambda-grid"]) == ROWS[1:2]  # words, not characters
+    assert select(ROWS, ["rho-c --d 100"]) == []
+    assert select(ROWS, ["decide", "rho-c --d 10000"]) == ROWS[2:]
+    assert select(ROWS, []) == []
+    # the table's own near-edge rows at d = 1000, the near-edge grid among them
+    near_edge = select(SLOW, ["rho-c --d 1000"])
+    assert len(near_edge) == 4 and any("--lambda-grid 3997:399799/100:10" in row[0] for row in near_edge)
+
+
+def timed(wall_s, row=ROWS[0], **kw):
+    """A canned run of a row: its recorded exit code and digest unless given."""
+    return {"wall_s": wall_s, "code": kw.get("code", row[1]), "digest": kw.get("digest", row[2])}
+
+
+def test_cli_wall_time_takes_the_verdict_rule_with_wall_s_bound():
+    head = [0.7 * b for b in BASE]
+    pairs = [(timed(b), timed(h)) for b, h in zip(BASE, head)]
+    c = summarize_cli(ROWS[0], pairs)["wall_s"]
+    assert (c["won"], c["pairs"], c["better"], c["worse"]) == (10, 10, True, False)
+    assert c["change"] == pytest.approx(-0.3)
+    assert "won 10/10  better" in "\n".join(report("ced rho-c:", summarize_cli(ROWS[0], pairs)))
+    # 25 % slower is past wall_s's bound of 0.2
+    assert summarize_cli(ROWS[0], [(timed(b), timed(1.25 * b)) for b in BASE])["wall_s"]["worse"]
+    assert mismatches(ROWS[0], pairs) == []
+
+
+def test_a_run_off_the_row_is_a_failure_and_listed():
+    pairs = [(timed(b), timed(0.7 * b)) for b in BASE]
+    pairs[2] = (pairs[2][0], timed(0.7, digest="0" * 64))
+    pairs[4] = (timed(1.1, code=None, digest=""), pairs[4][1])  # past the row's time limit
+    c = summarize_cli(ROWS[0], pairs)["wall_s"]
+    assert (c["won"], c["better"]) == (10, True)  # one failure a side
+    pairs[6] = (pairs[6][0], timed(0.7, code=70))
+    assert not summarize_cli(ROWS[0], pairs)["wall_s"]["better"]  # HEAD failed more runs
+    assert mismatches(ROWS[0], pairs) == [
+        "  pair 2: head exit 0, stdout 0000000000000000; recorded exit 0, aaaaaaaaaaaaaaaa",
+        "  pair 4: base exit None, stdout ; recorded exit 0, aaaaaaaaaaaaaaaa",
+        "  pair 6: head exit 70, stdout aaaaaaaaaaaaaaaa; recorded exit 0, aaaaaaaaaaaaaaaa",
+    ]
+
+
+def test_record_adds_a_cli_section():
+    runs = [run(w) for w in (1.0, 1.2, 1.1)]
+    cli = {ROWS[0][0]: [timed(w) for w in (2.0, 2.4, 2.2, 2.6, 2.8)], ROWS[3][0]: [timed(0.1, ROWS[3])]}
+    point = record(runs, "a" * 40, "b" * 40, 2313, 1, "c" * 40, cli)
+    assert point["workloads"]["catalan"]["runs"] == 3 and point["cli"]["command"] == "python3 -m ced.cli ARGV"
+    near = point["cli"]["rows"][ROWS[0][0]]
+    assert (near["runs"], near["codes"], near["digests"]) == (5, [0], ["a" * 64])
+    assert near["wall_s"] == pytest.approx({"q1": 2.2, "median": 2.4, "q3": 2.6})
+    assert point["cli"]["rows"][ROWS[3][0]]["codes"] == [1]
+    assert json.loads(json.dumps(point)) == point
+    # a point with CLI rows alone names the machine itself
+    alone = record([], "a" * 40, "b" * 40, 2313, 1, "c" * 40, cli)
+    assert alone["workloads"] == {} and alone["machine"].startswith("nproc=")
+    assert "cli" not in record(runs, "a" * 40, "b" * 40, 2313, 1, "c" * 40)

@@ -203,7 +203,7 @@ class TestIndependence:
             raise AssertionError("the re-check called code that the kernels or the Fraction path use")
 
         homes = {
-            ced.contfrac: ("below_witness", "forward_pass", "km_good", "_pass", "_scale", "_psi_upper"),
+            ced.contfrac: ("below_witness", "forward_pass", "_pass", "_scale", "_psi_upper"),
             contfrac_reference: ("eval_finite", "is_good", "psi_bounds"),
             ced.params: ("weight_b",),
         }

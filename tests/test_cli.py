@@ -296,6 +296,27 @@ class TestArgumentRanges:
         assert (code, out) == (64, "") and message in separate
         assert run(capsys, *argv.split(), f"{flag}={value}") == (64, "", separate)
 
+    # a flag before the engine or subcommand is named, where argparse took its value for the name
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            ("simulate --format json line --lambda 1 --rho 1 --trials 1 --seed 1", "--format must follow the engine (line, tree)"),
+            ("simulate --trials 5 line --lambda 1 --rho 1 --seed 1", "--trials must follow the engine (line, tree)"),
+            ("simulate --format=json tree --lambda 1 --rho 1 --trials 1 --seed 1", "--format must follow the engine (line, tree)"),
+            ("simulate --allow-decimal line --lambda 1 --rho 1 --trials 1 --seed 1",
+             "--allow-decimal must follow the engine (line, tree)"),
+            ("--d 2 decide --lambda 1 --rho 1", "--d must follow the subcommand (decide, rho-c, catalan, simulate, phase)"),
+            # a missing engine reads as before
+            ("simulate", "the following arguments are required: engine"),
+        ],
+    )
+    def test_flag_before_the_engine_is_named(self, capsys, argv, err):
+        assert run(capsys, *argv.split()) == (64, "", f"ced: usage error: {err}\n")
+
+    def test_an_invalid_engine_reads_as_before(self, capsys):
+        code, out, err = run(capsys, "simulate", "json", "--lambda", "1")
+        assert (code, out) == (64, "") and err.startswith("ced: usage error: argument engine: invalid choice: 'json'")
+
     def test_option_after_rational_flag_is_still_missing_value(self, capsys):
         code, _, err = run(capsys, *"decide --d 2 --lambda 1 --rho --json".split())
         assert code == 64 and "argument --rho: expected one argument" in err
@@ -649,7 +670,7 @@ def test_slow_rows_are_replayable():
         if "--threads" in words:
             at = words.index("--threads")
             by_threads.setdefault(" ".join(words[:at] + words[at + 2:]), set()).add((code, digest))
-    assert len(by_threads) == 2 and all(len(results) == 1 for results in by_threads.values())
+    assert len(by_threads) == 3 and all(len(results) == 1 for results in by_threads.values())
 
 
 #: Every option string each subcommand accepts: a flag shared through a parent

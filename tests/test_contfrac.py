@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ced.contfrac
-from ced.contfrac import _psi_upper, below_witness, km_good
+from ced.contfrac import _psi_upper, below_witness, forward_pass
 from ced.decision import critical_rho
 from ced.params import ModelParams, progression, weight_b
 
@@ -183,21 +183,21 @@ class TestBelowWitness:
 class TestKmGood:
     def test_above_threshold_good_at_m1(self):
         assert weight_b(P211, 1) < F(1, 4)
-        assert km_good(P211, 1)
+        assert forward_pass(P211, [1]) == (1, False)
 
     def test_no_death_never_good(self):
         # b_m = 1/2 >= 1/4 for every m: the precondition can never fire
         p = ModelParams(2, F(1), F(0))
         for m in range(1, 12):
-            assert not km_good(p, m)
+            assert forward_pass(p, [m]) != (m, False)
 
     def test_beyond_extinction_good_quickly(self):
         p = ModelParams(2, F(1), F(2))
-        assert any(km_good(p, m) for m in range(1, 5))
+        assert any(forward_pass(p, [m]) == (m, False) for m in range(1, 5))
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            km_good(P211, 0)
+            forward_pass(P211, [0])
 
 
 class TestForwardPass:
@@ -236,7 +236,7 @@ class TestForwardPass:
         run, scales = ced.contfrac._pass, []
         monkeypatch.setattr(ced.contfrac, "_scale", lambda p: scale)
         monkeypatch.setattr(ced.contfrac, "_pass", lambda *args: scales.append(args[-1]) or run(*args))
-        assert km_good(p, m) is reference_km_good(p, m) is True
+        assert (forward_pass(p, [m]) == (m, False)) is reference_km_good(p, m) is True
         assert scales == [scale, 0]
 
 
@@ -273,8 +273,8 @@ class TestIntegerKernels:
     def test_match_fraction_reference(self, d, lam, rho, m):
         p = ModelParams(d, lam, rho)
         assert below_witness(p, m) == reference_below_witness(p, m)
-        assert km_good(p, m) == reference_km_good(p, m)
-        assert exact_kernels(p, m) == (below_witness(p, m), km_good(p, m))  # the fallback alone, too
+        assert (forward_pass(p, [m]) == (m, False)) == reference_km_good(p, m)
+        assert exact_kernels(p, m) == (below_witness(p, m), forward_pass(p, [m]) == (m, False))  # the fallback alone, too
 
     @pytest.mark.parametrize(
         "d,lam", [(2, F(1)), (3, F(5, 2)), (4, F(1, 10)), (8, F(3)), (64, F(1, 191)), (64, F(45, 4))]
@@ -287,7 +287,7 @@ class TestIntegerKernels:
             p = ModelParams(d, lam, rho)
             for m in range(1, 65):
                 assert below_witness(p, m) == reference_below_witness(p, m)
-                assert km_good(p, m) == reference_km_good(p, m)
+                assert (forward_pass(p, [m]) == (m, False)) == reference_km_good(p, m)
 
     def test_exact_tie_b1_is_one(self):
         # (d, lambda, rho) = (20, 1, 1): b_1 = 20/(4*5) = 1, a pole at level 0
@@ -308,7 +308,7 @@ class TestIntegerKernels:
         p = ModelParams(26, F(4, 5), F(3))
         psi = psi_bounds(weight_b(p, 1))
         assert psi.lower == psi.upper and weight_b(p, 0) * psi.upper == 1
-        assert km_good(p, 1) is reference_km_good(p, 1) is False
+        assert (forward_pass(p, [1]) == (1, False)) is reference_km_good(p, 1) is False
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_exact_ties_without_death(self, m):
@@ -335,7 +335,7 @@ class TestIntegerKernels:
         # (2, 1, 1/3): b_1 = 18/(8*9) = 1/4 exactly, which fails b_m < 1/4
         p = ModelParams(2, F(1), F(1, 3))
         assert weight_b(p, 1) == F(1, 4)
-        assert km_good(p, 1) is reference_km_good(p, 1) is False
+        assert (forward_pass(p, [1]) == (1, False)) is reference_km_good(p, 1) is False
 
 
 @st.composite
@@ -357,7 +357,7 @@ def exact_kernels(p, m):
     """Both kernels' answers from their exact runs alone: `_pass` at scale 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ced.contfrac, "_scale", lambda p: 0)
-        return below_witness(p, m), km_good(p, m)
+        return below_witness(p, m), forward_pass(p, [m]) == (m, False)
 
 
 class TestBoundSweeps:
@@ -367,13 +367,13 @@ class TestBoundSweeps:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     def test_match_the_exact_sweep(self, case):
         p, m = case
-        assert (below_witness(p, m), km_good(p, m)) == exact_kernels(p, m)
+        assert (below_witness(p, m), forward_pass(p, [m]) == (m, False)) == exact_kernels(p, m)
 
     @pytest.mark.parametrize("scale", [1, 16])
     def test_match_the_exact_sweep_at_a_tiny_scale(self, scale):
         # at scale 1 every tail's bounds straddle 1 from the start, so every
         # below_witness call falls back to the exact run; at 16 the bounds
-        # give out partway.  km_good's forward pass reruns exactly at some depths
+        # give out partway.  The forward pass at one depth reruns exactly at some depths
         run, fell_back, reran = ced.contfrac._pass, [], []
 
         @given(near_threshold())
@@ -390,7 +390,7 @@ class TestBoundSweeps:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ced.contfrac, "_scale", lambda p: scale)
                 mp.setattr(ced.contfrac, "_pass", recorded)
-                assert (below_witness(p, m), km_good(p, m)) == expected
+                assert (below_witness(p, m), forward_pass(p, [m]) == (m, False)) == expected
             fell_back.append(True in exact)
             reran.append(False in exact)
 

@@ -10,7 +10,7 @@ import ced.certcheck
 import ced.contfrac
 import ced.decision
 import ced.params
-from ced.contfrac import below_witness, km_good
+from ced.contfrac import below_witness, forward_pass
 from ced.decision import (
     BracketError,
     CriticalBracket,
@@ -103,7 +103,7 @@ class TestDecide:
         p = ModelParams(2, F(1), F(15313620919566925415728018207434704617, 1 << 126))
         out = decide(p)
         assert out.certificate == KernelAbove(m=32)
-        for module, name in ((ced.contfrac, "km_good"), (ced.contfrac, "forward_pass"), (ced.decision, "forward_pass")):
+        for module, name in ((ced.contfrac, "forward_pass"), (ced.decision, "forward_pass")):
             monkeypatch.setattr(module, name, refuse)
         assert verify_certificate(p, out)
 
@@ -111,7 +111,7 @@ class TestDecide:
         # rho = 1/8 is below rho_c(2, 1) ~ 0.18, yet b_8 = 64/325 < 1/4, so the
         # re-check gets past the precondition and must reject on goodness
         p = ModelParams(2, F(1), F(1, 8))
-        assert weight_b(p, 8) < F(1, 4) and not km_good(p, 8)
+        assert weight_b(p, 8) < F(1, 4) and forward_pass(p, [8]) != (8, False)
         out = DecisionOutcome(Verdict.ABOVE, KernelAbove(m=8), 8)
         assert not verify_certificate(p, out)
 
@@ -183,7 +183,7 @@ class TestDecide:
                 continue
             m = out.certificate.m
             below = below_witness(p, m) is not None
-            above = weight_b(p, m) < F(1, 4) and km_good(p, m)
+            above = weight_b(p, m) < F(1, 4) and forward_pass(p, [m]) == (m, False)
             assert not (below and above)
 
     def test_monotone_consistency_quick(self):
@@ -350,8 +350,8 @@ class TestCriticalRho:
 
     @pytest.mark.parametrize("settled", ["lo", "hi"])
     def test_an_end_left_undecided_raises(self, monkeypatch, settled):
-        # bisection runs, and decide answers Undecided everywhere but at one
-        # growth bound, so the other end of the bracket keeps an Undecided outcome
+        # bisection runs on forward passes, and decide answers Undecided everywhere
+        # but at one growth bound, so the ends that bisection returns stay Undecided
         keep = growth_bounds(2, F(1))[settled == "hi"]
         real = ced.decision.decide
 
@@ -440,6 +440,18 @@ def _counting_decide(monkeypatch) -> list:
         return decide(p, m_max)
 
     monkeypatch.setattr(ced.decision, "decide", counting)
+    return calls
+
+
+def _counting_passes(monkeypatch) -> list:
+    """Route `ced.decision`'s forward passes, `decide`'s and bisection's, through a wrapper; returns their rhos."""
+    calls, real = [], ced.decision.forward_pass
+
+    def counting(p, depths):
+        calls.append(p.rho)
+        return real(p, depths)
+
+    monkeypatch.setattr(ced.decision, "forward_pass", counting)
     return calls
 
 
@@ -630,10 +642,12 @@ class TestCellPath:
         # the certified lower end
         expected = critical_rho(2, F(1), F(1, 2**40))
         monkeypatch.setattr(ced.decision, "_exact_closing", lambda p, outcome: True)
-        calls = _counting_decide(monkeypatch)
+        calls, passes = _counting_decide(monkeypatch), _counting_passes(monkeypatch)
         assert critical_rho(2, F(1), F(1, 2**40)) == expected
-        # the cell's ends first, then bisection, above the lower end
-        assert calls[:2] == [expected.lo, expected.hi] and len(calls) > 2 and min(calls[2:]) > expected.lo
+        # the cell's ends first, then bisection's midpoints, above the lower end;
+        # it returns the cell's ends, which are decided only once
+        assert calls == [expected.lo, expected.hi]
+        assert passes[:2] == [expected.lo, expected.hi] and len(passes) > 2 and min(passes[2:]) > expected.lo
 
     @pytest.mark.parametrize(
         "d,lam,bits,m_max,by",
@@ -652,15 +666,35 @@ class TestCellPath:
         assert Verdict.UNDECIDED in seeds.values() and len(set(seeds.values())) == 2
         gap_lo = max([rho for rho, verdict in seeds.items() if verdict is Verdict.BELOW], default=lo)
         gap_hi = min([rho for rho, verdict in seeds.items() if verdict is Verdict.ABOVE], default=hi)
+        expected = bisection(d, lam, tol, m_max)
         monkeypatch.setattr(ced.decision, "_estimate_rho_c", guess)
-        calls = _counting_decide(monkeypatch)
+        calls, passes = _counting_decide(monkeypatch), _counting_passes(monkeypatch)
         bracket = critical_rho(d, lam, tol, m_max)
-        assert bracket == bisection(d, lam, tol, m_max) and bracket.unresolved_midpoint is not None
-        # the cell's ends first, then bisection; an end of the Undecided
-        # midpoint's cell may lie past a seed inside that cell
-        assert calls[:2] == list(seeds)
-        assert all(gap_lo < rho < gap_hi or rho in (bracket.lo, bracket.hi) for rho in calls[2:])
-        assert {lo, hi} & set(calls) <= {bracket.lo, bracket.hi}
+        assert bracket == expected and bracket.unresolved_midpoint is not None
+        # the cell's ends first, then bisection's midpoints, then the returned ends;
+        # an end of the Undecided midpoint's cell may lie past a seed inside that cell
+        assert calls[:2] == list(seeds) and set(calls[2:]) <= {bracket.lo, bracket.hi}
+        assert passes[:2] == list(seeds)
+        assert all(gap_lo < rho < gap_hi or rho in (bracket.lo, bracket.hi) for rho in passes[2:])
+        assert {lo, hi} & set(calls + passes) <= {bracket.lo, bracket.hi}
+
+    @pytest.mark.parametrize("d,lam,m_max", [(2, F(1), 4096), (5, F(1), 4096), (8, F(1, 21), 16)])
+    def test_bisection_decides_only_the_ends_it_returns(self, monkeypatch, d, lam, m_max):
+        # with no estimate every step is a midpoint, which takes one forward pass
+        # and no certificate; the two returned ends are then decided, so the Below
+        # end runs below_witness once
+        tol = F(1, 2**30)
+        expected, (lo, hi) = bisection(d, lam, tol, m_max), growth_bounds(d, lam)
+        witnesses, real = [], ced.decision.below_witness
+        monkeypatch.setattr(ced.decision, "below_witness", lambda p, m: witnesses.append(p.rho) or real(p, m))
+        monkeypatch.setattr(ced.decision, "_estimate_rho_c", lambda *args: None)
+        calls, passes = _counting_decide(monkeypatch), _counting_passes(monkeypatch)
+        bracket = critical_rho(d, lam, tol, m_max)
+        assert bracket == expected and calls == [bracket.lo, bracket.hi] and witnesses == [bracket.lo]
+        # each midpoint once, then the returned ends once more; all n steps unless one is Undecided
+        midpoints, steps = passes[:-2], ((hi - lo) / _cell_width(d, lam, tol)).numerator.bit_length() - 1
+        assert passes[-2:] == [bracket.lo, bracket.hi] and len(set(midpoints)) == len(midpoints)
+        assert len(midpoints) <= steps and (bracket.unresolved_midpoint is not None) is (len(midpoints) < steps)
 
     # Recorded with plain bisection before the estimate: a midpoint comes back
     # Undecided at these depth caps, and the bracket stops there.
