@@ -105,7 +105,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ced.params import ModelParams, progression
+from ced.params import ModelParams, integers, progression
 
 MODE_EXACT = "exact"
 MODE_CAPPED = "capped"
@@ -214,9 +214,8 @@ class _ExactTerms(NamedTuple):
 
 def _scaled_progression(p: ModelParams, n: int) -> tuple[int, list[int]]:
     """The content g = gcd(G_0, bc), which divides every G_i, and H_0, ..., H_n with H_i = G_i / g."""
-    a, b = p.lam.numerator, p.lam.denominator
-    c, e = p.rho.numerator, p.rho.denominator
-    content = math.gcd(e * (a + b), b * c)
+    _, g0, step = integers(p)
+    content = math.gcd(g0, step)
     return content, [g_i // content for g_i in progression(p, n)]
 
 
@@ -269,7 +268,7 @@ def _exact_terms(p: ModelParams, k_max: int) -> _ExactTerms:
         for l in range(2, k + 1):
             acc = acc * lh[l] + w[k - l]
         w.append(_exact_div(top - h[k + 1] * acc, t * h[k + 1]))
-    return _ExactTerms(w, steps, -a * e * e, c * content, -(b * c // content))
+    return _ExactTerms(w, steps, -a * e * e, c * content, h[0] - h[1])  # the lead -bc/g = H_0 - H_1
 
 
 def _pair_step(up: list[int], down: list[int], beta: list[int]) -> tuple[list[int], int]:
@@ -295,7 +294,7 @@ def _pair_terms(p: ModelParams, k_max: int, capped: bool, m: int) -> _ExactTerms
     d_top = 1  # D_K / D_k, then D_K
     for k in range(k_max, -1, -1):
         w[k], d_top = w[k] * d_top, d_top * steps[k]
-    return _ExactTerms(w, steps, p.lam.numerator * p.lam.denominator * p.rho.denominator**2, 1)
+    return _ExactTerms(w, steps, integers(p)[0] // p.d, 1)  # r = alpha/d = abe^2
 
 
 def _terms(p: ModelParams, k_max: int, mode: str, m: int | None) -> _ExactTerms:

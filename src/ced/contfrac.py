@@ -22,7 +22,7 @@ The decision module's two tests at a truncation depth m:
 The kernels run three-term recurrences of continuants on integers
 (Flajolet, "Combinatorial aspects of continued fractions", 1980), with no
 Fraction and no gcd per level.  With lambda = a/b, rho = c/e, G_i = be +
-ae + i bc > 0 and alpha = d a b e^2 (`params.progression`), b_j = alpha /
+ae + i bc > 0 and alpha = d a b e^2 (`params.integers`), b_j = alpha /
 (G_{j+1} G_{j+2}).
 
 One recurrence, read in two directions.  `_pass` runs the ratios
@@ -91,7 +91,7 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-from ced.params import ModelParams, _progression_origin
+from ced.params import ModelParams, integers
 
 #: The closing factor puts sqrt(1 - 4x) on the grid 2^-_ROOT_BITS for every x
 #: (module docstring); psi's slope in the root is at most 2, so the bound
@@ -112,11 +112,11 @@ def _psi_upper(num: int, den: int) -> tuple[int, int]:
 
 
 def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:
-    """alpha = d a b e^2, the step bc and G_{m+1} of `params.progression`."""
+    """alpha, the step bc and G_{m+1}, from `params.integers`."""
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
-    g0, step = _progression_origin(p)
-    return p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2, step, g0 + (m + 1) * step
+    alpha, g0, step = integers(p)
+    return alpha, step, g0 + (m + 1) * step
 
 
 def _scale(p: ModelParams) -> int:

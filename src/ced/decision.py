@@ -373,11 +373,11 @@ def critical_rho(
                     below = i
                 elif out.verdict is Verdict.ABOVE and not _exact_closing(p, out):
                     above = i
-    unresolved = None
+    unresolved, schedule = None, _m_schedule(m_max)
     while above - below > 1:
         h = (below ^ (above - 1)).bit_length() - 1  # the least bisection cell holding both is 2^(h+1) wide
         mid = (below >> h | 1) << h
-        hit = forward_pass(ModelParams(d, lam, lo + mid * w), _m_schedule(m_max))  # (m, Below?) or None
+        hit = forward_pass(ModelParams(d, lam, lo + mid * w), schedule)  # (m, Below?) or None
         if hit is None:
             unresolved, below, above = lo + mid * w, mid - (1 << h), mid + (1 << h)
             break

@@ -124,20 +124,19 @@ def growth_bounds(d: int, lam: Fraction | int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 1 << 30), Fraction(hi, 1 << 30)
 
 
-def _progression_origin(p: ModelParams) -> tuple[int, int]:
-    """G_0 = be + ae and the step bc of the progression G_i = G_0 + i bc."""
-    a, b = p.lam.numerator, p.lam.denominator
-    c, e = p.rho.numerator, p.rho.denominator
-    return b * e + a * e, b * c
+def integers(p: ModelParams) -> tuple[int, int, int]:
+    """alpha = d a b e^2, G_0 = be + ae and the step bc, where lambda = a/b and rho = c/e (see `progression`)."""
+    a, b, c, e = p.lam.numerator, p.lam.denominator, p.rho.numerator, p.rho.denominator
+    return p.d * a * b * e * e, b * e + a * e, b * c
 
 
 def weight_b(p: ModelParams, j: int) -> Fraction:
-    """b_j = d u(j) v(j) = d a b e^2 / (G_{j+1} G_{j+2}) (see `progression`), decreasing in j if rho > 0."""
+    """b_j = d u(j) v(j) = alpha / (G_{j+1} G_{j+2}) (see `progression`), decreasing in j if rho > 0."""
     if j < 0:
         raise ValueError("height index must be nonnegative")
-    g0, step = _progression_origin(p)
+    alpha, g0, step = integers(p)
     g = g0 + (j + 1) * step
-    return Fraction(p.d * p.lam.numerator * p.lam.denominator * p.rho.denominator**2, g * (g + step))
+    return Fraction(alpha, g * (g + step))
 
 
 def progression(p: ModelParams, n: int) -> list[int]:
@@ -148,8 +147,8 @@ def progression(p: ModelParams, n: int) -> list[int]:
         u(j) = ae / G_{j+1},   v(j) = be / G_{j+2},
         b_j = alpha / (G_{j+1} G_{j+2}),   alpha = d a b e^2.
 
-    The exact Catalan recurrence and the continued-fraction kernels both
-    run on these integers instead of on Fractions.
+    `integers` gives alpha, G_0 and bc to the exact Catalan recurrence and
+    the continued-fraction kernels, which run on them instead of Fractions.
     """
-    g0, step = _progression_origin(p)
+    _, g0, step = integers(p)
     return [g0 + i * step for i in range(n + 1)]

@@ -58,6 +58,7 @@ import time
 from pathlib import Path
 
 from cli_goldens import SLOW, shown
+from replay_interpreters import run
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -249,16 +250,12 @@ def bench(checkout: Path, workload: str, seed: int) -> dict:
 def run_cli(checkout: Path, row: tuple) -> dict:
     """One SLOW row as a fresh `python3 -m ced.cli` process from a checkout: its wall time, exit code and stdout digest.
 
-    A run past the row's time limit is stopped, and its exit code is None.
+    A run past the row's time limit is stopped, and its exit code is None (`replay_interpreters.run`).
     """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
-    try:
-        proc = subprocess.run([sys.executable, "-m", "ced.cli", *row[0].split()], cwd=checkout, env=env,
-                              capture_output=True, timeout=row[3])
-    except subprocess.TimeoutExpired:
-        return {"wall_s": time.perf_counter() - start, "code": None, "digest": ""}
-    return {"wall_s": time.perf_counter() - start, "code": proc.returncode, "digest": hashlib.sha256(proc.stdout).hexdigest()}
+    code, out, _ = run([sys.executable, "-m", "ced.cli"], row[0], row[3], checkout, env)
+    return {"wall_s": time.perf_counter() - start, "code": code, "digest": "" if code is None else hashlib.sha256(out).hexdigest()}
 
 
 def alternating(measure):

@@ -20,19 +20,21 @@ import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from cli_goldens import GOLDEN, SLOW, shown
 
 NUMPY_PROBE = "simulate line --lambda 1 --rho 1 --trials 1 --seed 1"
 
 
-def run(prefix: list[str], argv: str, limit: float | None = None) -> tuple[int | None, bytes, bytes]:
-    """(exit code, stdout, stderr) of the command with argv appended; a command not found exits 127.
+def run(prefix: list[str], argv: str, limit: float | None = None, cwd: Path | None = None,
+        env: dict[str, str] | None = None) -> tuple[int | None, bytes, bytes]:
+    """(exit code, stdout, stderr) of the command with argv appended, in cwd and env (by default the caller's); a command not found exits 127.
 
     The exit code is None when the command is still running after `limit` seconds, and is then killed.
     """
     try:
-        proc = subprocess.run([*prefix, *argv.split()], capture_output=True, timeout=limit)
+        proc = subprocess.run([*prefix, *argv.split()], capture_output=True, timeout=limit, cwd=cwd, env=env)
     except subprocess.TimeoutExpired:
         return None, b"", b""
     except OSError as exc:

@@ -24,7 +24,7 @@ from ced.catalan import (
     weighted_catalan_floats,
     weighted_catalan_sequence,
 )
-from ced.params import ModelParams, progression, weight_b
+from ced.params import ModelParams, integers, progression, weight_b
 
 from catalan_reference import height_dp, quadratic_recurrence
 from sqrt_reference import sqrt_enclosure
@@ -297,10 +297,12 @@ class TestExactRecurrence:
         p = ModelParams(2, lam, rho)
         a, b, e = lam.numerator, lam.denominator, rho.denominator
         g = progression(p, 22)
+        alpha, g0, step = integers(p)
+        assert alpha == 2 * a * b * e * e and g == [g0 + i * step for i in range(23)]
         for j in range(21):
             assert F(a * e, g[j + 1]) == rise(p, j)
             assert F(b * e, g[j + 2]) == fall(p, j)
-            assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j)
+            assert F(2 * a * b * e * e, g[j + 1] * g[j + 2]) == weight_b(p, j) == F(alpha, g[j + 1] * g[j + 2])
 
     @given(lam=lemma_lams, rho=lemma_rhos, K=st.integers(0, 40))
     @example(lam=F(5, 2), rho=F(300000001, 2**30), K=40)  # g = 14
@@ -328,6 +330,8 @@ class TestExactRecurrence:
         b, c = lam.denominator, rho.numerator
         t = ced.catalan._exact_terms(p, K)
         assert t.lead == (-(b * c // math.gcd(*progression(p, K + 1))) if c else 1)
+        _, g0, bc = integers(p)
+        assert t.lead == (-(bc // math.gcd(g0, bc)) if bc else 1)
         d_k = 1
         for k, (w_k, step) in enumerate(zip(t.w, t.steps)):
             d_k *= step

@@ -135,7 +135,9 @@ class TestClimb:
         # that times prod G_{j+1}.
         bracket = critical_rho(d, lam, F(1, 2**100))
         for rho in (bracket.lo, bracket.hi):
-            alpha, g0, step = ced.certcheck._integers(ModelParams(d, lam, rho))
+            p = ModelParams(d, lam, rho)
+            alpha, g0, step = ced.certcheck._integers(p)
+            assert ced.params.integers(p) == (alpha, g0, step)  # the kernels' integers, derived apart
             g = g0 + (levels + 1) * step
             start = alpha, g * (g + step)  # t_levels = b_levels
             top = ced.certcheck._climb(alpha, step, g, *start, levels)
@@ -260,6 +262,7 @@ class TestBoundRuns:
         climb = ced.certcheck._climb
         for p in points:
             alpha, g0, step = ced.certcheck._integers(p)
+            assert ced.params.integers(p) == (alpha, g0, step)
             one = ced.certcheck._scale(p)
             for levels in (1, 16, 256):
                 g = g0 + (levels + 1) * step  # G_{m+1} for m = levels
