@@ -17,6 +17,9 @@ Which mode takes which path (each returns `_ExactTerms`):
 * capped and flattened otherwise, whose weights are not in arithmetic
   progression: the integer pair-weight DP of the last paragraph.
 
+All three are sized before they run: `check_table_size` bounds the bits of
+each integer of the table and refuses one that could pass EXACT_TABLE_BYTES.
+
 The exact weights give a ratio of two 0F1 series.  Write lambda = a/b and
 rho = c/e in lowest terms and G_i = be + ae + i bc.  Then u(j) = ae/G_{j+1}
 and v(j) = be/G_{j+2}, and the G_i form an arithmetic progression.  So the
@@ -90,6 +93,9 @@ above m when capped, 1/beta_m above m when flattened.  The cells share one
 integer denominator, and a step multiplies it only by the lcm of the parts
 of the beta_j that the new numerators do not cancel.  So each product has a
 small factor, and D_k stays near the size of C_k = alpha^k S_{2k}[0] / D_k.
+Each factor divides L = lcm(beta_0, ..., beta_m), and a cell over D_k sums
+at most 4^k paths of weight at most 1, so no integer of the table passes
+2K + 2K bits(L) bits, the bound `check_table_size` sizes it by.
 
 `weighted_catalan_bruteforce` checks both engines against the definition:
 for k <= 12 it walks every Dyck path once, groups the paths by their
@@ -115,18 +121,19 @@ _MODES = (MODE_EXACT, MODE_CAPPED, MODE_FLATTENED)
 #: Plain enumeration is capped here; Catalan growth makes larger k explode.
 BRUTE_FORCE_MAX_K = 12
 
-#: Most memory the K + 1 integers of an exact table may take, by
-#: `check_table_size`'s bound.  The largest table the command line accepts with
-#: short denominators, rho = 12360736211/2^36 at K = 800, needs at most 20.7 MiB;
-#: a 4300-digit denominator at K = 800 would need about 7.5 GiB, and a 4300-digit
-#: lambda at rho = 0 about 4.3 GiB.
+#: Most memory the K + 1 integers of a table may take, in any mode, by
+#: `check_table_size`'s bound.  The largest exact table the command line accepts
+#: with short denominators, rho = 12360736211/2^36 at K = 800, needs at most 20.7
+#: MiB, and flattened at m = 400, lambda = 1, rho = 1/3, K = 800 at most 89 MiB;
+#: a 4300-digit denominator at K = 800 would need about 7.5 GiB, a 4300-digit
+#: lambda at rho = 0 about 4.3 GiB, and a 4001-digit one capped at m = 1 about 6 GiB.
 EXACT_TABLE_BYTES = 256 << 20
 
 _ZERO = Fraction(0)
 
 
 class ResourceBudgetError(RuntimeError):
-    """A computation would pass a fixed budget: an exact table's memory, or a tree trial's vertices."""
+    """A computation would pass a fixed budget: a table's memory, or a tree trial's vertices."""
 
 
 class CatalanValue(NamedTuple):
@@ -219,28 +226,39 @@ def _scaled_progression(p: ModelParams, n: int) -> tuple[int, list[int]]:
     return content, [g_i // content for g_i in progression(p, n)]
 
 
-def check_table_size(p: ModelParams, k_max: int) -> int:
-    """A bound on the bits of each integer of the exact table to K = k_max.
+def check_table_size(p: ModelParams, k_max: int, m: int | None = None) -> int:
+    """A bound on the bits of each integer of the table to K = k_max: exact, or the pair DP's cut at m.
 
-    rho > 0: the lemma's bound on bits(D_K), K bits(H_1) + sum_{l=2..K+1}
-    floor((K+1)/l) bits(H_l), the bits of the lemma's factors of D_K; it holds
-    for K >= 1 (D_0 = 1).  rho = 0: K bits(ab) + 2K bits(a+b), which bounds the
-    numerator and the denominator of each closed-form C_k, as Cat_k < 4^k and
-    a + b >= 2.  Raises ResourceBudgetError if the table's K + 1 integers, each
-    of at most that many bits, could pass EXACT_TABLE_BYTES.
+    Exact, rho > 0: the lemma's bound on bits(D_K), K bits(H_1) +
+    sum_{l=2..K+1} floor((K+1)/l) bits(H_l), the bits of the lemma's factors
+    of D_K; it holds for K >= 1 (D_0 = 1).  Exact, rho = 0: K bits(ab) +
+    2K bits(a+b), which bounds the numerator and the denominator of each
+    closed-form C_k, as Cat_k < 4^k and a + b >= 2.  The pair DP, capped or
+    flattened at m: 2K + 2K bits(lcm(beta_0, ..., beta_m)) (module
+    docstring), the lcm stopping once the bound passes the budget.  Raises
+    ResourceBudgetError if the table's K + 1 integers, each of at most that
+    many bits, could pass EXACT_TABLE_BYTES.
     """
-    if p.rho:
+    most = 8 * EXACT_TABLE_BYTES // (k_max + 1)  # bits each of the K + 1 integers may take
+    if m is not None:
+        g, lcm = progression(p, m + 2), 1
+        for j in range(m + 1):
+            lcm = math.lcm(lcm, g[j + 1] * g[j + 2])
+            if (bits := 2 * k_max * (1 + lcm.bit_length())) > most:
+                break
+    elif p.rho:
         h = _scaled_progression(p, k_max + 1)[1]
         bits = k_max * h[1].bit_length() + sum((k_max + 1) // l * h[l].bit_length() for l in range(2, k_max + 2))
     else:
         a, b = p.lam.numerator, p.lam.denominator
         bits = k_max * (a * b).bit_length() + 2 * k_max * (a + b).bit_length()
-    if (k_max + 1) * bits > 8 * EXACT_TABLE_BYTES:
+    if bits > most:
         (lam_part, lam_int), (rho_part, rho_int) = (  # the longer of numerator and denominator
             ("numerator", x.numerator) if x > 1 else ("denominator", x.denominator) for x in (p.lam, p.rho)
         )
+        table = "exact table" if m is None else f"table cut at m = {m}"
         raise ResourceBudgetError(
-            f"the exact table to K = {k_max} may need {(k_max + 1) * bits >> 23} MiB, over the "
+            f"the {table} to K = {k_max} may need {(k_max + 1) * bits >> 23} MiB, over the "
             f"{EXACT_TABLE_BYTES >> 20} MiB budget: lower K, or shorten lambda's {lam_part} and rho's {rho_part} "
             f"({lam_int.bit_length()} and {rho_int.bit_length()} bits)"
         )
@@ -280,7 +298,8 @@ def _pair_step(up: list[int], down: list[int], beta: list[int]) -> tuple[list[in
 
 
 def _pair_terms(p: ModelParams, k_max: int, capped: bool, m: int) -> _ExactTerms:
-    """W_0, ..., W_{k_max} of the pair-weight DP (module docstring), capped or flattened at m."""
+    """W_0, ..., W_{k_max} of the pair-weight DP (module docstring), capped or flattened at m; `check_table_size` runs first."""
+    check_table_size(p, k_max, m)
     g = progression(p, m + 2)
     beta = [g[j + 1] * g[j + 2] for j in range(m + 1)]
     beta += [1] if capped else [beta[m]] * (k_max - m)  # top: m + 1 (nothing falls to it) or K

@@ -9,8 +9,9 @@ stdout so replaying a manifest reproduces output byte for byte).
 Each flag is defined once, and argparse alone decides which flags a
 subcommand, or a `simulate` engine, takes: rho-c needs exactly one of
 --lambda and --lambda-grid, catalan exactly one of --k and --k-max;
-`simulate line` takes --k-max, `simulate tree` --d and --depth.  --json is
---format json.
+`simulate line` takes --k-max, `simulate tree` --d and --depth.  catalan
+and `simulate line` take no --d, since their values are d-free; their
+manifests read d=2.  --json is --format json.
 
 Exit codes for `decide`: 0 below, 1 above, 2 undecided, 64 usage error,
 70 runtime error.  Other subcommands: 0 on success.  Exit 70 covers any
@@ -262,8 +263,8 @@ MAX_GRID_POINTS = 10_000
 #: lambda = 1/10^48, rho = 1, whose float column at K = 150 takes 0.9 s.
 #: Those tables need at most 21 MiB; one that could pass
 #: `catalan.EXACT_TABLE_BYTES` (a 4300-digit denominator at K = 800 would
-#: need 7.5 GiB, a 4300-digit lambda at rho = 0 4.3 GiB) exits 70 before it
-#: starts, `simulate` before any trial.
+#: need 7.5 GiB, a 4300-digit lambda at rho = 0 4.3 GiB), in any mode, exits
+#: 70 before it starts, `simulate` before any trial.
 MAX_LINE_K = 800
 
 #: Smallest `rho-c --tol` is 2^-MIN_TOL_BITS.  Bisection, the fallback when
@@ -439,14 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_rho_c)
 
     pc = sub.add_parser("catalan", parents=[rates, table], help="exact weighted Catalan numbers and partial series")
-    pc.add_argument("--d", type=_int_arg(2), default=2)
     sizes = pc.add_mutually_exclusive_group(required=True)
     sizes.add_argument("--k", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
     sizes.add_argument("--k-max", dest="k_max", type=_int_arg(0, MAX_LINE_K), help=f"at most {MAX_LINE_K}")
     pc.add_argument("--z", type=_rational_arg("--z"), help="evaluate the partial series at z")
     pc.add_argument("--mode", choices=(MODE_EXACT, MODE_CAPPED, MODE_FLATTENED), default=MODE_EXACT)
     pc.add_argument("--m", type=_int_arg(1), help="cutoff height for capped/flattened modes")
-    pc.set_defaults(func=_cmd_catalan)
+    pc.set_defaults(func=_cmd_catalan, d=2)  # C_k is d-free; its manifest reads d=2
 
     ps = sub.add_parser("simulate", help="Monte Carlo engines")
     ps.set_defaults(func=_cmd_simulate)

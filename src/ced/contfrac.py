@@ -111,14 +111,6 @@ def _psi_upper(num: int, den: int) -> tuple[int, int]:
     return 2 << _ROOT_BITS, (1 << _ROOT_BITS) + math.isqrt(((den - 4 * num) << 2 * _ROOT_BITS) // den)
 
 
-def _integers(p: ModelParams, m: int) -> tuple[int, int, int]:
-    """alpha, the step bc and G_{m+1}, from `params.integers`."""
-    if m < 1:
-        raise ValueError("truncation depth m must be >= 1")
-    alpha, g0, step = integers(p)
-    return alpha, step, g0 + (m + 1) * step
-
-
 def _scale(p: ModelParams) -> int:
     """2^W, W = _GUARD_BITS + the bits of rho's denominator: the scale of the bound runs."""
     return 1 << (_GUARD_BITS + p.rho.denominator.bit_length())
@@ -168,8 +160,10 @@ def below_witness(p: ModelParams, m: int) -> Optional[int]:
     So the first u_k < 0 gives level m - k, the first u_k = 0 level
     m - k - 1, and None when that is -1 or every u_k > 0.
     """
-    alpha, step, g = _integers(p, m)
-    hit = _pass(alpha, -step, g + 2 * step, m + 1, (), _scale(p))  # from g_0 = G_{m+3}
+    if m < 1:
+        raise ValueError("truncation depth m must be >= 1")
+    alpha, g0, step = integers(p)
+    hit = _pass(alpha, -step, g0 + (m + 3) * step, m + 1, (), _scale(p))  # from g_0 = G_{m+3}
     return m - hit[0] if hit and hit[0] <= m else None
 
 
@@ -180,8 +174,10 @@ def forward_pass(p: ModelParams, depths: Sequence[int]) -> Optional[tuple[int, b
     u_j <= 0, which is below(m) at the first depth m >= j (m > j when u_j
     = 0), or at the first depth m whose closing test passes, before u_{m-1}.
     """
-    alpha, step, g = _integers(p, depths[0])
-    hit = _pass(alpha, step, g - (depths[0] + 1) * step, depths[-1] + 1, depths, _scale(p))  # from g_0 = G_0
+    if depths[0] < 1:
+        raise ValueError("truncation depth m must be >= 1")
+    alpha, g0, step = integers(p)
+    hit = _pass(alpha, step, g0, depths[-1] + 1, depths, _scale(p))
     if not hit or not hit[1]:
         return hit
     k = bisect.bisect_left(depths, hit[0])

@@ -43,7 +43,8 @@ GOLDEN = [
     ("catalan --lambda 3/2 --rho 1/3 --k-max 6 --format json", 0, "bf5e6c0dd28e8e052ce9ac0e26eb358670e379ec6facee68cac4df7f038d0a46"),
     ("catalan --lambda 1 --rho 1 --k 2 --z 2", 0, "aa5f627d286f1f0c2e89b2df4694c4932f8fe25d7cafbb84d354146eacfab14c"),
     ("catalan --lambda 1 --rho 1 --z 3/2 --k-max 6 --format json", 0, "7fccb20e0fc5d24297f8822af684c532ea0dc91ba329a145e23b398408bbb649"),
-    ("catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 0, "2ca4c7cd9b5f5183c734759d4f702a1e082b085860eec9fc1affd48fb42d85dc"),
+    # catalan takes no --d: its values are d-free (this row printed them under d=3 until then)
+    ("catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 3 --k 4 --format json", 0, "562297ce79036ec0be4bac262c113aa7e3af4f99ce6178cd2412aec7362094a3"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 2 --z 2 --k-max 5", 0, "34ef882f3d3934c3dc183555e40d746534b8ce995f7ae5c4a666604a13cc0bea"),
     ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "7896368a75e5f1e30280fd6f6261cbeae6bfd0a3cd49e0007dbbf0901a320576"),
@@ -107,6 +108,15 @@ GOLDEN = [
     # before each certificate class named its own JSON kind
     ("decide --d 2 --lambda 6 --rho 1 --json", 1, "794308c0bfd22abe849d40b1f8dd953da4aa5c029d0117a342c19ad3332ef9b9"),
     ("decide --d 2 --lambda 1/10 --rho 1", 1, "e84bac10a6134820ab19d014740abcfe2ede691ff288777f67dee88ab7bb0aca"),
+    # Recorded before catalan lost its --d: the values of the --d 3 row above, whose
+    # manifest read d=3; catalan's values are d-free and its manifest reads d=2.
+    ("catalan --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 0, "c6d27c393c75d55433984b5ab514d7408ab1af7ec29fbccf67d310d160125188"),
+    # K = 60 twins of the two long-denominator SLOW tables, and the pair DP at that deep rho;
+    # recorded before the pair DP sized its table.
+    ("catalan --lambda 1 --rho 12360736211/68719476736 --k-max 60", 0, "025bbff81c4c496ee8eaf0a3659930c6c04d87877865718bc816c4ba63c27a9f"),
+    (f"catalan --lambda 1/{10**48} --rho 1 --k-max 40", 0, "d67644ca5bfed66ed2a276ddd5699258058f9a83013eea5d5a1453b8ab533b77"),
+    ("catalan --lambda 1 --rho 12360736211/68719476736 --mode flattened --m 16 --k-max 60", 0, "e5839de1f45f4b9b793509adc9b74e235c4e8de2a3cf04d63708ab1331c3bee2"),
+    ("catalan --lambda 1 --rho 12360736211/68719476736 --mode capped --m 16 --k-max 60", 0, "da047c20670696f157291ccd5b755fc2b2e7b0c6d3ba1e61f6b1ba3e85133e0c"),
 ]
 
 

@@ -498,6 +498,32 @@ class TestModifiedModes:
             reduced = max(c.denominator.bit_length() for c in weighted_catalan_sequence(p, 60, mode, m))
             assert d_top.bit_length() < 1.25 * reduced
 
+    @given(
+        lam=lemma_lams,
+        rho=recurrence_rhos,
+        K=st.integers(0, 40),
+        mode=st.sampled_from([MODE_EXACT, MODE_CAPPED, MODE_FLATTENED]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_d_free_and_within_the_pair_bound(self, lam, rho, K, mode, data):
+        # u(j) and v(j) carry no d, so neither does C_k; the pair DP's integers stay within the gate's bound
+        m = None if mode == MODE_EXACT else data.draw(st.integers(1, max(K - 2, 1)))  # the pair DP where K >= 3
+        tables = [weighted_catalan_sequence(ModelParams(d, lam, rho), K, mode, m) for d in (2, 3, 64)]
+        assert tables[0] == tables[1] == tables[2]
+        if m is not None and m < K - 1:
+            p = ModelParams(2, lam, rho)
+            assert max(w.bit_length() for w in _pair_terms(p, K, mode == MODE_CAPPED, m).w) <= check_table_size(p, K, m)
+
+    @pytest.mark.parametrize("mode,m", [(MODE_CAPPED, 1), (MODE_FLATTENED, 2), (MODE_FLATTENED, 700)])
+    def test_pair_table_past_the_budget_raises_before_it_starts(self, monkeypatch, mode, m):
+        # 801 integers of 1600 + 1600 bits(beta_0) bits pass the budget before the lcm goes on
+        monkeypatch.setattr(ced.catalan, "_pair_step", None)  # never reached
+        p = ModelParams(2, F(1, 10**4000), F(1))
+        for call in (weighted_catalan_sequence, weighted_catalan, lambda p, K, *mode: partial_series(p, 2, K, *mode)):
+            with pytest.raises(ResourceBudgetError, match=f"cut at m = {m} to K = 800 may need 4060 MiB, over the 256"):
+                call(p, 800, mode, m)
+
     def test_huge_cutoff_is_the_exact_path(self):
         # capped(m) = flattened(m) = exact for k <= m + 1, and nothing is built per height
         p = ModelParams(2, F(1), F(1, 3))

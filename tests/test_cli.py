@@ -402,8 +402,14 @@ class TestCatalanCommand:
              "lambda's numerator and rho's denominator (14281 and 1 bits)"),
             (f"simulate line --lambda 1{'0' * 4298}1/1{'0' * 4299} --rho 0 --k-max 800 --trials 1 --seed 1",
              "lambda's numerator and rho's denominator (14281 and 1 bits)"),
+            # the pair DP: 801 integers of at most 2K + 2K bits(lcm(beta_0, ..., beta_m)) bits, past 4 GiB at beta_0
+            (f"catalan --lambda 1/1{'0' * 4000} --rho 1 --mode capped --m 1 --k-max 800",
+             "lambda's denominator and rho's denominator (13288 and 1 bits)"),
+            (f"catalan --lambda 1/1{'0' * 4000} --rho 1 --mode flattened --m 2 --k-max 800",
+             "lambda's denominator and rho's denominator (13288 and 1 bits)"),
         ],
-        ids=["catalan", "simulate-line", "simulate-tree", "catalan-long-numerator", "catalan-rho-0", "simulate-line-rho-0"],
+        ids=["catalan", "simulate-line", "simulate-tree", "catalan-long-numerator", "catalan-rho-0", "simulate-line-rho-0",
+             "catalan-capped", "catalan-flattened"],
     )
     def test_table_past_the_memory_budget_exits_70_quickly(self, capsys, monkeypatch, argv, advice):
         # rho > 0: by the lemma's bound, 801 integers of 78 386 431 bits, about 7.5 GiB; simulate refuses before any trial
@@ -679,7 +685,7 @@ OPTIONS = {
     "decide": {"-h", "--help", "--d", "--lambda", "--rho", "--max-m", "--json"},
     "rho-c": {"-h", "--help", "--d", "--lambda", "--lambda-grid", "--tol", "--max-m", "--certs", "--format",
               "--threads"},
-    "catalan": {"-h", "--help", "--d", "--lambda", "--rho", "--k", "--k-max", "--z", "--mode", "--m", "--format"},
+    "catalan": {"-h", "--help", "--lambda", "--rho", "--k", "--k-max", "--z", "--mode", "--m", "--format"},
     "simulate": {"-h", "--help"},
     "simulate line": {"-h", "--help", "--lambda", "--rho", "--trials", "--seed", "--k-max", "--allow-decimal",
                       "--format"},
