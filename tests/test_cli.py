@@ -386,6 +386,11 @@ class TestCatalanCommand:
         code, out, err = run(capsys, "catalan", "--lambda", "1", "--rho", "1", "--k", "2", "--k-max", "4")
         assert code == 64 and "--k-max" in err and out == ""
 
+    def test_d_is_usage_error(self, capsys):
+        # C_k is d-free, so a --d could only have rewritten the manifest
+        err = "ced: usage error: unrecognized arguments: --d 3\n"
+        assert run(capsys, *"catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5".split()) == (64, "", err)
+
     @pytest.mark.parametrize(
         "argv,advice",
         [
