@@ -117,6 +117,8 @@ GOLDEN = [
     (f"catalan --lambda 1/{10**48} --rho 1 --k-max 40", 0, "d67644ca5bfed66ed2a276ddd5699258058f9a83013eea5d5a1453b8ab533b77"),
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode flattened --m 16 --k-max 60", 0, "e5839de1f45f4b9b793509adc9b74e235c4e8de2a3cf04d63708ab1331c3bee2"),
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode capped --m 16 --k-max 60", 0, "da047c20670696f157291ccd5b755fc2b2e7b0c6d3ba1e61f6b1ba3e85133e0c"),
+    # A 500-trial twin of the lambda = 5, rho = 0 SLOW line row: long trials thinning to a few live lanes
+    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 500 --seed 1", 0, "fb639255fda2276b9ad488a3548cddfa48c3acb8fe90693c75dae047806ed1dc"),
 ]
 
 
