@@ -37,23 +37,27 @@ counts are biased up, and only the levels below it are exact.  A cap
 vertex whose parent never turns blue can neither turn blue nor renew:
 it counts for the deepest red level and nothing else.
 
-Reproducibility: every draw is a word of Philox4x64-10 keyed by (trial,
-seed) (Salmon et al., SC'11), computed in numpy for a slab of trials at
-once.  Line step s takes word s mod 4 of the counter (s // 4 + 1, 0, 0, 0),
-the stream of np.random.Philox(key=(seed, trial)).  The vertex with index
-i in its trial's level l (children numbered by parent, then slot) takes
-the counters (l + 1, i, b, 0), b = 0, 1, ..., whose words are its death,
-overtake and slot 0 .. d-1 spread delays.  A cap vertex whose parent
-never turns blue draws nothing, yet still takes its index, so no other
-vertex's counters move.  So a trial's result depends on
-(seed, trial) alone, never on its slab or on the pieces its levels are
-drawn in, and equal seeds give equal summaries: a `LineSummary` from the
-line, a `TreeSummary` from the tree.
+Reproducibility: every draw is a word of Philox4x64-10 under the key seed
+(Salmon et al., SC'11), whose blocks at distinct counters are independent, so
+the counters are laid out for numpy's own generator to step through: each
+block of a draw is one run of consecutive counters, the words of any counter
+it skips unread.  Line trial t takes step s from word
+s mod 4 of the counter (t + 1, s // 4 + 1, 0, 0).  Each tree level numbers its
+vertices 0, 1, ... in (trial, index) order over the whole run (children by
+parent, then slot), the root of trial t being vertex t of level 0, and vertex
+i of level l takes the counters (i + 1, l + 1, b, 0), b = 0, 1, ..., whose
+words are its death, overtake and slot 0 .. d-1 spread delays.  A cap vertex
+whose parent never turns blue draws nothing, yet still takes its number, so no
+other vertex's counters move.  So equal (seed, n_trials) give equal
+summaries, a `LineSummary` from the line and a `TreeSummary` from the tree;
+a run of n trials is the prefix of any longer run with the same seed; and
+neither the slabs nor the pieces a level is drawn in change a result.  A
+line trial's draws depend on (seed, trial) alone, a tree trial's also on how
+many vertices the trials before it put in each level.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -73,13 +77,18 @@ if TYPE_CHECKING:
 DEFAULT_MAX_VERTICES = 2_000_000
 
 #: Trials either engine steps together: it bounds their arrays, never the result.  Each slab ends in a tail on a
-#: few live trials, paid in numpy calls: 20 000 line trials took 5.6 ms in 5 slabs of 4096, 3.5 ms in 1 of 2^15 (Xeon).
+#: few live trials, paid in numpy calls: 20 000 line trials took 5.4 ms in 5 slabs of 4096, 4.1 ms in 1 of 2^15 (Xeon).
 _SLAB = 1 << 15
 
-#: Philox blocks one piece of a tree level draws, in one `_philox_block` call: it bounds the engine's arrays, never
-#: the result.  A vertex takes ceil((d + 2) / 4) blocks, one at the cap.  Near 2^13 lanes a call's fixed cost is paid
-#: off, and above it the page faults on its fresh arrays grow (Xeon).
+#: Philox blocks one piece of a tree level draws, in one `_draw` call: it bounds the engine's arrays, never the
+#: result.  A vertex takes ceil((d + 2) / 4) blocks, one at the cap.  Each piece pays numpy's per-call costs once:
+#: 10 000 trials at (d, lambda, rho) = (2, 2, 1/2), cap 8, took 96 / 65 / 68 ms in pieces of 2^11 / 2^13 / 2^15
+#: blocks (Xeon).
 _LIVE_VERTICES = 1 << 13
+
+#: Counters a draw steps over rather than draws: serials further apart than this start a new run, so a draw makes at
+#: most _GAP blocks a serial.  A run costs about as much as 100 blocks (Xeon).
+_GAP = 64
 
 ABSORB_DEATH = "death"
 ABSORB_CAUGHT = "caught"
@@ -131,84 +140,36 @@ class TreeSummary:
         return self.red_depth_counts[-1] / self.n_trials
 
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64-10 round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl constants)
+def _draw(word1: int, serial: np.ndarray, blocks: int, seed: int) -> np.ndarray:
+    """The Philox4x64-10 blocks at the counters (s + 1, word1, b, 0), b < blocks, under the key seed, s in serial.
 
-
-@functools.cache
-def _u64() -> tuple:
-    """0-d uint64 arrays made on first use: 11, the key's low-word bump, and the multipliers' `_mulhi` operands.
-
-    numpy takes a 0-d array operand 0.25-0.45 us a call faster than an np.uint64 scalar, and promotes both alike.
+    `serial` is an ascending int64 array.  Returns a (4 blocks, serial.size) array whose row 4b + w holds word w of
+    block b.  One numpy Philox steps through each block's runs, each drawn whole with one call: serials at most
+    _GAP apart share a run, and a run with gaps gathers the columns of its serials.
     """
     import numpy as np
-    u64 = functools.partial(np.array, dtype=np.uint64)
-    chains = (tuple(map(u64, (m, m & 0xFFFFFFFF, m >> 32, 0xFFFFFFFF, 32))) for m in _PHILOX_M)
-    return (u64(11), u64(_PHILOX_W[0]), *chains)
-
-
-def _mulhi(a: np.ndarray, m, m_lo, m_hi, mask, shift, hi: np.ndarray, lo: np.ndarray, x, y, z) -> np.ndarray:
-    """Writes the high and low words of a * m into hi and lo (lo may be a) and returns lo; x, y, z are scratch.
-
-    Its 15 ufuncs meet a with uint64 arrays only: the scratch and `_u64`'s 0-d m, m_lo, m_hi, mask and shift.
-    """
-    import numpy as np
-    np.multiply(np.bitwise_and(a, mask, out=x), m_lo, out=hi)
-    hi >>= shift  # p
-    x *= m_hi
-    np.multiply(np.right_shift(a, shift, out=z), m_lo, out=y)  # z = a_hi
-    np.multiply(a, m, out=lo)  # the last read of a
-    y += hi  # u
-    x += np.bitwise_and(y, mask, out=hi)  # v
-    y >>= shift
-    y += np.right_shift(x, shift, out=x)
-    np.multiply(z, m_hi, out=hi)
-    hi += y
-    return lo
-
-
-def _philox_block(counter: tuple, trials: np.ndarray, seed: int) -> np.ndarray:
-    """Philox4x64-10 of the counter under the key (t, seed) for each t in trials.
-
-    `counter` holds the four counter words, low word first, each a nonnegative int or a
-    uint64 array aligned with `trials`; the key is taken mod 2^64.  Block n of
-    np.random.Philox(key=(seed << 64) | t) is the counter (n+1, 0, 0, 0).  Returns a new
-    (4, len(trials)) array and writes into no argument: each round's array words live in
-    its rows, a new word in the row of the word it replaces.  A word that is the same
-    for every lane stays a Python int with exact products until a per-lane word (the
-    key's trial word or an array counter word) is xored into it as a 0-d uint64 array, so
-    numpy 1.x and 2.x promote alike and no ufunc here takes a numpy scalar, which costs
-    more per call than a 0-d array; the engines' int words 0, 2 and 3 save 3 of the 20
-    `_mulhi` calls, which form high words from 32-bit limbs: p = (a_lo m_lo) >> 32,
-    u = a_hi m_lo + p, v = a_lo m_hi + (u mod 2^32), high a_hi m_hi + (u >> 32) + (v >> 32).
-    """
-    import numpy as np
-    bump, m0, m1 = _u64()[1:]
-    u64 = functools.partial(np.array, dtype=np.uint64)
-    c0, c1, c2, c3 = [c if isinstance(c, np.ndarray) else int(c) for c in counter]
-    k0 = trials.astype(np.uint64)  # a copy: the key's low word, bumped in place each round
-    hi, x, y, z = (np.empty_like(k0) for _ in range(4))
-    r2, r3, r0, r1 = block = np.empty_like(k0, shape=(4, k0.size))  # word i's row: (i + r + 2) % 4
-    for r in range(10):
-        k1 = (seed + r * _PHILOX_W[1]) % 2**64
-        # new words 2 and 3 are hi0 ^ c3 ^ k1 and lo0, 0 and 1 are hi1 ^ c1 ^ k0 and lo1
-        h, c0 = divmod(c0 * _PHILOX_M[0], 1 << 64) if type(c0) is int else (hi, _mulhi(c0, *m0, hi, r0, x, y, z))
-        if type(c3) is int:
-            c3 = c3 ^ k1 ^ h if h is not hi else np.bitwise_xor(hi, u64(c3 ^ k1), out=r3)
-        else:
-            c3 = np.bitwise_xor(c3, u64(k1), out=r3)
-            c3 ^= hi if h is hi else u64(h)
-        h, c2 = divmod(c2 * _PHILOX_M[1], 1 << 64) if type(c2) is int else (hi, _mulhi(c2, *m1, hi, r2, x, y, z))
-        c1 = np.bitwise_xor(k0, u64(c1) if type(c1) is int else c1, out=r1)
-        c1 ^= hi if h is hi else u64(h)
-        c0, c1, c2, c3, r0, r1, r2, r3 = c1, c2, c3, c0, r1, r2, r3, r0
-        k0 += bump
-    return block
+    cut = np.r_[0, np.flatnonzero(np.diff(serial) > _GAP) + 1, serial.size]  # where each run starts, and the end
+    starts, ends = serial[cut[:-1]], serial[cut[1:] - 1] + 1
+    at = int(starts[0]) | word1 << 64
+    philox = np.random.Philox(key=seed, counter=at)  # it emits counter + 1 first
+    runs = []
+    for b in range(blocks):
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            if (counter := start | word1 << 64 | b << 128) > at:
+                philox.advance(counter - at)
+            runs.append(philox.random_raw(4 * (end - start)))
+            at = counter + end - start
+    words = (runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(blocks, -1, 4)
+    words = words.transpose(0, 2, 1).reshape(4 * blocks, -1)
+    if words.shape[1] == serial.size:
+        return words
+    offsets = np.cumsum(ends - starts) - (ends - starts)  # each run's first column
+    return words[:, serial - np.repeat(starts - offsets, np.diff(cut))]
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """The uniforms (w >> 11) 2^-53 in [0, 1) of raw words, the doubles numpy's Generator.random makes."""
-    return (words >> _u64()[0]).astype(float) * 2.0**-53
+    return (words >> 11).astype(float) * 2.0**-53
 
 
 def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
@@ -232,13 +193,13 @@ def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ..
 def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
     """Step line trials [start, stop) in lockstep until every one has stopped.
 
-    Step s of a live trial at gap j compares the uniform of word s of its
-    Philox stream with lambda / t and (lambda + 1) / t, t = 1 + lambda + j rho.
+    Step s of a live trial at gap j compares the uniform of its step s word
+    with lambda / t and (lambda + 1) / t, t = 1 + lambda + j rho.
     Returns the histogram of the blue positions of the renewals after the
     start and the number of trials per absorption in _ABSORPTIONS order.
     """
     import numpy as np
-    trials = np.arange(start, stop, dtype=np.uint64)
+    trials = np.arange(start, stop)
     j = np.ones(trials.size, np.int64)
     b = np.zeros(trials.size, np.int64)
     renewals = []
@@ -246,7 +207,7 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
     step = 0
     while trials.size:
         if step % 4 == 0:
-            words = _philox_block((step // 4 + 1, 0, 0, 0), trials, seed)
+            words = _draw(step // 4 + 1, trials, 1, seed)
         x = _uniforms(words[0])
         words = words[1:]  # the rows of the block's later steps
         total = 1.0 + lam + j * rho
@@ -292,12 +253,12 @@ def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
     return -np.log(1.0 - _uniforms(words)) / rate
 
 
-def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, stop: int):
+def _tree_slab(d: int, lam: float, rho: float, cap: int, queued: dict, seed: int, start: int, stop: int):
     """Tally tree trials [start, stop) level by level, by the rules in the module docstring.
 
-    Returns the renewal sums and sums of squares over the trials at each
-    level 0 .. cap, and the histograms of the deepest blue level plus one and
-    of the deepest red level, each up to the last level reached.
+    `queued` maps each level below the root to the vertices the run has numbered in it so far, and this slab adds its
+    own.  Returns the renewal sums and sums of squares over the trials at each level 0 .. cap, and the histograms of
+    the deepest blue level plus one and of the deepest red level, each up to the last level reached.
     """
     import numpy as np
     n = stop - start
@@ -305,61 +266,56 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, seed: int, start: int, 
     blue_depth = np.full(n, -1)
     red_depth = np.zeros(n, np.int64)
     ren_sum, ren_sumsq = [0] * (cap + 1), [0] * (cap + 1)
-    run = [(-1, 0, 0)] * (cap + 1)  # per level: its last drawn trial, that trial's renewals and children so far
+    run = [(-1, 0)] * (cap + 1)  # per level: its last drawn trial and that trial's renewals so far
     full = [max(1, _LIVE_VERTICES // ((d + 5) // 4))] * cap + [_LIVE_VERTICES]  # vertices in a full piece, per level
-    # Waiting vertices per level, in (trial, index) order: the slab-local trial, index in its trial's level, red time
-    # and parent's blue time (the seed's is 0).  The deepest level that holds a full piece draws one; when none does,
-    # the shallowest level that holds any vertex draws all it holds.  Its shallower levels are empty then, so no more
-    # vertices reach it: each level ends in one short piece.  A level takes children only while it holds less than a
-    # full piece, so it waits as at most that and one piece's children.
-    waiting = [(np.arange(n), np.zeros(n, np.uint64), np.zeros(n), np.zeros(n))] + [()] * cap
+    # Waiting vertices per level, in (trial, index) order: the slab-local trial, the vertex's number in its level, red
+    # time and parent's blue time (the seed's is 0).  The deepest level that holds a full piece draws one; when none
+    # does, the shallowest level that holds any vertex draws all it holds.  Its shallower levels are empty then, so no
+    # more vertices reach it: each level ends in one short piece.  A level takes children only while it holds less
+    # than a full piece, so it waits as at most that and one piece's children.
+    waiting = [(np.arange(n), np.arange(start, stop), np.zeros(n), np.zeros(n))] + [()] * cap
     while any(held := [w[0].size if w else 0 for w in waiting]):
         ready = [level for level in range(cap + 1) if held[level] >= full[level]]
         level = ready[-1] if ready else min(level for level in range(cap + 1) if held[level])
-        trial, index, red, parent_blue = (a[:full[level]] for a in waiting[level])
+        trial, serial, red, parent_blue = (a[:full[level]] for a in waiting[level])
         waiting[level] = tuple(a[full[level]:] for a in waiting[level]) if held[level] > full[level] else ()
-        blocks = (d + 5) // 4 if level < cap else 1  # cap vertices never spread: death and overtake only
-        # One call draws the piece's (block, vertex) grid; words[w] is then every vertex's word w.
-        keys = np.concatenate((trial.astype(np.uint64) + np.uint64(start),) * blocks)
-        block = np.arange(blocks, dtype=np.uint64).repeat(trial.size) if blocks > 1 else 0
-        words = _philox_block((level + 1, np.concatenate((index,) * blocks), block, 0), keys, seed)
-        words = words.reshape(4, blocks, -1).swapaxes(0, 1).reshape(4 * blocks, -1)
+        # Cap vertices never spread: death and overtake only.  words[w] is every vertex's word w.
+        words = _draw(level + 1, serial, (d + 5) // 4 if level < cap else 1, seed)
         death = red + _exp_delays(words[0], rho) if rho > 0.0 else np.full(red.size, np.inf)
         overtake = parent_blue + _exp_delays(words[1], 1.0)
         red_at_blue = parent_blue < death  # still red when its parent turns blue
         blue = np.where(red_at_blue & (overtake < death), overtake, np.inf)
         spread = red + _exp_delays(words[2:d + 2 if level < cap else 2], lam)  # a row per slot
         renews = red_at_blue & (spread[0] > parent_blue) if level < cap else red_at_blue
-        spread = spread.T.copy()  # a row per vertex, so children come by parent, then slot
+        spread = spread.T  # a row per vertex, so children come by parent, then slot
         born = np.flatnonzero(spread < np.minimum(death, blue)[:, None])  # no spread from a dead or blue vertex
         parent = born // d
         turned = trial[blue < np.inf]
         blue_depth[turned] = np.maximum(blue_depth[turned], level)  # a run-on trial's deeper levels may be drawn
         first = int(trial[0])
-        local = trial - first  # a piece's trials come sorted: ren and kids count trials first .. trial[-1]
+        local = trial - first  # a piece's trials come sorted: ren counts trials first .. trial[-1]
         ren = np.bincount(local[renews], minlength=local[-1] + 1)
-        kids = np.bincount(local[parent], minlength=ren.size)
         counts = vertices[first:first + ren.size]
-        counts += kids
+        counts += np.bincount(local[parent], minlength=ren.size)
         if counts.max() > DEFAULT_MAX_VERTICES:
             raise ResourceBudgetError(
                 f"tree trial {start + first + int(np.argmax(counts))} materialized more than "
                 f"{DEFAULT_MAX_VERTICES} vertices; lower the depth cap (--depth)"
             )
-        _, ren_before, kids_before = run[level] if run[level][0] == first else (None, 0, 0)
+        ren_before = run[level][1] if run[level][0] == first else 0
         ren[0] += ren_before
-        kids[0] += kids_before
         ren_sum[level] += int(ren.sum()) - ren_before
         ren_sumsq[level] += int(ren @ ren) - ren_before * ren_before
-        run[level] = (first + ren.size - 1, int(ren[-1]), int(kids[-1]))
-        base = np.cumsum(kids) - kids - kids_before  # each trial's first child, less its earlier ones
-        live = (trial[parent], (np.arange(parent.size) - base[local[parent]]).view(np.uint64),
-                spread.ravel()[born], blue[parent])
+        run[level] = (first + ren.size - 1, int(ren[-1]))
+        if level == cap:
+            continue
+        number = queued.get(level + 1, 0)  # the children's numbers follow the level's earlier vertices
+        queued[level + 1] = number + parent.size
+        live = (trial[parent], np.arange(number, queued[level + 1]), spread.ravel()[born], blue[parent])
         red_depth[live[0]] = np.maximum(red_depth[live[0]], level + 1)
-        if level < cap:
-            kept = live[3] < np.inf if level + 1 == cap else slice(None)  # only cap vertices with a blue parent draw
-            live, queue = tuple(a[kept] for a in live), waiting[level + 1]
-            waiting[level + 1] = tuple(map(np.concatenate, zip(queue, live))) if queue else live
+        kept = live[3] < np.inf if level + 1 == cap else slice(None)  # only cap vertices with a blue parent draw
+        live, queue = tuple(a[kept] for a in live), waiting[level + 1]
+        waiting[level + 1] = tuple(map(np.concatenate, zip(queue, live))) if queue else live
     return ren_sum, ren_sumsq, np.bincount(blue_depth + 1).tolist(), np.bincount(red_depth).tolist()
 
 
@@ -374,7 +330,7 @@ def simulate_tree(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> T
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    args = (p.d, float(p.lam), float(p.rho), depth_cap)
+    args = (p.d, float(p.lam), float(p.rho), depth_cap, {})  # the run's vertex count per level, filled as reached
     sizes = (depth_cap + 1, depth_cap + 1, depth_cap + 2, depth_cap + 1)
     return TreeSummary(p, n_trials, seed, *map(tuple, _run_slabs(_tree_slab, args, n_trials, seed, sizes)))
 

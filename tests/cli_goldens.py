@@ -20,10 +20,12 @@ EDGE_LAMBDA_100 = F(3 * 10**100 - math.isqrt(8 * 10**200), 10**100)
 
 #: argv -> (exit code, sha256 of stdout), recorded before the output code was
 #: folded into one emitter; every subcommand and output format is covered.
-#: The two `simulate tree` rows were re-recorded when the tree engine moved
-#: to level-synchronous Philox streams.
 #: The four `simulate line` rows were re-recorded when a zero-count row's z
 #: became -inf (it was +inf for a frequency below C_k); only those z cells moved.
+#: Every `simulate` row whose stdout moved was re-recorded when each draw became
+#: one run of Philox counters under the key seed (the line's trials, or a tree
+#: level's vertices numbered over the run); the one-trial trees at rho = 3 print
+#: the same bytes under both.
 GOLDEN = [
     ("decide --d 2 --lambda 1 --rho 1", 1, "12af5f7c46b91101036c2b4869c5a958e8d15031229d4f34a348e584cf66c66d"),
     ("decide --d 2 --lambda 1 --rho 1 --json", 1, "955b47d7b19cb9331a046db485e090022d63649486916422ac9d22b2a4043aaa"),
@@ -47,20 +49,19 @@ GOLDEN = [
     ("catalan --d 3 --lambda 1 --rho 1/2 --mode capped --m 2 --k-max 5", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 3 --k 4 --format json", 0, "562297ce79036ec0be4bac262c113aa7e3af4f99ce6178cd2412aec7362094a3"),
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 2 --z 2 --k-max 5", 0, "34ef882f3d3934c3dc183555e40d746534b8ce995f7ae5c4a666604a13cc0bea"),
-    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "7896368a75e5f1e30280fd6f6261cbeae6bfd0a3cd49e0007dbbf0901a320576"),
-    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "188d7ca8fa33c7e48ce945ba8c3c7db380753655be09b8ee59ea6d090a609dbd"),
-    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "dd5b13ea7cf44aaed0a7c2af4458b57289a3cce3ae3cdf92e50e6bbd6f4cb432"),
-    ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "04e1df36750560c58ff410b4f953c634b622dfb1ea3b510e8fa77fe9b6310fe7"),
-    ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "2db4d6eff3df65fb2aad1a5459187018d33697636ca39eade1873b87a310f87d"),
-    ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "1cf95ebb9d95569c5b57d607be8971b4d4c924d81e07f787734b50a439f7b614"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "9696172e6e92f4c6865ec6efe7f32b2bba7f4754131533b0b4e7bac98d2c66d2"),
+    ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "9ba020f9c0542fb9e18c80c527d3b12bc2c4cae5d500d1781cb97be6820a5649"),
+    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "248550d959615a5cc5e0cca2cb5189320c019c7d55d13f38277d1e3ffe9fefb0"),
+    ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "7458c5d47c69f6da7d35c4c83d0e8883da5e6e970e790032f3deb6a142f6eb5a"),
+    ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "6340f2f42c5f206c2d03cd4bdab459ceeb22a031bf6d28fa014eb450572913de"),
+    ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "aafa859768e8c02ebf0ffc31cc0dbcac95f10628185a2ac3ad75666efcf347eb"),
     # Supercritical: almost every cap vertex has a parent that never turns blue and
-    # draws nothing; recorded while every cap vertex still drew its words.
-    ("simulate tree --d 2 --lambda 2 --rho 1/2 --depth 8 --trials 1000 --seed 1", 0, "aac7cd5fb8cb0d8987900a326e1892cd3d4223e36e5ed580b2976e1127a1428c"),
-    # Levels cut into many pieces (22, 51 and 15 Philox calls), recorded while
-    # a piece's children were still drawn before the rest of its level.
-    ("simulate tree --d 3 --lambda 1 --rho 1/2 --depth 6 --trials 2000 --seed 1", 0, "6f814ab5191bacdaa4178012468225b7dd9c093f7682c540445b8272a075aa9a"),
-    ("simulate tree --d 4 --lambda 2 --rho 1/2 --depth 6 --trials 500 --seed 1", 0, "bb6692e5de4eb05c9f8db5dbac6a9c4926cef322b2f950a95cb95695a84aa4e6"),
-    ("simulate tree --d 2 --lambda 1 --rho 0 --depth 6 --trials 3000 --seed 1 --format json", 0, "3d5ad905b826ca2b9450dc7769eb0529f8333a5d06890deb2ddb4c81d53da1cc"),
+    # draws nothing, so the cap's draws gather their columns from runs with gaps.
+    ("simulate tree --d 2 --lambda 2 --rho 1/2 --depth 8 --trials 1000 --seed 1", 0, "517b79b966c4e72447951c16da8646d1a8fa4f1f8a1b2e3b90f438ecb0b526a3"),
+    # Levels cut into many pieces: 19, 43 and 15 draw calls.
+    ("simulate tree --d 3 --lambda 1 --rho 1/2 --depth 6 --trials 2000 --seed 1", 0, "13cb726bbaf2e7816fe3d00929055963696fbb2ace5bd79a04087a34e76c240a"),
+    ("simulate tree --d 4 --lambda 2 --rho 1/2 --depth 6 --trials 500 --seed 1", 0, "da74f9aa0265637b6975794233b9ab7018edb33ea392d39351c68fbd0e0fdbb5"),
+    ("simulate tree --d 2 --lambda 1 --rho 0 --depth 6 --trials 3000 --seed 1 --format json", 0, "33d27f6bd4aa55b1c8a3b5194c7b2b3c1669f3b0f8e00fcfdc087fc666834f52"),
     ("decide --d 2 --lambda 1 --rho 1/0", 64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Deep brackets (tol 2^-100, m = 32 and 64), a below witness at level 1
     # and the two exact ties b_1 = 1 and t_0 = 1, recorded with the Fraction
@@ -118,7 +119,7 @@ GOLDEN = [
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode flattened --m 16 --k-max 60", 0, "e5839de1f45f4b9b793509adc9b74e235c4e8de2a3cf04d63708ab1331c3bee2"),
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode capped --m 16 --k-max 60", 0, "da047c20670696f157291ccd5b755fc2b2e7b0c6d3ba1e61f6b1ba3e85133e0c"),
     # A 500-trial twin of the lambda = 5, rho = 0 SLOW line row: long trials thinning to a few live lanes
-    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 500 --seed 1", 0, "fb639255fda2276b9ad488a3548cddfa48c3acb8fe90693c75dae047806ed1dc"),
+    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 500 --seed 1", 0, "3bc9b73462f2927f1026a508e4bc7164a5f2f3b13e98a13d9af231d10242228a"),
 ]
 
 
@@ -153,7 +154,7 @@ SLOW = [
     # the three K = 800 paths through the exact recurrence: the line's float column, the exact
     # table and the tree's float column
     ("simulate line --lambda 1 --rho 1/3 --k-max 800 --trials 1000 --seed 1", 0,
-     "e88e006eedaa7f2c15c6d4c9d7db9ee5e6e5c810ce9a36f5daf662e57a08c7b6", 60),
+     "636efaeb53e12ebc770a65b9b40cfe17072a39d6f2974dd22b014ae6250a4ed9", 60),
     ("catalan --lambda 1 --rho 1/3 --k-max 800", 0,
      "7052643a46e3508b4739dbaf1875f7b9515d4833f49b3ce86136723fc9cab272", 60),
     ("simulate tree --lambda 1 --rho 3 --depth 800 --trials 1 --seed 1", 0,
@@ -174,9 +175,9 @@ SLOW = [
      "711826972cfca5270a95171a95551a285f5e2254bc5de7ecf8bbc35f07c16c62", 60),
     (f"catalan --lambda 1/{10**48} --rho 1 --k-max 200", 0,
      "823161e4d48b6293c5d285f6b3b5e2ef6cd93bd975eff96fe4915e1bc9471fda", 60),
-    # long line trials: k_max 800 at lambda = 5, rho = 0 (1.8 s)
+    # long line trials: k_max 800 at lambda = 5, rho = 0 (1.0 s)
     ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 10000 --seed 1", 0,
-     "5cbc9f48b0fa101900abceb2302f1f015b855f64f2bfeefa2310d2108396d749", 15),
+     "fbbd2f68a58e442d971a9ca85ce7bb290d6580c67c744c46b0cc8500252b37b5", 15),
     # a 1000-point grid at 2^-200 on one and on two processes (2.3 s, 1.4 s)
     (f"rho-c --d 2 --lambda-grid 1/4:5:1000 --tol 1/{2**200} --threads 1", 0,
      "e1e565ebc4485c52946851c7a3241bcddadf65ed580f07ef90199177d314fb03", 30),

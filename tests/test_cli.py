@@ -536,8 +536,9 @@ class TestSimulateCommand:
                 assert code == 0 and out
 
     def test_exact_column_past_float_range_is_inf(self, capsys):
+        # a seed whose one trial stays inside the vertex budget: its root is overtaken before it spreads
         args = ("simulate", "tree", "--d", "64", "--lambda", "1/4", "--rho", "0", "--depth", "400",
-                "--trials", "1", "--seed", "28")
+                "--trials", "1", "--seed", "26")
         code, out, _ = run(capsys, *args)
         assert code == 0 and out.splitlines()[-3] == "400,0.0,0.0,inf"
         code, out, _ = run(capsys, *args, "--format", "json")

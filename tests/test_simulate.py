@@ -21,17 +21,17 @@ from ced.simulate import (
     simulate_line,
     simulate_tree,
 )
-from scalar_reference import jump_probabilities, line_trial, tree_trial, trial_rng
+from scalar_reference import jump_probabilities, line_trial, philox_block, tree_trials
 
 P211 = ModelParams(2, F(1), F(1))
 
 
 def scalar_line_summary(p, n_trials, k_max, seed):
-    """The line summary reduced trial by trial from line_trial and trial_rng."""
+    """The line summary reduced trial by trial from the scalar line_trial."""
     renewals = [0] * (k_max + 1)
     absorb = {"caught": 0, "death": 0, "truncated": 0}
     for i in range(n_trials):
-        rec = line_trial(p, k_max, trial_rng(seed, i))
+        rec = line_trial(p, k_max, seed, i)
         for k in rec.renewals_hit:
             renewals[k] += 1
         absorb[rec.absorption] += 1
@@ -44,8 +44,7 @@ def scalar_tree_summary(p, depth_cap, n_trials, seed):
     ren_sumsq = [0] * (depth_cap + 1)
     blue = [0] * (depth_cap + 2)
     red = [0] * (depth_cap + 1)
-    for i in range(n_trials):
-        rec = tree_trial(p, depth_cap, seed, i)
+    for rec in tree_trials(p, depth_cap, n_trials, seed):
         for level, c in enumerate(rec.renewal_vertices_per_level):
             ren_sum[level] += c
             ren_sumsq[level] += c * c
@@ -83,183 +82,29 @@ class TestJumpChain:
 class TestLineTrials:
     def test_record_structure(self):
         for idx in range(50):
-            rec = line_trial(P211, 5, trial_rng(11, idx))
+            rec = line_trial(P211, 5, 11, idx)
             assert rec.renewals_hit[0] == 0
             assert rec.absorption in ("death", "caught", "truncated")
             assert rec.y_value >= max(rec.renewals_hit)
             assert all(k <= 5 for k in rec.renewals_hit)
 
     def test_stream_repeatability(self):
-        a = line_trial(P211, 5, trial_rng(11, 3))
-        b = line_trial(P211, 5, trial_rng(11, 3))
+        a = line_trial(P211, 5, 11, 3)
+        b = line_trial(P211, 5, 11, 3)
         assert a == b
 
 
-def counter_shapes(n):
-    """Every counter shape on n lanes: each of the four words an int or a uint64 array."""
-    rng = np.random.default_rng(n)
-    ints = (7, 2**64 - 1, 0, 2**63)
-    for mask in range(16):
-        yield tuple(
-            rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False) if mask >> i & 1 else c
-            for i, c in enumerate(ints)
-        )
-
-
-def numpy_philox_words(counter, trials, seed):
-    """The (4, n) block of np.random.Philox at each lane's counter and key, one generator per lane."""
-    columns = []
-    for col, t in enumerate(trials.tolist()):
-        value = sum(int(c[col] if isinstance(c, np.ndarray) else c) << 64 * i for i, c in enumerate(counter))
-        key = (seed & (2**64 - 1)) << 64 | t
-        columns.append(np.random.Philox(key=key, counter=(value - 1) % 2**256).random_raw(4))  # emits counter + 1 first
-    return np.array(columns, dtype=np.uint64).reshape(-1, 4).T
-
-
-class NoBareNumbers(np.ndarray):
-    """An array whose ufuncs refuse a Python or numpy scalar beside a uint64 operand.
-
-    numpy 1.x and 2.x promote a bare Python number mixed with uint64 differently
-    (NEP 50), and a numpy scalar operand costs more per call than a 0-d array; with
-    uint64 arrays only, 0-d ones included, both versions give the same dtypes.
-    Results and views stay of this class, so scratch made by np.empty_like is checked too.
-    """
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        if any(type(v) in (bool, int, float) or isinstance(v, np.generic) for v in inputs) and any(
-            getattr(v, "dtype", None) == np.uint64 for v in inputs
-        ):
-            raise TypeError(f"{ufunc.__name__} meets a scalar with a uint64 operand")
-        inputs = tuple(v.view(np.ndarray) if isinstance(v, NoBareNumbers) else v for v in inputs)
-        if out is not None:
-            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, NoBareNumbers) else o for o in out)
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        if out is not None:
-            return out[0] if len(out) == 1 else out
-        return result.view(NoBareNumbers) if isinstance(result, np.ndarray) else result
-
-
-# A lane-invariant word is multiplied as a Python int; one that slipped into a numpy
-# scalar would overflow with a RuntimeWarning, which fails the suite (filterwarnings
-# in pyproject.toml).
-class TestPhiloxKernel:
-    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
-    @pytest.mark.parametrize("first", [0, 2**32 - 2])  # 2^32 - 2 .. 2^32 + 1 cross a 32-bit limb
-    def test_matches_numpy_philox(self, seed, first):
-        trials = np.arange(first, first + 4, dtype=np.uint64)
-        for block in range(3):
-            words = ced.simulate._philox_block((block + 1, 0, 0, 0), trials, seed)
-            for col, t in enumerate(trials.tolist()):
-                raw = np.random.Philox(key=((seed & (2**64 - 1)) << 64) | t).random_raw(4 * block + 4)
-                assert words[:, col].tolist() == raw[4 * block:].tolist()
-
-    def test_counter_words_match_numpy_philox(self):
-        trials = np.array([0, 1, 2**32 - 1, 2**64 - 1], dtype=np.uint64)
-        index = np.array([0, 5, 2**33 + 7, 2**64 - 1], dtype=np.uint64)
-        words = ced.simulate._philox_block((9, index, 3, 2**63), trials, 17)
-        for col in range(trials.size):
-            counter = 8 | int(index[col]) << 64 | 3 << 128 | 2**63 << 192  # Philox emits counter + 1 first
-            raw = np.random.Philox(key=17 << 64 | int(trials[col]), counter=counter).random_raw(4)
-            assert words[:, col].tolist() == raw.tolist()
-
-    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
-    @pytest.mark.parametrize("position", range(4))
-    def test_array_counter_word_matches_numpy_philox(self, seed, position):
-        rng = np.random.default_rng([seed & (2**64 - 1), position])
-        trials = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
-        counter = [7, 2**64 - 1, 0, 2**63]
-        counter[position] = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
-        words = ced.simulate._philox_block(tuple(counter), trials, seed)
-        for col, t in enumerate(trials.tolist()):
-            value = sum(int(c[col] if isinstance(c, np.ndarray) else c) << 64 * i for i, c in enumerate(counter))
-            key = (seed & (2**64 - 1)) << 64 | t
-            raw = np.random.Philox(key=key, counter=(value - 1) % 2**256).random_raw(4)  # emits counter + 1 first
-            assert words[:, col].tolist() == raw.tolist()
-
-    def test_writes_to_no_argument_and_allows_aliasing(self):
-        # The tree engine passes its index array as a counter word and reuses it for later blocks.
-        trials = np.arange(2**32 - 150, 2**32 + 150, dtype=np.uint64)
-        index = trials[::-1].copy()
-        kept = trials.copy(), index.copy()
-        shapes = [[3, index, 1, 0], [index, 2, index, 5], [index, index, index, index], [1, 2, 3, 4]]
-        for shape in shapes:
-            for position in range(4):
-                counter = list(shape)
-                counter[position] = trials
-                unaliased = tuple(c.copy() if isinstance(c, np.ndarray) else c for c in counter)
-                expected = ced.simulate._philox_block(unaliased, trials.copy(), 5)
-                assert np.array_equal(ced.simulate._philox_block(tuple(counter), trials, 5), expected)
-                assert np.array_equal(trials, kept[0]) and np.array_equal(index, kept[1])
-
-    @pytest.mark.parametrize("seed", [-1, 2**63 + 5])
-    @pytest.mark.parametrize("lanes", [0, 1, 300])
-    @pytest.mark.parametrize("position", range(4))
-    def test_int_counter_words_match_numpy_philox(self, seed, lanes, position):
-        trials = np.random.default_rng(lanes).integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
-        counter = [9, 0, 2**32 + 1, 3]
-        counter[position] = 2**64 - 1
-        words = ced.simulate._philox_block(tuple(counter), trials, seed)
-        assert words.shape == (4, lanes)
-        assert np.array_equal(words, numpy_philox_words(counter, trials, seed))
-        assert np.array_equal(ced.simulate._philox_block(tuple(map(np.uint64, counter)), trials, seed), words)
-
-    @pytest.mark.parametrize("lanes", [0, 1, 300])
-    def test_every_counter_shape_gives_a_fresh_array(self, lanes):
-        trials = np.arange(lanes, dtype=np.uint64)
-        for counter in counter_shapes(lanes):
-            words = ced.simulate._philox_block(counter, trials, 11)
-            assert words.shape == (4, lanes) and words.dtype == np.uint64
-            assert words.flags.c_contiguous and words.flags.writeable and words.flags.owndata
-            assert not any(np.shares_memory(words, c) for c in (trials, *counter) if isinstance(c, np.ndarray))
-            if lanes == 300:
-                assert np.array_equal(words, numpy_philox_words(counter, trials, 11))
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
-    @pytest.mark.parametrize("lanes", [0, 1, 300])
-    def test_every_counter_shape_matches_numpy_philox(self, seed, lanes):
-        trials = np.random.default_rng([lanes, 1]).integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
-        for counter in counter_shapes(lanes):
-            words = ced.simulate._philox_block(counter, trials, seed)
-            assert np.array_equal(words, numpy_philox_words(counter, trials, seed))
-
-    def test_no_bare_python_number_meets_a_uint64_operand(self):
-        trials = np.arange(2**32 - 150, 2**32 + 150, dtype=np.uint64)
-        strict = trials.view(NoBareNumbers)
-        with pytest.raises(TypeError):
-            strict >> 11
-        with pytest.raises(TypeError):
-            strict >> np.uint64(11)
-        for counter in counter_shapes(trials.size):
-            checked = tuple(c.view(NoBareNumbers) if isinstance(c, np.ndarray) else c for c in counter)
-            words = ced.simulate._philox_block(checked, strict, -1)
-            assert type(words) is NoBareNumbers  # its scratch was checked too
-            assert np.array_equal(words, ced.simulate._philox_block(counter, trials, -1))
-            plain = words.view(np.ndarray)
-            assert np.array_equal(ced.simulate._uniforms(words[0]), ced.simulate._uniforms(plain[0]))
-            assert np.array_equal(ced.simulate._exp_delays(words[1], 2.5), ced.simulate._exp_delays(plain[1], 2.5))
-
-    def test_constants_are_0d_uint64_arrays(self):
-        entries = [e for entry in ced.simulate._u64() for e in (entry if isinstance(entry, tuple) else (entry,))]
-        assert len(entries) == 12
-        assert all(type(e) is np.ndarray and e.shape == () and e.dtype == np.uint64 for e in entries)
-
-    @pytest.mark.parametrize(
-        "arrays,calls",
-        [((), 17), ((1,), 17), ((2,), 18), ((3,), 18), ((0,), 19), ((0, 2), 20), ((0, 1, 2, 3), 20)],
-    )
-    def test_array_limb_chains_per_block(self, monkeypatch, arrays, calls):
-        # Rounds 0 and 1 multiply only the counter words that are arrays; rounds 2-9 multiply two arrays.
-        seen, mulhi = [], ced.simulate._mulhi
-
-        def counting(a, *args):
-            seen.append(a.size)
-            return mulhi(a, *args)
-
-        monkeypatch.setattr(ced.simulate, "_mulhi", counting)
-        trials = np.arange(64, dtype=np.uint64)
-        counter = tuple(trials + np.uint64(i) if i in arrays else i for i in range(4))
-        ced.simulate._philox_block(counter, trials, 3)
-        assert len(seen) == calls and set(seen) == {64}
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize(
+    "serial", [[0, 1, 2, 3], [0, 2, 3, 7, 8, 9, 15, 80, 145], [6], [0, 5, 2**40]], ids=["run", "gaps", "one", "far"]
+)
+def test_draw_matches_numpy_philox_per_lane(blocks, serial):
+    # row 4b + w, column i: word w of the block at counter (serial[i] + 1, word1, b, 0) under the key seed;
+    # a gap over _GAP (80 - 15, 2^40 - 5) is stepped over, never drawn
+    seed, word1 = 2**64 - 1, 7
+    words = ced.simulate._draw(word1, np.array(serial), blocks, seed)
+    expected = [[philox_block(seed, (s + 1, word1, b, 0))[w] for s in serial] for b in range(blocks) for w in range(4)]
+    assert words.dtype == np.uint64 and words.tolist() == expected
 
 
 class TestSimulateLine:
@@ -280,13 +125,26 @@ class TestSimulateLine:
         assert simulate_line(p, n_trials, k_max, seed) == scalar_line_summary(p, n_trials, k_max, seed)
 
     def test_builds_no_per_trial_generator(self, monkeypatch):
+        # one Philox a draw call, each call a range of thousands of trials or vertices
+        built, draws, philox, draw = [], [], np.random.Philox, ced.simulate._draw
+
         def refuse(*args, **kwargs):
-            raise AssertionError("an engine built a numpy bit generator")
+            raise AssertionError("an engine built a numpy Generator")
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw(*args)
 
         monkeypatch.setattr(np.random, "Generator", refuse)
-        monkeypatch.setattr(np.random, "Philox", refuse)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(ced.simulate, "_draw", counting_draw)
         assert simulate_line(P211, 5_000, 5, seed=9).n_trials == 5_000
         assert simulate_tree(P211, 5, 5_000, seed=9).n_trials == 5_000
+        assert 0 < len(built) <= len(draws) < 100
 
     def test_summary_determinism_and_thread_invariance(self):
         s1 = simulate_line(P211, 30_000, 5, seed=9)
@@ -364,8 +222,7 @@ class TestCompareRenewals:
 
 class TestTreeTrials:
     def test_blue_needs_red_first(self):
-        for idx in range(60):
-            rec = tree_trial(P211, 4, 21, idx)
+        for rec in tree_trials(P211, 4, 60, 21):
             assert rec.blue_reached_depth <= rec.red_reached_depth
             assert rec.renewal_vertices_per_level[0] == 1
             assert all(c >= 0 for c in rec.renewal_vertices_per_level)
@@ -410,20 +267,24 @@ class TestSimulateTree:
     def test_split_and_continue_changes_nothing(self, monkeypatch):
         p = ModelParams(2, F(2), F(1, 2))
         whole = simulate_tree(p, 5, 100, seed=4)
-        draws = []  # (level, trials) of each Philox call
-        philox_block = ced.simulate._philox_block
+        draws = []  # (level, serials) of each _draw call
+        draw = ced.simulate._draw
 
-        def recording(counter, trials, seed):
-            draws.append((counter[0] - 1, trials.tolist()))
-            return philox_block(counter, trials, seed)
+        def recording(word1, serial, blocks, seed):
+            draws.append((word1 - 1, serial.tolist()))
+            return draw(word1, serial, blocks, seed)
 
-        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
+        monkeypatch.setattr(ced.simulate, "_draw", recording)
         monkeypatch.setattr(ced.simulate, "_SLAB", 32)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
         assert simulate_tree(p, 5, 100, seed=4) == whole
-        # No re-run: each trial's level-0 counter is drawn exactly once, whatever the pieces.
-        level0 = [trials for level, trials in draws if level == 0]
-        assert sorted(sum(level0, [])) == list(range(100))
+        # No re-run: each vertex below the cap is drawn exactly once, in order, its number running on across slabs;
+        # the roots' numbers are their trials.
+        records = tree_trials(p, 5, 100, 4)
+        for l in range(5):
+            drawn = sum((serial for level, serial in draws if level == l), [])
+            assert drawn == list(range(sum(r.vertices_per_level[l] for r in records)))
+        assert sum((serial for level, serial in draws if level == 0), []) == list(range(100))
         # Pieces: some level of the four slabs was drawn in more than four calls.
         assert max(sum(level == l for level, _ in draws) for l in range(1, 6)) > 4
 
@@ -467,17 +328,19 @@ class TestSimulateTree:
     def test_cap_draws_only_for_blue_parents(self, monkeypatch, live_vertices):
         # A cap vertex whose parent never turns blue never renews or turns blue: it draws no lane.
         p, cap, n_trials, seed = ModelParams(2, F(2), F(1, 2)), 5, 100, 4  # d + 2 = 4 words: one block a vertex
-        calls = []  # (level, trials) of each Philox call
-        philox_block = ced.simulate._philox_block
+        calls = []  # (level, trials) of each _draw call
+        draw = ced.simulate._draw
+        records = tree_trials(p, cap, n_trials, seed)
+        # the trial of each numbered vertex, per level
+        owner = [np.repeat(np.arange(n_trials), [r.vertices_per_level[l] for r in records]) for l in range(cap + 1)]
 
-        def recording(counter, trials, seed):
-            calls.append((counter[0] - 1, trials.tolist()))
-            return philox_block(counter, trials, seed)
+        def recording(word1, serial, blocks, seed):
+            calls.append((word1 - 1, owner[word1 - 1][serial].tolist()))
+            return draw(word1, serial, blocks, seed)
 
-        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
+        monkeypatch.setattr(ced.simulate, "_draw", recording)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
         summary = simulate_tree(p, cap, n_trials, seed)
-        records = [tree_trial(p, cap, seed, i) for i in range(n_trials)]
         cap_lanes = sum(len(trials) for level, trials in calls if level == cap)
         assert cap_lanes == sum(r.blue_parent_vertices_per_level[cap] for r in records) > 0
         assert summary.red_depth_counts[cap] == sum(r.red_reached_depth == cap for r in records)
@@ -492,30 +355,36 @@ class TestSimulateTree:
     @pytest.mark.parametrize(
         "p,cap,n_trials,seed,live_vertices,slab,lanes",
         [
-            (ModelParams(3, F(1), F(1, 2)), 6, 2000, 1, ced.simulate._LIVE_VERTICES, ced.simulate._SLAB, 125_094),
-            (ModelParams(3, F(2), F(1, 2)), 5, 40, 6, 5, 16, 3402),  # test_split_path_equals_scalar_reference's point
+            (ModelParams(3, F(1), F(1, 2)), 6, 2000, 1, ced.simulate._LIVE_VERTICES, ced.simulate._SLAB, 126_332),
+            (ModelParams(3, F(2), F(1, 2)), 5, 40, 6, 5, 16, 2695),  # test_split_path_equals_scalar_reference's point
         ],
     )
     def test_each_level_ends_in_one_short_piece(self, monkeypatch, p, cap, n_trials, seed, live_vertices, slab, lanes):
         # A level draws a short piece only once no level holds a full one, and then never receives another vertex.
-        calls = []  # (slab, level, lanes) of each Philox call
-        philox_block = ced.simulate._philox_block
+        calls = []  # (slab, level, vertices, blocks) of each _draw call
+        starts = []  # the first trial of each slab, in order
+        draw, tree_slab = ced.simulate._draw, ced.simulate._tree_slab
 
-        def recording(counter, trials, seed):
-            calls.append((int(trials[0]) // slab, counter[0] - 1, trials.size))
-            return philox_block(counter, trials, seed)
+        def recording(word1, serial, blocks, seed):
+            calls.append((starts[-1] // slab, word1 - 1, serial.size, blocks))
+            return draw(word1, serial, blocks, seed)
 
-        monkeypatch.setattr(ced.simulate, "_philox_block", recording)
+        def slab_start(*args):
+            starts.append(args[-2])
+            return tree_slab(*args)
+
+        monkeypatch.setattr(ced.simulate, "_draw", recording)
+        monkeypatch.setattr(ced.simulate, "_tree_slab", slab_start)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
         monkeypatch.setattr(ced.simulate, "_SLAB", slab)
         simulate_tree(p, cap, n_trials, seed)
         short = collections.Counter()
-        for s, level, size in calls:
-            blocks = (p.d + 5) // 4 if level < cap else 1
-            short[s, level] += size < live_vertices // blocks * blocks
+        for s, level, size, blocks in calls:
+            assert blocks == ((p.d + 5) // 4 if level < cap else 1)
+            short[s, level] += size < max(1, live_vertices // blocks)
         assert max(short.values()) <= 1
-        assert {s for s, _, _ in calls} == set(range(-(-n_trials // slab)))
-        assert sum(size for _, _, size in calls) == lanes  # set by the vertices drawn, not by their order
+        assert {s for s, _, _, _ in calls} == set(range(-(-n_trials // slab)))
+        assert sum(size * blocks for _, _, size, blocks in calls) == lanes  # set by the vertices drawn, not their order
 
     def test_split_path_equals_scalar_reference(self, monkeypatch):
         p = ModelParams(3, F(2), F(1, 2))  # supercritical: red survives to the cap
