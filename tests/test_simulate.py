@@ -178,7 +178,7 @@ class TestSimulateLine:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
-        # the key takes the seed mod 2^64, so such a seed would alias one inside the range
+        # the seed is the low word of the Philox key, whose high word is always 0
         with pytest.raises(ValueError, match="seed"):
             simulate_line(P211, 10, 3, seed)
         with pytest.raises(ValueError, match="seed"):
