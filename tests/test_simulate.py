@@ -94,6 +94,11 @@ class TestLineTrials:
         assert a == b
 
 
+def per_lane_words(word1, serial, blocks, seed):
+    """The (4 blocks, len(serial)) words of _draw, from one numpy Philox a block and a serial."""
+    return [[philox_block(seed, (s + 1, word1, b, 0))[w] for s in serial] for b in range(blocks) for w in range(4)]
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize(
     "serial", [[0, 1, 2, 3], [0, 2, 3, 7, 8, 9, 15, 80, 145], [6], [0, 5, 2**40]], ids=["run", "gaps", "one", "far"]
@@ -103,8 +108,114 @@ def test_draw_matches_numpy_philox_per_lane(blocks, serial):
     # a gap over _GAP (80 - 15, 2^40 - 5) is stepped over, never drawn
     seed, word1 = 2**64 - 1, 7
     words = ced.simulate._draw(word1, np.array(serial), blocks, seed)
-    expected = [[philox_block(seed, (s + 1, word1, b, 0))[w] for s in serial] for b in range(blocks) for w in range(4)]
-    assert words.dtype == np.uint64 and words.tolist() == expected
+    assert words.dtype == np.uint64 and words.tolist() == per_lane_words(word1, serial, blocks, seed)
+
+
+def ascending_serials(rng, lanes, max_gap, first=0):
+    """lanes ascending serials from first, each gap drawn from [1, max_gap]."""
+    return first + np.cumsum(rng.integers(1, max_gap, lanes, endpoint=True)) - 1
+
+
+SERIAL_PATTERNS = {
+    "run": [0, 1, 2, 3],
+    "gaps": [0, 2, 3, 7, 8, 9, 15, 80, 145],
+    "one": [6],
+    "far": [0, 5, 2**40],
+    "gap_at_limit": [3, 3 + ced.simulate._GAP],
+    "gap_past_limit": [3, 4 + ced.simulate._GAP],
+}
+
+
+class TestDraw:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 2**32 - 2, 2**63 - 5])  # 2^32 - 1 .. 2^32 + 2 cross a 32-bit limb
+    def test_matches_numpy_philox_at_limb_edges(self, seed, first):
+        serial = np.arange(first, first + 4)
+        for blocks in (1, 2, 3):
+            words = ced.simulate._draw(1, serial, blocks, seed)
+            assert words.tolist() == per_lane_words(1, serial.tolist(), blocks, seed)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    @pytest.mark.parametrize("word1", [0, 1, 2**32 + 7, 2**64 - 1])
+    def test_counter_word1_matches_numpy_philox(self, seed, word1):
+        serial = [0, 1, 2**32 - 1, 2**32, 2**32 + 90]
+        words = ced.simulate._draw(word1, np.array(serial), 2, seed)
+        assert words.tolist() == per_lane_words(word1, serial, 2, seed)
+
+    @pytest.mark.parametrize("max_gap", [1, ced.simulate._GAP, ced.simulate._GAP + 1, 5_000])
+    @pytest.mark.parametrize("lanes", [1, 2, 300])
+    def test_random_serials_match_numpy_philox(self, max_gap, lanes):
+        rng = np.random.default_rng([max_gap, lanes])
+        serial = ascending_serials(rng, lanes, max_gap, first=int(rng.integers(0, 2**40)))
+        words = ced.simulate._draw(5, serial, 2, 2**63 + 5)
+        assert words.shape == (8, lanes) and words.tolist() == per_lane_words(5, serial.tolist(), 2, 2**63 + 5)
+
+    @pytest.mark.parametrize("keep", ["all", "evens", "first", "last", "half", "sparse"])
+    def test_columns_do_not_depend_on_the_other_serials(self, keep):
+        # a serial's words are the same whichever runs and gathers the other serials put it in
+        serial = ascending_serials(np.random.default_rng(3), 400, 2 * ced.simulate._GAP)
+        chosen = {
+            "all": np.arange(400),
+            "evens": np.arange(0, 400, 2),
+            "first": np.array([0]),
+            "last": np.array([399]),
+            "half": np.sort(np.random.default_rng(4).choice(400, 200, replace=False)),
+            "sparse": np.arange(0, 400, 37),
+        }[keep]
+        whole = ced.simulate._draw(2, serial, 3, 9)
+        assert np.array_equal(ced.simulate._draw(2, serial[chosen], 3, 9), whole[:, chosen])
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 17])
+    def test_more_blocks_extend_the_fewer(self, blocks):
+        # block b sits in counter word 2, so a vertex that draws fewer blocks (a cap vertex) shares its first ones
+        serial = np.array([0, 1, 4, 90, 91, 400])
+        words = ced.simulate._draw(3, serial, blocks, 11)
+        for fewer in range(1, blocks):
+            assert np.array_equal(ced.simulate._draw(3, serial, fewer, 11), words[: 4 * fewer])
+
+    @pytest.mark.parametrize("lanes", [1, 2, 300])
+    def test_returns_a_fresh_array_and_writes_no_argument(self, lanes):
+        backing = ascending_serials(np.random.default_rng(lanes), 2 * lanes, 100)
+        for serial in (backing[:lanes], backing[::2]):  # contiguous and strided
+            kept = serial.copy()
+            for blocks in (1, 3):
+                words = ced.simulate._draw(4, serial, blocks, 6)
+                assert words.shape == (4 * blocks, lanes) and words.dtype == np.uint64
+                assert words.flags.writeable and not np.shares_memory(words, serial) and np.array_equal(serial, kept)
+                words[:] = 0
+                assert words.tolist() != ced.simulate._draw(4, serial, blocks, 6).tolist()
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("pattern", list(SERIAL_PATTERNS))
+    def test_one_generator_and_one_raw_call_a_run_and_block(self, monkeypatch, pattern, blocks):
+        # serials at most _GAP apart share a run; each run of each block is drawn whole by one call, never twice
+        serial = np.array(SERIAL_PATTERNS[pattern])
+        spans = np.split(serial, np.flatnonzero(np.diff(serial) > ced.simulate._GAP) + 1)
+        built, raw_sizes, philox = [], [], np.random.Philox
+
+        class CountingPhilox:
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+                self._philox = philox(**kwargs)
+
+            def advance(self, delta):
+                self._philox.advance(delta)
+
+            def random_raw(self, size):
+                raw_sizes.append(size)
+                return self._philox.random_raw(size)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        words = ced.simulate._draw(8, serial, blocks, 21)
+        assert len(built) == 1
+        assert raw_sizes == [4 * int(s[-1] - s[0] + 1) for _ in range(blocks) for s in spans]
+        assert words.tolist() == per_lane_words(8, serial.tolist(), blocks, 21)
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_uniforms_are_generator_random(self, seed):
+        raw = np.random.Philox(key=seed).random_raw(1000)
+        expected = np.random.Generator(np.random.Philox(key=seed)).random(1000)
+        assert np.array_equal(ced.simulate._uniforms(raw), expected)
 
 
 class TestSimulateLine:
