@@ -39,21 +39,25 @@ it counts for the deepest red level and nothing else.
 
 Reproducibility: every draw is a word of Philox4x64-10 under the key seed
 (Salmon et al., SC'11), whose blocks at distinct counters are independent, so
-the counters are laid out for numpy's own generator to step through: each
-block of a draw is one run of consecutive counters, the words of any counter
-it skips unread.  Line trial t takes step s from word
-s mod 4 of the counter (t + 1, s // 4 + 1, 0, 0).  Each tree level numbers its
-vertices 0, 1, ... in (trial, index) order over the whole run (children by
-parent, then slot), the root of trial t being vertex t of level 0, and vertex
-i of level l takes the counters (i + 1, l + 1, b, 0), b = 0, 1, ..., whose
-words are its death, overtake and slot 0 .. d-1 spread delays.  A cap vertex
-whose parent never turns blue draws nothing, yet still takes its number, so no
-other vertex's counters move.  So equal (seed, n_trials) give equal
-summaries, a `LineSummary` from the line and a `TreeSummary` from the tree;
-a run of n trials is the prefix of any longer run with the same seed; and
-neither the slabs nor the pieces a level is drawn in change a result.  A
-line trial's draws depend on (seed, trial) alone, a tree trial's also on how
-many vertices the trials before it put in each level.
+the counters are laid out for one numpy generator a run to step through, a
+draw's block at a time, in runs of consecutive counters.  Line step block n
+(steps 4n .. 4n + 3) numbers the trials live at its start 0, 1, ... in trial
+order over the whole run, and live trial i takes step 4n + w from word w of the
+counter (i + 1, n + 1, 0, 0); every trial is live at block 0, so trial t reads
+(t + 1, 1, 0, 0) there.  Each tree level numbers its vertices 0, 1, ... in
+(trial, index) order over the whole run (children by parent, then slot), the
+root of trial t being vertex t of level 0, and vertex i of level l takes the
+counters (i + 1, l + 1, b, 0), b = 0, 1, ..., whose words are its death,
+overtake and slot 0 .. d-1 spread delays.  A cap vertex whose parent never
+turns blue draws nothing, yet still takes its number, so no other vertex's
+counters move: the cap is the only level whose draws skip counters, a gap of
+at most _GAP counters drawn and left unread, a longer one stepped over.  So
+equal (seed, n_trials) give equal summaries, a `LineSummary` from the line and
+a `TreeSummary` from the tree; a run of n trials is the prefix of any longer
+run with the same seed; and neither the slabs nor the pieces a level is drawn
+in change a result.  A trial's draws
+depend on the seed and on how many trials before it are live at each line step
+block, or put vertices in each tree level.
 """
 
 from __future__ import annotations
@@ -140,25 +144,24 @@ class TreeSummary:
         return self.red_depth_counts[-1] / self.n_trials
 
 
-def _draw(word1: int, serial: np.ndarray, blocks: int, seed: int) -> np.ndarray:
-    """The Philox4x64-10 blocks at the counters (s + 1, word1, b, 0), b < blocks, under the key seed, s in serial.
+def _draw(word1: int, serial: np.ndarray, blocks: int, philox: np.random.Philox) -> np.ndarray:
+    """The Philox4x64-10 blocks at the counters (s + 1, word1, b, 0), b < blocks, under philox's key, s in serial.
 
     `serial` is an ascending int64 array.  Returns a (4 blocks, serial.size) array whose row 4b + w holds word w of
-    block b.  One numpy Philox steps through each block's runs, each drawn whole with one call: serials at most
-    _GAP apart share a run, and a run with gaps gathers the columns of its serials.
+    block b.  `philox` is set to each run of each block in turn, whatever its state before, and draws the run whole
+    with one call: serials at most _GAP apart share a run, and a run with gaps gathers the columns of its serials.
     """
     import numpy as np
     cut = np.r_[0, np.flatnonzero(np.diff(serial) > _GAP) + 1, serial.size]  # where each run starts, and the end
     starts, ends = serial[cut[:-1]], serial[cut[1:] - 1] + 1
-    at = int(starts[0]) | word1 << 64
-    philox = np.random.Philox(key=seed, counter=at)  # it emits counter + 1 first
+    state = philox.state
+    state["buffer_pos"] = 4  # no buffered words: the next word starts a block
     runs = []
     for b in range(blocks):
         for start, end in zip(starts.tolist(), ends.tolist()):
-            if (counter := start | word1 << 64 | b << 128) > at:
-                philox.advance(counter - at)
+            state["state"]["counter"] = [start, word1, b, 0]  # it emits counter + 1 first
+            philox.state = state
             runs.append(philox.random_raw(4 * (end - start)))
-            at = counter + end - start
     words = (runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(blocks, -1, 4)
     words = words.transpose(0, 2, 1).reshape(4 * blocks, -1)
     if words.shape[1] == serial.size:
@@ -173,41 +176,45 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 
 
 def _run_slabs(slab, args: tuple, n_trials: int, seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
-    """Tallies of these sizes, each the entrywise sum of its sequence from slab(*args, seed, start, stop).
+    """Tallies of these sizes, each the entrywise sum of its sequence from slab(*args, philox, start, stop).
 
-    The slabs step the trials [0, n_trials) _SLAB at a time.  The arguments are
-    checked first and the tallies made next, so an impossible size fails at once.
+    The slabs step the trials [0, n_trials) _SLAB at a time, every draw from one Philox keyed by the seed.  The
+    arguments are checked first and the tallies made next, so an impossible size fails at once.
     """
+    import numpy as np
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     tallies = tuple([0] * size for size in sizes)
+    philox = np.random.Philox(key=seed)
     for start in range(0, n_trials, _SLAB):
-        for total, values in zip(tallies, slab(*args, seed, start, min(start + _SLAB, n_trials))):
+        for total, values in zip(tallies, slab(*args, philox, start, min(start + _SLAB, n_trials))):
             for i, value in enumerate(values):
                 total[i] += value
     return tallies
 
 
-def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: int):
+def _line_slab(lam: float, rho: float, k_max: int, queued: dict, philox: np.random.Philox, start: int, stop: int):
     """Step line trials [start, stop) in lockstep until every one has stopped.
 
+    `queued` maps each step block to the live trials the run has numbered in it so far, and this slab adds its own.
     Step s of a live trial at gap j compares the uniform of its step s word
     with lambda / t and (lambda + 1) / t, t = 1 + lambda + j rho.
     Returns the histogram of the blue positions of the renewals after the
     start and the number of trials per absorption in _ABSORPTIONS order.
     """
     import numpy as np
-    trials = np.arange(start, stop)
-    j = np.ones(trials.size, np.int64)
-    b = np.zeros(trials.size, np.int64)
+    j = np.ones(stop - start, np.int64)
+    b = np.zeros(j.size, np.int64)
     renewals = []
     absorb = dict.fromkeys(_ABSORPTIONS, 0)
     step = 0
-    while trials.size:
+    while j.size:
         if step % 4 == 0:
-            words = _draw(step // 4 + 1, trials, 1, seed)
+            number = queued.get(step // 4, 0)  # the live trials' numbers follow the block's earlier ones
+            queued[step // 4] = number + j.size
+            words = _draw(step // 4 + 1, np.arange(number, queued[step // 4]), 1, philox)
         x = _uniforms(words[0])
         words = words[1:]  # the rows of the block's later steps
         total = 1.0 + lam + j * rho
@@ -228,7 +235,7 @@ def _line_slab(lam: float, rho: float, k_max: int, seed: int, start: int, stop: 
         absorb[ABSORB_CAUGHT] += int(np.count_nonzero(is_caught))
         absorb[ABSORB_TRUNCATED] += int(np.count_nonzero(is_truncated))
         live = np.flatnonzero(~stopped)
-        trials, j, b, words = trials[live], j[live], b[live], words[:, live]
+        j, b, words = j[live], b[live], words[:, live]
     return np.bincount(np.concatenate(renewals)).tolist(), list(absorb.values())
 
 
@@ -241,7 +248,7 @@ def simulate_line(p: ModelParams, n_trials: int, k_max: int, seed: int) -> LineS
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    args = (float(p.lam), float(p.rho), k_max)
+    args = (float(p.lam), float(p.rho), k_max, {})  # the run's live trial count per step block, filled as reached
     renewal_counts, absorb = _run_slabs(_line_slab, args, n_trials, seed, (k_max + 1, len(_ABSORPTIONS)))
     renewal_counts[0] = n_trials  # every trial starts with a renewal at 0
     return LineSummary(p, n_trials, seed, tuple(renewal_counts), tuple(zip(_ABSORPTIONS, absorb)))
@@ -253,7 +260,7 @@ def _exp_delays(words: np.ndarray, rate: float) -> np.ndarray:
     return -np.log(1.0 - _uniforms(words)) / rate
 
 
-def _tree_slab(d: int, lam: float, rho: float, cap: int, queued: dict, seed: int, start: int, stop: int):
+def _tree_slab(d: int, lam: float, rho: float, cap: int, queued: dict, philox: np.random.Philox, start: int, stop: int):
     """Tally tree trials [start, stop) level by level, by the rules in the module docstring.
 
     `queued` maps each level below the root to the vertices the run has numbered in it so far, and this slab adds its
@@ -280,7 +287,7 @@ def _tree_slab(d: int, lam: float, rho: float, cap: int, queued: dict, seed: int
         trial, serial, red, parent_blue = (a[:full[level]] for a in waiting[level])
         waiting[level] = tuple(a[full[level]:] for a in waiting[level]) if held[level] > full[level] else ()
         # Cap vertices never spread: death and overtake only.  words[w] is every vertex's word w.
-        words = _draw(level + 1, serial, (d + 5) // 4 if level < cap else 1, seed)
+        words = _draw(level + 1, serial, (d + 5) // 4 if level < cap else 1, philox)
         death = red + _exp_delays(words[0], rho) if rho > 0.0 else np.full(red.size, np.inf)
         overtake = parent_blue + _exp_delays(words[1], 1.0)
         red_at_blue = parent_blue < death  # still red when its parent turns blue

@@ -145,13 +145,26 @@ def report(title: str, summary: dict) -> list[str]:
     return out
 
 
+def spans(ids: list[int]) -> str:
+    """"pair i", or "pairs" and the runs of consecutive ascending indices, as in "pairs 0-3, 7"."""
+    runs: list[list[int]] = []
+    for i in ids:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return ("pair " if len(ids) == 1 else "pairs ") + ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
+
+
 def digests(pairs: list[tuple[dict, dict]]) -> list[str]:
-    """Lines for every pair whose runs did not agree on the output or checked wrong."""
-    out = []
+    """A line for each distinct (base, head) pair of differing output digests, naming its pairs, and for each wrong run."""
+    differ: dict[tuple[str, str], list[int]] = {}
     for i, (b, h) in enumerate(pairs):
         if b["digest"] != h["digest"]:
-            out.append(f"  pair {i}: output digests differ, base {b['digest'][:16]} head {h['digest'][:16]}")
-        for side, r in (("base", b), ("head", h)):
+            differ.setdefault((b["digest"], h["digest"]), []).append(i)
+    out = [f"  {spans(ids)}: output digests differ, base {b[:16]} head {h[:16]}" for (b, h), ids in differ.items()]
+    for i, pair in enumerate(pairs):
+        for side, r in zip(("base", "head"), pair):
             if not r["correct"] or r["failed"]:
                 out.append(f"  pair {i}: {side} checked correct={r['correct']} with {r['failed']} failed")
     return out

@@ -25,7 +25,8 @@ EDGE_LAMBDA_100 = F(3 * 10**100 - math.isqrt(8 * 10**200), 10**100)
 #: Every `simulate` row whose stdout moved was re-recorded when each draw became
 #: one run of Philox counters under the key seed (the line's trials, or a tree
 #: level's vertices numbered over the run); the one-trial trees at rho = 3 print
-#: the same bytes under both.
+#: the same bytes under both.  The `simulate line` rows whose stdout moved were
+#: re-recorded when each line step block came to number only its live trials.
 GOLDEN = [
     ("decide --d 2 --lambda 1 --rho 1", 1, "12af5f7c46b91101036c2b4869c5a958e8d15031229d4f34a348e584cf66c66d"),
     ("decide --d 2 --lambda 1 --rho 1 --json", 1, "955b47d7b19cb9331a046db485e090022d63649486916422ac9d22b2a4043aaa"),
@@ -51,7 +52,7 @@ GOLDEN = [
     ("catalan --lambda 1 --rho 1/2 --mode flattened --m 2 --z 2 --k-max 5", 0, "34ef882f3d3934c3dc183555e40d746534b8ce995f7ae5c4a666604a13cc0bea"),
     ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1", 0, "9696172e6e92f4c6865ec6efe7f32b2bba7f4754131533b0b4e7bac98d2c66d2"),
     ("simulate line --lambda 1 --rho 10 --k-max 3 --trials 200 --seed 1 --format json", 0, "9ba020f9c0542fb9e18c80c527d3b12bc2c4cae5d500d1781cb97be6820a5649"),
-    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "248550d959615a5cc5e0cca2cb5189320c019c7d55d13f38277d1e3ffe9fefb0"),
+    ("simulate line --lambda 1 --rho 1 --k-max 4 --trials 300 --seed 7", 0, "2882d2ccd0963c363f08e59aea771211cdee8ba71f9035bcb47a47596b7681fc"),
     ("simulate line --lambda 0.5 --rho 1 --k-max 3 --trials 100 --seed 1 --allow-decimal --format json", 0, "7458c5d47c69f6da7d35c4c83d0e8883da5e6e970e790032f3deb6a142f6eb5a"),
     ("simulate tree --d 2 --lambda 1 --rho 1 --depth 3 --trials 200 --seed 3", 0, "6340f2f42c5f206c2d03cd4bdab459ceeb22a031bf6d28fa014eb450572913de"),
     ("simulate tree --d 3 --lambda 2 --rho 1/2 --depth 3 --trials 100 --seed 5 --format json", 0, "aafa859768e8c02ebf0ffc31cc0dbcac95f10628185a2ac3ad75666efcf347eb"),
@@ -119,7 +120,7 @@ GOLDEN = [
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode flattened --m 16 --k-max 60", 0, "e5839de1f45f4b9b793509adc9b74e235c4e8de2a3cf04d63708ab1331c3bee2"),
     ("catalan --lambda 1 --rho 12360736211/68719476736 --mode capped --m 16 --k-max 60", 0, "da047c20670696f157291ccd5b755fc2b2e7b0c6d3ba1e61f6b1ba3e85133e0c"),
     # A 500-trial twin of the lambda = 5, rho = 0 SLOW line row: long trials thinning to a few live lanes
-    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 500 --seed 1", 0, "3bc9b73462f2927f1026a508e4bc7164a5f2f3b13e98a13d9af231d10242228a"),
+    ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 500 --seed 1", 0, "7d6f6e29dac37bdcd6d185883775cadb378c2bba560703d346d5b705e54cec67"),
 ]
 
 
@@ -154,7 +155,7 @@ SLOW = [
     # the three K = 800 paths through the exact recurrence: the line's float column, the exact
     # table and the tree's float column
     ("simulate line --lambda 1 --rho 1/3 --k-max 800 --trials 1000 --seed 1", 0,
-     "636efaeb53e12ebc770a65b9b40cfe17072a39d6f2974dd22b014ae6250a4ed9", 60),
+     "0be4da81ef37bfc406b1f65d9ac37a32870c7de9f9890e1742266c64ed95e14a", 60),
     ("catalan --lambda 1 --rho 1/3 --k-max 800", 0,
      "7052643a46e3508b4739dbaf1875f7b9515d4833f49b3ce86136723fc9cab272", 60),
     ("simulate tree --lambda 1 --rho 3 --depth 800 --trials 1 --seed 1", 0,
@@ -177,7 +178,7 @@ SLOW = [
      "823161e4d48b6293c5d285f6b3b5e2ef6cd93bd975eff96fe4915e1bc9471fda", 60),
     # long line trials: k_max 800 at lambda = 5, rho = 0 (1.0 s)
     ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 10000 --seed 1", 0,
-     "fbbd2f68a58e442d971a9ca85ce7bb290d6580c67c744c46b0cc8500252b37b5", 15),
+     "7639c4666c10c66ef97800a21d4041d135221d4fef2cd5c4cb2c0a85b4c0707e", 15),
     # a 1000-point grid at 2^-200 on one and on two processes (2.3 s, 1.4 s)
     (f"rho-c --d 2 --lambda-grid 1/4:5:1000 --tol 1/{2**200} --threads 1", 0,
      "e1e565ebc4485c52946851c7a3241bcddadf65ed580f07ef90199177d314fb03", 30),

@@ -9,7 +9,6 @@ math.log may differ from it in the last bit.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ class LineTrialRecord(NamedTuple):
     renewals_hit: tuple[int, ...]  # positions k with a renewal; always starts with 0
     y_value: int                   # furthest blue position reached
     absorption: str                # death | caught | truncated
+    steps: int                     # jump-chain steps taken, the stopping one included
 
 
 class TreeTrialRecord(NamedTuple):
@@ -47,41 +47,52 @@ def jump_probabilities(p: ModelParams, j: int) -> tuple[Fraction, Fraction, Frac
     return p.lam / total, Fraction(1) / total, j * p.rho / total
 
 
-def line_trial(p: ModelParams, k_max: int, seed: int, index: int) -> LineTrialRecord:
-    """Line trial `index` of a run under seed: one embedded-jump-chain trial from gap 1, blue at 0.
+def line_trials(p: ModelParams, k_max: int, n_trials: int, seed: int) -> list[LineTrialRecord]:
+    """The records of line trials 0 .. n_trials - 1 under seed: embedded-jump-chain trials from gap 1, blue at 0.
 
-    Step s takes the uniform of word s mod 4 of the counter (index + 1, s // 4 + 1, 0, 0).
-    The initial state is already a renewal at position 0.  Stops at death
-    absorption, at blue consuming the last red, or at blue position k_max.
+    The trials run one at a time.  Each step block n (steps 4n .. 4n + 3) numbers the trials that
+    reach it on from the trials before, and live trial i takes step 4n + w from word w of the block at
+    the counter (i + 1, n + 1, 0, 0).  The initial state is already a renewal at position 0.  A trial
+    stops at death absorption, at blue consuming the last red, or at blue position k_max.
     """
     lam = float(p.lam)
     rho = float(p.rho)
     adv: list[float] = [0.0]       # adv[j] = P(advance from j)
     adv_ret: list[float] = [0.0]   # adv[j] + P(retreat from j)
-    j = 1
-    b = 0
-    renewals = [0]
-    for step in itertools.count():
-        while j >= len(adv):
-            total = 1.0 + lam + len(adv) * rho
-            adv.append(lam / total)
-            adv_ret.append((lam + 1.0) / total)
-        if step % 4 == 0:
-            words = philox_block(seed, (index + 1, step // 4 + 1, 0, 0))
-        x = (words[step % 4] >> 11) * 2.0**-53
-        if x < adv[j]:
-            j += 1
-        elif x < adv_ret[j]:
-            b += 1
-            j -= 1
-            if j == 0:
-                return LineTrialRecord(tuple(renewals), b, ABSORB_CAUGHT)
-            if j == 1:
-                renewals.append(b)
-            if b >= k_max:
-                return LineTrialRecord(tuple(renewals), b, ABSORB_TRUNCATED)
-        else:
-            return LineTrialRecord(tuple(renewals), b, ABSORB_DEATH)
+    numbered: dict[int, int] = {}  # trials per step block in the trials so far
+    records = []
+    for _ in range(n_trials):
+        j = 1
+        b = 0
+        renewals = [0]
+        absorption = None
+        step = 0
+        while absorption is None:
+            while j >= len(adv):
+                total = 1.0 + lam + len(adv) * rho
+                adv.append(lam / total)
+                adv_ret.append((lam + 1.0) / total)
+            if step % 4 == 0:
+                serial = numbered.get(step // 4, 0)
+                numbered[step // 4] = serial + 1
+                words = philox_block(seed, (serial + 1, step // 4 + 1, 0, 0))
+            x = (words[step % 4] >> 11) * 2.0**-53
+            step += 1
+            if x < adv[j]:
+                j += 1
+            elif x < adv_ret[j]:
+                b += 1
+                j -= 1
+                if j == 0:
+                    absorption = ABSORB_CAUGHT
+                elif j == 1:
+                    renewals.append(b)
+                if absorption is None and b >= k_max:
+                    absorption = ABSORB_TRUNCATED
+            else:
+                absorption = ABSORB_DEATH
+        records.append(LineTrialRecord(tuple(renewals), b, absorption, step))
+    return records
 
 
 def tree_trials(p: ModelParams, depth_cap: int, n_trials: int, seed: int) -> list[TreeTrialRecord]:

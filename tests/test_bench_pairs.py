@@ -113,6 +113,16 @@ def test_digest_and_failure_lines():
     assert lines[0].startswith("  pair 1: output digests differ, base 4daf4d254a8502f2 head 0000000000000000")
     assert lines[1] == "  pair 2: base checked correct=True with 1 failed"
     assert digests(pairs[:1]) == []
+    # one line per distinct (base, head) digest pair, naming the runs of pairs it covers
+    other = "1" * 64
+    pairs = [(run(1.1), run(1.0, digest="0" * 64)) for _ in range(12)]
+    assert digests(pairs) == ["  pairs 0-11: output digests differ, base 4daf4d254a8502f2 head 0000000000000000"]
+    pairs[3], pairs[8] = (run(1.1), run(1.0)), (run(1.1, digest=other), run(1.0, digest="0" * 64, failed=2))
+    assert digests(pairs) == [
+        "  pairs 0-2, 4-7, 9-11: output digests differ, base 4daf4d254a8502f2 head 0000000000000000",
+        "  pair 8: output digests differ, base 1111111111111111 head 0000000000000000",
+        "  pair 8: head checked correct=True with 2 failed",
+    ]
 
 
 def test_record_keeps_the_quartiles_digests_and_revision():

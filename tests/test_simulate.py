@@ -21,21 +21,25 @@ from ced.simulate import (
     simulate_line,
     simulate_tree,
 )
-from scalar_reference import jump_probabilities, line_trial, philox_block, tree_trials
+from scalar_reference import jump_probabilities, line_trials, philox_block, tree_trials
 
 P211 = ModelParams(2, F(1), F(1))
 
 
-def scalar_line_summary(p, n_trials, k_max, seed):
-    """The line summary reduced trial by trial from the scalar line_trial."""
+def line_summary_of(p, records, k_max, seed):
+    """The line summary reduced trial by trial from scalar line records."""
     renewals = [0] * (k_max + 1)
     absorb = {"caught": 0, "death": 0, "truncated": 0}
-    for i in range(n_trials):
-        rec = line_trial(p, k_max, seed, i)
+    for rec in records:
         for k in rec.renewals_hit:
             renewals[k] += 1
         absorb[rec.absorption] += 1
-    return LineSummary(p, n_trials, seed, tuple(renewals), tuple(absorb.items()))
+    return LineSummary(p, len(records), seed, tuple(renewals), tuple(absorb.items()))
+
+
+def scalar_line_summary(p, n_trials, k_max, seed):
+    """The line summary reduced trial by trial from the scalar line_trials."""
+    return line_summary_of(p, line_trials(p, k_max, n_trials, seed), k_max, seed)
 
 
 def scalar_tree_summary(p, depth_cap, n_trials, seed):
@@ -81,17 +85,41 @@ class TestJumpChain:
 
 class TestLineTrials:
     def test_record_structure(self):
-        for idx in range(50):
-            rec = line_trial(P211, 5, 11, idx)
+        for rec in line_trials(P211, 5, 50, 11):
             assert rec.renewals_hit[0] == 0
             assert rec.absorption in ("death", "caught", "truncated")
             assert rec.y_value >= max(rec.renewals_hit)
             assert all(k <= 5 for k in rec.renewals_hit)
 
     def test_stream_repeatability(self):
-        a = line_trial(P211, 5, 11, 3)
-        b = line_trial(P211, 5, 11, 3)
+        a = line_trials(P211, 5, 4, 11)
+        b = line_trials(P211, 5, 4, 11)
         assert a == b
+
+
+def counting_philox(monkeypatch):
+    """Patch numpy's Philox to record each generator's keyword arguments and each random_raw size: two lists."""
+    built, raw_sizes, philox = [], [], np.random.Philox
+
+    class CountingPhilox:
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+            self._philox = philox(**kwargs)
+
+        @property
+        def state(self):
+            return self._philox.state
+
+        @state.setter
+        def state(self, value):
+            self._philox.state = value
+
+        def random_raw(self, size):
+            raw_sizes.append(size)
+            return self._philox.random_raw(size)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    return built, raw_sizes
 
 
 def per_lane_words(word1, serial, blocks, seed):
@@ -107,7 +135,7 @@ def test_draw_matches_numpy_philox_per_lane(blocks, serial):
     # row 4b + w, column i: word w of the block at counter (serial[i] + 1, word1, b, 0) under the key seed;
     # a gap over _GAP (80 - 15, 2^40 - 5) is stepped over, never drawn
     seed, word1 = 2**64 - 1, 7
-    words = ced.simulate._draw(word1, np.array(serial), blocks, seed)
+    words = ced.simulate._draw(word1, np.array(serial), blocks, np.random.Philox(key=seed))
     assert words.dtype == np.uint64 and words.tolist() == per_lane_words(word1, serial, blocks, seed)
 
 
@@ -132,14 +160,14 @@ class TestDraw:
     def test_matches_numpy_philox_at_limb_edges(self, seed, first):
         serial = np.arange(first, first + 4)
         for blocks in (1, 2, 3):
-            words = ced.simulate._draw(1, serial, blocks, seed)
+            words = ced.simulate._draw(1, serial, blocks, np.random.Philox(key=seed))
             assert words.tolist() == per_lane_words(1, serial.tolist(), blocks, seed)
 
     @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
     @pytest.mark.parametrize("word1", [0, 1, 2**32 + 7, 2**64 - 1])
     def test_counter_word1_matches_numpy_philox(self, seed, word1):
         serial = [0, 1, 2**32 - 1, 2**32, 2**32 + 90]
-        words = ced.simulate._draw(word1, np.array(serial), 2, seed)
+        words = ced.simulate._draw(word1, np.array(serial), 2, np.random.Philox(key=seed))
         assert words.tolist() == per_lane_words(word1, serial, 2, seed)
 
     @pytest.mark.parametrize("max_gap", [1, ced.simulate._GAP, ced.simulate._GAP + 1, 5_000])
@@ -147,7 +175,7 @@ class TestDraw:
     def test_random_serials_match_numpy_philox(self, max_gap, lanes):
         rng = np.random.default_rng([max_gap, lanes])
         serial = ascending_serials(rng, lanes, max_gap, first=int(rng.integers(0, 2**40)))
-        words = ced.simulate._draw(5, serial, 2, 2**63 + 5)
+        words = ced.simulate._draw(5, serial, 2, np.random.Philox(key=2**63 + 5))
         assert words.shape == (8, lanes) and words.tolist() == per_lane_words(5, serial.tolist(), 2, 2**63 + 5)
 
     @pytest.mark.parametrize("keep", ["all", "evens", "first", "last", "half", "sparse"])
@@ -162,16 +190,16 @@ class TestDraw:
             "half": np.sort(np.random.default_rng(4).choice(400, 200, replace=False)),
             "sparse": np.arange(0, 400, 37),
         }[keep]
-        whole = ced.simulate._draw(2, serial, 3, 9)
-        assert np.array_equal(ced.simulate._draw(2, serial[chosen], 3, 9), whole[:, chosen])
+        whole = ced.simulate._draw(2, serial, 3, np.random.Philox(key=9))
+        assert np.array_equal(ced.simulate._draw(2, serial[chosen], 3, np.random.Philox(key=9)), whole[:, chosen])
 
     @pytest.mark.parametrize("blocks", [2, 3, 5, 17])
     def test_more_blocks_extend_the_fewer(self, blocks):
         # block b sits in counter word 2, so a vertex that draws fewer blocks (a cap vertex) shares its first ones
         serial = np.array([0, 1, 4, 90, 91, 400])
-        words = ced.simulate._draw(3, serial, blocks, 11)
+        words = ced.simulate._draw(3, serial, blocks, np.random.Philox(key=11))
         for fewer in range(1, blocks):
-            assert np.array_equal(ced.simulate._draw(3, serial, fewer, 11), words[: 4 * fewer])
+            assert np.array_equal(ced.simulate._draw(3, serial, fewer, np.random.Philox(key=11)), words[: 4 * fewer])
 
     @pytest.mark.parametrize("lanes", [1, 2, 300])
     def test_returns_a_fresh_array_and_writes_no_argument(self, lanes):
@@ -179,11 +207,11 @@ class TestDraw:
         for serial in (backing[:lanes], backing[::2]):  # contiguous and strided
             kept = serial.copy()
             for blocks in (1, 3):
-                words = ced.simulate._draw(4, serial, blocks, 6)
+                words = ced.simulate._draw(4, serial, blocks, np.random.Philox(key=6))
                 assert words.shape == (4 * blocks, lanes) and words.dtype == np.uint64
                 assert words.flags.writeable and not np.shares_memory(words, serial) and np.array_equal(serial, kept)
                 words[:] = 0
-                assert words.tolist() != ced.simulate._draw(4, serial, blocks, 6).tolist()
+                assert words.tolist() != ced.simulate._draw(4, serial, blocks, np.random.Philox(key=6)).tolist()
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("pattern", list(SERIAL_PATTERNS))
@@ -191,25 +219,28 @@ class TestDraw:
         # serials at most _GAP apart share a run; each run of each block is drawn whole by one call, never twice
         serial = np.array(SERIAL_PATTERNS[pattern])
         spans = np.split(serial, np.flatnonzero(np.diff(serial) > ced.simulate._GAP) + 1)
-        built, raw_sizes, philox = [], [], np.random.Philox
-
-        class CountingPhilox:
-            def __init__(self, **kwargs):
-                built.append(kwargs)
-                self._philox = philox(**kwargs)
-
-            def advance(self, delta):
-                self._philox.advance(delta)
-
-            def random_raw(self, size):
-                raw_sizes.append(size)
-                return self._philox.random_raw(size)
-
-        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-        words = ced.simulate._draw(8, serial, blocks, 21)
+        built, raw_sizes = counting_philox(monkeypatch)
+        words = ced.simulate._draw(8, serial, blocks, np.random.Philox(key=21))
         assert len(built) == 1
         assert raw_sizes == [4 * int(s[-1] - s[0] + 1) for _ in range(blocks) for s in spans]
         assert words.tolist() == per_lane_words(8, serial.tolist(), blocks, 21)
+
+    @pytest.mark.parametrize("before", ["mid_buffer", "higher_counter", "gapped_draw"])
+    @pytest.mark.parametrize("pattern", list(SERIAL_PATTERNS))
+    def test_words_do_not_depend_on_the_generator_state(self, pattern, before):
+        # one generator serves every draw of a run: a draw sets its counters, whatever the earlier draws left
+        serial = np.array(SERIAL_PATTERNS[pattern])
+        philox = np.random.Philox(key=2**63 + 5)
+        if before == "mid_buffer":
+            philox.random_raw(1)
+        elif before == "higher_counter":
+            ced.simulate._draw(9, np.arange(2**40, 2**40 + 3), 3, philox)
+        else:
+            ced.simulate._draw(2, np.array([5, 6, 300, 2**33]), 2, philox)
+            philox.random_raw(3)
+        for blocks in (1, 3):
+            words = ced.simulate._draw(4, serial, blocks, philox)
+            assert words.tolist() == per_lane_words(4, serial.tolist(), blocks, 2**63 + 5)
 
     @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
     def test_uniforms_are_generator_random(self, seed):
@@ -236,26 +267,54 @@ class TestSimulateLine:
         assert simulate_line(p, n_trials, k_max, seed) == scalar_line_summary(p, n_trials, k_max, seed)
 
     def test_builds_no_per_trial_generator(self, monkeypatch):
-        # one Philox a draw call, each call a range of thousands of trials or vertices
-        built, draws, philox, draw = [], [], np.random.Philox, ced.simulate._draw
+        # one Philox a simulate_* call, whatever its slabs, which each draw sets to its counters; never a Generator
+        read, draw = [], ced.simulate._draw  # blocks each _draw call reads
 
         def refuse(*args, **kwargs):
             raise AssertionError("an engine built a numpy Generator")
 
-        def counting_philox(*args, **kwargs):
-            built.append(kwargs)
-            return philox(*args, **kwargs)
-
-        def counting_draw(*args):
-            draws.append(args)
-            return draw(*args)
+        def counting_draw(word1, serial, blocks, philox):
+            read.append(serial.size * blocks)
+            return draw(word1, serial, blocks, philox)
 
         monkeypatch.setattr(np.random, "Generator", refuse)
-        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        built, raw_sizes = counting_philox(monkeypatch)
         monkeypatch.setattr(ced.simulate, "_draw", counting_draw)
+        # perfbench's line op: each draw is one run, so the line draws exactly the blocks it reads
+        assert simulate_line(P211, 20_000, 6, seed=9).n_trials == 20_000
+        assert built == [{"key": 9}]
+        assert len(raw_sizes) == len(read) < 20 and sum(raw_sizes) == 4 * sum(read)
+        monkeypatch.setattr(ced.simulate, "_SLAB", 1_000)
         assert simulate_line(P211, 5_000, 5, seed=9).n_trials == 5_000
         assert simulate_tree(P211, 5, 5_000, seed=9).n_trials == 5_000
-        assert 0 < len(built) <= len(draws) < 100
+        assert built == [{"key": 9}] * 3
+
+    def test_step_blocks_number_their_live_trials(self, monkeypatch):
+        # Block n numbers the trials live at its start 0 .. live - 1 over the whole run, whatever the slabs: each
+        # draw is one run of consecutive counters, and a trial's counters depend only on the trials before it.
+        p, k_max, seed = ModelParams(2, F(3, 2), F(1, 10)), 8, 2
+        records = line_trials(p, k_max, 300, seed)
+        draws = []  # (block, serials) of each _draw call
+        draw = ced.simulate._draw
+
+        def recording(word1, serial, blocks, philox):
+            draws.append((word1 - 1, serial.tolist()))
+            return draw(word1, serial, blocks, philox)
+
+        monkeypatch.setattr(ced.simulate, "_draw", recording)
+        monkeypatch.setattr(ced.simulate, "_SLAB", 64)
+        assert simulate_line(p, 300, k_max, seed) == line_summary_of(p, records, k_max, seed)
+        blocks = max(-(-r.steps // 4) for r in records)
+        assert blocks > 3 and {block for block, _ in draws} == set(range(blocks))
+        for n in range(blocks):
+            live = sum(r.steps > 4 * n for r in records)
+            assert sum((serial for block, serial in draws if block == n), []) == list(range(live))
+        assert all(serial == list(range(serial[0], serial[-1] + 1)) for _, serial in draws)
+        # a run of n trials is the prefix of the longer one, at any slab size
+        for slab in (64, 16, 5):
+            monkeypatch.setattr(ced.simulate, "_SLAB", slab)
+            for n_trials in (1, 37, 64, 200):
+                assert simulate_line(p, n_trials, k_max, seed) == line_summary_of(p, records[:n_trials], k_max, seed)
 
     def test_summary_determinism_and_thread_invariance(self):
         s1 = simulate_line(P211, 30_000, 5, seed=9)
@@ -381,9 +440,9 @@ class TestSimulateTree:
         draws = []  # (level, serials) of each _draw call
         draw = ced.simulate._draw
 
-        def recording(word1, serial, blocks, seed):
+        def recording(word1, serial, blocks, philox):
             draws.append((word1 - 1, serial.tolist()))
-            return draw(word1, serial, blocks, seed)
+            return draw(word1, serial, blocks, philox)
 
         monkeypatch.setattr(ced.simulate, "_draw", recording)
         monkeypatch.setattr(ced.simulate, "_SLAB", 32)
@@ -445,9 +504,9 @@ class TestSimulateTree:
         # the trial of each numbered vertex, per level
         owner = [np.repeat(np.arange(n_trials), [r.vertices_per_level[l] for r in records]) for l in range(cap + 1)]
 
-        def recording(word1, serial, blocks, seed):
+        def recording(word1, serial, blocks, philox):
             calls.append((word1 - 1, owner[word1 - 1][serial].tolist()))
-            return draw(word1, serial, blocks, seed)
+            return draw(word1, serial, blocks, philox)
 
         monkeypatch.setattr(ced.simulate, "_draw", recording)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", live_vertices)
@@ -476,9 +535,9 @@ class TestSimulateTree:
         starts = []  # the first trial of each slab, in order
         draw, tree_slab = ced.simulate._draw, ced.simulate._tree_slab
 
-        def recording(word1, serial, blocks, seed):
+        def recording(word1, serial, blocks, philox):
             calls.append((starts[-1] // slab, word1 - 1, serial.size, blocks))
-            return draw(word1, serial, blocks, seed)
+            return draw(word1, serial, blocks, philox)
 
         def slab_start(*args):
             starts.append(args[-2])
@@ -502,6 +561,7 @@ class TestSimulateTree:
         monkeypatch.setattr(ced.simulate, "_SLAB", 16)
         monkeypatch.setattr(ced.simulate, "_LIVE_VERTICES", 5)
         assert simulate_tree(p, 5, 40, seed=6) == scalar_tree_summary(p, 5, 40, seed=6)
+        assert simulate_line(p, 40, 5, seed=6) == scalar_line_summary(p, 40, 5, seed=6)
 
     def test_determinism_and_thread_invariance(self):
         s1 = simulate_tree(P211, 5, 4_000, seed=9)
