@@ -55,9 +55,8 @@ at most _GAP counters drawn and left unread, a longer one stepped over.  So
 equal (seed, n_trials) give equal summaries, a `LineSummary` from the line and
 a `TreeSummary` from the tree; a run of n trials is the prefix of any longer
 run with the same seed; and neither the slabs nor the pieces a level is drawn
-in change a result.  A trial's draws
-depend on the seed and on how many trials before it are live at each line step
-block, or put vertices in each tree level.
+in change a result.  A trial's draws depend on the seed and on how many trials
+before it are live at each line step block, or put vertices in each tree level.
 """
 
 from __future__ import annotations
@@ -81,7 +80,8 @@ if TYPE_CHECKING:
 DEFAULT_MAX_VERTICES = 2_000_000
 
 #: Trials either engine steps together: it bounds their arrays, never the result.  Each slab ends in a tail on a
-#: few live trials, paid in numpy calls: 20 000 line trials took 5.4 ms in 5 slabs of 4096, 4.1 ms in 1 of 2^15 (Xeon).
+#: few live trials, paid in numpy calls: 20 000 line trials took 2.8-4.8 ms in 5 slabs of 4096, 2.0-3.3 ms in 1 of
+#: 2^15 (Xeon).
 _SLAB = 1 << 15
 
 #: Philox blocks one piece of a tree level draws, in one `_draw` call: it bounds the engine's arrays, never the
