@@ -18,9 +18,10 @@ more than BASE's interquartile range, and its runs failed no more operations
 than BASE's; it is worse when its median is worse than BASE's by more than the
 metric's bound; it is unresolved when BASE's interquartile range, relative to
 its median, is wider than that bound and the two sides' runs overlap, since
-then a change as large as the bound could hide in the spread.  A run whose
-output digest differs from the other side's is reported, since the two
-revisions then did not do the same work.  Last it prints the lines of
+then a change as large as the bound could hide in the spread.  Pairs whose
+output digests differ are reported, one line for each distinct (base, head)
+pair of digests, since the two revisions then did not do the same work.  Last
+it prints the lines of
 `src/ced/*.py` in each checkout, as `wc -l` counts them.
 
 --cli PREFIX ... times every `SLOW` row of tests/cli_goldens.py whose argv

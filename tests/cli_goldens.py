@@ -176,7 +176,7 @@ SLOW = [
      "711826972cfca5270a95171a95551a285f5e2254bc5de7ecf8bbc35f07c16c62", 60),
     (f"catalan --lambda 1/{10**48} --rho 1 --k-max 200", 0,
      "823161e4d48b6293c5d285f6b3b5e2ef6cd93bd975eff96fe4915e1bc9471fda", 60),
-    # long line trials: k_max 800 at lambda = 5, rho = 0 (1.0 s)
+    # long line trials: k_max 800 at lambda = 5, rho = 0 (1.0-1.2 s)
     ("simulate line --lambda 5 --rho 0 --k-max 800 --trials 10000 --seed 1", 0,
      "7639c4666c10c66ef97800a21d4041d135221d4fef2cd5c4cb2c0a85b4c0707e", 15),
     # a 1000-point grid at 2^-200 on one and on two processes (2.3 s, 1.4 s)
